@@ -17,6 +17,7 @@ use rfnoc_sim::{
     DestSet, FaultEvent, FaultPlan, LedgerConfig, McConfig, MessageClass, MessageSpec,
     MulticastMode, Network, NetworkSpec, RunStats, SimConfig, VctConfig, Workload,
 };
+use rfnoc_power::LinkWidth;
 use rfnoc_topology::{FabricSpec, GridDims, Shortcut};
 use std::cell::Cell;
 
@@ -166,7 +167,7 @@ impl Workload for SyntheticWorkload {
 thread_local! {
     /// When set, [`golden_config`] instruments the run with the ledger —
     /// the golden-with-ledger test flips this to re-run every pinned case
-    /// observed, without touching the thirteen `run_case` arms. A
+    /// observed, without touching the `run_case` arms. A
     /// thread-local (not an env var) keeps the parallel test harness
     /// race-free.
     static LEDGER_ON: Cell<bool> = const { Cell::new(false) };
@@ -181,6 +182,21 @@ fn golden_config(threads: usize) -> SimConfig {
     if LEDGER_ON.with(Cell::get) {
         cfg.ledger = Some(LedgerConfig::every(400));
     }
+    cfg
+}
+
+/// [`golden_config`] at a non-default VC / buffer / link-width shape.
+fn shaped_config(
+    threads: usize,
+    adaptive: usize,
+    escape: usize,
+    depth: usize,
+    width: LinkWidth,
+) -> SimConfig {
+    let mut cfg = golden_config(threads).with_link_width(width);
+    cfg.vcs_adaptive = adaptive;
+    cfg.vcs_escape = escape;
+    cfg.buffer_depth = depth;
     cfg
 }
 
@@ -236,6 +252,15 @@ const GOLDEN: &[(&str, u64)] = &[
     ("ringmesh_base_low_load", 0xf7ccf1ddaa383cdb),
     ("ringmesh_rf_adaptive", 0x66d62b210993d2c2),
     ("ringmesh_faults", 0x1d525d4c6f8ea398),
+    // VC-count / buffer-depth / link-width shapes other than the paper's
+    // 4+8 VCs x 4 flits x 16B: pinned on the nested-Vec engine before the
+    // flat router block replaced it, guarding everything the block layout
+    // is sized by (mask widths, ring wrap-around, class boundaries).
+    ("shape_1p1_depth1", 0xc9f11234133b2a7d),
+    ("shape_2p4_depth2_b4_rf", 0x32184c7fc53fbe26),
+    ("shape_4p12_depth8_rf_faults", 0x857c9d89b565c81d),
+    ("shape_2p2_depth2_vct", 0x45d151d91c98698f),
+    ("shape_ringmesh_1p2_depth3_b8", 0xf0a89bd7c99a4cc2),
 ];
 
 /// The ring-mesh fabric the `ringmesh_*` golden cases run on.
@@ -356,6 +381,57 @@ fn run_case(name: &str, threads: usize) -> RunStats {
             let mut w = SyntheticWorkload::unicast(0x5eed_000d, rn, 16, horizon(&spec.config));
             Network::new(spec).run(&mut w)
         }
+        "shape_1p1_depth1" => {
+            // One VC per class, one slot per VC: every flit waits for the
+            // credit of the one before it.
+            let cfg = shaped_config(threads, 1, 1, 1, LinkWidth::B16);
+            let mut w = SyntheticWorkload::unicast(0x5eed_000e, n, 10, horizon(&cfg));
+            Network::new(NetworkSpec::mesh_baseline(dims, cfg)).run(&mut w)
+        }
+        "shape_2p4_depth2_b4_rf" => {
+            // 4B links: packets of up to 33 flits wrap the two-slot rings
+            // many times, and the 16B RF channel burst-drains four narrow
+            // flits a cycle.
+            let cfg = shaped_config(threads, 2, 4, 2, LinkWidth::B4);
+            let mut w = SyntheticWorkload::unicast(0x5eed_000f, n, 10, horizon(&cfg));
+            Network::new(NetworkSpec::with_shortcuts(dims, cfg, shortcuts(dims))).run(&mut w)
+        }
+        "shape_4p12_depth8_rf_faults" => {
+            // The widest shape in the repo (ablation_escape_vcs), under RF
+            // teardown/repair, a mesh-link detour and a glitch.
+            let cfg = shaped_config(threads, 4, 12, 8, LinkWidth::B8);
+            let plan = FaultPlan::new(vec![
+                (300, FaultEvent::ShortcutDown { src: 0 }),
+                (500, FaultEvent::MeshLinkDown { a: 14, b: 15 }),
+                (700, FaultEvent::LinkGlitch { a: 8, b: 14 }),
+                (750, FaultEvent::LinkGlitch { a: n - 1, b: 0 }),
+                (900, FaultEvent::ShortcutUp { src: 0, dst: n - 1 }),
+                (1_100, FaultEvent::MeshLinkUp { a: 14, b: 15 }),
+            ]);
+            let spec = NetworkSpec::with_shortcuts(dims, cfg, shortcuts(dims))
+                .with_fault_plan(plan);
+            let mut w = SyntheticWorkload::unicast(0x5eed_0010, n, 40, horizon(&spec.config));
+            Network::new(spec).run(&mut w)
+        }
+        "shape_2p2_depth2_vct" => {
+            // Tree multicast replication out of two-slot rings.
+            let cfg = shaped_config(threads, 2, 2, 2, LinkWidth::B8);
+            let mut spec = NetworkSpec::mesh_baseline(dims, cfg);
+            spec.multicast = MulticastMode::Vct(VctConfig::default());
+            let mut w = SyntheticWorkload::unicast(0x5eed_0011, n, 8, horizon(&spec.config))
+                .with_multicast(4, vec![7, 10, 25, 28]);
+            Network::new(spec).run(&mut w)
+        }
+        "shape_ringmesh_1p2_depth3_b8" => {
+            // Heterogeneous-degree routers (2/6 base ports) at a shape
+            // where depth is not a power of two.
+            let fabric = ring_fabric();
+            let cfg = shaped_config(threads, 1, 2, 3, LinkWidth::B8);
+            let rn = fabric.dims().nodes();
+            let mut w = SyntheticWorkload::unicast(0x5eed_0012, rn, 6, horizon(&cfg));
+            Network::new(NetworkSpec::with_fabric(fabric, cfg, shortcuts(fabric.dims())))
+                .run(&mut w)
+        }
         other => panic!("unknown golden case {other:?}"),
     }
 }
@@ -435,7 +511,7 @@ fn golden_stats_reproduce_at_every_thread_count() {
 /// the ledger streaming, serial and sharded, against the *same* pinned
 /// constants. The hash covers the simulated statistics only, so a ledger
 /// that perturbed arbitration, scheduling, or fault handling anywhere in
-/// the thirteen cases would show up as a hash mismatch.
+/// the pinned cases would show up as a hash mismatch.
 #[test]
 fn golden_stats_reproduce_with_ledger_enabled() {
     LEDGER_ON.with(|l| l.set(true));
