@@ -4,6 +4,7 @@ use crate::error::ConfigError;
 use crate::fault::RecoveryConfig;
 use crate::network::ledger::LedgerConfig;
 use crate::network::telemetry::{FlitTraceConfig, TelemetryConfig};
+use crate::router::{MAX_BUFFER_DEPTH, MAX_VCS};
 use rfnoc_power::LinkWidth;
 
 /// Microarchitectural configuration of the simulated network.
@@ -196,7 +197,9 @@ impl SimConfig {
 
     /// Validates internal consistency, rejecting degenerate parameters
     /// (zero VCs, zero buffers, an empty measurement window, or a watchdog
-    /// window a routing-table rewrite would trip).
+    /// window a routing-table rewrite would trip) and router shapes beyond
+    /// what the engine's VC masks (32 VCs per port) and `u8` ring indices
+    /// (255 flits per VC) can hold.
     ///
     /// # Errors
     ///
@@ -210,6 +213,14 @@ impl SimConfig {
         }
         if self.buffer_depth == 0 {
             return Err(ConfigError::ZeroBufferDepth);
+        }
+        for (parameter, value, limit) in [
+            ("vcs_adaptive + vcs_escape", self.total_vcs(), MAX_VCS),
+            ("buffer_depth", self.buffer_depth, MAX_BUFFER_DEPTH),
+        ] {
+            if value > limit {
+                return Err(ConfigError::ShapeTooLarge { parameter, value, limit });
+            }
         }
         if self.measure_cycles == 0 {
             return Err(ConfigError::EmptyMeasureWindow);
@@ -292,6 +303,38 @@ mod tests {
         let mut cfg = SimConfig::paper_baseline();
         cfg.buffer_depth = 0;
         assert_eq!(cfg.validate(), Err(ConfigError::ZeroBufferDepth));
+    }
+
+    #[test]
+    fn more_vcs_than_the_masks_hold_rejected() {
+        let mut cfg = SimConfig::paper_baseline();
+        // The widest shape in the repo (ablation_escape_vcs) and the widest
+        // the masks hold both pass.
+        (cfg.vcs_adaptive, cfg.vcs_escape) = (4, 12);
+        assert_eq!(cfg.validate(), Ok(()));
+        (cfg.vcs_adaptive, cfg.vcs_escape) = (16, 16);
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.vcs_escape = 17;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::ShapeTooLarge {
+                parameter: "vcs_adaptive + vcs_escape",
+                value: 33,
+                limit: 32,
+            })
+        );
+    }
+
+    #[test]
+    fn deeper_buffers_than_the_ring_index_rejected() {
+        let mut cfg = SimConfig::paper_baseline();
+        cfg.buffer_depth = 255;
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.buffer_depth = 256;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::ShapeTooLarge { parameter: "buffer_depth", value: 256, limit: 255 })
+        );
     }
 
     #[test]

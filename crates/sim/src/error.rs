@@ -24,6 +24,18 @@ pub enum ConfigError {
     NoAdaptiveVcs,
     /// Flit buffers must hold at least one flit.
     ZeroBufferDepth,
+    /// A router dimension is larger than the engine's flat router block
+    /// can index: `vcs_adaptive + vcs_escape` above the width of the
+    /// per-port VC masks, or `buffer_depth` above the range of the `u8`
+    /// ring positions and credit counts.
+    ShapeTooLarge {
+        /// The offending `SimConfig` parameter.
+        parameter: &'static str,
+        /// Its configured value.
+        value: usize,
+        /// The largest value the engine supports.
+        limit: usize,
+    },
     /// The measurement window is empty.
     EmptyMeasureWindow,
     /// The local injection/ejection port moves no flits.
@@ -85,6 +97,9 @@ impl fmt::Display for ConfigError {
                 "vcs_escape must be less than the total VC count (need at least one adaptive VC)"
             ),
             Self::ZeroBufferDepth => write!(f, "buffers must hold at least one flit"),
+            Self::ShapeTooLarge { parameter, value, limit } => {
+                write!(f, "{parameter} is {value}, above the engine limit of {limit}")
+            }
             Self::EmptyMeasureWindow => write!(f, "measurement window must be non-empty"),
             Self::NoLocalBandwidth => write!(f, "local port needs bandwidth"),
             Self::ZeroSimThreads => {
@@ -327,6 +342,9 @@ mod tests {
     fn errors_display() {
         assert!(ConfigError::NoEscapeVcs.to_string().contains("escape VCs"));
         assert!(ConfigError::ZeroPollInterval.to_string().contains("poll interval"));
+        let too_deep =
+            ConfigError::ShapeTooLarge { parameter: "buffer_depth", value: 300, limit: 255 };
+        assert_eq!(too_deep.to_string(), "buffer_depth is 300, above the engine limit of 255");
         assert!(ReconfigError::XyRouting.to_string().contains("shortest-path"));
         assert!(SimError::ShortcutsOnXy.to_string().contains("XY routing"));
     }

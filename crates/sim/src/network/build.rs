@@ -36,7 +36,6 @@ impl Network {
         let dims = fabric.dims();
         let n = dims.nodes();
         let vcs = spec.config.total_vcs();
-        let depth = spec.config.buffer_depth as u32;
         let max_base = fabric.max_base_slots();
         let max_ports = max_base + 2;
         assert!(
@@ -91,32 +90,7 @@ impl Network {
         let (port_table, sp_dist) = match spec.routing {
             RoutingKind::Xy => (None, None),
             RoutingKind::ShortestPath => {
-                let graph = GridGraph::from_fabric(&fabric, &spec.shortcuts);
-                let dist = graph.distances();
-                let tables = RoutingTables::from_distances(&graph, &dist);
-                let mut pt = vec![0u8; n * n];
-                let mut dm = vec![0u32; n * n];
-                for r in 0..n {
-                    for d in 0..n {
-                        dm[r * n + d] = dist.get(r, d);
-                        if r == d {
-                            pt[r * n + d] = base_ports[r];
-                            continue;
-                        }
-                        let next = tables.next_hop(r, d);
-                        pt[r * n + d] = match fabric.port_between(r, next) {
-                            Some(slot) => slot,
-                            None => {
-                                debug_assert_eq!(
-                                    rf_out[r],
-                                    Some(next),
-                                    "non-adjacent hop without shortcut"
-                                );
-                                base_ports[r] + 1
-                            }
-                        };
-                    }
-                }
+                let (pt, dm) = shortest_path_tables(&fabric, &base_ports, &spec.shortcuts);
                 (Some(pt), Some(dm))
             }
         };
@@ -125,69 +99,47 @@ impl Network {
         let mut routers = Vec::with_capacity(n);
         for r in 0..n {
             let base = base_ports[r] as usize;
-            let mut inputs = vec![InputPort::default(); base + 2];
-            let mut outputs = vec![OutputPort::default(); base + 2];
+            let mut router = Router::new(base + 2, vcs, spec.config.buffer_depth);
             for slot in 0..base {
                 if let Some(nb) = fabric.port_neighbor(r, slot as u8) {
                     let back = fabric
                         .port_between(nb, r)
                         .expect("base fabric links are bidirectional");
-                    inputs[slot].exists = true;
-                    inputs[slot].vcs = vec![Default::default(); vcs];
-                    inputs[slot].upstream = Some((nb, back));
-                    outputs[slot].exists = true;
-                    outputs[slot].target = Some((nb, back));
-                    outputs[slot].capacity = 1;
-                    outputs[slot].vcs = vec![Default::default(); vcs];
-                    for v in &mut outputs[slot].vcs {
-                        v.credits = depth;
-                    }
+                    router.connect_input(slot, Some((nb, back)));
+                    router.connect_output(
+                        slot,
+                        OutLink { target: Some((nb, back)), capacity: 1, ..OutLink::default() },
+                    );
                 }
             }
             // Local port: injection in, ejection out.
-            let local = base;
-            inputs[local].exists = true;
-            inputs[local].vcs = vec![Default::default(); vcs];
-            inputs[local].upstream = None;
-            outputs[local].exists = true;
-            outputs[local].target = None;
-            outputs[local].capacity = spec.config.local_port_speedup;
-            outputs[local].vcs = vec![Default::default(); vcs];
+            router.connect_input(base, None);
+            router.connect_output(
+                base,
+                OutLink { capacity: spec.config.local_port_speedup, ..OutLink::default() },
+            );
             // RF port.
-            let rf = base + 1;
             if let Some(dst) = rf_out[r] {
                 let hops = fabric.base_route_len(r, dst);
-                outputs[rf].exists = true;
-                outputs[rf].target = Some((dst, base_ports[dst] + 1));
-                outputs[rf].shortcut_hops = hops;
-                match spec.wire_shortcut_cycles_per_hop {
-                    Some(cph) => {
-                        // Conventional buffered wire: multi-cycle traversal,
-                        // same width as the mesh links it replaces.
-                        outputs[rf].capacity = 1;
-                        outputs[rf].is_wire = true;
-                        outputs[rf].extra_latency =
-                            ((cph * hops as f64).ceil() as u64).saturating_sub(1);
-                    }
-                    None => {
-                        outputs[rf].capacity = spec.config.rf_flits_per_cycle();
-                    }
+                let mut link = OutLink {
+                    target: Some((dst, base_ports[dst] + 1)),
+                    capacity: spec.config.rf_flits_per_cycle(),
+                    shortcut_hops: hops,
+                    ..OutLink::default()
+                };
+                if let Some(cph) = spec.wire_shortcut_cycles_per_hop {
+                    // Conventional buffered wire: multi-cycle traversal,
+                    // same width as the mesh links it replaces.
+                    link.capacity = 1;
+                    link.is_wire = true;
+                    link.extra_latency = ((cph * hops as f64).ceil() as u32).saturating_sub(1);
                 }
-                outputs[rf].vcs = vec![Default::default(); vcs];
-                for v in &mut outputs[rf].vcs {
-                    v.credits = depth;
-                }
+                router.connect_output(base + 1, link);
             }
             if let Some(src) = rf_in[r] {
-                inputs[rf].exists = true;
-                inputs[rf].vcs = vec![Default::default(); vcs];
-                inputs[rf].upstream = Some((src, base_ports[src] + 1));
+                router.connect_input(base + 1, Some((src, base_ports[src] + 1)));
             }
-            routers.push(Router {
-                inputs,
-                outputs,
-                injector: Injector::new(vcs, depth),
-            });
+            routers.push(router);
         }
 
         let (mc_queues, vct_table) = match &spec.multicast {
@@ -218,15 +170,17 @@ impl Network {
         // ledger will consume it, and only the sharded engine reports it.
         let time_sweeps = spec.config.ledger.is_some() && sweep_threads > 1;
         let shard_bufs = (0..sweep_threads)
-            .map(|_| {
-                let mut b = sweep::ShardBuf::new(max_ports);
-                b.timed = time_sweeps;
-                b
-            })
+            .map(|_| sweep::ShardBuf { timed: time_sweeps, ..Default::default() })
             .collect();
         Ok(Self {
             dims,
             fabric,
+            coords: (0..n)
+                .map(|r| {
+                    let c = dims.coord_of(r);
+                    (c.x, c.y)
+                })
+                .collect(),
             base_ports,
             max_ports,
             base_table,
@@ -279,6 +233,50 @@ impl Network {
             config: spec.config,
         })
     }
+}
+
+/// Shortest-path out-port and hop-distance tables (`router * n + dest`)
+/// over the intact `fabric` plus `shortcuts`: the next hop's base slot, or
+/// the RF port when the next hop is only reachable over a shortcut.
+pub(super) fn shortest_path_tables(
+    fabric: &FabricSpec,
+    base_ports: &[u8],
+    shortcuts: &[Shortcut],
+) -> (Vec<u8>, Vec<u32>) {
+    let n = fabric.nodes();
+    let graph = GridGraph::from_fabric(fabric, shortcuts);
+    let dist = graph.distances();
+    let tables = RoutingTables::from_distances(&graph, &dist);
+    let mut pt = vec![0u8; n * n];
+    let mut dm = vec![0u32; n * n];
+    let mut slot_of: Vec<(NodeId, u8)> = Vec::with_capacity(fabric.max_base_slots());
+    for r in 0..n {
+        // One neighbour -> slot map per router instead of a fabric
+        // adjacency query per (router, destination) pair.
+        slot_of.clear();
+        slot_of.extend(
+            (0..base_ports[r]).filter_map(|slot| Some((fabric.port_neighbor(r, slot)?, slot))),
+        );
+        for d in 0..n {
+            dm[r * n + d] = dist.get(r, d);
+            pt[r * n + d] = if r == d {
+                base_ports[r]
+            } else {
+                let next = tables.next_hop(r, d);
+                match slot_of.iter().find(|&&(nb, _)| nb == next) {
+                    Some(&(_, slot)) => slot,
+                    None => {
+                        debug_assert!(
+                            shortcuts.iter().any(|s| s.src == r && s.dst == next),
+                            "non-adjacent hop without shortcut"
+                        );
+                        base_ports[r] + 1
+                    }
+                }
+            };
+        }
+    }
+    (pt, dm)
 }
 
 /// Checks every scheduled fault event against the network's topology.

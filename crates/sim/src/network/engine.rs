@@ -138,8 +138,11 @@ impl Network {
             counting: self.counting,
             epoch: e,
             config: &self.config,
+            escape_vcs: low_mask(self.config.vcs_escape),
+            adaptive_vcs: low_mask(self.config.total_vcs()) & !low_mask(self.config.vcs_escape),
             dims: self.dims,
             fabric: self.fabric,
+            coords: &self.coords,
             base_ports: &self.base_ports,
             max_ports: self.max_ports,
             base_table: self.base_table.as_deref(),
@@ -341,16 +344,14 @@ impl Network {
         self.mc_enqueues.clear();
         for si in 0..self.shard_bufs.len() {
             for i in 0..self.shard_bufs[si].deliveries.len() {
-                let (router, port, vc, flit, arrival) = self.shard_bufs[si].deliveries[i];
-                self.routers[router].inputs[port as usize]
-                    .arrivals
-                    .push_back((arrival, vc, flit));
-                self.mark_active(router);
+                let sweep::Delivery { router, port, arrival } = self.shard_bufs[si].deliveries[i];
+                self.routers[router as usize].push_arrival(port as usize, arrival);
+                self.mark_active(router as usize);
             }
             self.shard_bufs[si].deliveries.clear();
             for i in 0..self.shard_bufs[si].credit_returns.len() {
-                let (router, port, vc) = self.shard_bufs[si].credit_returns[i];
-                self.routers[router].outputs[port as usize].vcs[vc as usize].credits += 1;
+                let sweep::CreditReturn { router, port, vc } = self.shard_bufs[si].credit_returns[i];
+                self.routers[router as usize].return_credit(port as usize, vc as usize);
             }
             self.shard_bufs[si].credit_returns.clear();
             for i in 0..self.shard_bufs[si].mc_enqueues.len() {
@@ -364,40 +365,27 @@ impl Network {
 
 impl Sweep<'_> {
 
+    /// Moves every flit that has landed on an inbound link into its VC's
+    /// buffer (port ascending, FIFO per port).
     pub(super) fn deliver_arrivals(&mut self, r: usize) {
         let rl = r - self.base;
         let now = self.sh.cycle;
-        for port in 0..self.sh.num_ports(r) {
-            loop {
-                let front = self.routers[rl].inputs[port].arrivals.front().copied();
-                match front {
-                    Some((at, vc, flit)) if at <= now => {
-                        self.routers[rl].inputs[port].arrivals.pop_front();
-                        if flit.is_head() {
-                            self.routers[rl].claim_vc(port, vc, flit.packet);
-                        }
-                        self.routers[rl].inputs[port].vcs[vc as usize].buffer.push_back(flit);
-                        if self.tel_on() {
-                            self.tel(sweep::TelOp::BufferPush(r as u32));
-                            // Tree-multicast packets fork mid-network;
-                            // only unicast packets (RF-multicast carriers
-                            // included) get hop chains.
-                            if flit.is_head()
-                                && matches!(
-                                    self.packets.get(flit.packet).dest,
-                                    PacketDest::Unicast(_)
-                                )
-                            {
-                                self.tel(sweep::TelOp::HopArrived {
-                                    packet: flit.packet,
-                                    r: r as u32,
-                                    port: port as u8,
-                                    at,
-                                });
-                            }
-                        }
+        for port in bits(self.routers[rl].arrival_ports()) {
+            while let Some(a) = self.routers[rl].pop_arrival_due(port, now) {
+                self.routers[rl].push_flit(port, a);
+                if self.tel_on() {
+                    self.tel(sweep::TelOp::BufferPush(r as u32));
+                    // Tree-multicast packets fork mid-network; only
+                    // unicast packets (RF-multicast carriers included)
+                    // get hop chains.
+                    if a.idx == 0 && a.dest != Arrival::TREE {
+                        self.tel(sweep::TelOp::HopArrived {
+                            packet: a.packet,
+                            r: r as u32,
+                            port: port as u8,
+                            at: a.at,
+                        });
                     }
-                    _ => break,
                 }
             }
         }
@@ -407,52 +395,35 @@ impl Sweep<'_> {
     pub(super) fn step_va(&mut self, r: usize) {
         let rl = r - self.base;
         let now = self.sh.cycle;
-        let escape_vcs = self.sh.config.vcs_escape;
-        let depth = self.sh.config.buffer_depth as u32;
         // The VA port round-robin pointer advances once per cycle on every
         // router from an initial offset of `r`, so it is a pure function
         // of (router, cycle). Deriving it here instead of storing and
         // rotating a field keeps idle-router visits side-effect free.
-        let np = self.sh.num_ports(r);
-        let rr_base = ((r as u64 + now) % np as u64) as usize;
-        for port_off in 0..np {
-            let port = (rr_base + port_off) % np;
-            if !self.routers[rl].inputs[port].exists {
-                continue;
-            }
-            // VA never claims or releases VCs, so `occupied` is stable
-            // across this loop and can be walked by index without cloning.
-            let occ_len = self.routers[rl].inputs[port].occupied.len();
-            for oi in 0..occ_len {
-                let vc = self.routers[rl].inputs[port].occupied[oi];
-                let vci = vc as usize;
-                let (needs_va, front, packet_id) = {
-                    let v = &self.routers[rl].inputs[port].vcs[vci];
-                    let needs = !v.allocated
-                        && (!v.mc_routed || v.mc_branches.iter().any(|b| b.out_vc.is_none()));
-                    (needs, v.buffer.front().copied(), v.cur_packet)
-                };
-                if !needs_va {
+        let np = self.routers[rl].num_ports();
+        let start = ((r as u64 + now) % np as u64) as usize;
+        for port in bits_from(self.routers[rl].va_ports(), start) {
+            // VA neither claims nor releases VCs and only ever clears the
+            // mask bit of the VC it just served, so the occupied list and
+            // this snapshot of the mask are stable across the loop.
+            let pending = self.routers[rl].va_mask(port);
+            for oi in 0..self.routers[rl].occupied(port).len() {
+                let vci = self.routers[rl].occupied(port)[oi] as usize;
+                if pending & (1 << vci) == 0 {
                     continue;
                 }
-                let Some(flit) = front else { continue };
-                if !flit.is_head() || flit.eligible > now {
+                let flit = self.routers[rl].front(port, vci).expect("pending head is buffered");
+                debug_assert!(flit.is_head(), "VA pending behind a granted head");
+                if flit.eligible > now {
                     continue;
                 }
-                let packet_id = packet_id.expect("claimed VC has a packet");
-                match self.packets.get(packet_id).dest {
-                    PacketDest::Unicast(dest) => {
-                        self.va_unicast(r, port, vci, packet_id, dest, escape_vcs, depth, now);
-                    }
-                    PacketDest::Tree(set) => {
-                        self.va_tree(r, port, vci, packet_id, set, escape_vcs, depth, now);
-                    }
+                match self.routers[rl].vc(port, vci).dest() {
+                    Arrival::TREE => self.va_tree(r, port, vci, flit.packet, now),
+                    dest => self.va_unicast(r, port, vci, flit.packet, dest as usize, now),
                 }
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn va_unicast(
         &mut self,
         r: usize,
@@ -460,87 +431,70 @@ impl Sweep<'_> {
         vci: usize,
         packet: u32,
         dest: NodeId,
-        escape_vcs: usize,
-        depth: u32,
         now: u64,
     ) {
         let rl = r - self.base;
-        let total = self.sh.config.total_vcs();
-        let on_escape = vci < escape_vcs;
+        let sh = self.sh;
+        let (escape_vcs, adaptive_vcs) = (sh.escape_vcs, sh.adaptive_vcs);
+        let router = &mut self.routers[rl];
+        let rf = router.rf_port();
+        let on_escape = escape_vcs & (1 << vci) != 0;
         let grant = if on_escape {
-            let out = self.sh.escape_port(r, dest) as usize;
-            alloc_out_vc(&mut self.routers[rl].outputs, out, 0..escape_vcs, packet, depth)
-                .map(|ov| (out, ov))
+            let out = sh.escape_port(r, dest) as usize;
+            router.alloc_out_vc(out, escape_vcs).map(|ov| (out, ov))
         } else {
-            let mesh_only = self.packets.get(packet).mesh_only.load(Relaxed);
+            // Only a shortcut detour sets `mesh_only`, and without a route
+            // table both choices below are the escape port anyway.
+            let mesh_only =
+                sh.port_table.is_some() && self.packets.get(packet).mesh_only.load(Relaxed);
+            // The escape port is looked up at most once, and only on the
+            // paths that need it.
+            let mut esc = None;
+            let mut escape_port = || *esc.get_or_insert_with(|| sh.escape_port(r, dest) as usize);
             let mut out = if mesh_only {
-                self.sh.escape_port(r, dest) as usize
+                escape_port()
             } else {
-                self.sh.route_port(r, dest) as usize
+                sh.route_port(r, dest) as usize
             };
             // A draining reconfiguration closes the RF ports to new
             // packets; route over the mesh instead.
-            if out == self.sh.rf_port(r) && !self.sh.rf_accepting {
-                out = self.sh.escape_port(r, dest) as usize;
+            if out == rf && !sh.rf_accepting {
+                out = escape_port();
             }
-            let mut grant =
-                alloc_out_vc(&mut self.routers[rl].outputs, out, escape_vcs..total, packet, depth)
-                    .map(|ov| (out, ov));
+            let mut grant = router.alloc_out_vc(out, adaptive_vcs).map(|ov| (out, ov));
             // HPCA-2008 contention avoidance: a packet blocked on a busy
             // shortcut may adaptively take the mesh route instead, but only
             // once the wait already exceeds the estimated extra cost of the
             // mesh detour (≈3 cycles per extra hop); it then commits to XY
             // so the detour cannot loop back.
-            if grant.is_none()
-                && out == self.sh.rf_port(r)
-                && self.sh.config.adaptive_shortcut_routing
-            {
-                let blocked = self.routers[rl].inputs[port].vcs[vci].va_blocked;
-                let extra_hops = self
-                    .sh
+            if grant.is_none() && out == rf && sh.config.adaptive_shortcut_routing {
+                let blocked = router.vc(port, vci).va_blocked();
+                let extra_hops = sh
                     .sp_dist
                     .map(|dm| {
-                        let n = self.sh.dims.nodes();
-                        self.sh.fabric.base_route_len(r, dest).saturating_sub(dm[r * n + dest])
+                        let n = sh.dims.nodes();
+                        sh.fabric.base_route_len(r, dest).saturating_sub(dm[r * n + dest])
                     })
                     .unwrap_or(0);
                 if blocked >= 3 * extra_hops {
-                    let mesh = self.sh.escape_port(r, dest) as usize;
-                    grant = alloc_out_vc(
-                        &mut self.routers[rl].outputs,
-                        mesh,
-                        escape_vcs..total,
-                        packet,
-                        depth,
-                    )
-                    .map(|ov| (mesh, ov));
+                    let mesh = escape_port();
+                    grant = router.alloc_out_vc(mesh, adaptive_vcs).map(|ov| (mesh, ov));
                     if grant.is_some() {
                         self.packets.get(packet).mesh_only.store(true, Relaxed);
                     }
                 }
             }
             grant.or_else(|| {
-                let esc = self.sh.escape_port(r, dest) as usize;
-                alloc_out_vc(&mut self.routers[rl].outputs, esc, 0..escape_vcs, packet, depth)
-                    .map(|ov| (esc, ov))
+                let esc = escape_port();
+                router.alloc_out_vc(esc, escape_vcs).map(|ov| (esc, ov))
             })
         };
-        let granted = grant.is_some();
-        let v = &mut self.routers[rl].inputs[port].vcs[vci];
         match grant {
-            Some((out, ovc)) => {
-                v.allocated = true;
-                v.out_port = out as u8;
-                v.out_vc = ovc;
-                v.va_blocked = 0;
-                if let Some(f) = v.buffer.front_mut() {
-                    f.eligible = now + 1;
-                }
-            }
-            None => v.va_blocked += 1,
+            Some((out, ovc)) => router.va_grant(port, vci, out, ovc, now + 1),
+            None => router.note_va_blocked(port, vci),
         }
         if self.tel_on() {
-            if granted {
+            if grant.is_some() {
                 self.tel(sweep::TelOp::HopVa { packet });
             } else {
                 self.tel(sweep::TelOp::VaStall);
@@ -548,40 +502,40 @@ impl Sweep<'_> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn va_tree(
         &mut self,
         r: usize,
         port: usize,
         vci: usize,
         packet: u32,
-        set: DestSet,
-        escape_vcs: usize,
-        depth: u32,
         now: u64,
     ) {
         let rl = r - self.base;
-        let total = self.sh.config.total_vcs();
+        let sh = self.sh;
         // Compute the base-route tree partition once.
-        if !self.routers[rl].inputs[port].vcs[vci].mc_routed {
+        if !self.routers[rl].vc(port, vci).mc_routed() {
+            let PacketDest::Tree(set) = self.packets.get(packet).dest else {
+                unreachable!("a head without a unicast destination belongs to a tree packet")
+            };
             let (groups, glen) = partition_tree(
                 r,
-                self.sh.local_port(r) as u8,
-                |d| self.sh.base_port_toward(r, d),
+                sh.local_port(r) as u8,
+                |d| sh.base_port_toward(r, d),
                 &set,
             );
             debug_assert!(glen > 0, "tree packet with no progress");
-            // Child packets first (needs `&mut self`), then the branch
-            // list is rebuilt in place so its capacity is reused. A
-            // single-group tree keeps forwarding the original packet.
-            let mut children: [u32; MAX_ROUTER_PORTS] = [packet; MAX_ROUTER_PORTS];
-            if glen > 1 {
-                let (created, measured, flits, bytes, parent, src) = {
-                    let p = self.packets.get(packet);
-                    (p.created, p.measured, p.flits, p.bytes, p.parent, p.src)
-                };
-                for (g, child) in children.iter_mut().enumerate().take(glen) {
-                    *child = self.new_packet(PacketInfo::new(
+            // A single-group tree keeps forwarding the original packet;
+            // otherwise each group gets a child packet carrying its
+            // destination subset.
+            let mut branches: [(u8, u32); MAX_ROUTER_PORTS] = [(0, packet); MAX_ROUTER_PORTS];
+            let parent_fields = (glen > 1).then(|| {
+                let p = self.packets.get(packet);
+                (p.created, p.measured, p.flits, p.bytes, p.parent, p.src)
+            });
+            for (g, branch) in branches.iter_mut().enumerate().take(glen) {
+                branch.0 = groups[g].0;
+                if let Some((created, measured, flits, bytes, parent, src)) = parent_fields {
+                    branch.1 = self.new_packet(PacketInfo::new(
                         PacketDest::Tree(groups[g].1),
                         src,
                         flits,
@@ -593,50 +547,33 @@ impl Sweep<'_> {
                     ));
                 }
             }
-            let v = &mut self.routers[rl].inputs[port].vcs[vci];
-            v.mc_branches.clear();
-            for g in 0..glen {
-                v.mc_branches.push(McBranch {
-                    port: groups[g].0,
-                    out_vc: None,
-                    packet: children[g],
-                });
-            }
-            v.mc_routed = true;
+            self.routers[rl].mc_route(port, vci, &branches[..glen]);
         }
         // Allocate remaining branches (adaptive class first, escape
         // fallback — tree hops follow the base route so escape semantics
         // hold).
-        let branch_count = self.routers[rl].inputs[port].vcs[vci].mc_branches.len();
-        let had_allocation = self.routers[rl].inputs[port].vcs[vci]
-            .mc_branches
-            .iter()
-            .any(|b| b.out_vc.is_some());
+        let router = &mut self.routers[rl];
+        let had_allocation = router.mc(port, vci).branches().iter().any(|b| b.out_vc.is_some());
         let mut any_allocated = false;
-        for b in 0..branch_count {
-            let branch = self.routers[rl].inputs[port].vcs[vci].mc_branches[b];
+        for b in 0..router.mc(port, vci).branches().len() {
+            let branch = router.mc(port, vci).branches()[b];
             if branch.out_vc.is_some() {
                 continue;
             }
             let out = branch.port as usize;
-            let grant =
-                alloc_out_vc(&mut self.routers[rl].outputs, out, escape_vcs..total, branch.packet, depth)
-                    .or_else(|| {
-                        alloc_out_vc(&mut self.routers[rl].outputs, out, 0..escape_vcs, branch.packet, depth)
-                    });
+            let grant = router
+                .alloc_out_vc(out, sh.adaptive_vcs)
+                .or_else(|| router.alloc_out_vc(out, sh.escape_vcs));
             if let Some(ovc) = grant {
-                self.routers[rl].inputs[port].vcs[vci].mc_branches[b].out_vc = Some(ovc);
+                router.mc_set_branch_vc(port, vci, b, ovc);
                 any_allocated = true;
             }
         }
         // Release the head flit into switch allocation on the *first*
-        // successful branch allocation only.
+        // successful branch allocation only (the caller checked that it is
+        // the front flit and eligible).
         if any_allocated && !had_allocation {
-            if let Some(f) = self.routers[rl].inputs[port].vcs[vci].buffer.front_mut() {
-                if f.is_head() && f.eligible <= now {
-                    f.eligible = now + 1;
-                }
-            }
+            router.mc_release_head(port, vci, now + 1);
         }
         if !any_allocated && !had_allocation && self.tel_on() {
             self.tel(sweep::TelOp::VaStall);
@@ -647,73 +584,79 @@ impl Sweep<'_> {
     pub(super) fn step_sa(&mut self, r: usize) {
         let rl = r - self.base;
         let now = self.sh.cycle;
-        let depth_flits = self.sh.config.link_width.bytes() as u64;
-        // Collect requests per output port.
-        for reqs in &mut self.buf.sa_requests {
-            reqs.clear();
-        }
-        let np = self.sh.num_ports(r);
-        for port in 0..np {
-            if !self.routers[rl].inputs[port].exists {
+        let width_bytes = self.sh.config.link_width.bytes() as u64;
+        let np = self.routers[rl].num_ports();
+        // Collect requests per output port. Collection only reads router
+        // state (grants, which release VCs, come afterwards).
+        let router = &self.routers[rl];
+        let requests = &mut self.buf.sa_requests;
+        requests.clear(np);
+        for port in bits(router.occupied_ports()) {
+            let allocated = router.sa_mask(port);
+            if allocated == 0 {
                 continue;
             }
-            // Request collection only reads router state; `occupied` is
-            // stable here (grants, which release VCs, come afterwards).
-            let occ_len = self.routers[rl].inputs[port].occupied.len();
-            for oi in 0..occ_len {
-                let vc = self.routers[rl].inputs[port].occupied[oi];
-                let v = &self.routers[rl].inputs[port].vcs[vc as usize];
-                let Some(front) = v.buffer.front() else { continue };
+            for &vc in router.occupied(port) {
+                if allocated & (1 << vc) == 0 {
+                    continue;
+                }
+                let Some(front) = router.front(port, vc as usize) else { continue };
                 if front.eligible > now {
                     continue;
                 }
-                if v.allocated {
-                    self.buf.sa_requests[v.out_port as usize].push((port as u8, vc, -1));
+                let v = router.vc(port, vc as usize);
+                if v.allocated() {
+                    requests.push(v.out_port(), sweep::SaRequest { port: port as u8, vc, branch: -1 });
                 } else {
-                    for (bi, b) in v.mc_branches.iter().enumerate() {
-                        if b.out_vc.is_some() && v.mc_front_sent & (1 << bi) == 0 {
-                            self.buf.sa_requests[b.port as usize].push((port as u8, vc, bi as i8));
+                    let mc = router.mc(port, vc as usize);
+                    for (bi, b) in mc.branches().iter().enumerate() {
+                        if b.out_vc.is_some() && !mc.sent(bi) {
+                            requests.push(
+                                b.port as usize,
+                                sweep::SaRequest { port: port as u8, vc, branch: bi as i8 },
+                            );
                         }
                     }
                 }
             }
         }
-        let mut used_input: [Option<(u8, u16)>; MAX_ROUTER_PORTS] = [None; MAX_ROUTER_PORTS];
+        // One buffer read per input port per cycle (the VC it was spent
+        // on), except multicast fanout of the same front flit.
+        const UNUSED: u8 = u8::MAX;
+        let mut used_input = [UNUSED; MAX_ROUTER_PORTS];
         for out in 0..np {
-            if !self.routers[rl].outputs[out].exists {
-                continue;
-            }
             // `try_grant` never touches `sa_requests`, so the request list
             // can be walked by index — no take/put-back churn.
-            let reqs_len = self.buf.sa_requests[out].len();
+            let reqs_len = self.buf.sa_requests.of(out).len();
             if reqs_len == 0 {
                 continue;
             }
-            let mut budget = self.routers[rl].outputs[out].capacity;
-            let start = self.routers[rl].outputs[out].rr % reqs_len;
-            for i in 0..reqs_len {
+            let capacity = self.routers[rl].out(out).capacity();
+            let mut budget = capacity;
+            let mut at = self.routers[rl].out(out).rr() % reqs_len;
+            for _ in 0..reqs_len {
                 if budget == 0 {
                     break;
                 }
-                let (in_port, vc, branch) = self.buf.sa_requests[out][(start + i) % reqs_len];
-                let ip = in_port as usize;
-                // One buffer read per input port per cycle, except multicast
-                // fanout of the same front flit.
-                if let Some(used) = used_input[ip] {
-                    if used != (in_port, vc) || branch < 0 {
-                        continue;
-                    }
+                let sweep::SaRequest { port: in_port, vc, branch } =
+                    self.buf.sa_requests.of(out)[at];
+                at += 1;
+                if at == reqs_len {
+                    at = 0;
                 }
-                if self.try_grant(r, ip, vc as usize, out, branch, now, depth_flits) {
-                    used_input[ip] = Some((in_port, vc));
+                let ip = in_port as usize;
+                if used_input[ip] != UNUSED && (used_input[ip] != vc || branch < 0) {
+                    continue;
+                }
+                if self.try_grant(r, ip, vc as usize, out, branch, now, width_bytes) {
+                    used_input[ip] = vc;
                     budget -= 1;
-                    self.routers[rl].outputs[out].rr =
-                        self.routers[rl].outputs[out].rr.wrapping_add(1);
+                    self.routers[rl].advance_rr(out);
                     // A 16B RF channel drains several buffered narrow flits
                     // of the same packet in one cycle (burst drain).
                     while budget > 0
                         && branch < 0
-                        && self.try_grant(r, ip, vc as usize, out, branch, now, depth_flits)
+                        && self.try_grant(r, ip, vc as usize, out, branch, now, width_bytes)
                     {
                         budget -= 1;
                     }
@@ -722,7 +665,7 @@ impl Sweep<'_> {
             if self.tel_on() {
                 // Requests left ungranted this cycle lost switch
                 // arbitration (to competition, capacity, or credits).
-                let granted = (self.routers[rl].outputs[out].capacity - budget) as u64;
+                let granted = (capacity - budget) as u64;
                 self.tel(sweep::TelOp::SaStalls((reqs_len as u64).saturating_sub(granted)));
             }
         }
@@ -741,23 +684,32 @@ impl Sweep<'_> {
         width_bytes: u64,
     ) -> bool {
         let rl = r - self.base;
-        let is_ejection = self.routers[rl].outputs[out].target.is_none();
-        let (flit, out_vc, sent_packet, is_mc, pop) = {
-            let v = &self.routers[rl].inputs[port].vcs[vci];
-            let Some(&front) = v.buffer.front() else { return false };
-            if front.eligible > now {
-                return false;
-            }
-            if branch < 0 {
-                (front, v.out_vc, front.packet, false, true)
-            } else {
-                let b = v.mc_branches[branch as usize];
-                let Some(ovc) = b.out_vc else { return false };
-                (front, ovc, b.packet, true, false)
-            }
+        let router = &self.routers[rl];
+        // After a burst drain's tail the VC is released and its ring empty
+        // (a VC holds one packet at a time), so this also ends the burst.
+        let Some(flit) = router.front(port, vci) else { return false };
+        if flit.eligible > now {
+            return false;
+        }
+        let is_mc = branch >= 0;
+        // What the flit looks like downstream: its packet (a tree branch
+        // forwards a child packet) and, on a head, its route information.
+        let (out_vc, sent_packet, dest) = if is_mc {
+            let b = router.mc(port, vci).branches()[branch as usize];
+            let Some(ovc) = b.out_vc else { return false };
+            (ovc as usize, b.packet, Arrival::TREE)
+        } else {
+            let v = router.vc(port, vci);
+            debug_assert!(v.allocated() && v.out_port() == out, "grant without an allocation");
+            (v.out_vc() as usize, flit.packet, v.dest())
         };
+        let op = router.out(out);
+        let target = op.target();
+        let is_rf = out == router.rf_port();
+        let arrival = now + 2 + op.extra_latency();
+        let wire_hops = op.is_wire().then(|| op.shortcut_hops());
         // Credit check for non-ejection ports.
-        if !is_ejection && self.routers[rl].outputs[out].vcs[out_vc as usize].credits == 0 {
+        if target.is_some() && op.credits(out_vc) == 0 {
             if self.tel_on() {
                 self.tel(sweep::TelOp::CreditStall);
                 // Body-flit credit stalls surface in tail serialization;
@@ -790,7 +742,7 @@ impl Sweep<'_> {
         };
 
         if self.trace_on() {
-            let kind = if is_ejection {
+            let kind = if target.is_none() {
                 telemetry::FlitEventKind::Ejected
             } else {
                 telemetry::FlitEventKind::Granted { out_port: out as u8 }
@@ -801,7 +753,7 @@ impl Sweep<'_> {
             self.tel(sweep::TelOp::Grant {
                 r: r as u32,
                 out: out as u8,
-                is_rf: out == self.sh.rf_port(r),
+                is_rf,
                 packet: sent_packet,
                 first: first_grant,
             });
@@ -818,69 +770,66 @@ impl Sweep<'_> {
         if self.sh.counting {
             self.router_bytes[rl] += flit_bytes;
             self.port_flits[rl * self.sh.max_ports + out] += 1;
-            if !is_ejection {
-                if out == self.sh.rf_port(r) {
-                    let op = &self.routers[rl].outputs[out];
-                    if op.is_wire {
-                        // Wire shortcuts burn repeated-wire energy over
-                        // their full Manhattan length.
-                        self.buf.link_byte_hops += op.shortcut_hops as u64 * flit_bytes;
-                    } else {
-                        self.buf.rf_bytes += flit_bytes;
-                    }
-                } else {
+            if target.is_some() {
+                if !is_rf {
                     self.buf.link_byte_hops += flit_bytes;
+                } else if let Some(hops) = wire_hops {
+                    // Wire shortcuts burn repeated-wire energy over
+                    // their full base-route length.
+                    self.buf.link_byte_hops += hops as u64 * flit_bytes;
+                } else {
+                    self.buf.rf_bytes += flit_bytes;
                 }
             }
         }
 
         // Move the flit.
-        if is_ejection {
-            if is_tail {
-                self.routers[rl].outputs[out].vcs[out_vc as usize].owner = None;
+        let router = &mut self.routers[rl];
+        match target {
+            None => {
+                if is_tail {
+                    router.release_out_vc(out, out_vc);
+                }
+                self.on_flit_ejected(sent_packet, r, now + 2);
             }
-            self.on_flit_ejected(sent_packet, r, now + 2);
-        } else {
-            let (t_router, t_port) = self.routers[rl].outputs[out].target.expect("non-ejection");
-            self.routers[rl].outputs[out].vcs[out_vc as usize].credits -= 1;
-            if is_tail {
-                self.routers[rl].outputs[out].vcs[out_vc as usize].owner = None;
+            Some((t_router, t_port)) => {
+                router.take_credit(out, out_vc);
+                if is_tail {
+                    router.release_out_vc(out, out_vc);
+                }
+                self.buf.deliveries.push(sweep::Delivery {
+                    router: t_router as u32,
+                    port: t_port,
+                    arrival: Arrival {
+                        at: arrival,
+                        packet: sent_packet,
+                        idx: flit.idx,
+                        dest,
+                        vc: out_vc as u8,
+                    },
+                });
             }
-            let arrival = now + 2 + self.routers[rl].outputs[out].extra_latency;
-            let eligible = arrival + if flit.is_head() { 2 } else { 1 };
-            self.buf.deliveries.push((
-                t_router,
-                t_port,
-                out_vc,
-                Flit { packet: sent_packet, idx: flit.idx, eligible },
-                arrival,
-            ));
         }
 
         // Retire the front flit (immediately for unicast; multicast waits
         // for all branches).
-        let retire = if is_mc {
-            let v = &mut self.routers[rl].inputs[port].vcs[vci];
-            v.mc_front_sent |= 1 << (branch as u32);
-            let all = v.mc_all_sent();
-            if all {
-                v.mc_front_sent = 0;
-            }
-            all
-        } else {
-            pop
-        };
+        let retire = !is_mc || self.routers[rl].mc_mark_sent(port, vci, branch as usize);
         if retire {
-            self.routers[rl].inputs[port].vcs[vci].buffer.pop_front();
+            self.routers[rl].pop_front(port, vci);
             if self.tel_on() {
                 self.tel(sweep::TelOp::BufferPop(r as u32));
             }
-            match self.routers[rl].inputs[port].upstream {
-                Some((ur, up)) => self.buf.credit_returns.push((ur, up, vci as u16)),
-                None => self.routers[rl].injector.credits[vci] += 1,
+            let router = &mut self.routers[rl];
+            match router.upstream(port) {
+                Some((ur, up)) => self.buf.credit_returns.push(sweep::CreditReturn {
+                    router: ur as u32,
+                    port: up,
+                    vc: vci as u8,
+                }),
+                None => router.return_injection_credit(vci),
             }
             if is_tail {
-                self.routers[rl].release_vc(port, vci as u16);
+                router.release_vc(port, vci);
             }
         }
         true

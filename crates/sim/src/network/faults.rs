@@ -261,8 +261,8 @@ impl Network {
         self.failed_rf_tx[src] = true;
         self.stats.shortcut_faults += 1;
         let rf = self.rf_port(src);
-        if self.routers[src].outputs[rf].exists {
-            self.routers[src].outputs[rf].failed = true;
+        if self.routers[src].out(rf).exists() {
+            self.routers[src].set_failed(rf, true);
             self.request_retune(self.rf_intent());
         }
     }
@@ -291,8 +291,8 @@ impl Network {
         }
         self.link_failed[a * mb + port_ab] = true;
         self.link_failed[b * mb + port_ba] = true;
-        self.routers[a].outputs[port_ab].failed = true;
-        self.routers[b].outputs[port_ba].failed = true;
+        self.routers[a].set_failed(port_ab, true);
+        self.routers[b].set_failed(port_ba, true);
         self.mesh_link_failures += 1;
         self.stats.mesh_link_faults += 1;
         self.refresh_detour_state(a, b, true);
@@ -307,8 +307,8 @@ impl Network {
         }
         self.link_failed[a * mb + port_ab] = false;
         self.link_failed[b * mb + port_ba] = false;
-        self.routers[a].outputs[port_ab].failed = false;
-        self.routers[b].outputs[port_ba].failed = false;
+        self.routers[a].set_failed(port_ab, false);
+        self.routers[b].set_failed(port_ba, false);
         self.mesh_link_failures -= 1;
         self.stats.repairs += 1;
         self.refresh_detour_state(a, b, false);
@@ -324,18 +324,14 @@ impl Network {
         let rf = self.rf_port(b);
         let port = if let Some(slot) = self.fabric.port_between(b, a) {
             slot as usize
-        } else if self.routers[b].inputs[rf]
-            .upstream
-            .is_some_and(|(src, _)| src == a)
-        {
+        } else if self.routers[b].upstream(rf).is_some_and(|(src, _)| src == a) {
             rf
         } else {
             return;
         };
-        let retry = self.config.link_retry_cycles;
-        if let Some((at, _, flit)) = self.routers[b].inputs[port].arrivals.front_mut() {
-            *at += retry;
-            flit.eligible += retry;
+        // The flit's pipeline eligibility is derived from its arrival
+        // cycle, so delaying the arrival delays both.
+        if self.routers[b].delay_front_arrival(port, self.config.link_retry_cycles) {
             self.stats.retransmitted_flits += 1;
         }
     }

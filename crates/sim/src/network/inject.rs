@@ -229,10 +229,7 @@ impl Network {
         // the scheduler sweep.
         for i in 0..self.pending_inj.len() {
             let (router, packet, ready_at) = self.pending_inj[i];
-            self.routers[router]
-                .injector
-                .queue
-                .push_back(PendingInjection { packet, ready_at });
+            self.routers[router].enqueue_injection(PendingInjection { packet, ready_at });
             self.mark_active(router);
         }
         self.pending_inj.clear();
@@ -242,67 +239,38 @@ impl Network {
 
 impl sweep::Sweep<'_> {
 
+    /// Starts waiting packets on free local-input VCs and streams their
+    /// flits toward the local input port. The caller skips routers with an
+    /// idle injector and cycles where a table rewrite stalls injection.
     pub(super) fn step_injector(&mut self, r: usize) {
-        if self.sh.injection_stalled {
-            return;
-        }
         let rl = r - self.base;
         let now = self.sh.cycle;
-        let depth = self.sh.config.buffer_depth as u32;
-        let escape = self.sh.config.vcs_escape;
-        let total = self.sh.config.total_vcs();
+        let router = &mut self.routers[rl];
         // Claim VCs for waiting packets (adaptive class preferred).
-        while let Some(&PendingInjection { packet, ready_at }) =
-            self.routers[rl].injector.queue.front()
-        {
+        while let Some(PendingInjection { packet, ready_at }) = router.next_injection() {
             if ready_at > now {
                 break;
             }
-            let inj = &self.routers[rl].injector;
-            let pick = (escape..total)
-                .chain(0..escape)
-                .find(|&vc| inj.vc_free(vc, depth));
-            let Some(vc) = pick else { break };
-            let flits = self.packets.get(packet).flits;
-            let inj = &mut self.routers[rl].injector;
-            inj.queue.pop_front();
-            inj.streams[vc] = Some(InjectStream { packet, total_flits: flits, next: 0 });
+            let Some(vc) = router.free_injection_vc(self.sh.adaptive_vcs, self.sh.escape_vcs)
+            else {
+                break;
+            };
+            let p = self.packets.get(packet);
+            let dest = match p.dest {
+                PacketDest::Unicast(d) => d as u32,
+                PacketDest::Tree(_) => Arrival::TREE,
+            };
+            router.start_injection(vc, p.flits, dest);
         }
         // Stream up to `local_port_speedup` flits per network cycle across
         // the local VCs (the 4 GHz node feeds the 2 GHz network, §3.1).
-        let speedup = self.sh.config.local_port_speedup;
-        let local = self.sh.local_port(r);
-        let mut sent = 0;
-        'streaming: while sent < speedup {
-            let inj = &mut self.routers[rl].injector;
-            let vcs = inj.streams.len();
-            for i in 0..vcs {
-                let vc = (inj.rr + i) % vcs;
-                let Some(stream) = inj.streams[vc] else { continue };
-                if inj.credits[vc] == 0 {
-                    continue;
-                }
-                let idx = stream.next;
-                let arrival = now + 1;
-                let eligible = arrival + if idx == 0 { 2 } else { 1 };
-                let flit = Flit { packet: stream.packet, idx, eligible };
-                inj.credits[vc] -= 1;
-                if idx + 1 == stream.total_flits {
-                    inj.streams[vc] = None;
-                } else {
-                    inj.streams[vc] = Some(InjectStream { next: idx + 1, ..stream });
-                }
-                inj.rr = (vc + 1) % vcs;
-                self.routers[rl].inputs[local]
-                    .arrivals
-                    .push_back((arrival, vc as u16, flit));
-                if self.trace_on() {
-                    self.trace_event(flit.packet, flit.idx, r, telemetry::FlitEventKind::Injected);
-                }
-                sent += 1;
-                continue 'streaming;
+        let local = self.routers[rl].local_port();
+        for _ in 0..self.sh.config.local_port_speedup {
+            let Some(flit) = self.routers[rl].next_injection_flit(now + 1) else { break };
+            self.routers[rl].push_arrival(local, flit);
+            if self.trace_on() {
+                self.trace_event(flit.packet, flit.idx, r, telemetry::FlitEventKind::Injected);
             }
-            break;
         }
     }
 }

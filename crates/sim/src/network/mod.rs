@@ -3,12 +3,11 @@
 use crate::config::SimConfig;
 use crate::error::{check_shortcut_set, ReconfigError, SimError};
 use crate::fault::{FaultEvent, FaultPlan, HealthReport};
-use crate::flit::Flit;
 use crate::packet::{DestSet, Destination, MessageSpec};
 use crate::rfmc::{plan_delivery, DeliveryPlan, McConfig, McTransmission};
 use crate::router::{
-    InjectStream, Injector, InputPort, McBranch, OutputPort, PendingInjection, Router,
-    MAX_ROUTER_PORTS, PORT_E, PORT_N, PORT_S, PORT_W,
+    bits, bits_from, low_mask, Arrival, OutLink, PendingInjection, Router, MAX_ROUTER_PORTS,
+    MAX_VCS, PORT_E, PORT_N, PORT_S, PORT_W,
 };
 use crate::stats::RunStats;
 use crate::vct::{VctConfig, VctTable};
@@ -270,6 +269,9 @@ pub struct Network {
     /// Widest router's port count (`fabric.max_base_slots() + 2`): the flat
     /// stride of every per-(router, port) statistics vector.
     max_ports: usize,
+    /// `(x, y)` grid coordinates of every router (the mesh base route
+    /// compares them instead of dividing router ids).
+    coords: Vec<(u16, u16)>,
     /// Precomputed base-route out-port per `router * n + dest`, present for
     /// non-mesh fabrics (the mesh derives its base route with the literal
     /// XY computation instead of a table).
@@ -427,7 +429,7 @@ impl Network {
     pub(crate) fn base_port_toward(&self, r: usize, dest: usize) -> u8 {
         match &self.base_table {
             Some(bt) => bt[r * self.dims.nodes() + dest],
-            None => xy_port(self.dims, r, dest),
+            None => xy_port(self.coords[r], self.coords[dest]),
         }
     }
 
@@ -444,7 +446,7 @@ impl Network {
     /// Total packets waiting or streaming at the injection interfaces —
     /// a quick congestion/saturation diagnostic.
     pub fn injection_backlog(&self) -> usize {
-        self.routers.iter().map(|r| r.injector.backlog()).sum()
+        self.routers.iter().map(Router::injection_backlog).sum()
     }
 
     /// The shortcut set currently installed on the RF ports (shrinks when
@@ -465,58 +467,69 @@ impl Network {
     }
 
     /// Validates the engine's internal bookkeeping invariants; intended
-    /// for tests that single-step the network. Panics on violation.
+    /// for tests that single-step the network (call it between steps, when
+    /// the cycle's outboxes have been applied). Panics on violation.
     ///
-    /// Checked invariants:
+    /// Every derived field of the flat router block is recomputed from
+    /// primary state and compared (see `Router::validate`):
     ///
-    /// - `InputPort::occupied` lists exactly the VCs whose `cur_packet`
-    ///   is claimed, without duplicates or out-of-range entries — the
+    /// - each input port's occupied list names exactly the VCs with a
+    ///   claimed packet, without duplicates or out-of-range entries — the
     ///   active-set scheduler and both allocation stages scan this list
-    ///   instead of every VC.
-    /// - A released VC carries no leftover packet state (buffer,
-    ///   allocation, multicast branches).
-    /// - Ports that don't physically exist hold no work.
-    /// - Active-set coverage: every non-quiescent router is stamped for
+    ///   instead of every VC — and a released VC carries no leftover state;
+    /// - each VA mask bit is set exactly for a claimed VC whose head still
+    ///   needs an output VC, each SA mask bit exactly for a VC holding an
+    ///   output allocation; a cold multicast entry exists exactly for a
+    ///   VC flagged `mc_routed`;
+    /// - each header port mask (link arrivals pending, claimed VCs, heads
+    ///   awaiting VA) has exactly the bits of the ports with such work,
+    ///   and the arrival slab's FIFOs and free list account for every
+    ///   node;
+    /// - each output port's free-VC mask (and the injector's) equals
+    ///   "unowned and fully credited";
+    /// - ports that don't physically exist hold no work.
+    ///
+    /// Across routers:
+    ///
+    /// - flit/credit conservation: for every link and VC, the sender's
+    ///   credits plus the flits on the link and in the receiver's buffer
+    ///   equal the buffer depth (likewise injector → local input port);
+    /// - active-set coverage: every non-quiescent router is stamped for
     ///   the next `step_routers` visit (no lost work).
     #[doc(hidden)]
     pub fn debug_validate(&self) {
+        let vcs = self.config.total_vcs();
+        let depth = self.config.buffer_depth;
         for (r, router) in self.routers.iter().enumerate() {
-            for (pi, port) in router.inputs.iter().enumerate() {
-                for (i, &vc) in port.occupied.iter().enumerate() {
-                    assert!(
-                        (vc as usize) < port.vcs.len(),
-                        "router {r} port {pi}: occupied vc {vc} out of range"
-                    );
-                    assert!(
-                        !port.occupied[i + 1..].contains(&vc),
-                        "router {r} port {pi}: occupied vc {vc} listed twice"
-                    );
-                }
-                for (vci, vc) in port.vcs.iter().enumerate() {
-                    let listed = port.occupied.contains(&(vci as u16));
+            router.validate(r);
+            for port in 0..router.num_ports() {
+                let Some((t_router, t_port)) = router.out(port).target() else { continue };
+                let target = &self.routers[t_router];
+                assert_eq!(
+                    target.upstream(t_port as usize),
+                    Some((r, port as u8)),
+                    "router {r} out port {port}: link ends disagree"
+                );
+                for vc in 0..vcs {
+                    let credits = router.out(port).credits(vc) as usize;
+                    let inbound = target.inbound_flits(t_port as usize, vc);
                     assert_eq!(
-                        vc.cur_packet.is_some(),
-                        listed,
-                        "router {r} port {pi} vc {vci}: claimed {:?} vs occupied {listed}",
-                        vc.cur_packet
-                    );
-                    if vc.cur_packet.is_none() {
-                        assert!(
-                            vc.buffer.is_empty(),
-                            "router {r} port {pi} vc {vci}: flits buffered on a released VC"
-                        );
-                        assert!(
-                            !vc.allocated && vc.mc_branches.is_empty() && !vc.mc_routed,
-                            "router {r} port {pi} vc {vci}: stale allocation on a released VC"
-                        );
-                    }
-                }
-                if !port.exists {
-                    assert!(
-                        port.occupied.is_empty() && port.arrivals.is_empty(),
-                        "router {r} port {pi}: work on a non-existent port"
+                        credits + inbound,
+                        depth,
+                        "router {r} out port {port} vc {vc}: {credits} credits + {inbound} \
+                         flits downstream != depth {depth}"
                     );
                 }
+            }
+            for vc in 0..vcs {
+                let credits = router.injection_credits(vc);
+                let inbound = router.inbound_flits(router.local_port(), vc);
+                assert_eq!(
+                    credits + inbound,
+                    depth,
+                    "router {r} injector vc {vc}: {credits} credits + {inbound} flits \
+                     downstream != depth {depth}"
+                );
             }
             if !router.quiescent() {
                 assert_eq!(
@@ -528,27 +541,6 @@ impl Network {
     }
 }
 
-
-/// Allocates a free output VC in `class` range at `out`, marking ownership.
-fn alloc_out_vc(
-    outputs: &mut [OutputPort],
-    out: usize,
-    class: std::ops::Range<usize>,
-    packet: u32,
-    depth: u32,
-) -> Option<u16> {
-    let op = &mut outputs[out];
-    if !op.exists {
-        return None;
-    }
-    for vc in class {
-        if op.vc_free(vc, depth) {
-            op.vcs[vc].owner = Some(packet);
-            return Some(vc as u16);
-        }
-    }
-    None
-}
 
 /// Base-route tree partition of a destination set at router `r`: the
 /// non-empty (output port, destination subset) groups, packed into the
@@ -578,30 +570,21 @@ fn partition_tree(
     (out, len)
 }
 
-/// The mesh port at `from` that leads to adjacent router `to`.
-///
-/// # Panics
-///
-/// Panics (in debug builds) if the routers are not adjacent.
-pub(crate) fn mesh_port(dims: GridDims, from: NodeId, to: NodeId) -> u8 {
-    let f = dims.coord_of(from);
-    let t = dims.coord_of(to);
-    debug_assert_eq!(dims.manhattan(from, to), 1, "not adjacent");
-    if t.y + 1 == f.y {
-        PORT_N as u8
-    } else if t.y == f.y + 1 {
-        PORT_S as u8
-    } else if t.x == f.x + 1 {
-        PORT_E as u8
+/// The XY (dimension-order) output port of the mesh router at `(x, y)`
+/// `from` toward a different router at `to`: X first, then Y.
+#[inline]
+pub(crate) fn xy_port(from: (u16, u16), to: (u16, u16)) -> u8 {
+    debug_assert_ne!(from, to, "no base route from a router to itself");
+    let port = if from.0 < to.0 {
+        PORT_E
+    } else if from.0 > to.0 {
+        PORT_W
+    } else if from.1 < to.1 {
+        PORT_S
     } else {
-        PORT_W as u8
-    }
-}
-
-/// The XY (dimension-order) output port from `from` toward `to`.
-pub(crate) fn xy_port(dims: GridDims, from: NodeId, to: NodeId) -> u8 {
-    let next = rfnoc_topology::routing::xy_next_hop(dims, from, to);
-    mesh_port(dims, from, next)
+        PORT_N
+    };
+    port as u8
 }
 
 #[cfg(test)]
@@ -610,26 +593,35 @@ mod tests {
 
     const PORT_LOCAL_MESH: usize = 4;
 
-    #[test]
-    fn mesh_port_directions() {
-        let dims = GridDims::new(4, 4);
-        // node 5 = (1,1)
-        assert_eq!(mesh_port(dims, 5, 1), PORT_N as u8);
-        assert_eq!(mesh_port(dims, 5, 9), PORT_S as u8);
-        assert_eq!(mesh_port(dims, 5, 6), PORT_E as u8);
-        assert_eq!(mesh_port(dims, 5, 4), PORT_W as u8);
+    fn coord(dims: GridDims, r: usize) -> (u16, u16) {
+        let c = dims.coord_of(r);
+        (c.x, c.y)
     }
 
     #[test]
-    fn mesh_port_matches_fabric_slots() {
+    fn xy_port_directions() {
         let dims = GridDims::new(4, 4);
+        let at = |r| coord(dims, r);
+        // node 5 = (1,1)
+        assert_eq!(xy_port(at(5), at(1)), PORT_N as u8);
+        assert_eq!(xy_port(at(5), at(9)), PORT_S as u8);
+        assert_eq!(xy_port(at(5), at(6)), PORT_E as u8);
+        assert_eq!(xy_port(at(5), at(4)), PORT_W as u8);
+    }
+
+    #[test]
+    fn xy_port_matches_fabric_base_route() {
+        let dims = GridDims::new(5, 3);
         let fabric = FabricSpec::mesh(dims);
         for r in 0..dims.nodes() {
-            for slot in 0..4u8 {
-                if let Some(nb) = fabric.port_neighbor(r, slot) {
-                    assert_eq!(mesh_port(dims, r, nb), slot);
-                    assert_eq!(fabric.port_between(r, nb), Some(slot));
-                }
+            for d in (0..dims.nodes()).filter(|&d| d != r) {
+                let next = rfnoc_topology::routing::xy_next_hop(dims, r, d);
+                assert_eq!(
+                    Some(xy_port(coord(dims, r), coord(dims, d))),
+                    fabric.port_between(r, next),
+                    "{r} -> {d}"
+                );
+                assert_eq!(xy_port(coord(dims, r), coord(dims, d)), fabric.base_port(r, d));
             }
         }
     }
@@ -641,7 +633,7 @@ mod tests {
         // dest 4 (0,1) -> west; dest 13 (1,3) -> south.
         let set = DestSet::from_nodes([5, 7, 4, 13]);
         let (groups, len) =
-            partition_tree(5, PORT_LOCAL_MESH as u8, |d| xy_port(dims, 5, d), &set);
+            partition_tree(5, PORT_LOCAL_MESH as u8, |d| xy_port(coord(dims, 5), coord(dims, d)), &set);
         assert_eq!(len, 4);
         let groups = &groups[..len];
         let port_of = |dest: usize| {
@@ -664,7 +656,7 @@ mod tests {
         let (groups, len) = partition_tree(
             0,
             PORT_LOCAL_MESH as u8,
-            |d| xy_port(dims, 0, d),
+            |d| xy_port(coord(dims, 0), coord(dims, d)),
             &DestSet::from_nodes([15]),
         );
         assert_eq!(len, 1);

@@ -43,27 +43,12 @@ impl Network {
     /// Whether every RF-I port in the network is idle (no owners, full
     /// credits, empty buffers and link queues).
     pub(super) fn rf_idle(&self) -> bool {
-        let depth = self.config.buffer_depth as u32;
-        self.routers.iter().all(|r| {
-            // The RF port is always the last slot on every router.
-            let rf = r.outputs.len() - 1;
-            let out_ok = !r.outputs[rf].exists
-                || r.outputs[rf]
-                    .vcs
-                    .iter()
-                    .all(|v| v.owner.is_none() && v.credits == depth);
-            let in_ok = !r.inputs[rf].exists
-                || (r.inputs[rf].arrivals.is_empty()
-                    && r.inputs[rf].vcs.iter().all(|v| v.buffer.is_empty()));
-            out_ok && in_ok
-        })
+        self.routers.iter().all(|r| r.port_idle(r.rf_port()))
     }
 
     /// Retunes the RF ports to `shortcuts` (minus failed transmitters) and
     /// rebuilds the routing tables.
     pub(super) fn apply_retuning(&mut self, shortcuts: &[Shortcut]) {
-        let vcs = self.config.total_vcs();
-        let depth = self.config.buffer_depth as u32;
         let installed: Vec<Shortcut> = shortcuts
             .iter()
             .filter(|s| !self.failed_rf_tx[s.src])
@@ -71,27 +56,21 @@ impl Network {
             .collect();
         // Tear down all RF ports (drained by construction).
         for r in self.routers.iter_mut() {
-            let rf = r.inputs.len() - 1;
-            r.inputs[rf] = InputPort::default();
-            r.outputs[rf] = OutputPort::default();
+            r.disconnect(r.rf_port());
         }
         for s in &installed {
-            let hops = self.fabric.base_route_len(s.src, s.dst);
             let rf_src = self.rf_port(s.src);
             let rf_dst = self.rf_port(s.dst);
-            let out = &mut self.routers[s.src].outputs[rf_src];
-            out.exists = true;
-            out.target = Some((s.dst, rf_dst as u8));
-            out.capacity = self.config.rf_flits_per_cycle();
-            out.shortcut_hops = hops;
-            out.vcs = vec![Default::default(); vcs];
-            for v in &mut out.vcs {
-                v.credits = depth;
-            }
-            let inp = &mut self.routers[s.dst].inputs[rf_dst];
-            inp.exists = true;
-            inp.vcs = vec![Default::default(); vcs];
-            inp.upstream = Some((s.src, rf_src as u8));
+            self.routers[s.src].connect_output(
+                rf_src,
+                OutLink {
+                    target: Some((s.dst, rf_dst as u8)),
+                    capacity: self.config.rf_flits_per_cycle(),
+                    shortcut_hops: self.fabric.base_route_len(s.src, s.dst),
+                    ..OutLink::default()
+                },
+            );
+            self.routers[s.dst].connect_input(rf_dst, Some((s.src, rf_src as u8)));
         }
         self.active_shortcuts = installed;
         self.rebuild_unicast_tables();
@@ -111,7 +90,6 @@ impl Network {
     /// mesh links it switches to a per-destination BFS over the surviving
     /// links.
     pub(super) fn rebuild_unicast_tables(&mut self) {
-        let n = self.dims.nodes();
         if self.mesh_link_failures > 0 {
             let shortcuts = self.active_shortcuts.clone();
             let (pt, dm, td) = self.detour_tables(&shortcuts);
@@ -121,25 +99,8 @@ impl Network {
             return;
         }
         self.detour_dist = None;
-        let graph = GridGraph::from_fabric(&self.fabric, &self.active_shortcuts);
-        let dist = graph.distances();
-        let tables = RoutingTables::from_distances(&graph, &dist);
-        let mut pt = vec![0u8; n * n];
-        let mut dm = vec![0u32; n * n];
-        for r in 0..n {
-            for d in 0..n {
-                dm[r * n + d] = dist.get(r, d);
-                if r == d {
-                    pt[r * n + d] = self.base_ports[r];
-                    continue;
-                }
-                let next = tables.next_hop(r, d);
-                pt[r * n + d] = match self.fabric.port_between(r, next) {
-                    Some(slot) => slot,
-                    None => self.base_ports[r] + 1,
-                };
-            }
-        }
+        let (pt, dm) =
+            build::shortest_path_tables(&self.fabric, &self.base_ports, &self.active_shortcuts);
         self.port_table = Some(pt);
         self.sp_dist = Some(dm);
     }

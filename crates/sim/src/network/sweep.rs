@@ -14,7 +14,13 @@
 //! * a private [`ShardBuf`] collecting everything that crosses a shard
 //!   boundary or touches global state: flit deliveries, credit returns,
 //!   multicast enqueues, message completions, telemetry operations, trace
-//!   events, and scalar statistics deltas.
+//!   events, and scalar statistics deltas — plus the fixed-capacity
+//!   switch-allocation request scratch ([`SaRequests`]).
+//!
+//! A router visit tests the router's header masks before each stage (see
+//! `crate::router`): no link arrivals, an idle injector, no head awaiting
+//! VA, or no claimed VC each skip their stage with one compare, and a
+//! stage that runs walks only the ports whose bit is set.
 //!
 //! Shared state is read-only during the sweep ([`SweepShared`] snapshots
 //! the routing tables and per-cycle flags) except for three per-packet
@@ -64,8 +70,14 @@ pub(super) struct SweepShared<'a> {
     /// itself `e + 1`.
     pub epoch: u64,
     pub config: &'a SimConfig,
+    /// VC masks of the two classes: escape VCs are `0..vcs_escape`,
+    /// adaptive VCs the rest.
+    pub escape_vcs: u32,
+    pub adaptive_vcs: u32,
     pub dims: GridDims,
     pub fabric: FabricSpec,
+    /// `(x, y)` of every router, so the mesh base route needs no division.
+    pub coords: &'a [(u16, u16)],
     pub base_ports: &'a [u8],
     pub max_ports: usize,
     pub base_table: Option<&'a [u8]>,
@@ -87,24 +99,12 @@ impl SweepShared<'_> {
         self.base_ports[r] as usize
     }
 
-    /// RF transmitter/receiver port slot of router `r`.
-    #[inline]
-    pub fn rf_port(&self, r: usize) -> usize {
-        self.base_ports[r] as usize + 1
-    }
-
-    /// Number of port slots router `r` allocates.
-    #[inline]
-    pub fn num_ports(&self, r: usize) -> usize {
-        self.base_ports[r] as usize + 2
-    }
-
     /// The base-route out port from `r` toward `dest` (`r != dest`).
     #[inline]
     pub fn base_port_toward(&self, r: usize, dest: usize) -> u8 {
         match self.base_table {
             Some(bt) => bt[r * self.dims.nodes() + dest],
-            None => xy_port(self.dims, r, dest),
+            None => xy_port(self.coords[r], self.coords[dest]),
         }
     }
 
@@ -207,16 +207,80 @@ pub(super) enum Completion {
     ParentPart { parent: u32, covered: u32, at: u64 },
 }
 
+/// A flit handed to the link toward `router`'s input `port`.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Delivery {
+    pub router: u32,
+    pub port: u8,
+    pub arrival: Arrival,
+}
+
+/// One buffer credit returned to `router`'s output `(port, vc)`.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct CreditReturn {
+    pub router: u32,
+    pub port: u8,
+    pub vc: u8,
+}
+
+/// One switch-allocation request: input `(port, vc)` wants to send its
+/// front flit, as unicast (`branch < 0`) or on multicast branch `branch`.
+#[derive(Debug, Clone, Copy, Default)]
+pub(super) struct SaRequest {
+    pub port: u8,
+    pub vc: u8,
+    pub branch: i8,
+}
+
+/// Switch-allocation request scratch, one list per output slot, inline.
+/// A request names a downstream VC its packet owns and each downstream VC
+/// has one owner, so an output port collects at most one request per VC.
+#[derive(Debug)]
+pub(super) struct SaRequests {
+    len: [u8; MAX_ROUTER_PORTS],
+    reqs: [[SaRequest; MAX_VCS]; MAX_ROUTER_PORTS],
+}
+
+impl Default for SaRequests {
+    fn default() -> Self {
+        Self {
+            len: [0; MAX_ROUTER_PORTS],
+            reqs: [[SaRequest::default(); MAX_VCS]; MAX_ROUTER_PORTS],
+        }
+    }
+}
+
+impl SaRequests {
+    /// Empties the lists of the first `ports` output slots.
+    #[inline]
+    pub fn clear(&mut self, ports: usize) {
+        self.len[..ports].fill(0);
+    }
+
+    #[inline]
+    pub fn push(&mut self, out: usize, req: SaRequest) {
+        let n = self.len[out] as usize;
+        self.reqs[out][n] = req;
+        self.len[out] += 1;
+    }
+
+    /// The requests for output slot `out`, in collection order.
+    #[inline]
+    pub fn of(&self, out: usize) -> &[SaRequest] {
+        &self.reqs[out][..self.len[out] as usize]
+    }
+}
+
 /// Per-shard outbox: everything a shard produces that crosses shard
 /// boundaries or mutates global state. Persistent across cycles so the
 /// steady state allocates nothing; replayed and cleared at each cycle
 /// boundary.
 #[derive(Debug, Default)]
 pub(super) struct ShardBuf {
-    /// Cross-router flit handoffs: `(router, port, vc, flit, arrival)`.
-    pub deliveries: Vec<(usize, u8, u16, Flit, u64)>,
-    /// Upstream credit returns: `(router, port, vc)`.
-    pub credit_returns: Vec<(usize, u8, u16)>,
+    /// Cross-router flit handoffs.
+    pub deliveries: Vec<Delivery>,
+    /// Upstream credit returns.
+    pub credit_returns: Vec<CreditReturn>,
     /// RF-multicast engine enqueues: `(cluster, parent)`.
     pub mc_enqueues: Vec<(usize, u32)>,
     /// Completions to replay (see [`Completion`]).
@@ -226,8 +290,8 @@ pub(super) struct ShardBuf {
     /// Buffered flit-trace events (parallel sweeps only; the cap is
     /// applied at replay).
     pub trace: Vec<FlitEvent>,
-    /// Switch-allocation request scratch, one list per output slot.
-    pub sa_requests: Vec<Vec<(u8, u16, i8)>>,
+    /// Switch-allocation request scratch (reused by every router visit).
+    pub sa_requests: SaRequests,
     /// Scalar statistics deltas, added to `RunStats` at replay.
     pub ejected_flits: u64,
     pub flit_latency_sum: u64,
@@ -246,15 +310,6 @@ pub(super) struct ShardBuf {
     /// is enabled on the sharded engine; the serial path never reads the
     /// clock inside the sweep).
     pub timed: bool,
-}
-
-impl ShardBuf {
-    pub fn new(max_ports: usize) -> Self {
-        Self {
-            sa_requests: vec![Vec::new(); max_ports],
-            ..Default::default()
-        }
-    }
 }
 
 /// One shard's mutable view of the network for a single `step_routers`
@@ -291,10 +346,18 @@ impl Sweep<'_> {
             }
             swept += 1;
             let r = self.base + rl;
-            self.deliver_arrivals(r);
-            self.step_injector(r);
-            self.step_va(r);
-            self.step_sa(r);
+            if self.routers[rl].arrival_ports() != 0 {
+                self.deliver_arrivals(r);
+            }
+            if !self.sh.injection_stalled && !self.routers[rl].injector_idle() {
+                self.step_injector(r);
+            }
+            if self.routers[rl].va_ports() != 0 {
+                self.step_va(r);
+            }
+            if self.routers[rl].occupied_ports() != 0 {
+                self.step_sa(r);
+            }
             if !self.routers[rl].quiescent() {
                 self.stamps[rl] = e + 1;
             }

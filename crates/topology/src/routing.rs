@@ -42,6 +42,8 @@ impl RoutingTables {
         assert_eq!(dist.node_count(), n, "distance matrix mismatch");
         let mut table = vec![0usize; n * n];
         for router in 0..n {
+            let neighbors = graph.neighbors(router);
+            let mesh_degree = mesh_degree(graph, router);
             for dest in 0..n {
                 if router == dest {
                     table[router * n + dest] = router;
@@ -51,11 +53,10 @@ impl RoutingTables {
                 assert_ne!(d, UNREACHABLE, "mesh must be connected");
                 // Choose the neighbour strictly decreasing distance; prefer
                 // shortcut neighbours (listed after the ≤4 mesh neighbours).
-                let neighbors = graph.neighbors(router);
                 let mut chosen: Option<(bool, NodeId)> = None;
                 for (idx, &nb) in neighbors.iter().enumerate() {
                     if dist.get(nb, dest) + 1 == d {
-                        let is_shortcut = idx >= mesh_degree(graph, router);
+                        let is_shortcut = idx >= mesh_degree;
                         let better = match chosen {
                             None => true,
                             Some((cs, cn)) => {
