@@ -187,7 +187,7 @@ impl Network {
             routing: spec.routing,
             port_table,
             routers,
-            packets: Vec::new(),
+            packets: PacketTable::default(),
             parents: Vec::new(),
             multicast: spec.multicast,
             mc: spec.mc,

@@ -202,7 +202,7 @@ impl Network {
             let mut pflits = &mut self.stats.port_flits[..];
             let mut pdest = &mut self.stats.per_dest[..];
             let mut bufs = &mut self.shard_bufs[..];
-            let packets = &self.packets[..];
+            let packets = &self.packets;
             for (start, end) in sweep::shard_ranges(n, self.sweep_threads) {
                 let len = end - start;
                 let (r0, r1) = routers.split_at_mut(len);

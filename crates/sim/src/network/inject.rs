@@ -13,8 +13,7 @@ impl Network {
     }
 
     pub(super) fn new_packet(&mut self, p: PacketInfo) -> u32 {
-        self.packets.push(p);
-        let id = (self.packets.len() - 1) as u32;
+        let id = self.packets.push(p);
         if self.telemetry.is_some() {
             self.tel_packet_created(id);
         }

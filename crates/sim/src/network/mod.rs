@@ -231,6 +231,40 @@ impl PacketInfo {
     }
 }
 
+/// The packet table: append-only and chunked, so growing it never moves the
+/// packets already in it. A single growing `Vec` copies the whole table at
+/// every doubling — a multi-megabyte transient on a saturated run whose
+/// resident cost depends on where the allocator happens to find room.
+#[derive(Debug, Default)]
+struct PacketTable {
+    /// Full chunks of `Self::CHUNK` packets followed by at most one
+    /// partly filled chunk (allocated at full capacity, never regrown).
+    chunks: Vec<Vec<PacketInfo>>,
+    len: usize,
+}
+
+impl PacketTable {
+    const SHIFT: u32 = 10;
+    /// Packets per chunk; 80 KiB, below the allocator's mmap threshold.
+    const CHUNK: usize = 1 << Self::SHIFT;
+
+    /// Appends a packet and returns its id.
+    fn push(&mut self, p: PacketInfo) -> u32 {
+        let id = self.len;
+        if id.is_multiple_of(Self::CHUNK) {
+            self.chunks.push(Vec::with_capacity(Self::CHUNK));
+        }
+        self.chunks[id >> Self::SHIFT].push(p);
+        self.len += 1;
+        u32::try_from(id).expect("packet ids fit in 32 bits")
+    }
+
+    #[inline]
+    fn get(&self, id: u32) -> &PacketInfo {
+        &self.chunks[(id >> Self::SHIFT) as usize][id as usize % Self::CHUNK]
+    }
+}
+
 #[derive(Debug, Clone)]
 struct ParentInfo {
     /// Source router of the multicast message.
@@ -324,7 +358,7 @@ pub struct Network {
     /// Last cycle a measured message completed (or the network went busy).
     last_completion: u64,
     routers: Vec<Router>,
-    packets: Vec<PacketInfo>,
+    packets: PacketTable,
     parents: Vec<ParentInfo>,
     multicast: MulticastMode,
     mc: Option<McConfig>,
@@ -675,6 +709,26 @@ mod tests {
         assert_eq!(out[0].src, 1);
         w.messages_at(10, &mut out);
         assert_eq!(out.len(), 2);
+    }
+
+    #[test]
+    fn packet_table_grows_without_moving_packets() {
+        let mut table = PacketTable::default();
+        let packet = |i: u32| {
+            PacketInfo::new(PacketDest::Unicast(i as NodeId), i, 1, 16, 0, false, None, false)
+        };
+        assert_eq!(table.push(packet(0)), 0);
+        let first: *const PacketInfo = table.get(0);
+        let n = 2 * PacketTable::CHUNK as u32 + 1;
+        for i in 1..n {
+            assert_eq!(table.push(packet(i)), i);
+        }
+        assert_eq!(table.chunks.len(), 3);
+        assert!(std::ptr::eq(first, table.get(0)));
+        for i in [0, 1, PacketTable::CHUNK as u32 - 1, PacketTable::CHUNK as u32, n - 1] {
+            assert_eq!(table.get(i).src, i);
+        }
+        assert!(std::mem::size_of::<PacketInfo>() * PacketTable::CHUNK < 128 << 10);
     }
 
     #[test]

@@ -137,18 +137,18 @@ impl SweepShared<'_> {
 pub(super) enum PacketAccess<'a> {
     /// Parallel sweep: shared read access (the mutable per-packet fields
     /// are atomics).
-    Shared(&'a [PacketInfo]),
+    Shared(&'a PacketTable),
     /// Serial sweep: exclusive access, so tree multicast may allocate
     /// child packets mid-sweep.
-    Owned(&'a mut Vec<PacketInfo>),
+    Owned(&'a mut PacketTable),
 }
 
 impl PacketAccess<'_> {
     #[inline]
     pub fn get(&self, id: u32) -> &PacketInfo {
         match self {
-            PacketAccess::Shared(p) => &p[id as usize],
-            PacketAccess::Owned(v) => &v[id as usize],
+            PacketAccess::Shared(p) => p.get(id),
+            PacketAccess::Owned(p) => p.get(id),
         }
     }
 }
@@ -412,10 +412,9 @@ impl Sweep<'_> {
         let PacketAccess::Owned(packets) = &mut self.packets else {
             unreachable!("tree multicast allocates packets mid-sweep; it runs serial")
         };
-        packets.push(p);
-        let id = (packets.len() - 1) as u32;
+        let id = packets.push(p);
         if let TelSink::Direct(t) = &mut self.tel {
-            let p = &packets[id as usize];
+            let p = packets.get(id);
             let dest = match p.dest {
                 PacketDest::Unicast(d) => d as u32,
                 PacketDest::Tree(_) => u32::MAX,

@@ -1129,7 +1129,7 @@ impl Network {
     #[inline]
     pub(super) fn tel_packet_created(&mut self, packet: u32) {
         let Some(t) = self.telemetry.as_deref_mut() else { return };
-        let p = &self.packets[packet as usize];
+        let p = self.packets.get(packet);
         let dest = match p.dest {
             PacketDest::Unicast(d) => d as u32,
             PacketDest::Tree(_) => u32::MAX,
