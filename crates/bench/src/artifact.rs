@@ -1,48 +1,19 @@
 //! Structured result artifacts: machine-readable JSON (with provenance)
 //! and CSV written alongside the printed tables.
 //!
-//! Every plan-based bench binary writes `results/json/<name>.json`
-//! describing the plan, per-point summaries (latency, tail percentiles,
-//! power, area, normalisation, wall time), and run provenance (git
-//! describe, timestamp, thread count) — so regenerated figures carry
-//! their own methodology. JSON is hand-rolled; the container has no
-//! serde and the schema is flat.
+//! Every plan-based figure writes `results/json/<name>.json` describing
+//! the plan, per-point summaries (latency, tail percentiles, power, area,
+//! normalisation, wall time), and run provenance (git describe,
+//! timestamp, thread count) — so regenerated figures carry their own
+//! methodology. Artifacts are [`rfnoc::json::Json`] values; this module
+//! owns the one function that puts them on disk ([`write_file`], with
+//! [`write_artifact`] adding the history ingest).
 
 use crate::runner::PlanResults;
-use std::fmt::Write as _;
+use rfnoc::history::{HistoryRecord, HistoryStore, IngestOutcome};
+use rfnoc::json::{rounded, Json};
 use std::path::{Path, PathBuf};
-use std::time::{SystemTime, UNIX_EPOCH};
-
-/// Escapes a string for a JSON literal.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats a float as JSON: finite values with 4 decimals, else `null`
-/// (JSON has no NaN/Infinity).
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".into()
-    }
-}
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// `git describe --always --dirty` of the working tree, or `"unknown"`
 /// when git is unavailable — the provenance stamp of every artifact.
@@ -58,152 +29,127 @@ pub fn git_describe() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
-/// Renders the full JSON artifact for one named plan's results.
-pub fn render_json(name: &str, results: &PlanResults) -> String {
-    let unix = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"name\": {},", json_str(name));
-    let _ = writeln!(out, "  \"git\": {},", json_str(&git_describe()));
-    let _ = writeln!(out, "  \"generated_unix\": {unix},");
-    let _ = writeln!(out, "  \"jobs\": {},", results.jobs);
-    let _ = writeln!(out, "  \"points_total\": {},", results.results.len());
-    let _ = writeln!(out, "  \"unique_experiments\": {},", results.unique_runs);
-    let _ = writeln!(
-        out,
-        "  \"wall_ms\": {},",
-        json_f64(results.total_wall.as_secs_f64() * 1e3)
-    );
-    let _ = writeln!(
-        out,
-        "  \"points_wall_ms\": {},",
-        json_f64(results.points_wall.as_secs_f64() * 1e3)
-    );
-    out.push_str("  \"points\": [\n");
-    for (i, r) in results.iter().enumerate() {
+/// Seconds since the Unix epoch — the `generated_unix` stamp.
+pub fn unix_now() -> u64 {
+    SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_secs())
+}
+
+/// The provenance fields every artifact opens with: `name`, `git`,
+/// `generated_unix`.
+pub fn header(name: &str) -> Json {
+    Json::obj()
+        .field("name", name)
+        .field("git", git_describe())
+        .field("generated_unix", unix_now())
+}
+
+/// The full artifact for one named plan's results.
+pub fn plan_artifact(name: &str, results: &PlanResults) -> Json {
+    let r4 = |v: f64| rounded(v, 4);
+    let ms = |d: Duration| r4(d.as_secs_f64() * 1e3);
+    let points = results.iter().map(|r| {
         let stats = &r.report.stats;
         let (p50, p95, p99) = stats.latency_tail();
         let labels = &r.point.labels;
-        out.push_str("    {");
-        let _ = write!(out, "\"id\": {}, ", json_str(&r.point.id));
-        let _ = write!(out, "\"design\": {}, ", json_str(&labels.design));
-        let _ = write!(out, "\"workload\": {}, ", json_str(&labels.workload));
-        let _ = write!(out, "\"sim\": {}, ", json_str(&labels.sim));
-        let _ = write!(out, "\"traffic\": {}, ", json_str(&labels.traffic));
-        let _ = write!(out, "\"placement\": {}, ", json_str(&labels.placement));
-        let _ = write!(out, "\"fault\": {}, ", json_str(&labels.fault));
-        match &r.point.baseline_id {
-            Some(b) => {
-                let _ = write!(out, "\"baseline_id\": {}, ", json_str(b));
-            }
-            None => out.push_str("\"baseline_id\": null, "),
-        }
-        let _ = write!(out, "\"wall_ms\": {}, ", json_f64(r.wall.as_secs_f64() * 1e3));
-        let _ = write!(out, "\"avg_latency_cycles\": {}, ", json_f64(r.report.avg_latency()));
-        let _ = write!(
-            out,
-            "\"avg_flit_latency_cycles\": {}, ",
-            json_f64(r.report.avg_flit_latency())
-        );
-        let _ = write!(out, "\"p50_latency_cycles\": {}, ", json_f64(p50));
-        let _ = write!(out, "\"p95_latency_cycles\": {}, ", json_f64(p95));
-        let _ = write!(out, "\"p99_latency_cycles\": {}, ", json_f64(p99));
-        let _ = write!(out, "\"avg_hops\": {}, ", json_f64(stats.avg_hops()));
-        let _ = write!(out, "\"injected_messages\": {}, ", stats.injected_messages);
-        let _ = write!(out, "\"completed_messages\": {}, ", stats.completed_messages);
-        let _ = write!(out, "\"completion_rate\": {}, ", json_f64(stats.completion_rate()));
-        let _ = write!(out, "\"power_w\": {}, ", json_f64(r.report.total_power_w()));
-        let _ = write!(out, "\"area_mm2\": {}, ", json_f64(r.report.total_area_mm2()));
-        let _ = write!(out, "\"saturated\": {}, ", stats.saturated);
-        match &stats.health {
-            Some(h) => {
-                let _ = write!(out, "\"health\": {}, ", json_str(&h.diagnosis.to_string()));
-            }
-            None => out.push_str("\"health\": null, "),
-        }
-        let _ = write!(out, "\"shortcut_faults\": {}, ", stats.shortcut_faults);
-        let _ = write!(out, "\"mesh_link_faults\": {}, ", stats.mesh_link_faults);
-        match r.normalized {
-            Some((lat, pow)) => {
-                let _ = write!(
-                    out,
-                    "\"normalized_latency\": {}, \"normalized_power\": {}",
-                    json_f64(lat),
-                    json_f64(pow)
-                );
-            }
-            None => {
-                out.push_str("\"normalized_latency\": null, \"normalized_power\": null");
-            }
-        }
-        out.push('}');
-        out.push_str(if i + 1 < results.results.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+        let (norm_latency, norm_power) = r.normalized.unzip();
+        Json::obj()
+            .field("id", &r.point.id)
+            .field("design", &labels.design)
+            .field("workload", &labels.workload)
+            .field("sim", &labels.sim)
+            .field("traffic", &labels.traffic)
+            .field("placement", &labels.placement)
+            .field("fault", &labels.fault)
+            .field("baseline_id", r.point.baseline_id.as_ref())
+            .field("wall_ms", ms(r.wall))
+            .field("avg_latency_cycles", r4(r.report.avg_latency()))
+            .field("avg_flit_latency_cycles", r4(r.report.avg_flit_latency()))
+            .field("p50_latency_cycles", r4(p50))
+            .field("p95_latency_cycles", r4(p95))
+            .field("p99_latency_cycles", r4(p99))
+            .field("avg_hops", r4(stats.avg_hops()))
+            .field("injected_messages", stats.injected_messages)
+            .field("completed_messages", stats.completed_messages)
+            .field("completion_rate", r4(stats.completion_rate()))
+            .field("power_w", r4(r.report.total_power_w()))
+            .field("area_mm2", r4(r.report.total_area_mm2()))
+            .field("saturated", stats.saturated)
+            .field("health", stats.health.as_ref().map(|h| h.diagnosis.to_string()))
+            .field("shortcut_faults", stats.shortcut_faults)
+            .field("mesh_link_faults", stats.mesh_link_faults)
+            .field("normalized_latency", norm_latency.map(r4))
+            .field("normalized_power", norm_power.map(r4))
+    });
+    header(name)
+        .field("jobs", results.jobs)
+        .field("points_total", results.results.len())
+        .field("unique_experiments", results.unique_runs)
+        .field("wall_ms", ms(results.total_wall))
+        .field("points_wall_ms", ms(results.points_wall))
+        .field("points", Json::arr(points))
 }
 
-/// Writes the JSON artifact to `results/json/<name>.json`, logging (not
-/// propagating) I/O failures; returns the path on success.
-pub fn write_json(name: &str, results: &PlanResults) -> Option<PathBuf> {
-    let path = PathBuf::from(format!("results/json/{name}.json"));
-    if let Some(dir) = path.parent() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("artifact: cannot create {}: {e}", dir.display());
-            return None;
-        }
-    }
-    match std::fs::write(&path, render_json(name, results)) {
-        Ok(()) => {
-            eprintln!("artifact: wrote {}", path.display());
-            ingest_history(&path);
-            Some(path)
-        }
-        Err(e) => {
-            eprintln!("artifact: cannot write {}: {e}", path.display());
-            None
-        }
-    }
+/// [`plan_artifact`] as the text written to `results/json/<name>.json`.
+pub fn render_json(name: &str, results: &PlanResults) -> String {
+    plan_artifact(name, results).pretty()
 }
 
-/// Best-effort ingest of a freshly written artifact into the cross-run
-/// trend store ([`rfnoc::history`]). Controlled by `RFNOC_HISTORY`:
-/// unset files records under `results/history/`, a path redirects the
-/// store, and `off`/`0` disables ingestion entirely. Failures are logged,
-/// never propagated — observability must not fail the run. Re-ingesting
-/// an unchanged artifact is a no-op (records are content-addressed).
-pub fn ingest_history(path: &Path) {
-    let Some(store) = rfnoc::history::HistoryStore::from_env() else { return };
-    let records = std::fs::read_to_string(path)
-        .map_err(|e| e.to_string())
-        .and_then(|text| rfnoc::compare::parse(&text).map_err(|e| e.to_string()))
-        .and_then(|doc| rfnoc::history::HistoryRecord::from_artifact(&doc, None));
-    let records = match records {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("history: cannot ingest {}: {e}", path.display());
-            return;
-        }
-    };
-    let mut added = 0usize;
-    for rec in &records {
-        match store.ingest(rec) {
-            Ok(rfnoc::history::IngestOutcome::Added(_)) => added += 1,
-            Ok(rfnoc::history::IngestOutcome::Duplicate(_)) => {}
-            Err(e) => {
-                eprintln!("history: cannot ingest {}: {e}", path.display());
-                return;
+/// Where artifact `name` lives: `results/json/<name>.json`.
+pub fn artifact_path(name: &str) -> PathBuf {
+    PathBuf::from(format!("results/json/{name}.json"))
+}
+
+/// Writes `text` to `path`, creating its directory; logs (does not
+/// propagate) I/O failures and returns whether the file was written. The
+/// only place the harness creates a JSON file.
+pub fn write_file(path: &Path, text: &str) -> bool {
+    let written = path
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, text));
+    match &written {
+        Ok(()) => eprintln!("artifact: wrote {}", path.display()),
+        Err(e) => eprintln!("artifact: cannot write {}: {e}", path.display()),
+    }
+    written.is_ok()
+}
+
+/// Writes `doc` to `results/json/<name>.json` and files it into the
+/// cross-run trend store; returns the path on success.
+pub fn write_artifact(name: &str, doc: &Json) -> Option<PathBuf> {
+    let path = artifact_path(name);
+    write_file(&path, &doc.pretty()).then(|| {
+        ingest_history(doc, &path);
+        path
+    })
+}
+
+/// Best-effort ingest of an artifact (just written to `path`) into the
+/// cross-run trend store ([`rfnoc::history`]). Controlled by
+/// `RFNOC_HISTORY`: unset files records under `results/history/`, a path
+/// redirects the store, and `off`/`0` disables ingestion entirely.
+/// Failures are logged, never propagated — observability must not fail
+/// the run. Re-ingesting an unchanged artifact is a no-op (records are
+/// content-addressed).
+pub fn ingest_history(doc: &Json, path: &Path) {
+    let Some(store) = HistoryStore::from_env() else { return };
+    let added = HistoryRecord::from_artifact(doc, None).and_then(|records| {
+        let mut added = 0usize;
+        for rec in &records {
+            if let IngestOutcome::Added(_) = store.ingest(rec)? {
+                added += 1;
             }
         }
-    }
-    if added > 0 {
-        eprintln!(
+        Ok(added)
+    });
+    match added {
+        Ok(0) => {}
+        Ok(added) => eprintln!(
             "history: {added} new record(s) from {} into {}",
             path.display(),
             store.dir().display()
-        );
+        ),
+        Err(e) => eprintln!("history: cannot ingest {}: {e}", path.display()),
     }
 }
 
@@ -273,73 +219,83 @@ impl TrajectoryPoint {
     }
 }
 
-/// Renders one BENCH_trajectory row: provenance plus the headline
-/// throughput of each config. The row is itself a complete artifact, so a
-/// row extracted from the trajectory diffs cleanly against another row.
-pub fn trajectory_row(git: &str, unix: u64, quick: bool, configs: &[TrajectoryPoint]) -> String {
-    let mut row = String::new();
-    let _ = write!(
-        row,
-        "{{\"git\": {}, \"generated_unix\": {unix}, \"quick\": {quick}, \"configs\": [",
-        json_str(git)
-    );
-    for (i, p) in configs.iter().enumerate() {
-        let _ = write!(
-            row,
-            "{}{{\"id\": {}, \"cycles_per_sec\": {}, \"flit_grants_per_sec\": {}",
-            if i == 0 { "" } else { ", " },
-            json_str(&p.id),
-            json_f64(p.cycles_per_sec),
-            json_f64(p.flit_grants_per_sec),
-        );
-        if let Some(v) = p.shard_imbalance {
-            let _ = write!(row, ", \"shard_imbalance\": {}", json_f64(v));
-        }
-        if let Some(v) = p.barrier_wait_frac {
-            let _ = write!(row, ", \"barrier_wait_frac\": {}", json_f64(v));
-        }
-        if let Some(s) = p.spread {
-            let _ = write!(
-                row,
-                ", \"cycles_per_sec_spread_min\": {}, \"cycles_per_sec_spread_max\": {}, \
-                 \"cycles_per_sec_spread_stddev\": {}",
-                json_f64(s.min),
-                json_f64(s.max),
-                json_f64(s.stddev),
-            );
-        }
-        row.push('}');
+impl TrajectoryPoint {
+    /// Appends the fields only some rows carry — shard balance on
+    /// threaded configs, the repeat-sample spread on best-of-N ones — to
+    /// a config object; absent values leave their keys out.
+    pub fn optional_fields(&self, config: Json) -> Json {
+        let r4 = |v: f64| rounded(v, 4);
+        config
+            .field_opt("shard_imbalance", self.shard_imbalance.map(r4))
+            .field_opt("barrier_wait_frac", self.barrier_wait_frac.map(r4))
+            .field_opt("cycles_per_sec_spread_min", self.spread.map(|s| r4(s.min)))
+            .field_opt("cycles_per_sec_spread_max", self.spread.map(|s| r4(s.max)))
+            .field_opt("cycles_per_sec_spread_stddev", self.spread.map(|s| r4(s.stddev)))
     }
-    row.push_str("]}");
-    row
 }
 
-/// Appends a row to `results/json/BENCH_trajectory.json`, creating the
-/// file on first run. The file is a `{"rows": [...]}` object appended by
-/// string splice (no JSON reader needed: the writer owns the format).
-pub fn append_trajectory(git: &str, unix: u64, quick: bool, configs: &[TrajectoryPoint]) {
-    const PATH: &str = "results/json/BENCH_trajectory.json";
-    const TAIL: &str = "\n  ]\n}\n";
-    let row = trajectory_row(git, unix, quick, configs);
-    let fresh = format!("{{\n  \"name\": \"BENCH_trajectory\",\n  \"rows\": [\n    {row}{TAIL}");
-    let content = match std::fs::read_to_string(PATH) {
-        Ok(existing) => match existing.strip_suffix(TAIL) {
-            Some(head) => format!("{head},\n    {row}{TAIL}"),
-            None => {
-                eprintln!("WARNING: {PATH} has an unexpected tail; rewriting fresh");
-                fresh
-            }
-        },
-        Err(_) => fresh,
-    };
-    match std::fs::write(PATH, content) {
-        Ok(()) => {
-            eprintln!("appended trajectory row to {PATH}");
-            // Idempotent: rows already in the store hash to the same
-            // filename, so only the fresh row actually lands.
-            ingest_history(Path::new(PATH));
+/// One BENCH_trajectory row: provenance plus the headline throughput of
+/// each config. The row is itself a complete artifact, so a row extracted
+/// from the trajectory diffs cleanly against another row.
+pub fn trajectory_row(git: &str, unix: u64, quick: bool, configs: &[TrajectoryPoint]) -> Json {
+    let configs = configs.iter().map(|p| {
+        p.optional_fields(
+            Json::obj()
+                .field("id", &p.id)
+                .field("cycles_per_sec", rounded(p.cycles_per_sec, 4))
+                .field("flit_grants_per_sec", rounded(p.flit_grants_per_sec, 4)),
+        )
+    });
+    Json::obj()
+        .field("git", git)
+        .field("generated_unix", unix)
+        .field("quick", quick)
+        .field("configs", Json::arr(configs))
+}
+
+/// The `{"name": ..., "rows": [...]}` document at `path` (a fresh one
+/// when the file does not exist yet) with `row` appended.
+fn with_row(path: &Path, name: &str, row: Json) -> Result<Json, String> {
+    let mut doc = match std::fs::read_to_string(path) {
+        Ok(text) => rfnoc::json::parse(&text).map_err(|e| e.to_string())?,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            Json::obj().field("name", name).field("rows", Json::Arr(Vec::new()))
         }
-        Err(e) => eprintln!("WARNING: could not write {PATH}: {e}"),
+        Err(e) => return Err(e.to_string()),
+    };
+    let rows = match &mut doc {
+        Json::Obj(fields) => fields.iter_mut().find(|(k, _)| k == "rows"),
+        _ => None,
+    };
+    match rows {
+        Some((_, Json::Arr(rows))) => rows.push(row),
+        _ => return Err("no \"rows\" array".into()),
+    }
+    Ok(doc)
+}
+
+/// Appends `row` to the rows file at `path`, creating it on first use,
+/// and returns the document written. A file that cannot be read, does
+/// not parse, or has no `rows` array is reported and left untouched —
+/// earlier rows are never dropped.
+pub fn append_row(path: &Path, name: &str, row: Json) -> Option<Json> {
+    match with_row(path, name, row) {
+        Ok(doc) => write_file(path, &doc.pretty()).then_some(doc),
+        Err(e) => {
+            eprintln!("WARNING: {}: {e}; row not appended, file left as it is", path.display());
+            None
+        }
+    }
+}
+
+/// Appends a row to `results/json/BENCH_trajectory.json` and files it
+/// into the trend store (idempotent: rows already stored hash to the same
+/// filename, so only the fresh row lands).
+pub fn append_trajectory(git: &str, unix: u64, quick: bool, configs: &[TrajectoryPoint]) {
+    let path = artifact_path("BENCH_trajectory");
+    let row = trajectory_row(git, unix, quick, configs);
+    if let Some(doc) = append_row(&path, "BENCH_trajectory", row) {
+        ingest_history(&doc, &path);
     }
 }
 
@@ -357,13 +313,6 @@ pub fn write_csv_logged(path: &str, headers: &[&str], rows: &[Vec<String>]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(1.5), "1.5000");
-    }
 
     #[test]
     fn git_describe_never_empty() {
@@ -385,10 +334,11 @@ mod tests {
         let mut p = TrajectoryPoint::new("mesh", 100.0, 50.0);
         p.spread = MetricSpread::of(&[90.0, 100.0]);
         let row = trajectory_row("g", 1, true, std::slice::from_ref(&p));
-        assert!(row.contains("\"cycles_per_sec_spread_min\": 90.0000"), "{row}");
-        assert!(row.contains("\"cycles_per_sec_spread_max\": 100.0000"), "{row}");
-        assert!(row.contains("\"cycles_per_sec_spread_stddev\": 5.0000"), "{row}");
+        let config = &row.get("configs").unwrap().line();
+        assert!(config.contains("\"cycles_per_sec_spread_min\": 90, "), "{config}");
+        assert!(config.contains("\"cycles_per_sec_spread_max\": 100, "), "{config}");
+        assert!(config.ends_with("\"cycles_per_sec_spread_stddev\": 5}]"), "{config}");
         let bare = trajectory_row("g", 1, true, &[TrajectoryPoint::new("m", 1.0, 1.0)]);
-        assert!(!bare.contains("spread"), "{bare}");
+        assert!(!bare.line().contains("spread"), "{bare:?}");
     }
 }

@@ -38,8 +38,9 @@
 //! rows are also filed into the cross-run trend store (`results/history/`,
 //! override or disable with `RFNOC_HISTORY`).
 
+use rfnoc::json::{rounded, Json};
 use rfnoc_bench::artifact::{
-    append_trajectory, git_describe, ingest_history, json_f64, json_str, MetricSpread,
+    append_trajectory, git_describe, header, unix_now, write_artifact, MetricSpread,
     TrajectoryPoint,
 };
 use rfnoc_sim::{
@@ -47,7 +48,6 @@ use rfnoc_sim::{
     NetworkSpec, RunStats, SimConfig, TelemetryConfig, Workload,
 };
 use rfnoc_topology::{GridDims, Shortcut};
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 /// Deterministic xorshift-driven synthetic traffic, mirroring the golden
@@ -277,6 +277,38 @@ fn shard_metrics(stats: &RunStats) -> (Option<f64>, Option<f64>) {
     (Some(imbalance), Some(frac))
 }
 
+/// Best-of-N wall time: the least-perturbed run of a deterministic
+/// simulation is the most faithful throughput estimate. The spread of the
+/// repeats' cycles/s rides along as the row's noise prior.
+fn best_of(reps: usize, mut run: impl FnMut() -> Sample) -> (Sample, Option<MetricSpread>) {
+    let samples: Vec<Sample> = (0..reps).map(|_| run()).collect();
+    let rep_cps: Vec<f64> = samples
+        .iter()
+        .map(|s| s.stats.end_cycle as f64 / s.wall.as_secs_f64().max(1e-9))
+        .collect();
+    let best = samples.into_iter().min_by_key(|s| s.wall).expect("at least one rep");
+    (best, MetricSpread::of(&rep_cps))
+}
+
+/// One `configs` entry of the artifact: the timed run's counters and
+/// throughput, plus the optional fields of its trajectory point.
+fn config_row(point: &TrajectoryPoint, description: &str, s: &Sample) -> Json {
+    let r4 = |v: f64| rounded(v, 4);
+    point.optional_fields(
+        Json::obj()
+            .field("id", &point.id)
+            .field("description", description)
+            .field("cycles", s.stats.end_cycle)
+            .field("flit_grants", s.stats.port_flits.iter().sum::<u64>())
+            .field("wall_ms", r4(s.wall.as_secs_f64().max(1e-9) * 1e3))
+            .field("cycles_per_sec", r4(point.cycles_per_sec))
+            .field("flit_grants_per_sec", r4(point.flit_grants_per_sec))
+            .field("completed_messages", s.stats.completed_messages)
+            .field("avg_latency_cycles", r4(s.stats.avg_message_latency()))
+            .field("saturated", s.stats.saturated),
+    )
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -313,23 +345,11 @@ fn main() {
         if sim_threads > 1 { ", sharded engine" } else { "" },
     );
 
-    let mut rows = String::new();
+    let mut rows: Vec<Json> = Vec::new();
     let mut trajectory: Vec<TrajectoryPoint> = Vec::new();
     for bc in CONFIGS.iter() {
-        // Best-of-N wall time: the least-perturbed run of a deterministic
-        // simulation is the most faithful throughput estimate. The spread
-        // of the discarded repeats rides along as the row's noise prior.
-        let mut best: Option<Sample> = None;
-        let mut rep_cps: Vec<f64> = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let s = run_once(bc, measure_cycles, telemetry, ledger, sim_threads);
-            rep_cps.push(s.stats.end_cycle as f64 / s.wall.as_secs_f64().max(1e-9));
-            if best.as_ref().is_none_or(|b| s.wall < b.wall) {
-                best = Some(s);
-            }
-        }
-        let spread = MetricSpread::of(&rep_cps);
-        let s = best.expect("at least one rep");
+        let (s, spread) =
+            best_of(reps, || run_once(bc, measure_cycles, telemetry, ledger, sim_threads));
         let secs = s.wall.as_secs_f64().max(1e-9);
         let cycles = s.stats.end_cycle;
         let grants: u64 = s.stats.port_flits.iter().sum();
@@ -337,7 +357,6 @@ fn main() {
         let gps = grants as f64 / secs;
         let mut point = TrajectoryPoint::new(bc.id, cps, gps);
         point.spread = spread;
-        trajectory.push(point);
         eprintln!(
             "  {:<22} {:>9.0} kcycles/s  {:>9.0} kgrants/s  ({} cycles in {:.1?}{})",
             bc.id,
@@ -347,34 +366,8 @@ fn main() {
             s.wall,
             if s.stats.saturated { ", saturated" } else { "" },
         );
-        let mut spread_fields = String::new();
-        if let Some(sp) = spread {
-            let _ = write!(
-                spread_fields,
-                ", \"cycles_per_sec_spread_min\": {}, \"cycles_per_sec_spread_max\": {}, \
-                 \"cycles_per_sec_spread_stddev\": {}",
-                json_f64(sp.min),
-                json_f64(sp.max),
-                json_f64(sp.stddev),
-            );
-        }
-        let _ = writeln!(
-            rows,
-            "    {{\"id\": {}, \"description\": {}, \"cycles\": {}, \"flit_grants\": {}, \
-             \"wall_ms\": {}, \"cycles_per_sec\": {}, \"flit_grants_per_sec\": {}, \
-             \"completed_messages\": {}, \"avg_latency_cycles\": {}, \"saturated\": {}{}}},",
-            json_str(bc.id),
-            json_str(bc.description),
-            cycles,
-            grants,
-            json_f64(secs * 1e3),
-            json_f64(cps),
-            json_f64(gps),
-            s.stats.completed_messages,
-            json_f64(s.stats.avg_message_latency()),
-            s.stats.saturated,
-            spread_fields,
-        );
+        rows.push(config_row(&point, bc.description, &s));
+        trajectory.push(point);
     }
 
     // Thread-scaling sweep: the saturated 64×64 mesh at 1 thread, and at
@@ -387,18 +380,8 @@ fn main() {
         scale_threads.push(sim_threads);
     }
     let mut serial_wall: Option<Duration> = None;
-    for (k, &threads) in scale_threads.iter().enumerate() {
-        let mut best: Option<Sample> = None;
-        let mut rep_cps: Vec<f64> = Vec::with_capacity(scale_reps);
-        for _ in 0..scale_reps {
-            let s = run_scale(threads, scale_cycles, quick, ledger);
-            rep_cps.push(s.stats.end_cycle as f64 / s.wall.as_secs_f64().max(1e-9));
-            if best.as_ref().is_none_or(|b| s.wall < b.wall) {
-                best = Some(s);
-            }
-        }
-        let spread = MetricSpread::of(&rep_cps);
-        let s = best.expect("at least one rep");
+    for &threads in &scale_threads {
+        let (s, spread) = best_of(scale_reps, || run_scale(threads, scale_cycles, quick, ledger));
         let secs = s.wall.as_secs_f64().max(1e-9);
         let cycles = s.stats.end_cycle;
         let grants: u64 = s.stats.port_flits.iter().sum();
@@ -440,82 +423,29 @@ fn main() {
                 _ => String::new(),
             },
         );
-        let mut shard_fields = String::new();
-        if let Some(v) = imbalance {
-            let _ = write!(shard_fields, ", \"shard_imbalance\": {}", json_f64(v));
-        }
-        if let Some(v) = barrier_frac {
-            let _ = write!(shard_fields, ", \"barrier_wait_frac\": {}", json_f64(v));
-        }
-        if let Some(sp) = spread {
-            let _ = write!(
-                shard_fields,
-                ", \"cycles_per_sec_spread_min\": {}, \"cycles_per_sec_spread_max\": {}, \
-                 \"cycles_per_sec_spread_stddev\": {}",
-                json_f64(sp.min),
-                json_f64(sp.max),
-                json_f64(sp.stddev),
-            );
-        }
-        let _ = writeln!(
-            rows,
-            "    {{\"id\": {}, \"description\": {}, \"cycles\": {}, \"flit_grants\": {}, \
-             \"wall_ms\": {}, \"cycles_per_sec\": {}, \"flit_grants_per_sec\": {}, \
-             \"completed_messages\": {}, \"avg_latency_cycles\": {}, \
-             \"saturated\": {}{}}}{}",
-            json_str(&id),
-            json_str(&format!(
-                "64x64 mesh, XY, saturating injection, {threads} engine thread(s)"
-            )),
-            cycles,
-            grants,
-            json_f64(secs * 1e3),
-            json_f64(cps),
-            json_f64(gps),
-            s.stats.completed_messages,
-            json_f64(s.stats.avg_message_latency()),
-            s.stats.saturated,
-            shard_fields,
-            if k + 1 == scale_threads.len() { "" } else { "," },
-        );
-        trajectory.push(TrajectoryPoint {
+        let point = TrajectoryPoint {
             id,
             cycles_per_sec: cps,
             flit_grants_per_sec: gps,
             shard_imbalance: imbalance,
             barrier_wait_frac: barrier_frac,
             spread,
-        });
+        };
+        let description =
+            format!("64x64 mesh, XY, saturating injection, {threads} engine thread(s)");
+        rows.push(config_row(&point, &description, &s));
+        trajectory.push(point);
     }
 
-    let unix = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"name\": {},", json_str(name));
-    let _ = writeln!(out, "  \"git\": {},", json_str(&git));
-    let _ = writeln!(out, "  \"generated_unix\": {unix},");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(out, "  \"telemetry\": {telemetry},");
-    let _ = writeln!(out, "  \"ledger\": {ledger},");
-    let _ = writeln!(out, "  \"measure_cycles\": {measure_cycles},");
-    let _ = writeln!(out, "  \"reps\": {reps},");
-    out.push_str("  \"configs\": [\n");
-    out.push_str(&rows);
-    out.push_str("  ]\n}\n");
-
-    let path = std::path::PathBuf::from(format!("results/json/{name}.json"));
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::write(&path, &out) {
-        Ok(()) => {
-            eprintln!("wrote {}", path.display());
-            ingest_history(&path);
-        }
-        Err(e) => eprintln!("WARNING: could not write {}: {e}", path.display()),
-    }
+    let unix = unix_now();
+    let doc = header(name)
+        .field("quick", quick)
+        .field("telemetry", telemetry)
+        .field("ledger", ledger)
+        .field("measure_cycles", measure_cycles)
+        .field("reps", reps)
+        .field("configs", Json::Arr(rows));
+    write_artifact(name, &doc);
 
     // Un-instrumented runs also extend the dated perf trajectory, the
     // baseline CI diffs fresh runs against with `rfnoc-cli compare`.

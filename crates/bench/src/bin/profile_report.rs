@@ -20,6 +20,7 @@
 //! ```
 
 use rfnoc::Architecture;
+use rfnoc_bench::artifact::{artifact_path, write_file};
 use rfnoc_bench::perfetto::{self, TraceSpec};
 use rfnoc_bench::profile::{self, summarize, ProfiledRun};
 use rfnoc_bench::scenarios::{
@@ -47,7 +48,7 @@ fn attribution_scenario(name: &str, rate: f64, quick: bool) {
         },
         ProfiledRun { label: "rf", arch: rf.system.clone(), stats: &rf.stats, report: rf_tel },
     ];
-    profile::write_json(name, rate, &runs);
+    write_file(&artifact_path(name), &profile::render_json(name, rate, &runs));
 
     // Printed budget: cycles per component, as a share of total latency.
     let rows: Vec<Vec<String>> = runs
@@ -101,7 +102,7 @@ fn trace_scenario(quick: bool) {
         shortcuts: &built.shortcuts,
         max_span_events: TRACE_SPAN_CAP,
     };
-    perfetto::write_trace("PROFILE_trace", tel, &spec);
+    write_file(&artifact_path("PROFILE_trace"), &perfetto::render_trace(tel, &spec));
     println!(
         "\ntrace: {} hop spans recorded ({} dropped), {} timeline events — open results/json/PROFILE_trace.json at ui.perfetto.dev",
         tel.hops.len(),

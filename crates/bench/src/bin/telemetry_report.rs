@@ -18,6 +18,7 @@
 //! ```
 
 use rfnoc::Architecture;
+use rfnoc_bench::artifact::{artifact_path, write_file};
 use rfnoc_bench::scenarios::{
     fault_cycle, fault_experiment, instrumented_experiment, rf_capacity, SATURATED_RATE,
 };
@@ -65,7 +66,7 @@ fn congestion_scenario(quick: bool) {
     print_timeline(tel, 16);
     print_hot_ports(tel);
 
-    telemetry::write_json("TELEMETRY_congestion", stats, tel);
+    write_file(&artifact_path("TELEMETRY_congestion"), &telemetry::render_json("TELEMETRY_congestion", stats, tel));
 
     // Heatmap: mesh links at flit/cycle utilization, RF arcs at band
     // utilization (per shortcut source, since sources are unique).
@@ -120,7 +121,7 @@ fn fault_scenario(quick: bool) {
 
     println!("\n# Fault timeline: whole RF band down at cycle {fault_at}");
     print_timeline(tel, 24);
-    telemetry::write_json("TELEMETRY_fault_timeline", stats, tel);
+    write_file(&artifact_path("TELEMETRY_fault_timeline"), &telemetry::render_json("TELEMETRY_fault_timeline", stats, tel));
 
     // Sanity narration: RF utilization before vs after the fault interval.
     if let Some(i) = tel.sample_index_at(fault_at) {

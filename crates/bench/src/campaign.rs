@@ -20,18 +20,16 @@
 //! ignores), so CI can regenerate and diff it as a determinism and
 //! regression gate.
 
-use crate::artifact::{git_describe, json_f64, json_str, write_csv_logged};
+use crate::artifact::{header, write_artifact, write_csv_logged};
 use crate::plan::{labeled, BaselineSel, Design, Labeled, Plan, SweepSpec};
 use crate::runner::{PlanResults, PointResult};
 use crate::suite::SuiteOptions;
 use crate::{geomean, print_table};
+use rfnoc::json::{rounded, Json};
 use rfnoc::{Architecture, FaultSpec, WorkloadSpec};
 use rfnoc_power::LinkWidth;
 use rfnoc_sim::{RecoveryConfig, RecoveryRecord, SimConfig};
 use rfnoc_traffic::{Profile, ProfileSpec, TrafficConfig};
-use std::fmt::Write as _;
-use std::path::PathBuf;
-use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Master seed for the correlated fault plans of the standard campaign.
 pub const CAMPAIGN_FAULT_SEED: u64 = 0x57_0821;
@@ -368,122 +366,42 @@ pub fn summarize(results: &PlanResults) -> CampaignSummary {
 
 // ------------------------------------------------------------ artifact
 
-/// Renders the `RESILIENCE_*` JSON. No wall times: same seeds, same
-/// bytes (modulo `generated_unix`), so CI can diff two regenerations.
-pub fn render_resilience_json(name: &str, quick: bool, summary: &CampaignSummary) -> String {
-    let unix =
-        SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_secs());
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"name\": {},", json_str(&format!("RESILIENCE_{name}")));
-    let _ = writeln!(out, "  \"git\": {},", json_str(&git_describe()));
-    let _ = writeln!(out, "  \"generated_unix\": {unix},");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(
-        out,
-        "  \"degradation_delta\": {},",
-        json_f64(summary.degradation_delta)
-    );
-    let _ = writeln!(
-        out,
-        "  \"adversarial_saturates_no_later\": {},",
-        summary.adversarial_saturates_no_later
-    );
-    out.push_str("  \"profiles\": [\n");
-    for (i, p) in summary.profiles.iter().enumerate() {
-        out.push_str("    {");
-        let _ = write!(out, "\"id\": {}, ", json_str(p.profile.label()));
-        match p.saturation_rate {
-            Some(rate) => {
-                let _ = write!(out, "\"saturation_rate\": {}, ", json_f64(rate));
-            }
-            None => out.push_str("\"saturation_rate\": null, "),
-        }
-        match &p.worst_point {
-            Some(id) => {
-                let _ = write!(out, "\"worst_point\": {}, ", json_str(id));
-            }
-            None => out.push_str("\"worst_point\": null, "),
-        }
-        let _ = write!(
-            out,
-            "\"worst_norm_latency\": {},\n     \"degradation\": [",
-            json_f64(p.worst_norm_latency)
-        );
-        for (j, d) in p.degradation.iter().enumerate() {
-            if j > 0 {
-                out.push_str(",\n        ");
-            } else {
-                out.push_str("\n        ");
-            }
+/// The `RESILIENCE_*` artifact (`name` is the full artifact name). No
+/// wall times: same seeds, same bytes (modulo `generated_unix`), so CI
+/// can diff two regenerations.
+pub fn resilience_artifact(name: &str, quick: bool, summary: &CampaignSummary) -> Json {
+    let r4 = |v: f64| rounded(v, 4);
+    let profiles = summary.profiles.iter().map(|p| {
+        let degradation = p.degradation.iter().map(|d| {
             let r = &d.recovery;
-            out.push('{');
-            let _ = write!(out, "\"id\": {}, ", json_str(&d.label));
-            let _ = write!(out, "\"runs\": {}, ", d.runs);
-            let _ = write!(out, "\"saturated_runs\": {}, ", d.saturated_runs);
-            let _ = write!(
-                out,
-                "\"mean_norm_latency\": {}, ",
-                json_f64(d.mean_norm_latency)
-            );
-            let _ =
-                write!(out, "\"max_norm_latency\": {}, ", json_f64(d.max_norm_latency));
-            let _ = write!(
-                out,
-                "\"mean_completion_rate\": {}, ",
-                json_f64(d.mean_completion)
-            );
-            let _ = write!(out, "\"recovery_records\": {}, ", r.records);
-            let _ = write!(out, "\"recovery_converged\": {}, ", r.converged);
-            let _ =
-                write!(out, "\"mean_drain_cycles\": {}, ", json_f64(r.drain.mean()));
-            let _ = write!(out, "\"max_drain_cycles\": {}, ", r.drain.max);
-            let _ = write!(
-                out,
-                "\"mean_rewrite_cycles\": {}, ",
-                json_f64(r.rewrite.mean())
-            );
-            let _ = write!(out, "\"max_rewrite_cycles\": {}, ", r.rewrite.max);
-            let _ = write!(
-                out,
-                "\"mean_convergence_cycles\": {}, ",
-                json_f64(r.convergence.mean())
-            );
-            let _ = write!(out, "\"max_convergence_cycles\": {}", r.convergence.max);
-            out.push('}');
-        }
-        out.push_str("]}");
-        out.push_str(if i + 1 < summary.profiles.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Writes the summary to `results/json/RESILIENCE_<name>.json`, logging
-/// (not propagating) I/O failures; returns the path on success.
-pub fn write_resilience_json(
-    name: &str,
-    quick: bool,
-    summary: &CampaignSummary,
-) -> Option<PathBuf> {
-    let path = PathBuf::from(format!("results/json/RESILIENCE_{name}.json"));
-    if let Some(dir) = path.parent() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("artifact: cannot create {}: {e}", dir.display());
-            return None;
-        }
-    }
-    match std::fs::write(&path, render_resilience_json(name, quick, summary)) {
-        Ok(()) => {
-            eprintln!("artifact: wrote {}", path.display());
-            crate::artifact::ingest_history(&path);
-            Some(path)
-        }
-        Err(e) => {
-            eprintln!("artifact: cannot write {}: {e}", path.display());
-            None
-        }
-    }
+            Json::obj()
+                .field("id", &d.label)
+                .field("runs", d.runs)
+                .field("saturated_runs", d.saturated_runs)
+                .field("mean_norm_latency", r4(d.mean_norm_latency))
+                .field("max_norm_latency", r4(d.max_norm_latency))
+                .field("mean_completion_rate", r4(d.mean_completion))
+                .field("recovery_records", r.records)
+                .field("recovery_converged", r.converged)
+                .field("mean_drain_cycles", r4(r.drain.mean()))
+                .field("max_drain_cycles", r.drain.max)
+                .field("mean_rewrite_cycles", r4(r.rewrite.mean()))
+                .field("max_rewrite_cycles", r.rewrite.max)
+                .field("mean_convergence_cycles", r4(r.convergence.mean()))
+                .field("max_convergence_cycles", r.convergence.max)
+        });
+        Json::obj()
+            .field("id", p.profile.label())
+            .field("saturation_rate", p.saturation_rate.map(r4))
+            .field("worst_point", p.worst_point.as_ref())
+            .field("worst_norm_latency", r4(p.worst_norm_latency))
+            .field("degradation", Json::arr(degradation))
+    });
+    header(name)
+        .field("quick", quick)
+        .field("degradation_delta", r4(summary.degradation_delta))
+        .field("adversarial_saturates_no_later", summary.adversarial_saturates_no_later)
+        .field("profiles", Json::arr(profiles))
 }
 
 /// The campaign figure renderer: summary tables, CSV, and the
@@ -544,7 +462,8 @@ pub fn render_campaign(results: &PlanResults, opts: &SuiteOptions) {
          saturates no later than expected: {}",
         summary.degradation_delta, summary.adversarial_saturates_no_later,
     );
-    write_resilience_json("resilience", opts.quick, &summary);
+    let name = "RESILIENCE_resilience";
+    write_artifact(name, &resilience_artifact(name, opts.quick, &summary));
 }
 
 #[cfg(test)]
@@ -599,7 +518,7 @@ mod tests {
             // The correlated plan fired something at intensity 1.0.
             assert!(p.degradation[1].recovery.records > 0, "{:?}", p.profile);
         }
-        let json = render_resilience_json("t", true, &summary);
+        let json = resilience_artifact("RESILIENCE_t", true, &summary).pretty();
         assert!(json.contains("\"id\": \"adversarial\""));
         assert!(json.contains("\"degradation_delta\""));
         assert!(!json.contains("wall_ms"), "artifact must stay wall-time free");
@@ -609,7 +528,7 @@ mod tests {
     fn mean_max_null_when_empty() {
         let mm = MeanMax::default();
         assert!(mm.mean().is_nan());
-        assert_eq!(json_f64(mm.mean()), "null");
+        assert_eq!(rounded(mm.mean(), 4).line(), "null");
         let mut mm = MeanMax::default();
         mm.push(4);
         mm.push(8);

@@ -23,8 +23,8 @@
 //! Lines are flushed as they are emitted so `rfnoc-cli tail --follow`
 //! (or plain `tail -f`) sees them live.
 
-use crate::artifact::json_str;
 use crate::runner::RunnerConfig;
+use rfnoc::json::{rounded, Json};
 use rfnoc::obs::ObsHub;
 use std::io::Write;
 use std::net::SocketAddr;
@@ -157,15 +157,23 @@ impl LedgerSink {
     }
 
     /// Appends one record to the ledger stream and observatory hub
-    /// (no-op without either). `fields` is the record's inner JSON —
-    /// `"kind": ..., ...` — without braces; the sink prepends the `t_ms`
-    /// stamp and wraps the object. Each line is flushed so followers see
-    /// it immediately.
-    pub fn emit(&self, fields: &str) {
-        if self.out.is_none() && self.hub.is_none() {
+    /// (no-op without either). `record` is the record's object — `kind`
+    /// first; the sink prepends the `t_ms` stamp and, for a record that
+    /// came out of an experiment's engine, the plan `point` it belongs
+    /// to. Each line is flushed so followers see it immediately.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `record` is not an object — a bug in the caller.
+    pub fn emit(&self, point: Option<&str>, record: Json) {
+        if !self.enabled() {
             return;
         }
-        let line = format!("{{\"t_ms\": {:.3}, {fields}}}", self.t_ms());
+        let Json::Obj(fields) = record else { panic!("ledger record {record:?} is not an object") };
+        let mut stamped = vec![("t_ms".to_string(), rounded(self.t_ms(), 3))];
+        stamped.extend(point.map(|p| ("point".to_string(), p.into())));
+        stamped.extend(fields);
+        let line = Json::Obj(stamped).line();
         if let Some(out) = &self.out {
             let mut w = out.lock().expect("ledger writer");
             if w.write_all(line.as_bytes())
@@ -181,16 +189,6 @@ impl LedgerSink {
         }
         if let Some(hub) = &self.hub {
             hub.push_line(&line);
-        }
-    }
-
-    /// Emits a `"kind"`-tagged record: `extra` is appended after the kind
-    /// tag (pass `""` for none).
-    pub fn emit_kind(&self, kind: &str, extra: &str) {
-        if extra.is_empty() {
-            self.emit(&format!("\"kind\": {}", json_str(kind)));
-        } else {
-            self.emit(&format!("\"kind\": {}, {extra}", json_str(kind)));
         }
     }
 
@@ -233,8 +231,8 @@ mod tests {
     fn sink_writes_stamped_jsonl() {
         let (sink, path) = temp_sink("stamped");
         assert!(sink.enabled());
-        sink.emit_kind("plan_start", "\"points\": 3");
-        sink.emit_kind("plan_finish", "");
+        sink.emit(None, Json::obj().field("kind", "plan_start").field("points", 3u32));
+        sink.emit(Some("a/b"), Json::obj().field("kind", "heartbeat"));
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -242,7 +240,8 @@ mod tests {
             assert!(line.starts_with("{\"t_ms\": "), "{line}");
             assert!(line.ends_with('}'), "{line}");
         }
-        assert!(lines[0].contains("\"kind\": \"plan_start\", \"points\": 3"));
+        assert!(lines[0].ends_with(", \"kind\": \"plan_start\", \"points\": 3}"), "{text}");
+        assert!(lines[1].ends_with(", \"point\": \"a/b\", \"kind\": \"heartbeat\"}"), "{text}");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -252,7 +251,7 @@ mod tests {
         assert!(!sink.enabled());
         assert!(sink.path().is_none());
         assert!(sink.hub().is_none());
-        sink.emit_kind("heartbeat", "\"cycle\": 1"); // must not panic
+        sink.emit(None, Json::obj().field("kind", "heartbeat")); // must not panic
     }
 
     #[test]
@@ -277,8 +276,8 @@ mod tests {
         let sink = LedgerSink::from_config(&cfg);
         assert!(sink.enabled(), "a hub alone enables the sink");
         assert!(sink.obs_addr().is_some());
-        sink.emit_kind("plan_start", "\"points\": 1");
-        sink.emit_kind("plan_finish", "\"wall_ms\": 1.0");
+        sink.emit(None, Json::obj().field("kind", "plan_start").field("points", 1u32));
+        sink.emit(None, Json::obj().field("kind", "plan_finish").field("wall_ms", 1.0));
         let hub = sink.hub().unwrap();
         assert_eq!(hub.lines_pushed(), 2);
         let summary = hub.summary();

@@ -1,12 +1,13 @@
 //! Shared helpers for the paper-reproduction benchmark harness.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see `DESIGN.md`'s experiment index). Most are thin wrappers over the
-//! sweep harness: [`plan`] declares cross-product sweeps, [`runner`]
-//! executes them across worker threads, [`artifact`] writes structured
-//! JSON/CSV results, and [`suite`] registers every figure's plan builder
-//! and table formatter. This root module holds the remaining common
-//! plumbing (tables, CSV, geometric means).
+//! The `run_all` binary regenerates every plan-based table and figure of
+//! the paper, by name or all at once (see `DESIGN.md`'s experiment
+//! index), over the sweep harness: [`plan`] declares cross-product
+//! sweeps, [`runner`] executes them across worker threads, [`artifact`]
+//! writes structured JSON/CSV results, and [`suite`] registers every
+//! figure's plan builder and table formatter. The other binaries in
+//! `src/bin/` are standalone reports. This root module holds the
+//! remaining common plumbing (tables, CSV, geometric means).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,12 +10,11 @@
 //! comparison on *shortcut-covered pairs*: the (src, dest) pairs that
 //! actually took a shortcut in the RF run, measured in both runs.
 
-use crate::artifact::{git_describe, json_f64, json_str};
+use crate::artifact::header;
 use crate::telemetry::port_name;
+use rfnoc::json::{rounded, Json};
 use rfnoc_sim::{RunStats, TelemetryReport};
 use std::collections::HashSet;
-use std::fmt::Write as _;
-use std::path::PathBuf;
 
 /// Summed delay components over a set of attributed packets, in cycles.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -82,24 +81,19 @@ impl BreakdownAgg {
         }
     }
 
-    fn render(&self) -> String {
-        format!(
-            "{{\"packets\": {}, \"total_cycles\": {}, \"component_sum\": {}, \
-             \"source_queue\": {}, \"route\": {}, \"va_wait\": {}, \"switch\": {}, \
-             \"sa_wait\": {}, \"credit_wait\": {}, \"link\": {}, \
-             \"tail_serialization\": {}}}",
-            self.packets,
-            self.total,
-            self.component_sum(),
-            self.source_queue,
-            self.route,
-            self.va_wait,
-            self.switch,
-            self.sa_wait,
-            self.credit_wait,
-            self.link,
-            self.tail_serialization
-        )
+    fn to_json(self) -> Json {
+        Json::obj()
+            .field("packets", self.packets)
+            .field("total_cycles", self.total)
+            .field("component_sum", self.component_sum())
+            .field("source_queue", self.source_queue)
+            .field("route", self.route)
+            .field("va_wait", self.va_wait)
+            .field("switch", self.switch)
+            .field("sa_wait", self.sa_wait)
+            .field("credit_wait", self.credit_wait)
+            .field("link", self.link)
+            .field("tail_serialization", self.tail_serialization)
     }
 }
 
@@ -193,103 +187,51 @@ pub struct ProfiledRun<'a> {
 /// and RF/mesh split, plus the most-blamed ports), and the mesh-vs-RF
 /// contention comparison on shortcut-covered pairs.
 pub fn render_json(name: &str, injection_rate: f64, runs: &[ProfiledRun<'_>]) -> String {
-    let unix = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"name\": {},", json_str(name));
-    let _ = writeln!(out, "  \"git\": {},", json_str(&git_describe()));
-    let _ = writeln!(out, "  \"generated_unix\": {unix},");
-    let _ = writeln!(out, "  \"injection_rate\": {},", json_f64(injection_rate));
-
     // The shortcut-covered pairs come from the RF run; both runs are then
     // measured on exactly that traffic subset.
-    let covered = runs
-        .iter()
-        .find(|r| r.label == "rf")
-        .map(|r| rf_covered_pairs(r.report))
-        .unwrap_or_default();
+    let labelled = |label: &str| runs.iter().find(|r| r.label == label);
+    let covered = labelled("rf").map(|r| rf_covered_pairs(r.report)).unwrap_or_default();
+    let on_covered = |run: Option<&ProfiledRun<'_>>| {
+        run.map(|r| summarize_pairs(r.report, &covered)).unwrap_or_default()
+    };
 
-    out.push_str("  \"runs\": [\n");
-    for (i, run) in runs.iter().enumerate() {
+    let runs_json = runs.iter().map(|run| {
         let s = summarize(run.report);
-        out.push_str("    {");
-        let _ = write!(out, "\"label\": {}, ", json_str(run.label));
-        let _ = write!(out, "\"arch\": {}, ", json_str(&run.arch));
-        let _ = write!(out, "\"saturated\": {}, ", run.stats.saturated);
-        let _ = write!(out, "\"completed_messages\": {}, ", run.stats.completed_messages);
-        let _ = write!(out, "\"unattributed\": {}, ", s.unattributed);
-        let _ = write!(out, "\"dropped_hops\": {}, ", run.report.dropped_hops);
-        let _ = write!(out, "\"attribution\": {}, ", s.all.render());
-        let _ = write!(out, "\"rf_packets\": {}, ", s.rf.render());
-        let _ = write!(out, "\"mesh_packets\": {}, ", s.mesh.render());
-        let on_covered = summarize_pairs(run.report, &covered);
-        let _ = write!(out, "\"covered_pairs\": {}, ", on_covered.render());
-        out.push_str("\"blame_top\": [");
-        for (j, (r, p, b)) in top_blame(run.report, 8).into_iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"router\": {r}, \"port\": {}, \"stall_cycles\": {b}}}",
-                json_str(&port_name(run.report, p))
-            );
-        }
-        out.push_str("]}");
-        out.push_str(if i + 1 < runs.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
+        let blame = top_blame(run.report, 8).into_iter().map(|(r, p, b)| {
+            Json::obj()
+                .field("router", r)
+                .field("port", port_name(run.report, p))
+                .field("stall_cycles", b)
+        });
+        Json::obj()
+            .field("label", run.label)
+            .field("arch", &run.arch)
+            .field("saturated", run.stats.saturated)
+            .field("completed_messages", run.stats.completed_messages)
+            .field("unattributed", s.unattributed)
+            .field("dropped_hops", run.report.dropped_hops)
+            .field("attribution", s.all.to_json())
+            .field("rf_packets", s.rf.to_json())
+            .field("mesh_packets", s.mesh.to_json())
+            .field("covered_pairs", on_covered(Some(run)).to_json())
+            .field("blame_top", Json::arr(blame))
+    });
 
     // Head-to-head on the covered pairs.
-    let mesh_cov = runs
-        .iter()
-        .find(|r| r.label == "mesh")
-        .map(|r| summarize_pairs(r.report, &covered))
-        .unwrap_or_default();
-    let rf_cov = runs
-        .iter()
-        .find(|r| r.label == "rf")
-        .map(|r| summarize_pairs(r.report, &covered))
-        .unwrap_or_default();
-    out.push_str("  \"covered_pair_comparison\": {");
-    let _ = write!(out, "\"pairs\": {}, ", covered.len());
-    let _ = write!(out, "\"mesh_avg_contention\": {}, ", json_f64(mesh_cov.avg_contention()));
-    let _ = write!(out, "\"rf_avg_contention\": {}, ", json_f64(rf_cov.avg_contention()));
-    let _ = writeln!(
-        out,
-        "\"rf_reduces_contention\": {}}}",
-        rf_cov.avg_contention() < mesh_cov.avg_contention()
-    );
-    out.push_str("}\n");
-    out
-}
-
-/// Writes the artifact to `results/json/<name>.json`, logging (not
-/// propagating) I/O failures; returns the path on success.
-pub fn write_json(
-    name: &str,
-    injection_rate: f64,
-    runs: &[ProfiledRun<'_>],
-) -> Option<PathBuf> {
-    let path = PathBuf::from(format!("results/json/{name}.json"));
-    if let Some(dir) = path.parent() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("profile: cannot create {}: {e}", dir.display());
-            return None;
-        }
-    }
-    match std::fs::write(&path, render_json(name, injection_rate, runs)) {
-        Ok(()) => {
-            eprintln!("profile: wrote {}", path.display());
-            Some(path)
-        }
-        Err(e) => {
-            eprintln!("profile: cannot write {}: {e}", path.display());
-            None
-        }
-    }
+    let mesh = on_covered(labelled("mesh")).avg_contention();
+    let rf = on_covered(labelled("rf")).avg_contention();
+    header(name)
+        .field("injection_rate", rounded(injection_rate, 4))
+        .field("runs", Json::arr(runs_json))
+        .field(
+            "covered_pair_comparison",
+            Json::obj()
+                .field("pairs", covered.len())
+                .field("mesh_avg_contention", rounded(mesh, 4))
+                .field("rf_avg_contention", rounded(rf, 4))
+                .field("rf_reduces_contention", rf < mesh),
+        )
+        .pretty()
 }
 
 #[cfg(test)]

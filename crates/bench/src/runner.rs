@@ -13,9 +13,10 @@
 //! `--jobs` so `jobs × sim_threads` stays within the machine's
 //! parallelism.
 
-use crate::artifact::{json_f64, json_str};
 use crate::ledger::{LedgerSink, ENGINE_HEARTBEAT_CYCLES};
 use crate::plan::{Plan, RunPoint};
+use rfnoc::json::{rounded, Json};
+use rfnoc::ledger::record_json;
 use rfnoc::RunReport;
 use rfnoc_sim::LedgerConfig;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -262,23 +263,23 @@ pub fn run_plan_with(plan: &Plan, cfg: &RunnerConfig, sink: &LedgerSink) -> Plan
         jobs,
         if jobs == 1 { "" } else { "s" }
     ));
-    sink.emit_kind(
-        "plan_start",
-        &format!(
-            "\"points\": {}, \"unique\": {}, \"dedup_hits\": {}, \
-             \"jobs\": {jobs}, \"sim_threads\": {}",
-            plan.len(),
-            unique.len(),
-            plan.len() - unique.len(),
-            cfg.sim_threads,
-        ),
+    let ms = |d: Duration| rounded(d.as_secs_f64() * 1e3, 4);
+    let lifecycle = |kind: &str, point: &RunPoint| {
+        Json::obj().field("kind", kind).field("point", &point.id)
+    };
+    sink.emit(
+        None,
+        Json::obj()
+            .field("kind", "plan_start")
+            .field("points", plan.len())
+            .field("unique", unique.len())
+            .field("dedup_hits", plan.len() - unique.len())
+            .field("jobs", jobs)
+            .field("sim_threads", cfg.sim_threads),
     );
     if sink.enabled() {
         for &u in &order {
-            sink.emit_kind(
-                "point_queued",
-                &format!("\"point\": {}", json_str(&unique[u].id)),
-            );
+            sink.emit(None, lifecycle("point_queued", unique[u]));
         }
     }
 
@@ -293,10 +294,7 @@ pub fn run_plan_with(plan: &Plan, cfg: &RunnerConfig, sink: &LedgerSink) -> Plan
                     let k = next.fetch_add(1, Ordering::Relaxed);
                     let Some(&u) = order.get(k) else { break };
                     let point = unique[u];
-                    sink.emit_kind(
-                        "point_start",
-                        &format!("\"point\": {}", json_str(&point.id)),
-                    );
+                    sink.emit(None, lifecycle("point_start", point));
                     let t0 = Instant::now();
                     // The engine-level ledger rides along only when a
                     // ledger file is being written — enabling it (like
@@ -336,25 +334,16 @@ pub fn run_plan_with(plan: &Plan, cfg: &RunnerConfig, sink: &LedgerSink) -> Plan
                         // point it belongs to.
                         if let Some(led) = &report.stats.ledger {
                             for rec in &led.records {
-                                sink.emit(&format!(
-                                    "\"point\": {}, {}",
-                                    json_str(&point.id),
-                                    rec.render_fields()
-                                ));
+                                sink.emit(Some(&point.id), record_json(rec));
                             }
                         }
-                        sink.emit_kind(
-                            "point_finish",
-                            &format!(
-                                "\"point\": {}, \"wall_ms\": {}, \
-                                 \"avg_latency\": {}, \"saturated\": {}, \
-                                 \"healthy\": {}",
-                                json_str(&point.id),
-                                json_f64(wall.as_secs_f64() * 1e3),
-                                json_f64(report.avg_latency()),
-                                report.stats.saturated,
-                                report.stats.is_healthy(),
-                            ),
+                        sink.emit(
+                            None,
+                            lifecycle("point_finish", point)
+                                .field("wall_ms", ms(wall))
+                                .field("avg_latency", rounded(report.avg_latency(), 4))
+                                .field("saturated", report.stats.saturated)
+                                .field("healthy", report.stats.is_healthy()),
                         );
                     }
                     slots[u].set((report, wall)).expect("each unique point runs once");
@@ -384,15 +373,14 @@ pub fn run_plan_with(plan: &Plan, cfg: &RunnerConfig, sink: &LedgerSink) -> Plan
         .collect();
     let total_wall = start.elapsed();
     let points_wall: Duration = reports.iter().map(|(_, wall)| *wall).sum();
-    sink.emit_kind(
-        "plan_finish",
-        &format!(
-            "\"points\": {}, \"unique\": {}, \"wall_ms\": {}, \"points_wall_ms\": {}",
-            plan.len(),
-            unique.len(),
-            json_f64(total_wall.as_secs_f64() * 1e3),
-            json_f64(points_wall.as_secs_f64() * 1e3),
-        ),
+    sink.emit(
+        None,
+        Json::obj()
+            .field("kind", "plan_finish")
+            .field("points", plan.len())
+            .field("unique", unique.len())
+            .field("wall_ms", ms(total_wall))
+            .field("points_wall_ms", ms(points_wall)),
     );
     PlanResults {
         results,

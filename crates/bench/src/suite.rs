@@ -1,16 +1,17 @@
 //! The paper-suite registry: every plan-based figure/table/ablation as a
 //! declarative plan builder plus a table formatter.
 //!
-//! Each `src/bin/` harness binary is a thin wrapper over one [`Figure`]
-//! here ([`main_for`]); the `run_all` binary merges every suite figure
-//! into a single plan and executes it in one parallel pass
-//! ([`run_all_main`]).
+//! The `run_all` binary is the one entry point ([`run_all_main`]): named
+//! figures run one by one, and without names every suite figure is merged
+//! into a single plan and executed in one parallel pass.
 
 use crate::artifact;
 use crate::campaign;
 use crate::plan::{labeled, BaselineSel, Design, Labeled, Plan, SweepSpec};
-use crate::runner::{run_plan, PlanResults, RunnerConfig};
+use crate::ledger::LedgerSink;
+use crate::runner::{run_plan_with, PlanResults, RunnerConfig};
 use crate::{geomean, multicast_workload, print_table};
+use rfnoc::json::{rounded, Json};
 use rfnoc::{Architecture, FaultSpec, WorkloadSpec};
 use rfnoc_power::LinkWidth;
 use rfnoc_sim::{FaultRates, SimConfig};
@@ -28,7 +29,7 @@ pub struct SuiteOptions {
 /// One regenerable figure/table of the paper suite: a plan builder and a
 /// renderer over its results.
 pub struct Figure {
-    /// Short name — binary name, plan-ID prefix, and artifact file stem.
+    /// Short name — `run_all <name>`, plan-ID prefix, and artifact file stem.
     pub name: &'static str,
     /// Human title printed above the tables.
     pub title: &'static str,
@@ -892,22 +893,21 @@ fn render_mesh_scaling(results: &PlanResults, opts: &SuiteOptions) {
             ]);
             for (label, r) in [("mesh-only", base), ("rf", rf)] {
                 let (cps, gps) = throughput(r);
-                points.push(format!(
-                    "{{\"side\": {side}, \"fabric\": {}, \"design\": {}, \
-                     \"avg_latency_cycles\": {}, \"avg_hops\": {}, \
-                     \"saturated\": {}, \"shortcuts\": {shortcuts}, \
-                     \"build_ms\": {}, \"sim_wall_ms\": {}, \
-                     \"cycles_per_sec\": {}, \"flit_grants_per_sec\": {}}}",
-                    artifact::json_str(fabric_kind),
-                    artifact::json_str(label),
-                    artifact::json_f64(r.report.avg_latency()),
-                    artifact::json_f64(r.report.stats.avg_hops()),
-                    r.report.stats.saturated,
-                    artifact::json_f64(build_ms),
-                    artifact::json_f64(r.wall.as_secs_f64() * 1e3),
-                    artifact::json_f64(cps),
-                    artifact::json_f64(gps),
-                ));
+                let r4 = |v: f64| rounded(v, 4);
+                points.push(
+                    Json::obj()
+                        .field("side", side)
+                        .field("fabric", fabric_kind)
+                        .field("design", label)
+                        .field("avg_latency_cycles", r4(r.report.avg_latency()))
+                        .field("avg_hops", r4(r.report.stats.avg_hops()))
+                        .field("saturated", r.report.stats.saturated)
+                        .field("shortcuts", shortcuts)
+                        .field("build_ms", r4(build_ms))
+                        .field("sim_wall_ms", r4(r.wall.as_secs_f64() * 1e3))
+                        .field("cycles_per_sec", r4(cps))
+                        .field("flit_grants_per_sec", r4(gps)),
+                );
             }
             trajectory.push((format!("mesh_scaling_{side}x{side}_{fabric_kind}_rf"), cps, gps));
         }
@@ -942,15 +942,21 @@ fn render_mesh_scaling(results: &PlanResults, opts: &SuiteOptions) {
         ],
         &csv,
     );
-    write_scaling_artifact(opts, &points);
+    // The build-time and simulator-throughput record of the scaling
+    // sweep, validated by the CI `scaling-smoke` job.
+    let name = "BENCH_mesh_scaling";
+    let doc = artifact::header(name).field("quick", opts.quick).field("points", Json::Arr(points));
+    artifact::write_artifact(name, &doc);
     let refs: Vec<artifact::TrajectoryPoint> = trajectory
         .iter()
         .map(|(id, c, g)| artifact::TrajectoryPoint::new(id.as_str(), *c, *g))
         .collect();
-    let unix = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    artifact::append_trajectory(&artifact::git_describe(), unix, opts.quick, &refs);
+    artifact::append_trajectory(
+        &artifact::git_describe(),
+        artifact::unix_now(),
+        opts.quick,
+        &refs,
+    );
     println!(
         "\nExpectation: normalised RF latency falls as the grid grows\n\
          (single-cycle shortcuts replace ever-longer multi-hop paths), the\n\
@@ -958,37 +964,6 @@ fn render_mesh_scaling(results: &PlanResults, opts: &SuiteOptions) {
          RF build column stays in seconds even at 64x64 thanks to the\n\
          incremental selector."
     );
-}
-
-/// Writes `results/json/BENCH_mesh_scaling.json`: the build-time and
-/// simulator-throughput record of the scaling sweep, validated by the CI
-/// `scaling-smoke` job.
-fn write_scaling_artifact(opts: &SuiteOptions, points: &[String]) {
-    let unix = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let mut out = String::from("{\n  \"name\": \"BENCH_mesh_scaling\",\n");
-    out.push_str(&format!("  \"git\": {},\n", artifact::json_str(&artifact::git_describe())));
-    out.push_str(&format!("  \"generated_unix\": {unix},\n"));
-    out.push_str(&format!("  \"quick\": {},\n", opts.quick));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(p);
-        out.push_str(if i + 1 < points.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    let path = "results/json/BENCH_mesh_scaling.json";
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::write(path, out) {
-        Ok(()) => {
-            eprintln!("artifact: wrote {path}");
-            artifact::ingest_history(std::path::Path::new(path));
-        }
-        Err(e) => eprintln!("artifact: cannot write {path}: {e}"),
-    }
 }
 
 // -------------------------------------------------------- fault_sweep
@@ -1182,48 +1157,69 @@ fn render_tune_load(results: &PlanResults, _opts: &SuiteOptions) {
 
 // -------------------------------------------------------- entry points
 
-/// Parses `--quick` out of the process arguments.
-fn quick_from_args() -> bool {
-    std::env::args().any(|a| a == "--quick")
+/// Flags of `run_all` (its own and the runner's) that take a value, so
+/// the value is not mistaken for a figure name.
+const VALUE_FLAGS: [&str; 6] =
+    ["--jobs", "-j", "--sim-threads", "--ledger", "--obs-port", "--filter"];
+
+/// Writes a figure's plan artifact, `results/json/<name>.json`.
+fn write_plan_artifact(name: &str, results: &PlanResults) {
+    artifact::write_artifact(name, &artifact::plan_artifact(name, results));
 }
 
-/// The shared main of every plan-based figure binary: parse `--jobs`/
-/// `--quick`, build the figure's plan, run it in parallel, render the
-/// tables, and write the JSON artifact.
+/// The `run_all` binary, the one entry point of the plan-based suite.
 ///
-/// # Panics
+/// `run_all <name>...` runs each named figure on its own: build its
+/// plan, run it in parallel, render the tables, write
+/// `results/json/<name>.json`. An unknown name lists the registry on
+/// stderr and exits 2.
 ///
-/// Panics when `name` is not a registered figure.
-pub fn main_for(name: &str) {
-    let fig = figure(name).unwrap_or_else(|| panic!("unknown figure {name:?}"));
-    let opts = SuiteOptions { quick: quick_from_args() };
-    let cfg = RunnerConfig::from_args();
-    println!("# {}", fig.title);
-    let plan = (fig.build)(&opts);
-    let results = run_plan(&plan, &cfg);
-    (fig.render)(&results, &opts);
-    artifact::write_json(fig.name, &results);
-    eprintln!(
-        "{}: {} points in {:.2?} on {} thread(s) (serial cost {:.2?})",
-        fig.name, plan.len(), results.total_wall, results.jobs, results.points_wall
-    );
-}
-
-/// The `run_all` binary: merge every suite figure (optionally filtered by
-/// `--filter <substring>`, extended with `--all` to include probes) into
-/// one plan, execute it as a single parallel run, then render each
-/// figure's tables and artifacts from the shared results.
+/// Without names, every suite figure (optionally filtered by `--filter
+/// <substring>`, extended with `--all` to include probes) is merged into
+/// one plan and executed as a single parallel run; each figure's tables
+/// and artifacts are then rendered from the shared results.
 pub fn run_all_main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = SuiteOptions { quick: quick_from_args() };
+    let opts = SuiteOptions { quick: args.iter().any(|a| a == "--quick") };
     let cfg = RunnerConfig::from_args();
+    let sink = LedgerSink::from_config(&cfg);
     let include_probes = args.iter().any(|a| a == "--all");
-    let filters: Vec<&str> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| *a == "--filter")
-        .filter_map(|(i, _)| args.get(i + 1).map(String::as_str))
-        .collect();
+    let (mut names, mut filters) = (Vec::new(), Vec::new());
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if arg == "--filter" {
+            filters.extend(it.next().map(String::as_str));
+        } else if VALUE_FLAGS.contains(&arg.as_str()) {
+            it.next();
+        } else if !arg.starts_with('-') {
+            names.push(arg.as_str());
+        }
+    }
+
+    if !names.is_empty() {
+        let named: Vec<Figure> = names.iter().filter_map(|n| figure(n)).collect();
+        if named.len() < names.len() {
+            let known: Vec<&str> = figures().iter().map(|f| f.name).collect();
+            eprintln!("run_all: unknown figure among {names:?}; figures: {}", known.join(" "));
+            std::process::exit(2);
+        }
+        for fig in &named {
+            println!("# {}", fig.title);
+            let plan = (fig.build)(&opts);
+            let results = run_plan_with(&plan, &cfg, &sink);
+            (fig.render)(&results, &opts);
+            write_plan_artifact(fig.name, &results);
+            eprintln!(
+                "{}: {} points in {:.2?} on {} thread(s) (serial cost {:.2?})",
+                fig.name,
+                plan.len(),
+                results.total_wall,
+                results.jobs,
+                results.points_wall
+            );
+        }
+        return;
+    }
 
     let selected: Vec<Figure> = figures()
         .into_iter()
@@ -1243,15 +1239,15 @@ pub fn run_all_main() {
 
     let plans: Vec<Plan> = selected.iter().map(|f| (f.build)(&opts)).collect();
     let merged = Plan::merge(plans.iter().cloned());
-    let results = run_plan(&merged, &cfg);
+    let results = run_plan_with(&merged, &cfg, &sink);
 
     for (fig, plan) in selected.iter().zip(&plans) {
         println!("\n# {}", fig.title);
         let sub = results.subset(plan);
         (fig.render)(&sub, &opts);
-        artifact::write_json(fig.name, &sub);
+        write_plan_artifact(fig.name, &sub);
     }
-    artifact::write_json("run_all", &results);
+    write_plan_artifact("run_all", &results);
     let speedup = results.points_wall.as_secs_f64() / results.total_wall.as_secs_f64().max(1e-9);
     println!(
         "\nrun_all: {} points ({} unique experiments) in {:.2?} on {} thread(s); \

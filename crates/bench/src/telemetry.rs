@@ -4,15 +4,14 @@
 //! The simulator's telemetry layer produces interval samples, packet
 //! spans, and a fault/retune event timeline; this module turns one run's
 //! report into the repo's standard artifacts: `results/json/<name>.json`
-//! (hand-rolled flat JSON, like `artifact.rs`) and a per-interval table
-//! on stdout. The SVG congestion heatmap lives in [`crate::svg`].
+//! and a per-interval table on stdout. The SVG congestion heatmap lives
+//! in [`crate::svg`].
 
-use crate::artifact::{git_describe, json_f64, json_str};
+use crate::artifact::header;
+use rfnoc::json::{rounded, Json};
 use rfnoc_sim::{
     latency_bucket_bounds, RunStats, TelemetryReport, TimelineEventKind, LATENCY_BUCKETS,
 };
-use std::fmt::Write as _;
-use std::path::PathBuf;
 
 /// Output ports per router on the plain mesh (N, S, E, W, Local, RF) —
 /// mirrors the simulator's mesh port order. Reports from other fabrics
@@ -139,128 +138,59 @@ pub fn event_label(kind: &TimelineEventKind) -> String {
 /// per-endpoint completion counters from `stats`, a span digest, the
 /// interval time series, and the event timeline.
 pub fn render_json(name: &str, stats: &RunStats, report: &TelemetryReport) -> String {
-    let unix = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"name\": {},", json_str(name));
-    let _ = writeln!(out, "  \"git\": {},", json_str(&git_describe()));
-    let _ = writeln!(out, "  \"generated_unix\": {unix},");
-    let _ = writeln!(out, "  \"interval\": {},", report.interval);
-    let _ = writeln!(out, "  \"routers\": {},", report.routers);
-    let _ = writeln!(out, "  \"channels\": {},", report.channels.0);
-    let _ = writeln!(out, "  \"end_cycle\": {},", stats.end_cycle);
-    let _ = writeln!(out, "  \"saturated\": {},", stats.saturated);
-    let _ = writeln!(out, "  \"injected_messages\": {},", stats.injected_messages);
-    let _ = writeln!(out, "  \"completed_messages\": {},", stats.completed_messages);
-
-    let join_u64 = |v: &[u64]| {
-        v.iter().map(u64::to_string).collect::<Vec<_>>().join(", ")
-    };
-    let _ = writeln!(
-        out,
-        "  \"per_source\": [{}],",
-        stats.per_source.iter().map(u32::to_string).collect::<Vec<_>>().join(", ")
-    );
-    let _ = writeln!(
-        out,
-        "  \"per_dest\": [{}],",
-        stats.per_dest.iter().map(u32::to_string).collect::<Vec<_>>().join(", ")
-    );
-    let _ = writeln!(out, "  \"link_grants\": [{}],", join_u64(&report.total_port_grants()));
-    let _ = writeln!(
-        out,
-        "  \"link_utilization\": [{}],",
-        link_utilization(report).iter().map(|&u| json_f64(u)).collect::<Vec<_>>().join(", ")
-    );
-    let rf_total: u64 = report.samples.iter().map(|s| s.rf_grants).sum();
-    let rf_mc_total: u64 = report.samples.iter().map(|s| s.rf_mc_flits).sum();
-    let _ = writeln!(out, "  \"rf_grants_total\": {rf_total},");
-    let _ = writeln!(out, "  \"rf_mc_flits_total\": {rf_mc_total},");
-
+    let r4 = |v: f64| rounded(v, 4);
     let completed_spans = report.spans.iter().filter(|s| s.is_complete()).count();
-    let rf_spans = report.spans.iter().filter(|s| s.took_rf).count();
     let latency_sum: u64 =
         report.spans.iter().filter_map(rfnoc_sim::PacketSpan::latency).sum();
-    let avg_span_latency = if completed_spans > 0 {
-        latency_sum as f64 / completed_spans as f64
-    } else {
-        f64::NAN
-    };
-    out.push_str("  \"spans\": {");
-    let _ = write!(out, "\"recorded\": {}, ", report.spans.len());
-    let _ = write!(out, "\"dropped\": {}, ", report.dropped_spans);
-    let _ = write!(out, "\"completed\": {completed_spans}, ");
-    let _ = write!(out, "\"took_rf\": {rf_spans}, ");
-    let _ = writeln!(out, "\"avg_latency_cycles\": {}}},", json_f64(avg_span_latency));
-
-    let edges: Vec<String> = (0..LATENCY_BUCKETS)
-        .map(|i| latency_bucket_bounds(i).0.to_string())
-        .collect();
-    let _ = writeln!(out, "  \"latency_bucket_lower_edges\": [{}],", edges.join(", "));
-
-    out.push_str("  \"samples\": [\n");
-    for (i, s) in report.samples.iter().enumerate() {
-        out.push_str("    {");
-        let _ = write!(out, "\"start\": {}, ", s.start);
-        let _ = write!(out, "\"cycles\": {}, ", s.cycles);
-        let _ = write!(out, "\"injected\": {}, ", s.injected);
-        let _ = write!(out, "\"ejected_flits\": {}, ", s.ejected_flits);
-        let _ = write!(out, "\"completed_packets\": {}, ", s.completed_packets);
-        let _ = write!(out, "\"in_flight_end\": {}, ", s.in_flight_end);
-        let _ = write!(out, "\"rf_grants\": {}, ", s.rf_grants);
-        let _ = write!(out, "\"rf_mc_flits\": {}, ", s.rf_mc_flits);
-        let _ = write!(out, "\"va_stalls\": {}, ", s.va_stalls);
-        let _ = write!(out, "\"sa_stalls\": {}, ", s.sa_stalls);
-        let _ = write!(out, "\"credit_stalls\": {}, ", s.credit_stalls);
-        let _ = write!(
-            out,
-            "\"mesh_utilization\": {}, ",
-            json_f64(sample_mesh_utilization(report, i))
-        );
-        let peak = s.buffered_peak.iter().copied().max().unwrap_or(0);
-        let _ = write!(out, "\"peak_buffered\": {peak}, ");
-        let _ = write!(out, "\"latency_hist\": [{}]", join_u64(&s.latency_hist));
-        out.push('}');
-        out.push_str(if i + 1 < report.samples.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-
-    out.push_str("  \"events\": [\n");
-    for (i, e) in report.events.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"cycle\": {}, \"kind\": {}}}",
-            e.cycle,
-            json_str(&event_label(&e.kind))
-        );
-        out.push_str(if i + 1 < report.events.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Writes the telemetry JSON artifact to `results/json/<name>.json`,
-/// logging (not propagating) I/O failures; returns the path on success.
-pub fn write_json(name: &str, stats: &RunStats, report: &TelemetryReport) -> Option<PathBuf> {
-    let path = PathBuf::from(format!("results/json/{name}.json"));
-    if let Some(dir) = path.parent() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("telemetry: cannot create {}: {e}", dir.display());
-            return None;
-        }
-    }
-    match std::fs::write(&path, render_json(name, stats, report)) {
-        Ok(()) => {
-            eprintln!("telemetry: wrote {}", path.display());
-            Some(path)
-        }
-        Err(e) => {
-            eprintln!("telemetry: cannot write {}: {e}", path.display());
-            None
-        }
-    }
+    let spans = Json::obj()
+        .field("recorded", report.spans.len())
+        .field("dropped", report.dropped_spans)
+        .field("completed", completed_spans)
+        .field("took_rf", report.spans.iter().filter(|s| s.took_rf).count())
+        // NaN (no completed span) prints as null.
+        .field("avg_latency_cycles", r4(latency_sum as f64 / completed_spans as f64));
+    let samples = report.samples.iter().enumerate().map(|(i, s)| {
+        Json::obj()
+            .field("start", s.start)
+            .field("cycles", s.cycles)
+            .field("injected", s.injected)
+            .field("ejected_flits", s.ejected_flits)
+            .field("completed_packets", s.completed_packets)
+            .field("in_flight_end", s.in_flight_end)
+            .field("rf_grants", s.rf_grants)
+            .field("rf_mc_flits", s.rf_mc_flits)
+            .field("va_stalls", s.va_stalls)
+            .field("sa_stalls", s.sa_stalls)
+            .field("credit_stalls", s.credit_stalls)
+            .field("mesh_utilization", r4(sample_mesh_utilization(report, i)))
+            .field("peak_buffered", s.buffered_peak.iter().copied().max().unwrap_or(0))
+            .field("latency_hist", Json::arr(s.latency_hist.iter().copied()))
+    });
+    let events = report.events.iter().map(|e| {
+        Json::obj().field("cycle", e.cycle).field("kind", event_label(&e.kind))
+    });
+    header(name)
+        .field("interval", report.interval)
+        .field("routers", report.routers)
+        .field("channels", report.channels.0)
+        .field("end_cycle", stats.end_cycle)
+        .field("saturated", stats.saturated)
+        .field("injected_messages", stats.injected_messages)
+        .field("completed_messages", stats.completed_messages)
+        .field("per_source", Json::arr(stats.per_source.iter().copied()))
+        .field("per_dest", Json::arr(stats.per_dest.iter().copied()))
+        .field("link_grants", Json::arr(report.total_port_grants()))
+        .field("link_utilization", Json::arr(link_utilization(report).into_iter().map(r4)))
+        .field("rf_grants_total", report.samples.iter().map(|s| s.rf_grants).sum::<u64>())
+        .field("rf_mc_flits_total", report.samples.iter().map(|s| s.rf_mc_flits).sum::<u64>())
+        .field("spans", spans)
+        .field(
+            "latency_bucket_lower_edges",
+            Json::arr((0..LATENCY_BUCKETS).map(|i| latency_bucket_bounds(i).0)),
+        )
+        .field("samples", Json::arr(samples))
+        .field("events", Json::arr(events))
+        .pretty()
 }
 
 /// Prints the per-interval timeline table: rates, mesh utilization, peak

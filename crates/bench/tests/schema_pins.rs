@@ -11,12 +11,12 @@
 //! `SCHEMA_BLESS=1 cargo test -p rfnoc-bench --test schema_pins` rewrites
 //! the files — only for an intended schema change.
 
-use rfnoc::compare::{parse, Json};
+use rfnoc::json::{parse, Json};
 use rfnoc::ledger::LedgerSummary;
 use rfnoc::{Architecture, WorkloadSpec};
 use rfnoc_bench::artifact::{self, MetricSpread, TrajectoryPoint};
 use rfnoc_bench::campaign::{
-    render_resilience_json, CampaignSummary, IntensitySummary, MeanMax, ProfileSummary,
+    self, CampaignSummary, IntensitySummary, MeanMax, ProfileSummary,
     RecoveryAggregate,
 };
 use rfnoc_bench::plan::{labeled, BaselineSel, Design, Plan, SweepSpec};
@@ -231,7 +231,7 @@ fn resilience_artifact() {
     };
     check_pin(
         "resilience_artifact",
-        &leaves(&render_resilience_json("pins", true, &summary)),
+        &leaves(&campaign::resilience_artifact("RESILIENCE_pins", true, &summary).pretty()),
     );
 }
 
@@ -276,7 +276,9 @@ fn trajectory_row() {
     let configs = [TrajectoryPoint::new("mesh10x10_low_load", 264_023.932_1, 2.5e6), full];
     check_pin(
         "trajectory_row",
-        &leaves_fixed(&artifact::trajectory_row("abc123-dirty", 1_786_043_102, true, &configs)),
+        &leaves_fixed(
+            &artifact::trajectory_row("abc123-dirty", 1_786_043_102, true, &configs).line(),
+        ),
     );
 }
 
@@ -309,7 +311,7 @@ fn engine_ledger_records() {
     ];
     let mut got = String::new();
     for r in &records {
-        got.push_str(&leaves_fixed(&r.render_jsonl()));
+        got.push_str(&leaves_fixed(&rfnoc::ledger::record_json(r).line()));
         got.push('\n');
     }
     check_pin("engine_ledger_records", &got);

@@ -394,8 +394,7 @@ fn read_artifact_records(
     path: &str,
     name_override: Option<&str>,
 ) -> Result<Vec<rfnoc::history::HistoryRecord>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc = rfnoc::compare::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let doc = rfnoc::json::read_file(path)?;
     rfnoc::history::HistoryRecord::from_artifact(&doc, name_override)
         .map_err(|e| format!("{path}: {e}"))
 }

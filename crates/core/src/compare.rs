@@ -1,9 +1,8 @@
 //! Cross-run artifact diffing: `rfnoc-cli compare A.json B.json`.
 //!
-//! Every bench binary writes flat, hand-rolled JSON artifacts
-//! (`results/json/*.json`). This module parses two of them with a small
-//! recursive-descent JSON reader (the container has no serde), flattens
-//! each to dotted metric paths — arrays of objects carrying an `"id"`
+//! Every bench binary writes its results as a JSON artifact
+//! (`results/json/*.json`, see [`crate::json`]). This module flattens two
+//! of them to dotted metric paths — arrays of objects carrying an `"id"`
 //! field are keyed by that id, so config lists align across runs even if
 //! reordered — and diffs every numeric metric the two runs share.
 //!
@@ -16,252 +15,8 @@
 //! what CI uses to gate simulator-throughput regressions against the
 //! committed trajectory baseline.
 
+pub use crate::json::{parse, Json, ParseError};
 use std::collections::BTreeMap;
-use std::fmt;
-
-/// A parsed JSON value (just enough for the repo's flat artifacts).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (parsed as `f64`; artifact values fit easily).
-    Num(f64),
-    /// A string literal.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Looks up a key of an object value.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a string, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// A JSON parse error with byte offset context.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// What the parser expected or found.
-    pub message: String,
-    /// Byte offset into the document.
-    pub offset: usize,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} at byte {}", self.message, self.offset)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
-        Err(ParseError { message: message.into(), offset: self.pos })
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.err(format!("expected '{}'", c as char))
-        }
-    }
-
-    fn eat_lit(&mut self, lit: &str, value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            self.err(format!("expected '{lit}'"))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, ParseError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.eat_lit("true", Json::Bool(true)),
-            Some(b'f') => self.eat_lit("false", Json::Bool(false)),
-            Some(b'n') => self.eat_lit("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => self.err(format!("unexpected '{}'", c as char)),
-            None => self.err("unexpected end of input"),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, ParseError> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            fields.push((key, self.value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return self.err("expected ',' or '}'"),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, ParseError> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return self.err("expected ',' or ']'"),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or(ParseError {
-                        message: "unterminated escape".into(),
-                        offset: self.pos,
-                    })?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok());
-                            match hex.and_then(char::from_u32) {
-                                Some(c) => {
-                                    out.push(c);
-                                    self.pos += 4;
-                                }
-                                None => return self.err("bad \\u escape"),
-                            }
-                        }
-                        _ => return self.err("unknown escape"),
-                    }
-                }
-                Some(_) => {
-                    // Copy the full UTF-8 code point starting here.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| ParseError {
-                            message: "invalid UTF-8".into(),
-                            offset: self.pos,
-                        })?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-                None => return self.err("unterminated string"),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, ParseError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || c == b'.' || c == b'e' || c == b'E' || c == b'+' || c == b'-')
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-        match text.parse::<f64>() {
-            Ok(v) => Ok(Json::Num(v)),
-            Err(_) => self.err(format!("bad number '{text}'")),
-        }
-    }
-}
-
-/// Parses a JSON document.
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] with a byte offset on malformed input or
-/// trailing garbage.
-pub fn parse(text: &str) -> Result<Json, ParseError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return p.err("trailing garbage");
-    }
-    Ok(v)
-}
 
 /// Flattens a document to `dotted.path -> numeric value` metrics.
 ///
@@ -445,11 +200,7 @@ pub fn compare_files(
     new_path: &str,
     threshold_pct: f64,
 ) -> Result<usize, String> {
-    let read = |p: &str| -> Result<Json, String> {
-        let text =
-            std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"))?;
-        parse(&text).map_err(|e| format!("{p}: {e}"))
-    };
+    let read = crate::json::read_file;
     let cmp = compare(&read(base_path)?, &read(new_path)?);
     let breaches = cmp.breaches(threshold_pct);
 
@@ -514,14 +265,6 @@ mod tests {
         assert_eq!(flat["configs[mesh].cycles_per_sec"], 1000.0);
         assert_eq!(flat["configs[rf].avg_latency_cycles"], 30.0);
         assert!(!flat.contains_key("name"), "strings are not metrics");
-        assert!(parse("{\"a\": 1,}").is_err(), "trailing comma rejected");
-        assert!(parse("[1, 2] garbage").is_err());
-        assert_eq!(
-            parse(r#""aA\n""#).unwrap(),
-            Json::Str("aA\n".into()),
-            "escapes decode"
-        );
-        assert_eq!(parse("-1.5e2").unwrap(), Json::Num(-150.0));
     }
 
     #[test]

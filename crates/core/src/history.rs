@@ -25,7 +25,6 @@
 
 use crate::compare::{flatten, parse, Json};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Current schema version written into every record.
@@ -114,37 +113,20 @@ impl HistoryRecord {
         Self { artifact: name.to_string(), git, unix, quick, metrics }
     }
 
-    /// The canonical JSON rendering — what the content hash covers and
-    /// what [`HistoryStore::ingest`] writes to disk.
+    /// The canonical JSON rendering ([`Json::pretty`]) — what the content
+    /// hash covers and what [`HistoryStore::ingest`] writes to disk.
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema\": {SCHEMA_VERSION},");
-        let _ = writeln!(out, "  \"artifact\": {},", jstr(&self.artifact));
-        let _ = writeln!(out, "  \"git\": {},", jstr(&self.git));
-        let _ = writeln!(out, "  \"unix\": {},", self.unix);
-        let _ = writeln!(
-            out,
-            "  \"quick\": {},",
-            match self.quick {
-                Some(true) => "true",
-                Some(false) => "false",
-                None => "null",
-            }
-        );
-        out.push_str("  \"metrics\": {\n");
-        let n = self.metrics.len();
-        for (i, (path, v)) in self.metrics.iter().enumerate() {
-            // `{v}` is Rust's shortest round-trip float rendering, so the
-            // stored value (and thus the content hash) is exact.
-            let _ = writeln!(
-                out,
-                "    {}: {v}{}",
-                jstr(path),
-                if i + 1 == n { "" } else { "," }
-            );
-        }
-        out.push_str("  }\n}\n");
-        out
+        // Numbers print in shortest round-trip form, so the stored value
+        // (and thus the content hash) is exact.
+        let metrics = self.metrics.iter().map(|(path, v)| (path.clone(), Json::Num(*v)));
+        Json::obj()
+            .field("schema", SCHEMA_VERSION)
+            .field("artifact", &self.artifact)
+            .field("git", &self.git)
+            .field("unix", self.unix)
+            .field("quick", self.quick)
+            .field("metrics", Json::Obj(metrics.collect()))
+            .pretty()
     }
 
     /// FNV-1a content hash of the canonical rendering.
@@ -344,25 +326,6 @@ pub fn matching_paths(records: &[HistoryRecord], query: &str) -> Vec<String> {
         .collect();
     out.sort();
     out.dedup();
-    out
-}
-
-/// Escapes a string for a JSON literal (shared hand-rolled convention).
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 

@@ -19,15 +19,71 @@
 //!
 //! Every line of the ledger is one flat JSON object tagged with `kind`
 //! (`heartbeat` / `shard` / `event` from the engine, `plan_*` / `point_*`
-//! from the runner) and stamped with `t_ms`. The reader is strict about
+//! from the runner) and stamped with `t_ms`. The engine records' wire
+//! form is [`record_json`], next to the reader that looks the same field
+//! names up. The reader is strict about
 //! JSON well-formedness (a malformed line is an error — a truncated final
 //! line, the one legitimate mid-write artifact of `--follow`, is the only
 //! exception) and tolerant about unknown kinds, which it counts but
 //! otherwise ignores so the schema can grow.
 
-use crate::compare::{parse, Json};
+use crate::json::{parse, rounded, Json};
+use rfnoc_sim::{LedgerRecord, TimelineEventKind};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// The wire form of one engine ledger record: a flat object tagged with
+/// `kind`, wall-clock fields at four decimals. The runner's sink stamps
+/// it with `t_ms` and the plan point before streaming it.
+pub fn record_json(rec: &LedgerRecord) -> Json {
+    let r4 = |v: f64| rounded(v, 4);
+    match rec {
+        LedgerRecord::Heartbeat {
+            cycle,
+            cycles,
+            wall_ms,
+            kcycles_per_sec,
+            in_flight,
+            completed,
+            active_routers,
+        } => Json::obj()
+            .field("kind", "heartbeat")
+            .field("cycle", *cycle)
+            .field("cycles", *cycles)
+            .field("wall_ms", r4(*wall_ms))
+            .field("kcycles_per_sec", r4(*kcycles_per_sec))
+            .field("in_flight", *in_flight)
+            .field("completed", *completed)
+            .field("active_routers", *active_routers),
+        LedgerRecord::Shard { cycle, shard, swept_routers, sweep_ms, barrier_ms, replay_ops } => {
+            Json::obj()
+                .field("kind", "shard")
+                .field("cycle", *cycle)
+                .field("shard", *shard)
+                .field("swept_routers", *swept_routers)
+                .field("sweep_ms", r4(*sweep_ms))
+                .field("barrier_ms", r4(*barrier_ms))
+                .field("replay_ops", *replay_ops)
+        }
+        LedgerRecord::Event { cycle, kind } => {
+            let doc = Json::obj().field("kind", "event").field("cycle", *cycle);
+            match kind {
+                TimelineEventKind::Fault(e) => {
+                    doc.field("event", "fault").field("detail", format!("{e:?}"))
+                }
+                TimelineEventKind::RetuneApplied { installed } => {
+                    doc.field("event", "retune_applied").field("installed", *installed)
+                }
+                TimelineEventKind::TablesRewritten => doc.field("event", "tables_rewritten"),
+                TimelineEventKind::RecoveryConverged { fault_cycle, after } => doc
+                    .field("event", "recovery_converged")
+                    .field("fault_cycle", *fault_cycle)
+                    .field("after", *after),
+                TimelineEventKind::WatchdogFired => doc.field("event", "watchdog_fired"),
+            }
+        }
+    }
+}
 
 /// Reads a numeric field of a flat record.
 fn num(rec: &Json, key: &str) -> Option<f64> {
@@ -40,35 +96,6 @@ fn num(rec: &Json, key: &str) -> Option<f64> {
 /// Reads a string field of a flat record.
 fn text<'j>(rec: &'j Json, key: &str) -> Option<&'j str> {
     rec.get(key).and_then(Json::as_str)
-}
-
-/// Escapes a string for a JSON literal (hand-rolled JSON — no serde in
-/// the container; matches the bench artifact conventions).
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats a float as JSON: finite values with 4 decimals, else `null`.
-fn jf64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".into()
-    }
 }
 
 /// Accumulated totals for one engine shard across every `shard` record.
@@ -286,67 +313,33 @@ impl LedgerSummary {
     /// render as an id-keyed array so `compare` aligns them by shard even
     /// across reordered reports.
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"records\": {},", self.records);
-        let _ = writeln!(out, "  \"heartbeats\": {},", self.heartbeats);
-        let _ = writeln!(out, "  \"total_kcycles\": {},", jf64(self.total_cycles / 1e3));
-        let _ = writeln!(out, "  \"kcycles_per_sec_mean\": {},", jf64(self.kcps_mean()));
-        let _ = writeln!(out, "  \"kcycles_per_sec_max\": {},", jf64(self.kcps_max()));
-        let _ = writeln!(
-            out,
-            "  \"span_wall_ms\": {},",
-            jf64(self.t_ms_span.1 - self.t_ms_span.0)
-        );
-        if let Some(v) = self.shard_imbalance() {
-            let _ = writeln!(out, "  \"shard_imbalance\": {},", jf64(v));
-        }
-        if let Some(v) = self.barrier_wait_frac() {
-            let _ = writeln!(out, "  \"barrier_wait_frac\": {},", jf64(v));
-        }
-        if !self.shards.is_empty() {
-            out.push_str("  \"shards\": [\n");
-            let n = self.shards.len();
-            for (i, (id, t)) in self.shards.iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "    {{\"id\": {}, \"swept_routers\": {}, \"sweep_ms\": {}, \
-                     \"barrier_ms\": {}, \"replay_ops\": {}}}{}",
-                    jstr(&format!("shard{id}")),
-                    jf64(t.swept_routers),
-                    jf64(t.sweep_ms),
-                    jf64(t.barrier_ms),
-                    jf64(t.replay_ops),
-                    if i + 1 == n { "" } else { "," },
-                );
-            }
-            out.push_str("  ],\n");
-        }
-        if let Some(p) = self.points_planned {
-            let _ = writeln!(out, "  \"points_planned\": {},", jf64(p));
-        }
-        let _ = writeln!(out, "  \"points_finished\": {},", self.points_finished);
-        if let Some(d) = self.dedup_hits {
-            let _ = writeln!(out, "  \"dedup_hits\": {},", jf64(d));
-        }
-        if let Some(w) = self.plan_wall_ms {
-            let _ = writeln!(out, "  \"plan_wall_ms\": {},", jf64(w));
-        }
-        if !self.events.is_empty() {
-            out.push_str("  \"events\": {\n");
-            let n = self.events.len();
-            for (i, (name, count)) in self.events.iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "    {}: {count}{}",
-                    jstr(name),
-                    if i + 1 == n { "" } else { "," }
-                );
-            }
-            out.push_str("  },\n");
-        }
-        let _ = writeln!(out, "  \"schema_problems\": {}", self.problems.len());
-        out.push_str("}\n");
-        out
+        let r4 = |v: f64| rounded(v, 4);
+        let shards = self.shards.iter().map(|(id, t)| {
+            Json::obj()
+                .field("id", format!("shard{id}"))
+                .field("swept_routers", r4(t.swept_routers))
+                .field("sweep_ms", r4(t.sweep_ms))
+                .field("barrier_ms", r4(t.barrier_ms))
+                .field("replay_ops", r4(t.replay_ops))
+        });
+        let events = self.events.iter().map(|(name, &count)| (name.clone(), count.into()));
+        Json::obj()
+            .field("records", self.records)
+            .field("heartbeats", self.heartbeats)
+            .field("total_kcycles", r4(self.total_cycles / 1e3))
+            .field("kcycles_per_sec_mean", r4(self.kcps_mean()))
+            .field("kcycles_per_sec_max", r4(self.kcps_max()))
+            .field("span_wall_ms", r4(self.t_ms_span.1 - self.t_ms_span.0))
+            .field_opt("shard_imbalance", self.shard_imbalance().map(r4))
+            .field_opt("barrier_wait_frac", self.barrier_wait_frac().map(r4))
+            .field_opt("shards", (!self.shards.is_empty()).then(|| Json::arr(shards)))
+            .field_opt("points_planned", self.points_planned.map(r4))
+            .field("points_finished", self.points_finished)
+            .field_opt("dedup_hits", self.dedup_hits.map(r4))
+            .field_opt("plan_wall_ms", self.plan_wall_ms.map(r4))
+            .field_opt("events", (!self.events.is_empty()).then(|| Json::Obj(events.collect())))
+            .field("schema_problems", self.problems.len())
+            .pretty()
     }
 
     /// Renders the compact live view for `rfnoc-cli tail`.
@@ -556,6 +549,59 @@ mod tests {
         "\"wall_ms\": 2.2, \"avg_latency\": 21.5, \"saturated\": false, ",
         "\"healthy\": true}\n",
     );
+
+    /// Writer to reader: every engine record variant, rendered with
+    /// `line()`, is a record the summary accepts without a schema problem.
+    #[test]
+    fn records_render_as_json_objects() {
+        use rfnoc_sim::FaultEvent;
+        let heartbeat = |cycle| LedgerRecord::Heartbeat {
+            cycle,
+            cycles: 500,
+            wall_ms: 1.25,
+            kcycles_per_sec: 400.0,
+            in_flight: 7,
+            completed: 93,
+            active_routers: 64,
+        };
+        let event = |kind| LedgerRecord::Event { cycle: 123, kind };
+        let records = [
+            heartbeat(500),
+            LedgerRecord::Shard {
+                cycle: 500,
+                shard: 3,
+                swept_routers: 1200,
+                sweep_ms: 0.5,
+                barrier_ms: 0.123_456,
+                replay_ops: 42,
+            },
+            event(TimelineEventKind::Fault(FaultEvent::BandDown)),
+            event(TimelineEventKind::RetuneApplied { installed: 5 }),
+            event(TimelineEventKind::TablesRewritten),
+            event(TimelineEventKind::RecoveryConverged { fault_cycle: 100, after: 23 }),
+            event(TimelineEventKind::WatchdogFired),
+            heartbeat(1000),
+        ];
+        let lines: Vec<String> = records.iter().map(|r| record_json(r).line()).collect();
+        assert_eq!(
+            lines[0],
+            "{\"kind\": \"heartbeat\", \"cycle\": 500, \"cycles\": 500, \"wall_ms\": 1.25, \
+             \"kcycles_per_sec\": 400, \"in_flight\": 7, \"completed\": 93, \
+             \"active_routers\": 64}"
+        );
+        assert!(lines[1].contains("\"shard\": 3, ") && lines[1].contains("\"barrier_ms\": 0.1235"));
+        assert!(lines[2].contains("\"event\": \"fault\", \"detail\": \"BandDown\""));
+
+        let s = LedgerSummary::from_text(&lines.join("\n")).unwrap();
+        assert!(s.problems.is_empty(), "{:?}", s.problems);
+        assert_eq!((s.records, s.unknown_kinds, s.heartbeats), (records.len(), 0, 2));
+        assert_eq!(s.shards[&3].swept_routers, 1200.0);
+        for name in
+            ["fault", "retune_applied", "tables_rewritten", "recovery_converged", "watchdog_fired"]
+        {
+            assert_eq!(s.events.get(name), Some(&1), "{name}");
+        }
+    }
 
     #[test]
     fn sample_ledger_reduces() {

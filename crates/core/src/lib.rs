@@ -60,6 +60,7 @@ pub mod compare;
 mod experiment;
 pub mod gate;
 pub mod history;
+pub mod json;
 pub mod ledger;
 pub mod obs;
 mod phased;

@@ -4,7 +4,7 @@
 //! are informational, and how id-keyed arrays and truncated inputs
 //! behave, since a silent direction flip would invert a gate verdict.
 
-use rfnoc::compare::{compare, direction_of, flatten, parse, Direction};
+use rfnoc::compare::{compare, direction_of, flatten, parse, Direction, Json};
 
 #[test]
 fn higher_is_better_keywords() {
@@ -135,4 +135,42 @@ fn ledger_summary_tolerates_a_truncated_final_line() {
         r#"{"t_ms": 2.0, "kind": "plan_finish", "wall_ms": 3.0}"#,
     );
     assert!(rfnoc::ledger::LedgerSummary::from_text(bad).is_err());
+}
+
+/// Bytes from outside reach the parser through `compare`, `ingest`/`gate`
+/// (history records) and `tail` (ledger lines). Every hostile document
+/// comes back as a typed error or as the correct value — never a panic,
+/// never a stack overflow.
+#[test]
+fn hostile_documents_are_errors_or_values_never_panics() {
+    let unclosed = "[".repeat(200_000);
+    let deep = "[".repeat(1_000) + &"]".repeat(1_000);
+    let text = |s: &str| Some(Json::Str(s.into()));
+    let table: [(&str, Option<Json>); 11] = [
+        (&unclosed, None),
+        (&deep, None),
+        (r#""\ud83d""#, None), // a lone surrogate is not a scalar value
+        (r#""\ud83d\ude00""#, None),
+        (r#""\u12""#, None),
+        (r#""\u12"#, None),
+        ("\"a\u{0}b\"", text("a\u{0}b")), // a raw NUL is carried through
+        (r#""\u0000""#, text("\u{0}")),
+        ("\"\u{d7}\u{1f600}\"", text("\u{d7}\u{1f600}")),
+        ("\u{feff}{}", None),
+        ("{\"a\" 1}", None),
+    ];
+    for (doc, want) in table {
+        let label: String = doc.chars().take(24).collect();
+        let got = parse(doc);
+        assert_eq!(got.as_ref().ok(), want.as_ref(), "{label}");
+        if let Ok(v) = &got {
+            flatten(v);
+        }
+        assert!(rfnoc::history::HistoryRecord::parse_record(doc).is_err(), "{label}");
+        // As a ledger: the hostile line first (an error unless it parses),
+        // and last (forgiven as a truncated tail).
+        let first = rfnoc::ledger::LedgerSummary::from_text(&format!("{doc}\n{{}}\n"));
+        assert_eq!(first.is_ok(), got.is_ok(), "{label}");
+        assert!(rfnoc::ledger::LedgerSummary::from_text(&format!("{{}}\n{doc}")).is_ok());
+    }
 }

@@ -8,9 +8,9 @@
 //! is on (swept routers, sweep wall time, barrier wait, cross-shard
 //! replay volume — the first real measurement of shard imbalance), and
 //! the fault/retune/watchdog events of the existing timeline mirrored
-//! onto the same stream. Each record renders to one JSONL line
-//! ([`LedgerRecord::render_jsonl`]) so higher layers (the bench runner's
-//! sink, `rfnoc-cli tail`) can stream them to a file as they arrive.
+//! onto the same stream. The records are typed; their JSONL wire form
+//! lives with its reader in `rfnoc::ledger`, and the bench runner's sink
+//! streams them to a file as they arrive.
 //!
 //! # Inertness
 //!
@@ -33,7 +33,6 @@
 
 #[allow(clippy::wildcard_imports)]
 use super::*;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Configuration of the run ledger ([`crate::SimConfig::ledger`]).
@@ -106,130 +105,6 @@ pub enum LedgerRecord {
         /// What happened.
         kind: TimelineEventKind,
     },
-}
-
-/// Escapes a string for a JSON literal (the ledger's hand-rolled JSON,
-/// matching the bench artifact conventions — the container has no serde).
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats a float as JSON: finite values with 4 decimals, else `null`.
-fn jf64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".into()
-    }
-}
-
-impl LedgerRecord {
-    /// The record's `kind` tag: `"heartbeat"`, `"shard"`, or `"event"`.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Self::Heartbeat { .. } => "heartbeat",
-            Self::Shard { .. } => "shard",
-            Self::Event { .. } => "event",
-        }
-    }
-
-    /// The record's cycle stamp (a heartbeat's exclusive end cycle).
-    pub fn cycle(&self) -> u64 {
-        match self {
-            Self::Heartbeat { cycle, .. }
-            | Self::Shard { cycle, .. }
-            | Self::Event { cycle, .. } => *cycle,
-        }
-    }
-
-    /// The record's JSON fields, without the surrounding braces — so a
-    /// sink can splice extra context (a timestamp, a plan-point id) into
-    /// the same flat object.
-    pub fn render_fields(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "\"kind\": {}", jstr(self.kind()));
-        match self {
-            Self::Heartbeat {
-                cycle,
-                cycles,
-                wall_ms,
-                kcycles_per_sec,
-                in_flight,
-                completed,
-                active_routers,
-            } => {
-                let _ = write!(
-                    out,
-                    ", \"cycle\": {cycle}, \"cycles\": {cycles}, \"wall_ms\": {}, \
-                     \"kcycles_per_sec\": {}, \"in_flight\": {in_flight}, \
-                     \"completed\": {completed}, \"active_routers\": {active_routers}",
-                    jf64(*wall_ms),
-                    jf64(*kcycles_per_sec),
-                );
-            }
-            Self::Shard { cycle, shard, swept_routers, sweep_ms, barrier_ms, replay_ops } => {
-                let _ = write!(
-                    out,
-                    ", \"cycle\": {cycle}, \"shard\": {shard}, \
-                     \"swept_routers\": {swept_routers}, \"sweep_ms\": {}, \
-                     \"barrier_ms\": {}, \"replay_ops\": {replay_ops}",
-                    jf64(*sweep_ms),
-                    jf64(*barrier_ms),
-                );
-            }
-            Self::Event { cycle, kind } => {
-                let _ = write!(out, ", \"cycle\": {cycle}");
-                match kind {
-                    TimelineEventKind::Fault(e) => {
-                        let _ = write!(
-                            out,
-                            ", \"event\": \"fault\", \"detail\": {}",
-                            jstr(&format!("{e:?}"))
-                        );
-                    }
-                    TimelineEventKind::RetuneApplied { installed } => {
-                        let _ = write!(
-                            out,
-                            ", \"event\": \"retune_applied\", \"installed\": {installed}"
-                        );
-                    }
-                    TimelineEventKind::TablesRewritten => {
-                        out.push_str(", \"event\": \"tables_rewritten\"");
-                    }
-                    TimelineEventKind::RecoveryConverged { fault_cycle, after } => {
-                        let _ = write!(
-                            out,
-                            ", \"event\": \"recovery_converged\", \
-                             \"fault_cycle\": {fault_cycle}, \"after\": {after}"
-                        );
-                    }
-                    TimelineEventKind::WatchdogFired => {
-                        out.push_str(", \"event\": \"watchdog_fired\"");
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// The record as one self-contained JSONL line (no trailing newline).
-    pub fn render_jsonl(&self) -> String {
-        format!("{{{}}}", self.render_fields())
-    }
 }
 
 /// The full ledger stream of one run, returned through
@@ -417,59 +292,5 @@ impl Network {
             records: std::mem::take(&mut l.records),
         };
         self.stats.ledger = Some(Box::new(report));
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn records_render_as_json_objects() {
-        let hb = LedgerRecord::Heartbeat {
-            cycle: 1000,
-            cycles: 500,
-            wall_ms: 1.25,
-            kcycles_per_sec: 400.0,
-            in_flight: 7,
-            completed: 93,
-            active_routers: 64,
-        };
-        let line = hb.render_jsonl();
-        assert!(line.starts_with("{\"kind\": \"heartbeat\""), "{line}");
-        assert!(line.ends_with('}'));
-        assert!(line.contains("\"cycle\": 1000"));
-        assert!(line.contains("\"kcycles_per_sec\": 400.0000"));
-        assert_eq!(hb.kind(), "heartbeat");
-        assert_eq!(hb.cycle(), 1000);
-
-        let sh = LedgerRecord::Shard {
-            cycle: 1000,
-            shard: 3,
-            swept_routers: 1200,
-            sweep_ms: 0.5,
-            barrier_ms: 0.1,
-            replay_ops: 42,
-        };
-        assert!(sh.render_jsonl().contains("\"shard\": 3"));
-        assert_eq!(sh.kind(), "shard");
-
-        let ev = LedgerRecord::Event {
-            cycle: 123,
-            kind: TimelineEventKind::WatchdogFired,
-        };
-        assert!(ev.render_jsonl().contains("\"event\": \"watchdog_fired\""));
-        let retune = LedgerRecord::Event {
-            cycle: 9,
-            kind: TimelineEventKind::RetuneApplied { installed: 5 },
-        };
-        assert!(retune.render_jsonl().contains("\"installed\": 5"));
-    }
-
-    #[test]
-    fn json_helpers_escape_and_bound() {
-        assert_eq!(jstr("a\"b"), "\"a\\\"b\"");
-        assert_eq!(jf64(f64::NAN), "null");
-        assert_eq!(jf64(2.0), "2.0000");
     }
 }

@@ -1,8 +1,8 @@
 //! Integration tests of the run ledger: inertness (identical statistics
 //! with the ledger on or off, serial and sharded, through fault storms),
 //! heartbeat tiling and monotonicity, shard-metric reconciliation against
-//! the engine's active-router visits, JSONL rendering of every record,
-//! and timeline-event mirroring.
+//! the engine's active-router visits, and timeline-event mirroring. (The
+//! records' JSONL form is tested with its writer, in `rfnoc::ledger`.)
 
 use rfnoc_sim::{
     FaultEvent, FaultPlan, LedgerConfig, LedgerRecord, MessageClass, MessageSpec, Network,
@@ -221,10 +221,9 @@ fn shard_records_reconcile_with_active_visits() {
 }
 
 /// Timeline events (faults, retunes) are mirrored onto the ledger stream
-/// with their cycle stamps, and every record renders as a JSONL object
-/// carrying its kind tag.
+/// with their cycle stamps.
 #[test]
-fn events_mirror_and_records_render() {
+fn events_mirror_onto_the_stream() {
     let mut cfg = base_config(2);
     cfg.ledger = Some(LedgerConfig::every(500));
     let stats = run_fault_storm(cfg);
@@ -244,17 +243,6 @@ fn events_mirror_and_records_render() {
     );
     for &c in &fault_cycles {
         assert!(c <= stats.end_cycle);
-    }
-
-    for r in &report.records {
-        let line = r.render_jsonl();
-        assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        assert!(
-            line.starts_with(&format!("{{\"kind\": \"{}\"", r.kind())),
-            "{line}"
-        );
-        assert!(line.contains(&format!("\"cycle\": {}", r.cycle())), "{line}");
-        assert!(!line.contains('\n'), "one record per line: {line}");
     }
 }
 
