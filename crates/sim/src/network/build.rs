@@ -313,3 +313,67 @@ fn validate_fault_plan(plan: &FaultPlan, fabric: &FabricSpec) -> Result<(), SimE
     }
     Ok(())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rfnoc_topology::select::{select_max_cost, SelectionConstraints};
+    use rfnoc_topology::PairWeights;
+
+    fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// FNV-1a of `port_table`, `sp_dist` (little-endian) and `base_table`
+    /// (the empty hash when the fabric keeps none) of a shortest-path
+    /// network over `fabric`, without shortcuts or with the uniform
+    /// max-cost set of budget 16 (corners excluded, as `build_system`
+    /// selects it).
+    fn table_hashes(fabric: FabricSpec, select: bool) -> [u64; 3] {
+        let shortcuts = if select {
+            let graph = GridGraph::from_fabric(&fabric, &[]);
+            let n = graph.node_count();
+            let constraints =
+                SelectionConstraints::allowing_all(n, 16).excluding_corners(&graph);
+            select_max_cost(&graph, &PairWeights::uniform(n), &constraints)
+        } else {
+            Vec::new()
+        };
+        let mut spec = NetworkSpec::with_fabric(fabric, SimConfig::paper_baseline(), shortcuts);
+        spec.routing = RoutingKind::ShortestPath;
+        let net = Network::new(spec);
+        [
+            fnv1a(net.port_table.iter().flatten().copied()),
+            fnv1a(net.sp_dist.iter().flatten().flat_map(|d| d.to_le_bytes())),
+            fnv1a(net.base_table.iter().flatten().copied()),
+        ]
+    }
+
+    /// Computed on the two-step build (next-hop table, then per-pair slot
+    /// search; per-pair `base_port` loop) before it was replaced.
+    #[test]
+    fn routing_tables_hash_to_their_pins() {
+        let mesh = |side| FabricSpec::mesh(GridDims::new(side, side));
+        let ring = |side| FabricSpec::ring_mesh(GridDims::new(side, side), 4);
+        const NO_BASE_TABLE: u64 = 0xcbf2_9ce4_8422_2325;
+        let pins = [
+            (mesh(16), false, [0xf969a9792580f225, 0x8c52b32c735c8725, NO_BASE_TABLE]),
+            (mesh(16), true, [0x31eb7c4794f45826, 0xc73a1732130fbee8, NO_BASE_TABLE]),
+            (ring(16), false, [0x11beef11dd2e7785, 0x72088e2abebc4725, 0x8e84bfa5ed85bd25]),
+            (ring(16), true, [0x8cdf3af9e82b979c, 0xa31b6c48a6531345, 0x8e84bfa5ed85bd25]),
+            (mesh(32), false, [0x724f6180d86a4725, 0x0f8efc86bbf5d525, NO_BASE_TABLE]),
+            (mesh(32), true, [0x382126137c140e0c, 0xa1daa6e42a7c0fc8, NO_BASE_TABLE]),
+            (ring(32), false, [0x73f3f6d29687c4a5, 0x26a94f613e79fd25, 0xcf2ddaab9a31b725]),
+            (ring(32), true, [0x5065959302b18929, 0x24de2b075c99de05, 0xcf2ddaab9a31b725]),
+        ];
+        for (fabric, select, want) in pins {
+            assert_eq!(
+                table_hashes(fabric, select),
+                want,
+                "{fabric} select={select}: [port_table, sp_dist, base_table]"
+            );
+        }
+    }
+}
