@@ -55,7 +55,7 @@ fn main() {
 
     let objective = |set: &[Shortcut]| {
         let g = GridGraph::with_shortcuts(graph.dims(), set);
-        GridGraph::total_cost(&g.distances(), weights.as_slice())
+        GridGraph::total_cost(&g.distances(), &weights)
     };
     let base_obj = objective(&[]);
     let rows = vec![

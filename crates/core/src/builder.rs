@@ -43,7 +43,7 @@ pub struct BuiltSystem {
 /// additionally carries its ring wrap edges and gateway chains.
 fn directed_mesh_links(placement: &Placement) -> usize {
     let fabric = placement.fabric();
-    (0..fabric.dims().nodes()).map(|r| fabric.neighbors(r).len()).sum()
+    (0..fabric.nodes()).map(|r| fabric.degree(r)).sum()
 }
 
 /// Selects the architecture-specific (design-time) shortcut set: uniform

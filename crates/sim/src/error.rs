@@ -26,10 +26,11 @@ pub enum ConfigError {
     ZeroBufferDepth,
     /// A router dimension is larger than the engine's flat router block
     /// can index: `vcs_adaptive + vcs_escape` above the width of the
-    /// per-port VC masks, or `buffer_depth` above the range of the `u8`
-    /// ring positions and credit counts.
+    /// per-port VC masks, `buffer_depth` above the range of the `u8`
+    /// ring positions and credit counts, or a fabric whose widest router
+    /// has more ports than the per-router port masks.
     ShapeTooLarge {
-        /// The offending `SimConfig` parameter.
+        /// The offending parameter.
         parameter: &'static str,
         /// Its configured value.
         value: usize,
@@ -210,6 +211,11 @@ pub enum SimError {
     ShortcutsOnXy,
     /// RF multicast mode without an [`crate::McConfig`].
     MissingMcConfig,
+    /// The [`crate::McConfig`] is inconsistent with itself or the grid.
+    InvalidMcConfig {
+        /// Why the configuration is invalid.
+        reason: String,
+    },
     /// The fault plan names a resource outside the network.
     InvalidFault {
         /// The cycle of the offending event.
@@ -239,6 +245,7 @@ impl fmt::Display for SimError {
                 write!(f, "XY routing cannot use shortcuts; use ShortestPath")
             }
             Self::MissingMcConfig => write!(f, "RF multicast requires an McConfig"),
+            Self::InvalidMcConfig { reason } => write!(f, "invalid McConfig: {reason}"),
             Self::InvalidFault { cycle, reason } => {
                 write!(f, "invalid fault event at cycle {cycle}: {reason}")
             }

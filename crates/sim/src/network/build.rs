@@ -27,8 +27,10 @@ impl Network {
     /// shortcut set (out-of-range endpoint, self-loop, or more than one
     /// inbound or outbound shortcut per router), shortcuts on an XY-routed
     /// network, a fault plan naming resources outside the network, RF
-    /// multicast without an [`McConfig`], or RF broadcast multicast on a
-    /// non-mesh fabric (the broadcast medium spans the mesh only).
+    /// multicast without an [`McConfig`] or with an inconsistent one, RF
+    /// broadcast multicast on a non-mesh fabric (the broadcast medium spans
+    /// the mesh only), or a fabric with more ports per router than the
+    /// engine supports.
     pub fn try_new(spec: NetworkSpec) -> Result<Self, SimError> {
         spec.config.validate()?;
         let fabric = spec.fabric;
@@ -38,12 +40,7 @@ impl Network {
         let vcs = spec.config.total_vcs();
         let max_base = fabric.max_base_slots();
         let max_ports = max_base + 2;
-        assert!(
-            max_ports <= crate::router::MAX_ROUTER_PORTS,
-            "fabric {fabric} needs {max_ports} ports per router, \
-             above the engine cap of {}",
-            crate::router::MAX_ROUTER_PORTS
-        );
+        check_port_count(max_ports)?;
         let base_ports: Vec<u8> = (0..n).map(|r| fabric.base_slot_count(r) as u8).collect();
 
         if spec.routing == RoutingKind::Xy && !spec.shortcuts.is_empty() {
@@ -53,13 +50,11 @@ impl Network {
         if !spec.shortcuts.is_empty() && spec.config.vcs_adaptive == 0 {
             // Escape VCs never ride RF, so a shortcut-bearing network needs
             // at least one adaptive VC (vcs_escape < total_vcs).
-            return Err(SimError::Config(crate::error::ConfigError::NoAdaptiveVcs));
+            return Err(SimError::Config(ConfigError::NoAdaptiveVcs));
         }
         validate_fault_plan(&spec.faults, &fabric)?;
         if matches!(spec.multicast, MulticastMode::Rf) {
-            if spec.mc.is_none() {
-                return Err(SimError::MissingMcConfig);
-            }
+            spec.mc.as_ref().ok_or(SimError::MissingMcConfig)?.validate(n)?;
             if !fabric.is_mesh() {
                 return Err(SimError::RfMulticastNeedsMesh);
             }
@@ -74,18 +69,7 @@ impl Network {
         // Precompute the base-route port table for non-mesh fabrics; the
         // mesh keeps deriving its base route with the literal XY
         // computation (no table lookup on the escape path).
-        let base_table: Option<Vec<u8>> = if fabric.is_mesh() {
-            None
-        } else {
-            let mut bt = vec![0u8; n * n];
-            for r in 0..n {
-                for d in 0..n {
-                    bt[r * n + d] =
-                        if r == d { base_ports[r] } else { fabric.base_port(r, d) };
-                }
-            }
-            Some(bt)
-        };
+        let base_table = (!fabric.is_mesh()).then(|| fabric.base_port_table());
 
         let (port_table, sp_dist) = match spec.routing {
             RoutingKind::Xy => (None, None),
@@ -145,7 +129,6 @@ impl Network {
         let (mc_queues, vct_table) = match &spec.multicast {
             MulticastMode::Rf => {
                 let mc = spec.mc.as_ref().expect("checked above");
-                mc.validate(n);
                 (vec![VecDeque::new(); mc.transmitters.len()], None)
             }
             MulticastMode::Vct(cfg) => (Vec::new(), Some(VctTable::new(*cfg))),
@@ -235,9 +218,26 @@ impl Network {
     }
 }
 
+/// Rejects a fabric whose widest router has more ports than the engine's
+/// per-router port masks and scratch arrays hold.
+fn check_port_count(max_ports: usize) -> Result<(), ConfigError> {
+    if max_ports > MAX_ROUTER_PORTS {
+        return Err(ConfigError::ShapeTooLarge {
+            parameter: "ports per router",
+            value: max_ports,
+            limit: MAX_ROUTER_PORTS,
+        });
+    }
+    Ok(())
+}
+
 /// Shortest-path out-port and hop-distance tables (`router * n + dest`)
 /// over the intact `fabric` plus `shortcuts`: the next hop's base slot, or
 /// the RF port when the next hop is only reachable over a shortcut.
+///
+/// Both tables are built once and handed over: the distances are the APSP
+/// matrix itself, the ports are the routing tables' own buffer with every
+/// neighbour position rewritten in place to that neighbour's port.
 pub(super) fn shortest_path_tables(
     fabric: &FabricSpec,
     base_ports: &[u8],
@@ -246,37 +246,20 @@ pub(super) fn shortest_path_tables(
     let n = fabric.nodes();
     let graph = GridGraph::from_fabric(fabric, shortcuts);
     let dist = graph.distances();
-    let tables = RoutingTables::from_distances(&graph, &dist);
-    let mut pt = vec![0u8; n * n];
-    let mut dm = vec![0u32; n * n];
-    let mut slot_of: Vec<(NodeId, u8)> = Vec::with_capacity(fabric.max_base_slots());
-    for r in 0..n {
-        // One neighbour -> slot map per router instead of a fabric
-        // adjacency query per (router, destination) pair.
-        slot_of.clear();
-        slot_of.extend(
-            (0..base_ports[r]).filter_map(|slot| Some((fabric.port_neighbor(r, slot)?, slot))),
-        );
-        for d in 0..n {
-            dm[r * n + d] = dist.get(r, d);
-            pt[r * n + d] = if r == d {
-                base_ports[r]
-            } else {
-                let next = tables.next_hop(r, d);
-                match slot_of.iter().find(|&&(nb, _)| nb == next) {
-                    Some(&(_, slot)) => slot,
-                    None => {
-                        debug_assert!(
-                            shortcuts.iter().any(|s| s.src == r && s.dst == next),
-                            "non-adjacent hop without shortcut"
-                        );
-                        base_ports[r] + 1
-                    }
-                }
-            };
+    let mut pt = RoutingTables::from_distances(&graph, &dist).into_neighbor_indices();
+    let mut port_of = [0u8; 256];
+    for (r, row) in pt.chunks_exact_mut(n).enumerate() {
+        // One neighbour-position -> port map per router instead of a
+        // fabric adjacency query per (router, destination) pair.
+        for (k, &nb) in graph.neighbors(r).iter().enumerate() {
+            port_of[k] = fabric.port_between(r, nb).unwrap_or(base_ports[r] + 1);
+        }
+        port_of[usize::from(RoutingTables::SELF)] = base_ports[r];
+        for entry in row {
+            *entry = port_of[usize::from(*entry)];
         }
     }
-    (pt, dm)
+    (pt, dist.into_vec())
 }
 
 /// Checks every scheduled fault event against the network's topology.
@@ -349,6 +332,19 @@ mod tests {
             fnv1a(net.sp_dist.iter().flatten().flat_map(|d| d.to_le_bytes())),
             fnv1a(net.base_table.iter().flatten().copied()),
         ]
+    }
+
+    #[test]
+    fn too_many_ports_per_router_is_a_config_error() {
+        assert_eq!(check_port_count(MAX_ROUTER_PORTS), Ok(()));
+        assert_eq!(
+            check_port_count(MAX_ROUTER_PORTS + 1),
+            Err(ConfigError::ShapeTooLarge {
+                parameter: "ports per router",
+                value: MAX_ROUTER_PORTS + 1,
+                limit: MAX_ROUTER_PORTS,
+            })
+        );
     }
 
     /// Computed on the two-step build (next-hop table, then per-pair slot

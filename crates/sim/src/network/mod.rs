@@ -1,7 +1,7 @@
 //! The network: routers, links, RF-I overlay, and the cycle-level engine.
 
 use crate::config::SimConfig;
-use crate::error::{check_shortcut_set, ReconfigError, SimError};
+use crate::error::{check_shortcut_set, ConfigError, ReconfigError, SimError};
 use crate::fault::{FaultEvent, FaultPlan, HealthReport};
 use crate::packet::{DestSet, Destination, MessageSpec};
 use crate::rfmc::{plan_delivery, DeliveryPlan, McConfig, McTransmission};

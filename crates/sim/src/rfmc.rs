@@ -9,6 +9,7 @@
 //! cores it serves are addressed — if not, it power-gates for the
 //! remainder of the message.
 
+use crate::error::SimError;
 use crate::packet::DestSet;
 use rfnoc_topology::{GridDims, NodeId};
 
@@ -69,22 +70,42 @@ impl McConfig {
 
     /// Validates internal consistency against a grid of `nodes` routers.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on out-of-range ids or empty transmitter/receiver sets.
-    pub fn validate(&self, nodes: usize) {
-        assert!(!self.transmitters.is_empty(), "at least one multicast transmitter");
-        assert!(!self.receivers.is_empty(), "at least one multicast receiver");
-        assert_eq!(self.cluster_of.len(), nodes);
-        assert_eq!(self.serving.len(), nodes);
+    /// Returns [`SimError::InvalidMcConfig`] for an empty transmitter or
+    /// receiver set, a router or cluster id out of range, a map that does
+    /// not cover every router, a zero arbitration epoch or a zero flit
+    /// width.
+    pub fn validate(&self, nodes: usize) -> Result<(), SimError> {
+        ensure(!self.transmitters.is_empty(), || "no multicast transmitter".into())?;
+        ensure(!self.receivers.is_empty(), || "no multicast receiver".into())?;
+        for (name, len) in [("cluster_of", self.cluster_of.len()), ("serving", self.serving.len())]
+        {
+            ensure(len == nodes, || format!("{name} covers {len} routers, the grid has {nodes}"))?;
+        }
         for &t in &self.transmitters {
-            assert!(t < nodes, "transmitter {t} out of range");
+            ensure(t < nodes, || format!("transmitter {t} out of range"))?;
         }
-        for &r in &self.receivers {
-            assert!(r < nodes, "receiver {r} out of range");
+        for &r in self.receivers.iter().chain(self.serving.iter().flatten()) {
+            ensure(r < nodes, || format!("receiver {r} out of range"))?;
         }
-        assert!(self.epoch_cycles > 0, "epoch must be non-zero");
-        assert!(self.rf_flit_bytes > 0);
+        let clusters = self.transmitters.len();
+        for &c in self.cluster_of.iter().flatten() {
+            ensure(c < clusters, || {
+                format!("cluster {c} has no transmitter ({clusters} configured)")
+            })?;
+        }
+        ensure(self.epoch_cycles > 0, || "arbitration epoch must be non-zero".into())?;
+        ensure(self.rf_flit_bytes > 0, || "RF flit width must be non-zero".into())
+    }
+}
+
+/// `Ok` when `ok` holds, otherwise [`SimError::InvalidMcConfig`] with `reason`.
+fn ensure(ok: bool, reason: impl FnOnce() -> String) -> Result<(), SimError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(SimError::InvalidMcConfig { reason: reason() })
     }
 }
 
@@ -151,6 +172,51 @@ mod tests {
         assert_eq!(cfg.broadcast_flits(7), 1 + 1);
         assert_eq!(cfg.broadcast_flits(16), 1 + 1);
         assert_eq!(cfg.broadcast_flits(17), 1 + 2);
+    }
+
+    /// Every way `validate` can fail is an `InvalidMcConfig`, through
+    /// `Network::try_new` too, and none of them panics.
+    #[test]
+    fn inconsistent_configs_are_typed_errors() {
+        use crate::{MulticastMode, Network, NetworkSpec, SimConfig};
+        let good = McConfig {
+            transmitters: vec![0],
+            cluster_of: vec![Some(0); 16],
+            receivers: vec![5],
+            serving: vec![Some(5); 16],
+            epoch_cycles: 24,
+            rf_flit_bytes: 16,
+        };
+        assert_eq!(good.validate(16), Ok(()));
+        type Breakage = fn(&mut McConfig);
+        let broken: [(&str, Breakage); 10] = [
+            ("no multicast transmitter", |mc| mc.transmitters.clear()),
+            ("no multicast receiver", |mc| mc.receivers.clear()),
+            ("cluster_of covers 15", |mc| mc.cluster_of.truncate(15)),
+            ("serving covers 17", |mc| mc.serving.push(None)),
+            ("transmitter 16 out of range", |mc| mc.transmitters[0] = 16),
+            ("receiver 99 out of range", |mc| mc.receivers[0] = 99),
+            ("receiver 16 out of range", |mc| mc.serving[3] = Some(16)),
+            ("cluster 1 has no transmitter", |mc| mc.cluster_of[7] = Some(1)),
+            ("epoch must be non-zero", |mc| mc.epoch_cycles = 0),
+            ("flit width must be non-zero", |mc| mc.rf_flit_bytes = 0),
+        ];
+        for (expected, breakage) in broken {
+            let mut mc = good.clone();
+            breakage(&mut mc);
+            let mut spec =
+                NetworkSpec::mesh_baseline(GridDims::new(4, 4), SimConfig::paper_baseline());
+            spec.multicast = MulticastMode::Rf;
+            spec.mc = Some(mc.clone());
+            for result in [mc.validate(16), Network::try_new(spec).map(drop)] {
+                match result {
+                    Err(SimError::InvalidMcConfig { reason }) => {
+                        assert!(reason.contains(expected), "{expected:?} vs {reason:?}")
+                    }
+                    other => panic!("{expected}: expected InvalidMcConfig, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! All-pairs shortest-path distances with incremental edge evaluation.
 
 use crate::graph::{GridGraph, NodeId};
-use std::collections::VecDeque;
+use crate::weights::PairWeights;
 
 /// Distance value used to mark unreachable pairs.
 pub const UNREACHABLE: u32 = u32::MAX;
@@ -23,19 +23,31 @@ impl DistanceMatrix {
     /// Computes all-pairs shortest paths over `graph` by BFS from each node.
     pub fn from_graph(graph: &GridGraph) -> Self {
         let n = graph.node_count();
+        // One flat `u32` adjacency and one array queue serve all `V`
+        // searches: every node enters the queue at most once per source.
+        let mut starts = Vec::with_capacity(n + 1);
+        let mut targets: Vec<u32> = Vec::new();
+        for u in 0..n {
+            starts.push(targets.len());
+            targets.extend(graph.neighbors(u).iter().map(|&v| v as u32));
+        }
+        starts.push(targets.len());
         let mut d = vec![UNREACHABLE; n * n];
-        let mut queue = VecDeque::with_capacity(n);
-        for src in 0..n {
-            let row = &mut d[src * n..(src + 1) * n];
+        let mut queue = vec![0u32; n];
+        for (src, row) in d.chunks_exact_mut(n).enumerate() {
             row[src] = 0;
-            queue.clear();
-            queue.push_back(src);
-            while let Some(u) = queue.pop_front() {
-                let du = row[u];
-                for &v in graph.neighbors(u) {
-                    if row[v] == UNREACHABLE {
-                        row[v] = du + 1;
-                        queue.push_back(v);
+            queue[0] = src as u32;
+            let (mut head, mut tail) = (0, 1);
+            while head < tail {
+                let u = queue[head] as usize;
+                head += 1;
+                let via_u = row[u] + 1;
+                for &v in &targets[starts[u]..starts[u + 1]] {
+                    let dv = &mut row[v as usize];
+                    if *dv == UNREACHABLE {
+                        *dv = via_u;
+                        queue[tail] = v;
+                        tail += 1;
                     }
                 }
             }
@@ -56,6 +68,20 @@ impl DistanceMatrix {
     pub fn get(&self, src: NodeId, dst: NodeId) -> u32 {
         assert!(src < self.n && dst < self.n, "node index out of range");
         self.d[src * self.n + dst]
+    }
+
+    /// The distances out of `src`, indexed by destination.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is out of range.
+    pub fn row(&self, src: NodeId) -> &[u32] {
+        &self.d[src * self.n..(src + 1) * self.n]
+    }
+
+    /// The flattened `V×V` matrix (`src * V + dst`), moved out.
+    pub fn into_vec(self) -> Vec<u32> {
+        self.d
     }
 
     /// The network diameter: the maximum finite pairwise distance.
@@ -89,26 +115,26 @@ impl DistanceMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if `weights.len() != V²`.
-    pub fn improvement_if_added(&self, i: NodeId, j: NodeId, weights: &[f64]) -> f64 {
-        let n = self.n;
-        assert_eq!(weights.len(), n * n, "weights must be V*V");
+    /// Panics if `weights` covers a different node count.
+    pub fn improvement_if_added(&self, i: NodeId, j: NodeId, weights: &PairWeights) -> f64 {
+        assert_eq!(weights.node_count(), self.n, "weights node count mismatch");
+        let row_j = self.row(j);
         let mut gain = 0.0;
-        for x in 0..n {
-            let dxi = self.d[x * n + i];
+        for x in 0..self.n {
+            let row_x = self.row(x);
+            let dxi = row_x[i];
             if dxi == UNREACHABLE {
                 continue;
             }
             let base = dxi as u64 + 1;
-            for y in 0..n {
-                let dxy = self.d[x * n + y];
-                let djy = self.d[j * n + y];
+            let w_x = weights.row(x);
+            for (y, (&dxy, &djy)) in row_x.iter().zip(row_j).enumerate() {
                 if djy == UNREACHABLE || dxy == UNREACHABLE {
                     continue;
                 }
                 let via = base + djy as u64;
                 if (via as u32 as u64) < dxy as u64 {
-                    gain += weights[x * n + y] * (dxy as u64 - via) as f64;
+                    gain += w_x.map_or(1.0, |w| w[y]) * (dxy as u64 - via) as f64;
                 }
             }
         }
@@ -121,24 +147,39 @@ impl DistanceMatrix {
     /// After [`GridGraph::add_shortcut`] this is equivalent to a full APSP
     /// recomputation for a single added edge.
     pub fn apply_edge(&mut self, i: NodeId, j: NodeId) {
+        self.apply_edge_with(i, j, |_, _| {});
+    }
+
+    /// [`DistanceMatrix::apply_edge`], calling `touched(x, row_x)` with the
+    /// updated row of every source whose distances may have shrunk.
+    ///
+    /// Only rows with `d(x,i) + 1 < d(x,j)` are visited: anywhere else the
+    /// triangle inequality gives `d(x,i) + 1 + d(j,y) ≥ d(x,j) + d(j,y) ≥
+    /// d(x,y)`, so the new edge shortens nothing out of `x`. Row `j` is
+    /// among the skipped ones, which lets every other row be updated
+    /// against it in place.
+    pub(crate) fn apply_edge_with(
+        &mut self,
+        i: NodeId,
+        j: NodeId,
+        mut touched: impl FnMut(NodeId, &[u32]),
+    ) {
         let n = self.n;
-        // Copy row j and column i to avoid aliasing during the update.
-        let row_j: Vec<u32> = self.d[j * n..(j + 1) * n].to_vec();
-        let col_i: Vec<u32> = (0..n).map(|x| self.d[x * n + i]).collect();
-        for (x, &dxi) in col_i.iter().enumerate() {
-            if dxi == UNREACHABLE {
+        assert!(i < n && j < n, "node index out of range");
+        let (before, rest) = self.d.split_at_mut(j * n);
+        let (row_j, after) = rest.split_at_mut(n);
+        let rows = before.chunks_exact_mut(n).chain(after.chunks_exact_mut(n));
+        for (x, row_x) in (0..n).filter(|&x| x != j).zip(rows) {
+            let dxi = row_x[i];
+            if dxi == UNREACHABLE || dxi + 1 >= row_x[j] {
                 continue;
             }
-            for (y, &djy) in row_j.iter().enumerate() {
-                if djy == UNREACHABLE {
-                    continue;
-                }
-                let via = dxi as u64 + 1 + djy as u64;
-                let cur = &mut self.d[x * n + y];
-                if via < *cur as u64 {
-                    *cur = via as u32;
-                }
+            // `d(j,y) ≤ UNREACHABLE`, so a saturated sum never wins.
+            let base = dxi + 1;
+            for (dxy, &djy) in row_x.iter_mut().zip(&*row_j) {
+                *dxy = (*dxy).min(base.saturating_add(djy));
             }
+            touched(x, row_x);
         }
     }
 }
@@ -179,7 +220,7 @@ mod tests {
         let g = GridGraph::mesh(dims);
         let d = g.distances();
         let n = dims.nodes();
-        let weights = vec![1.0; n * n];
+        let weights = PairWeights::uniform(n);
         let before = GridGraph::total_cost(&d, &weights);
         for &(i, j) in &[(0usize, 48usize), (6, 42), (10, 38)] {
             let predicted = d.improvement_if_added(i, j, &weights);

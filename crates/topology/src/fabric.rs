@@ -232,6 +232,14 @@ impl FabricSpec {
         (0..self.base_slot_count(a) as u8).find(|&slot| self.port_neighbor(a, slot) == Some(b))
     }
 
+    /// Number of base links at `r`: its slots that do not face the grid
+    /// boundary.
+    pub fn degree(&self, r: NodeId) -> usize {
+        (0..self.base_slot_count(r) as u8)
+            .filter(|&slot| self.port_neighbor(r, slot).is_some())
+            .count()
+    }
+
     /// Neighbours of `r` in slot order, skipping boundary slots — the
     /// adjacency-list order used by [`crate::GridGraph`].
     pub fn neighbors(&self, r: NodeId) -> Vec<NodeId> {
@@ -293,6 +301,63 @@ impl FabricSpec {
             .expect("base route must follow a fabric edge")
     }
 
+    /// [`FabricSpec::base_port`] for every ordered pair, as one flat table
+    /// (`router * nodes + dest`). The diagonal, where there is no outgoing
+    /// slot, holds `base_slot_count(router)` — the first virtual slot after
+    /// the base slots.
+    ///
+    /// Rows are filled whole from the shape of the base route rather than
+    /// pair by pair: a mesh row is XY over the destination's coordinates; a
+    /// ring station sends its own tile's later stations up the chain and
+    /// everything else down it; a gateway routes XY over tile coordinates
+    /// and sends its own tile up the chain.
+    pub fn base_port_table(&self) -> Vec<u8> {
+        let n = self.nodes();
+        let dims = self.dims();
+        let ring = match *self {
+            Self::Mesh { .. } => None,
+            Self::RingMesh { tile, .. } => Some(RingMeshView::new(dims, tile)),
+        };
+        // Where the XY part of the route steers by: grid cells on the mesh,
+        // tiles on the ring-mesh.
+        let cells: Vec<(usize, usize)> = (0..n)
+            .map(|d| match &ring {
+                None => {
+                    let c = dims.coord_of(d);
+                    (c.x as usize, c.y as usize)
+                }
+                Some(v) => v.tile_of(d),
+            })
+            .collect();
+        let mut table = vec![0u8; n * n];
+        for (r, row) in table.chunks_exact_mut(n).enumerate() {
+            let at = cells[r];
+            match &ring {
+                None => {
+                    for (port, &to) in row.iter_mut().zip(&cells) {
+                        *port = xy_slot(at, to).unwrap_or(0);
+                    }
+                }
+                Some(v) => match v.snake_of(r) {
+                    // The gateway-mesh slots follow the two ring slots.
+                    0 => {
+                        for (port, &to) in row.iter_mut().zip(&cells) {
+                            *port = xy_slot(at, to).map_or(SLOT_RING_NEXT, |slot| slot + 2);
+                        }
+                    }
+                    s => {
+                        row.fill(SLOT_RING_PREV);
+                        for later in s + 1..v.tile * v.tile {
+                            row[v.node_at(at.0, at.1, later)] = SLOT_RING_NEXT;
+                        }
+                    }
+                },
+            }
+            row[r] = self.base_slot_count(r) as u8;
+        }
+        table
+    }
+
     /// The longest base route between any pair of routers — the diameter of
     /// the escape fabric, used to size distance histograms.
     pub fn max_route_len(&self) -> u32 {
@@ -343,6 +408,19 @@ impl fmt::Display for FabricSpec {
 impl Default for FabricSpec {
     fn default() -> Self {
         Self::Mesh { dims: GridDims::paper_baseline() }
+    }
+}
+
+/// The mesh slot (N/S/E/W) of the XY route from grid position `at` toward
+/// `to`: X first, then Y; `None` once there.
+fn xy_slot(at: (usize, usize), to: (usize, usize)) -> Option<u8> {
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    match (at.0.cmp(&to.0), at.1.cmp(&to.1)) {
+        (Less, _) => Some(SLOT_E),
+        (Greater, _) => Some(SLOT_W),
+        (Equal, Less) => Some(SLOT_S),
+        (Equal, Greater) => Some(SLOT_N),
+        (Equal, Equal) => None,
     }
 }
 

@@ -3,6 +3,7 @@
 use crate::dist::DistanceMatrix;
 use crate::fabric::FabricSpec;
 use crate::geom::{Coord, GridDims};
+use crate::weights::PairWeights;
 use std::fmt;
 
 /// Index of a router node in the grid (row-major linearisation).
@@ -168,17 +169,22 @@ impl GridGraph {
     }
 
     /// Total pairwise cost `Σ_{x≠y} weight(x,y) · d(x,y)` under the supplied
-    /// distance matrix and per-pair weights (flattened `V×V`, row = source).
+    /// distance matrix and per-pair weights.
     ///
     /// This is the objective the selection heuristics minimise (§3.2.1).
-    pub fn total_cost(dist: &DistanceMatrix, weights: &[f64]) -> f64 {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` covers a different node count.
+    pub fn total_cost(dist: &DistanceMatrix, weights: &PairWeights) -> f64 {
         let n = dist.node_count();
-        assert_eq!(weights.len(), n * n, "weights must be V*V");
+        assert_eq!(weights.node_count(), n, "weights node count mismatch");
         let mut total = 0.0;
         for x in 0..n {
-            for y in 0..n {
+            let w_x = weights.row(x);
+            for (y, &d) in dist.row(x).iter().enumerate() {
                 if x != y {
-                    total += weights[x * n + y] * dist.get(x, y) as f64;
+                    total += w_x.map_or(1.0, |w| w[y]) * d as f64;
                 }
             }
         }
@@ -242,7 +248,7 @@ mod tests {
     fn total_cost_uniform_mesh() {
         let g = GridGraph::mesh(GridDims::new(2, 2));
         let d = g.distances();
-        let w = vec![1.0; 16];
+        let w = PairWeights::uniform(4);
         // distances: each corner to the two adjacent = 1, diagonal = 2.
         // sum over ordered pairs = 4 nodes * (1+1+2) = 16
         assert_eq!(GridGraph::total_cost(&d, &w), 16.0);

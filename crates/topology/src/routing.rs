@@ -6,7 +6,7 @@
 //! port each). This module computes those tables and provides the XY
 //! baseline used by the escape virtual channels.
 
-use crate::dist::{DistanceMatrix, UNREACHABLE};
+use crate::dist::DistanceMatrix;
 use crate::geom::GridDims;
 use crate::graph::{GridGraph, NodeId};
 
@@ -16,15 +16,25 @@ use crate::graph::{GridGraph, NodeId};
 /// Tie-breaking is deterministic: a shortcut edge is preferred over a mesh
 /// edge of equal progress (shortcuts are single-cycle express channels),
 /// then the lowest node index wins.
+///
+/// A table entry is one byte: the position of the chosen neighbour in
+/// [`GridGraph::neighbors`] of its router.
 #[derive(Debug, Clone)]
 pub struct RoutingTables {
     n: usize,
-    /// `table[router * n + dest]` = next node, or `router` itself when
-    /// `dest == router`.
-    table: Vec<NodeId>,
+    /// `index[router * n + dest]` = position of the next node among
+    /// `router`'s neighbours, or [`RoutingTables::SELF`] on the diagonal.
+    index: Vec<u8>,
+    /// Every router's neighbour list, flattened; `starts[router]` is where
+    /// its own begins.
+    neighbors: Vec<NodeId>,
+    starts: Vec<usize>,
 }
 
 impl RoutingTables {
+    /// The neighbour index stored where `dest == router`.
+    pub const SELF: u8 = u8::MAX;
+
     /// Builds shortest-path next-hop tables for `graph`.
     pub fn shortest_path(graph: &GridGraph) -> Self {
         let dist = graph.distances();
@@ -33,46 +43,50 @@ impl RoutingTables {
 
     /// Builds the tables from a pre-computed distance matrix for `graph`.
     ///
+    /// Each router's row is one streaming pass per neighbour over that
+    /// neighbour's distance row and the router's own.
+    ///
     /// # Panics
     ///
-    /// Panics if the matrix does not match the graph, or if any pair is
-    /// unreachable (cannot happen for a connected mesh).
+    /// Panics if the matrix does not match the graph, if a router has more
+    /// than 255 neighbours, or if any pair is unreachable (cannot happen
+    /// for a connected mesh).
     pub fn from_distances(graph: &GridGraph, dist: &DistanceMatrix) -> Self {
         let n = graph.node_count();
         assert_eq!(dist.node_count(), n, "distance matrix mismatch");
-        let mut table = vec![0usize; n * n];
-        for router in 0..n {
-            let neighbors = graph.neighbors(router);
-            let mesh_degree = mesh_degree(graph, router);
-            for dest in 0..n {
-                if router == dest {
-                    table[router * n + dest] = router;
-                    continue;
+        let mut neighbors = Vec::new();
+        let mut starts = Vec::with_capacity(n);
+        let mut index = vec![Self::SELF; n * n];
+        // (shortcut?, node, position) of each neighbour, least preferred
+        // first, so the write of the most preferred one lands last.
+        let mut order: Vec<(bool, NodeId, u8)> = Vec::new();
+        for (router, out) in index.chunks_exact_mut(n).enumerate() {
+            let own = graph.neighbors(router);
+            assert!(own.len() < usize::from(Self::SELF), "router {router} has too many neighbours");
+            starts.push(neighbors.len());
+            neighbors.extend_from_slice(own);
+            // Shortcut targets are listed after the base-fabric neighbours.
+            let base_degree =
+                own.len() - graph.shortcuts().iter().filter(|s| s.src == router).count();
+            order.clear();
+            order.extend(own.iter().enumerate().map(|(k, &nb)| (k >= base_degree, nb, k as u8)));
+            order.sort_unstable_by_key(|&(shortcut, nb, _)| (shortcut, std::cmp::Reverse(nb)));
+            let to_dest = dist.row(router);
+            for &(_, nb, k) in &order {
+                for ((slot, &via), &direct) in out.iter_mut().zip(dist.row(nb)).zip(to_dest) {
+                    // An unreachable `via` wraps to 0, which only the
+                    // diagonal's `direct` equals; the diagonal is reset below.
+                    *slot = if via.wrapping_add(1) == direct { k } else { *slot };
                 }
-                let d = dist.get(router, dest);
-                assert_ne!(d, UNREACHABLE, "mesh must be connected");
-                // Choose the neighbour strictly decreasing distance; prefer
-                // shortcut neighbours (listed after the ≤4 mesh neighbours).
-                let mut chosen: Option<(bool, NodeId)> = None;
-                for (idx, &nb) in neighbors.iter().enumerate() {
-                    if dist.get(nb, dest) + 1 == d {
-                        let is_shortcut = idx >= mesh_degree;
-                        let better = match chosen {
-                            None => true,
-                            Some((cs, cn)) => {
-                                (is_shortcut && !cs) || (is_shortcut == cs && nb < cn)
-                            }
-                        };
-                        if better {
-                            chosen = Some((is_shortcut, nb));
-                        }
-                    }
-                }
-                table[router * n + dest] =
-                    chosen.expect("some neighbour must lie on a shortest path").1;
             }
+            out[router] = Self::SELF;
+            assert_eq!(
+                out.iter().filter(|&&k| k == Self::SELF).count(),
+                1,
+                "mesh must be connected: no neighbour of {router} lies on a shortest path"
+            );
         }
-        Self { n, table }
+        Self { n, index, neighbors, starts }
     }
 
     /// Number of routers covered by the tables.
@@ -88,7 +102,17 @@ impl RoutingTables {
     /// Panics if an index is out of range.
     pub fn next_hop(&self, router: NodeId, dest: NodeId) -> NodeId {
         assert!(router < self.n && dest < self.n, "node index out of range");
-        self.table[router * self.n + dest]
+        match self.index[router * self.n + dest] {
+            Self::SELF => router,
+            k => self.neighbors[self.starts[router] + usize::from(k)],
+        }
+    }
+
+    /// The flattened table (`router * V + dest`) of neighbour positions,
+    /// moved out: each entry indexes [`GridGraph::neighbors`] of its router,
+    /// with [`RoutingTables::SELF`] on the diagonal.
+    pub fn into_neighbor_indices(self) -> Vec<u8> {
+        self.index
     }
 
     /// The full route from `src` to `dst` (inclusive of both endpoints).
@@ -102,10 +126,6 @@ impl RoutingTables {
         }
         path
     }
-}
-
-fn mesh_degree(graph: &GridGraph, router: NodeId) -> usize {
-    graph.neighbors(router).len() - graph.shortcuts().iter().filter(|s| s.src == router).count()
 }
 
 /// The XY (dimension-order) next hop on a pure mesh: route in X first, then

@@ -146,7 +146,7 @@ pub fn select_exhaustive_greedy(
                 if !usage.can_place(constraints, i, j) || dist.get(i, j) <= 1 {
                     continue;
                 }
-                let gain = dist.improvement_if_added(i, j, weights.as_slice());
+                let gain = dist.improvement_if_added(i, j, weights);
                 let better = match best {
                     None => gain > 0.0,
                     Some((bg, bi, bj)) => {
@@ -175,9 +175,9 @@ pub fn select_exhaustive_greedy(
 /// diameter; for frequency weights it accelerates the hottest distant pairs.
 ///
 /// Distances are updated incrementally after each addition, and so is the
-/// max-cost pair itself: per-source row maxima are maintained under the
-/// `O(V²)` distance update instead of rescanning all `V²` candidates each
-/// round (see [`select_max_cost_profiled`] for the scan counters). The
+/// max-cost pair itself: per-source row maxima are cached, and a round
+/// re-examines only the rows the distance update touched instead of
+/// rescanning all `V²` candidates. The
 /// selected set is identical to the rescanning reference implementation
 /// [`select_max_cost_rescan`].
 ///
@@ -189,52 +189,23 @@ pub fn select_max_cost(
     weights: &PairWeights,
     constraints: &SelectionConstraints,
 ) -> Vec<Shortcut> {
-    select_max_cost_profiled(graph, weights, constraints).0
-}
-
-/// Scan counters from the incremental max-cost selector, for build-time
-/// profiling: how much candidate-rescanning work the incremental row
-/// maintenance avoided relative to the `rounds · V²` a full rescan would do.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SelectionProfile {
-    /// Selection rounds executed (shortcuts placed).
-    pub rounds: usize,
-    /// Source rows whose cached maximum was invalidated and rescanned.
-    pub rows_rescanned: usize,
-    /// Individual `(i,j)` candidates evaluated across all rescans.
-    pub candidates_scanned: u64,
-}
-
-/// [`select_max_cost`] with the incremental-maintenance [`SelectionProfile`].
-///
-/// # Panics
-///
-/// Panics if the weights or constraints do not match the graph's node count.
-pub fn select_max_cost_profiled(
-    graph: &GridGraph,
-    weights: &PairWeights,
-    constraints: &SelectionConstraints,
-) -> (Vec<Shortcut>, SelectionProfile) {
     let n = graph.node_count();
     constraints.validate(n);
     assert_eq!(weights.node_count(), n, "weights node count mismatch");
     let mut dist = graph.distances();
-    let mut usage = PortUsage::new(n);
-    let mut rows = IncrementalRows::new(n);
-    let mut profile = SelectionProfile::default();
+    let mut rows = MaxCostRows::new(weights, constraints);
     for x in 0..n {
-        rows.rescan(x, &dist, weights, constraints, &usage, &mut profile);
+        rows.rescan(x, dist.row(x));
     }
     let mut selected = Vec::with_capacity(constraints.budget);
     for _ in 0..constraints.budget {
         let Some((i, j)) = rows.best_pair() else { break };
-        dist.apply_edge(i, j);
-        usage.place(i, j);
+        rows.place(i, j);
+        dist.apply_edge_with(i, j, |x, row| rows.revalidate(x, row));
+        rows.rescan_port_users(i, j, &dist);
         selected.push(Shortcut::new(i, j));
-        profile.rounds += 1;
-        rows.revalidate(i, j, &dist, weights, constraints, &usage, &mut profile);
     }
-    (selected, profile)
+    selected
 }
 
 /// The pre-refactor rescanning implementation of [`select_max_cost`]: every
@@ -285,54 +256,70 @@ pub fn select_max_cost_rescan(
 /// decrease) and [`PortUsage`] only *shrinks* feasibility. A cached row
 /// maximum therefore remains the row maximum until the cached entry itself
 /// is touched — its cost drops, its distance collapses to ≤ 1, or an
-/// endpoint port fills up — at which point the row is rescanned.
-struct IncrementalRows {
+/// endpoint port fills up — at which point the row is rescanned. Distances
+/// move only in the rows the update visits, so those are the only rows
+/// whose cached entry is compared against the matrix again.
+struct MaxCostRows<'a> {
+    weights: &'a PairWeights,
+    constraints: &'a SelectionConstraints,
+    usage: PortUsage,
+    /// All ones where a destination is eligible with a free in-port, zero
+    /// elsewhere: `d(x,y) & dst_open[y]` is the distance of a placeable
+    /// destination or 0.
+    dst_open: Vec<u32>,
     rows: Vec<Option<(f64, NodeId)>>,
 }
 
-impl IncrementalRows {
-    fn new(n: usize) -> Self {
-        Self { rows: vec![None; n] }
+impl<'a> MaxCostRows<'a> {
+    fn new(weights: &'a PairWeights, constraints: &'a SelectionConstraints) -> Self {
+        let n = constraints.eligible.len();
+        Self {
+            weights,
+            constraints,
+            usage: PortUsage::new(n),
+            dst_open: constraints.eligible.iter().map(|&e| if e { u32::MAX } else { 0 }).collect(),
+            rows: vec![None; n],
+        }
     }
 
-    /// Recomputes row `x` from scratch, mirroring [`max_cost_pair`]'s inner
-    /// loop (ascending `y`, identical epsilon tie-break).
-    fn rescan(
-        &mut self,
-        x: NodeId,
-        dist: &DistanceMatrix,
-        weights: &PairWeights,
-        constraints: &SelectionConstraints,
-        usage: &PortUsage,
-        profile: &mut SelectionProfile,
-    ) {
+    /// Records the placement of `(i, j)` in the port bookkeeping.
+    fn place(&mut self, i: NodeId, j: NodeId) {
+        self.usage.place(i, j);
+        if self.usage.in_used[j] >= self.constraints.max_in_per_node {
+            self.dst_open[j] = 0;
+        }
+    }
+
+    /// Recomputes row `x` from its distance row `dist_x`, mirroring
+    /// [`max_cost_pair`]'s inner loop (ascending `y`, so among costs within
+    /// its epsilon of each other the first one stands).
+    fn rescan(&mut self, x: NodeId, dist_x: &[u32]) {
         self.rows[x] = None;
-        if !constraints.eligible[x] || usage.out_used[x] >= constraints.max_out_per_node {
+        if !self.constraints.eligible[x]
+            || self.usage.out_used[x] >= self.constraints.max_out_per_node
+        {
             return;
         }
-        profile.rows_rescanned += 1;
-        let n = dist.node_count();
-        profile.candidates_scanned += n as u64;
-        let mut best: Option<(f64, NodeId)> = None;
-        for y in 0..n {
-            if !usage.can_place(constraints, x, y) || dist.get(x, y) <= 1 {
-                continue;
+        // `d(x,x) = 0` keeps `x` itself out, like every other `d ≤ 1`.
+        let open = dist_x.iter().zip(&self.dst_open).map(|(&d, &m)| d & m);
+        self.rows[x] = match self.weights.row(x) {
+            // Costs are the distances themselves: take the first maximum.
+            None => {
+                let far = open.clone().max().unwrap_or(0);
+                let first = || open.clone().position(|d| d == far).expect("the maximum is in the row");
+                (far > 1).then(|| (far as f64, first()))
             }
-            let cost = weights.get(x, y) * dist.get(x, y) as f64;
-            if cost <= 0.0 {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some((bc, by)) => {
-                    cost > bc + 1e-9 || ((cost - bc).abs() <= 1e-9 && y < by)
+            Some(w_x) => {
+                let mut best: Option<(f64, NodeId)> = None;
+                for (y, (d, &w)) in open.zip(w_x).enumerate() {
+                    let cost = w * d as f64;
+                    if d > 1 && cost > best.map_or(0.0, |(bc, _)| bc + 1e-9) {
+                        best = Some((cost, y));
+                    }
                 }
-            };
-            if better {
-                best = Some((cost, y));
+                best
             }
-        }
-        self.rows[x] = best;
+        };
     }
 
     /// The feasible pair maximising the cached costs, with
@@ -354,36 +341,27 @@ impl IncrementalRows {
         best.map(|(_, i, j)| (i, j))
     }
 
-    /// After placing `(i, j)` and applying its distance update: drop or
-    /// rescan exactly the rows whose cached maximum may have changed.
-    #[allow(clippy::too_many_arguments)]
-    fn revalidate(
-        &mut self,
-        i: NodeId,
-        j: NodeId,
-        dist: &DistanceMatrix,
-        weights: &PairWeights,
-        constraints: &SelectionConstraints,
-        usage: &PortUsage,
-        profile: &mut SelectionProfile,
-    ) {
-        let j_full = usage.in_used[j] >= constraints.max_in_per_node;
-        for x in 0..self.rows.len() {
-            let stale = match self.rows[x] {
-                None => false,
-                Some((cost, y)) => {
-                    // The placed source may have exhausted its out-ports.
-                    x == i
-                        // The placed destination may have filled its in-port.
-                        || (j_full && y == j)
-                        // The cached entry's own cost or feasibility moved
-                        // (distances only ever decrease).
-                        || dist.get(x, y) <= 1
-                        || weights.get(x, y) * dist.get(x, y) as f64 != cost
+    /// Row `x`'s distances just shrank to `dist_x`: rescan it if its cached
+    /// entry's own cost or feasibility moved.
+    fn revalidate(&mut self, x: NodeId, dist_x: &[u32]) {
+        if let Some((cost, y)) = self.rows[x] {
+            let d = dist_x[y];
+            if d <= 1 || self.weights.get(x, y) * d as f64 != cost {
+                self.rescan(x, dist_x);
+            }
+        }
+    }
+
+    /// After placing `(i, j)`: rescan the rows the placement itself made
+    /// stale — the source's, whose out-ports may be exhausted, and those
+    /// whose cached destination is `j` once its in-ports are.
+    fn rescan_port_users(&mut self, i: NodeId, j: NodeId, dist: &DistanceMatrix) {
+        self.rescan(i, dist.row(i));
+        if self.dst_open[j] == 0 {
+            for x in 0..self.rows.len() {
+                if self.rows[x].is_some_and(|(_, y)| y == j) {
+                    self.rescan(x, dist.row(x));
                 }
-            };
-            if stale {
-                self.rescan(x, dist, weights, constraints, usage, profile);
             }
         }
     }
@@ -605,7 +583,7 @@ mod tests {
         assert_eq!(mc.len(), 4);
         let cost = |set: &[Shortcut]| {
             let g2 = GridGraph::with_shortcuts(g.dims(), set);
-            GridGraph::total_cost(&g2.distances(), w.as_slice())
+            GridGraph::total_cost(&g2.distances(), &w)
         };
         // Both are greedy, so neither strictly dominates over multiple
         // steps; the paper found them "comparably well", which we bound at
@@ -619,11 +597,11 @@ mod tests {
         let n = g.node_count();
         let w = PairWeights::uniform(n);
         let c = SelectionConstraints::allowing_all(n, 8);
-        let before = GridGraph::total_cost(&g.distances(), w.as_slice());
+        let before = GridGraph::total_cost(&g.distances(), &w);
         for select in [select_max_cost, select_exhaustive_greedy, select_application_specific] {
             let s = select(&g, &w, &c);
             let g2 = GridGraph::with_shortcuts(g.dims(), &s);
-            let after = GridGraph::total_cost(&g2.distances(), w.as_slice());
+            let after = GridGraph::total_cost(&g2.distances(), &w);
             assert!(after < before, "selection must reduce the objective");
         }
     }
@@ -687,17 +665,7 @@ mod tests {
                 }
             }
             let c = SelectionConstraints::allowing_all(n, 12).excluding_corners(&g);
-            let (inc, profile) = select_max_cost_profiled(&g, &w, &c);
-            let re = select_max_cost_rescan(&g, &w, &c);
-            assert_eq!(inc, re, "side {side}");
-            assert_eq!(profile.rounds, inc.len());
-            // Row maintenance must beat the full rescan: the reference
-            // evaluates rounds·V² candidates beyond the initial scan.
-            let rescan_work = (profile.rounds * n * n) as u64;
-            assert!(
-                profile.candidates_scanned < (n * n) as u64 + rescan_work,
-                "side {side}: {profile:?}"
-            );
+            assert_eq!(select_max_cost(&g, &w, &c), select_max_cost_rescan(&g, &w, &c), "side {side}");
         }
     }
 

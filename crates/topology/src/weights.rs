@@ -2,13 +2,15 @@
 
 use crate::graph::NodeId;
 
-/// A dense `V×V` matrix of non-negative per-pair weights.
+/// Non-negative per-pair weights over `V×V` ordered router pairs.
 ///
 /// * Architecture-specific selection (paper §3.2.1) uses **uniform** weights,
 ///   so the objective `Σ w(x,y)·W(x,y)` reduces to the plain APSP sum.
+///   Uniform weights hold no matrix: every pair reads `1.0`.
 /// * Application-specific selection (paper §3.2.2) uses the inter-router
 ///   **communication frequency** `F(x,y)` — the number of messages sent from
-///   router `x` to router `y` — so the objective becomes `Σ F(x,y)·W(x,y)`.
+///   router `x` to router `y` — so the objective becomes `Σ F(x,y)·W(x,y)`,
+///   held as a dense `V×V` matrix.
 ///
 /// # Example
 ///
@@ -22,19 +24,21 @@ use crate::graph::NodeId;
 #[derive(Debug, Clone, PartialEq)]
 pub struct PairWeights {
     n: usize,
-    w: Vec<f64>,
+    /// The dense `V×V` matrix (row = source); `None` while every pair
+    /// weighs `1.0`.
+    w: Option<Vec<f64>>,
 }
 
 impl PairWeights {
     /// Uniform unit weight for every ordered pair (architecture-specific
     /// selection).
     pub fn uniform(nodes: usize) -> Self {
-        Self { n: nodes, w: vec![1.0; nodes * nodes] }
+        Self { n: nodes, w: None }
     }
 
     /// All-zero weights, to be filled by [`PairWeights::add`].
     pub fn zero(nodes: usize) -> Self {
-        Self { n: nodes, w: vec![0.0; nodes * nodes] }
+        Self { n: nodes, w: Some(vec![0.0; nodes * nodes]) }
     }
 
     /// Builds frequency weights from an iterator of `(src, dst, count)`
@@ -66,7 +70,13 @@ impl PairWeights {
     /// Panics if an index is out of range.
     pub fn get(&self, src: NodeId, dst: NodeId) -> f64 {
         assert!(src < self.n && dst < self.n, "node index out of range");
-        self.w[src * self.n + dst]
+        self.w.as_ref().map_or(1.0, |w| w[src * self.n + dst])
+    }
+
+    /// The weights out of `src`, indexed by destination; `None` when every
+    /// pair weighs `1.0`.
+    pub(crate) fn row(&self, src: NodeId) -> Option<&[f64]> {
+        self.w.as_ref().map(|w| &w[src * self.n..(src + 1) * self.n])
     }
 
     /// Adds `amount` to the weight of ordered pair `(src, dst)`.
@@ -77,17 +87,16 @@ impl PairWeights {
     pub fn add(&mut self, src: NodeId, dst: NodeId, amount: f64) {
         assert!(src < self.n && dst < self.n, "node index out of range");
         assert!(amount >= 0.0, "weights must be non-negative");
-        self.w[src * self.n + dst] += amount;
-    }
-
-    /// The flattened `V×V` weight slice (row = source).
-    pub fn as_slice(&self) -> &[f64] {
-        &self.w
+        let n = self.n;
+        self.w.get_or_insert_with(|| vec![1.0; n * n])[src * n + dst] += amount;
     }
 
     /// Sum of all weights.
     pub fn total(&self) -> f64 {
-        self.w.iter().sum()
+        match &self.w {
+            Some(w) => w.iter().sum(),
+            None => (self.n * self.n) as f64,
+        }
     }
 
     /// The `k` ordered pairs with the highest weight, descending (useful for
@@ -96,7 +105,7 @@ impl PairWeights {
         let mut pairs: Vec<(NodeId, NodeId, f64)> = (0..self.n)
             .flat_map(|x| (0..self.n).map(move |y| (x, y)))
             .filter(|&(x, y)| x != y)
-            .map(|(x, y)| (x, y, self.w[x * self.n + y]))
+            .map(|(x, y)| (x, y, self.get(x, y)))
             .collect();
         pairs.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap().then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
         pairs.truncate(k);

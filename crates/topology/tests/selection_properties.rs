@@ -10,7 +10,24 @@ use rfnoc_topology::{FabricSpec, GridDims, GridGraph, PairWeights, Shortcut};
 
 fn objective(dims: GridDims, set: &[Shortcut], weights: &PairWeights) -> f64 {
     let g = GridGraph::with_shortcuts(dims, set);
-    GridGraph::total_cost(&g.distances(), weights.as_slice())
+    GridGraph::total_cost(&g.distances(), weights)
+}
+
+/// The edges of `edges` (taken modulo `n`) that keep every router at one
+/// outbound and one inbound shortcut, in order.
+fn legal_shortcuts(n: usize, edges: &[(usize, usize)]) -> Vec<Shortcut> {
+    let mut used_out = vec![false; n];
+    let mut used_in = vec![false; n];
+    let mut legal = Vec::new();
+    for &(a, b) in edges {
+        let (a, b) = (a % n, b % n);
+        if a != b && !used_out[a] && !used_in[b] {
+            used_out[a] = true;
+            used_in[b] = true;
+            legal.push(Shortcut::new(a, b));
+        }
+    }
+    legal
 }
 
 proptest! {
@@ -86,16 +103,7 @@ proptest! {
         edges in proptest::collection::vec((0usize..25, 0usize..25), 0..4),
     ) {
         let dims = GridDims::new(5, 5);
-        let mut g = GridGraph::mesh(dims);
-        let mut used_out = [false; 25];
-        let mut used_in = [false; 25];
-        for (a, b) in edges {
-            if a != b && !used_out[a] && !used_in[b] {
-                g.add_shortcut(Shortcut::new(a, b));
-                used_out[a] = true;
-                used_in[b] = true;
-            }
-        }
+        let g = GridGraph::with_shortcuts(dims, &legal_shortcuts(25, &edges));
         let tables = RoutingTables::shortest_path(&g);
         let dist = g.distances();
         for src in 0..25 {
@@ -110,7 +118,7 @@ proptest! {
         }
     }
 
-    /// The incremental max-cost selector (dirty-row frontier rescans) is
+    /// The incremental max-cost selector (cached row maxima, revalidated) is
     /// an optimisation of the full-rescan reference, never a different
     /// algorithm: on any fabric — mesh or ring-mesh — and any sparse
     /// traffic profile, both pick the *identical* shortcut sequence.
@@ -144,6 +152,112 @@ proptest! {
         );
     }
 
+    /// Every table entry is a neighbour one hop closer to the destination;
+    /// among those a shortcut target wins, and otherwise the lowest node id.
+    #[test]
+    fn next_hop_is_the_preferred_shortest_neighbour(
+        tiles in 1usize..4,
+        ring in 0usize..2,
+        edges in proptest::collection::vec((0usize..144, 0usize..144), 0..6),
+    ) {
+        let dims = GridDims::new(4 * tiles, 4 * tiles);
+        let fabric = if ring == 1 { FabricSpec::ring_mesh(dims, 4) } else { FabricSpec::mesh(dims) };
+        let g = GridGraph::from_fabric(&fabric, &legal_shortcuts(dims.nodes(), &edges));
+        let dist = g.distances();
+        let tables = RoutingTables::from_distances(&g, &dist);
+        for r in 0..dims.nodes() {
+            let base_degree = fabric.degree(r);
+            for d in 0..dims.nodes() {
+                let hop = tables.next_hop(r, d);
+                if r == d {
+                    prop_assert_eq!(hop, r);
+                    continue;
+                }
+                // (not a shortcut, node id): the smallest is the preferred one.
+                let preferred = g
+                    .neighbors(r)
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &nb)| dist.get(nb, d) + 1 == dist.get(r, d))
+                    .map(|(k, &nb)| (k < base_degree, nb))
+                    .min();
+                prop_assert_eq!(Some(hop), preferred.map(|(_, nb)| nb), "{} -> {}", r, d);
+            }
+        }
+    }
+
+    /// The base-route table filled row by row is `base_port` pair by pair.
+    #[test]
+    fn base_port_table_matches_base_port(
+        tile in 2usize..5,
+        tiles_x in 1usize..4,
+        tiles_y in 1usize..4,
+        ring in 0usize..2,
+    ) {
+        let dims = GridDims::new(tile * tiles_x, tile * tiles_y);
+        let fabric = if ring == 1 { FabricSpec::ring_mesh(dims, tile) } else { FabricSpec::mesh(dims) };
+        prop_assert!(fabric.validate().is_ok());
+        let n = dims.nodes();
+        let table = fabric.base_port_table();
+        prop_assert_eq!(table.len(), n * n);
+        for r in 0..n {
+            for d in 0..n {
+                let expected =
+                    if r == d { fabric.base_slot_count(r) as u8 } else { fabric.base_port(r, d) };
+                prop_assert_eq!(table[r * n + d], expected, "{}: {} -> {}", fabric, r, d);
+            }
+        }
+    }
+
+    /// Uniform weights hold no matrix, yet read, sum, rank, cost and select
+    /// exactly as the dense all-ones matrix does.
+    #[test]
+    fn uniform_weights_behave_as_dense_ones(
+        side in 4usize..9,
+        ring in 0usize..2,
+        budget in 1usize..6,
+    ) {
+        let dims = GridDims::new(side, side);
+        let fabric = if ring == 1 && side % 4 == 0 {
+            FabricSpec::ring_mesh(dims, 4)
+        } else {
+            FabricSpec::mesh(dims)
+        };
+        let n = dims.nodes();
+        let uniform = PairWeights::uniform(n);
+        let mut ones = PairWeights::zero(n);
+        for a in 0..n {
+            for b in 0..n {
+                ones.add(a, b, 1.0);
+                prop_assert_eq!(uniform.get(a, b), 1.0);
+            }
+        }
+        prop_assert_eq!(uniform.node_count(), n);
+        prop_assert_eq!(uniform.total(), ones.total());
+        prop_assert_eq!(uniform.top_pairs(2 * n), ones.top_pairs(2 * n));
+        let g = GridGraph::from_fabric(&fabric, &[]);
+        let dist = g.distances();
+        prop_assert_eq!(GridGraph::total_cost(&dist, &uniform), GridGraph::total_cost(&dist, &ones));
+        prop_assert_eq!(
+            dist.improvement_if_added(0, n - 1, &uniform),
+            dist.improvement_if_added(0, n - 1, &ones)
+        );
+        let c = SelectionConstraints::allowing_all(n, budget).excluding_corners(&g);
+        for select in [select_max_cost, select_max_cost_rescan, select_application_specific] {
+            prop_assert_eq!(select(&g, &uniform, &c), select(&g, &ones, &c));
+        }
+        let c = SelectionConstraints::allowing_all(n, 1);
+        prop_assert_eq!(
+            select_exhaustive_greedy(&g, &uniform, &c),
+            select_exhaustive_greedy(&g, &ones, &c)
+        );
+        // Adding to uniform weights starts from the ones they stand for.
+        let mut bumped = uniform.clone();
+        bumped.add(1, 2, 0.5);
+        prop_assert_eq!(bumped.get(1, 2), 1.5);
+        prop_assert_eq!(bumped.get(2, 1), 1.0);
+    }
+
     /// `improvement_if_added` is exact for arbitrary weighted graphs.
     #[test]
     fn improvement_prediction_is_exact(
@@ -161,11 +275,11 @@ proptest! {
             }
         }
         let d = g.distances();
-        let predicted = d.improvement_if_added(i, j, w.as_slice());
-        let before = GridGraph::total_cost(&d, w.as_slice());
+        let predicted = d.improvement_if_added(i, j, &w);
+        let before = GridGraph::total_cost(&d, &w);
         let mut g2 = g.clone();
         g2.add_shortcut(Shortcut::new(i, j));
-        let after = GridGraph::total_cost(&g2.distances(), w.as_slice());
+        let after = GridGraph::total_cost(&g2.distances(), &w);
         prop_assert!((before - after - predicted).abs() < 1e-6);
     }
 }

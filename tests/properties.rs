@@ -8,7 +8,7 @@ use rfnoc_sim::{
 };
 use rfnoc_topology::routing::{xy_route, RoutingTables};
 use rfnoc_topology::select::{check_constraints, select_max_cost, SelectionConstraints};
-use rfnoc_topology::{GridDims, GridGraph, PairWeights, Shortcut};
+use rfnoc_topology::{FabricSpec, GridDims, GridGraph, PairWeights, Shortcut};
 
 fn quick_config() -> SimConfig {
     let mut cfg = SimConfig::paper_baseline();
@@ -34,16 +34,24 @@ proptest! {
     }
 
     /// Adding any set of legal shortcuts never increases any pairwise
-    /// distance, and incremental updates agree with full recomputation.
+    /// distance, and after every single addition the pruned in-place
+    /// update agrees with a full recomputation — on the mesh and on the
+    /// ring-mesh.
     #[test]
     fn shortcuts_never_hurt(
-        w in 3usize..8,
-        h in 3usize..8,
-        edges in proptest::collection::vec((0usize..49, 0usize..49), 0..6),
+        w in 1usize..5,
+        h in 1usize..5,
+        tile in 0usize..4,
+        edges in proptest::collection::vec((0usize..400, 0usize..400), 0..6),
     ) {
-        let dims = GridDims::new(w, h);
-        let n = dims.nodes();
-        let mut g = GridGraph::mesh(dims);
+        // `tile` 0 and 1 stand for the mesh; 2 and 3 tile a ring-mesh.
+        let fabric = if tile < 2 {
+            FabricSpec::mesh(GridDims::new(w + 2, h + 2))
+        } else {
+            FabricSpec::ring_mesh(GridDims::new(w * tile, h * tile), tile)
+        };
+        let n = fabric.nodes();
+        let mut g = GridGraph::from_fabric(&fabric, &[]);
         let base = g.distances();
         let mut dist = base.clone();
         for (a, b) in edges {
@@ -53,8 +61,8 @@ proptest! {
             }
             g.add_shortcut(Shortcut::new(a, b));
             dist.apply_edge(a, b);
+            prop_assert_eq!(&dist, &g.distances(), "{} after {} -> {}", fabric, a, b);
         }
-        prop_assert_eq!(&dist, &g.distances());
         for a in 0..n {
             for b in 0..n {
                 prop_assert!(dist.get(a, b) <= base.get(a, b));
