@@ -3,11 +3,12 @@
 //!
 //! Every plan-based figure writes `results/json/<name>.json` describing
 //! the plan, per-point summaries (latency, tail percentiles, power, area,
-//! normalisation, wall time), and run provenance (git describe,
-//! timestamp, thread count) — so regenerated figures carry their own
-//! methodology. Artifacts are [`rfnoc::json::Json`] values; this module
-//! owns the one function that puts them on disk ([`write_file`], with
-//! [`write_artifact`] adding the history ingest).
+//! normalisation, wall time and the build stage's share of it), and run
+//! provenance (git describe, timestamp, thread count) — so regenerated
+//! figures carry their own methodology. Artifacts are
+//! [`rfnoc::json::Json`] values; this module owns the one function that
+//! puts them on disk ([`write_file`], with [`write_artifact`] adding the
+//! history ingest).
 
 use crate::runner::PlanResults;
 use rfnoc::history::{HistoryRecord, HistoryStore, IngestOutcome};
@@ -62,6 +63,7 @@ pub fn plan_artifact(name: &str, results: &PlanResults) -> Json {
             .field("fault", &labels.fault)
             .field("baseline_id", r.point.baseline_id.as_ref())
             .field("wall_ms", ms(r.wall))
+            .field("build_ms", ms(r.report.build_wall))
             .field("avg_latency_cycles", r4(r.report.avg_latency()))
             .field("avg_flit_latency_cycles", r4(r.report.avg_flit_latency()))
             .field("p50_latency_cycles", r4(p50))

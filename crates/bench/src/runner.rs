@@ -217,7 +217,9 @@ impl PlanResults {
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics (the panic is propagated).
+/// Panics before any experiment runs if a point's traffic parameters fail
+/// [`rfnoc_traffic::TrafficConfig::validate`], and if a worker thread
+/// panics (the panic is propagated).
 pub fn run_plan(plan: &Plan, cfg: &RunnerConfig) -> PlanResults {
     let sink = LedgerSink::from_config(cfg);
     run_plan_with(plan, cfg, &sink)
@@ -229,9 +231,16 @@ pub fn run_plan(plan: &Plan, cfg: &RunnerConfig) -> PlanResults {
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics (the panic is propagated).
+/// As [`run_plan`].
 pub fn run_plan_with(plan: &Plan, cfg: &RunnerConfig, sink: &LedgerSink) -> PlanResults {
     let start = Instant::now();
+    // A generator handed an out-of-range parameter panics, or goes silent,
+    // on a worker thread in the middle of the plan: refuse the plan here.
+    for point in &plan.points {
+        if let Err(e) = point.experiment.traffic.validate() {
+            panic!("plan point {:?}: invalid traffic parameters: {e}", point.id);
+        }
+    }
     // Deduplicate by experiment value; points index into `unique`.
     let mut unique: Vec<&RunPoint> = Vec::new();
     let mut point_to_unique: Vec<usize> = Vec::with_capacity(plan.points.len());

@@ -89,3 +89,13 @@ fn baseline_pairing_yields_finite_ratios() {
         }
     }
 }
+
+/// A plan with a bad traffic parameter is refused up front, naming the
+/// point — not discovered by a worker thread halfway through.
+#[test]
+#[should_panic(expected = "\"determinism/base/uniform\": invalid traffic parameters: hot_fraction")]
+fn invalid_traffic_parameters_refuse_the_plan() {
+    let mut plan = small_plan();
+    plan.points[0].experiment.traffic.hot_fraction = 1.5;
+    run_plan(&plan, &RunnerConfig { jobs: 1, quiet: true, ..RunnerConfig::default() });
+}

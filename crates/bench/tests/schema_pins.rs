@@ -34,7 +34,8 @@ use std::fmt::Write as _;
 
 /// Leaves whose value depends on the host or the clock.
 fn volatile(key: &str) -> bool {
-    matches!(key, "git" | "generated_unix" | "jobs" | "t_ms") || key.contains("wall_ms")
+    matches!(key, "git" | "generated_unix" | "jobs" | "t_ms" | "build_ms")
+        || key.contains("wall_ms")
 }
 
 fn walk(value: &Json, path: &str, key: &str, volatile: fn(&str) -> bool, out: &mut String) {

@@ -250,6 +250,10 @@ fn cmd_run(args: &[String]) -> Option<ExitCode> {
         }
     }
     experiment.faults = parse_fault_flags(&fault_args)?;
+    if let Err(e) = experiment.traffic.validate() {
+        eprintln!("rfnoc-cli: {e}");
+        return Some(ExitCode::FAILURE);
+    }
     let report = experiment.run();
     report_line(&report);
     if let Some(tel) = &report.stats.telemetry {

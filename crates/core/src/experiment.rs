@@ -8,6 +8,7 @@ use rfnoc_sim::{FaultPlan, FaultRates, Network, RunStats};
 use rfnoc_topology::PairWeights;
 use rfnoc_traffic::{Placement, TrafficConfig};
 use std::fmt;
+use std::time::{Duration, Instant};
 
 /// Cycles of traffic generated to profile communication frequencies for
 /// adaptive shortcut selection.
@@ -243,7 +244,9 @@ impl Experiment {
     /// Builds, simulates, and costs the experiment.
     pub fn run(&self) -> RunReport {
         let placement = self.placement.clone();
+        let build_start = Instant::now();
         let built = self.build();
+        let build_wall = build_start.elapsed();
         let spec = built.network.clone().with_fault_plan(self.resolve_faults(&built));
         let mut network = Network::new(spec);
         // Instantiate against the *built* shortcut set so the adversarial
@@ -260,6 +263,7 @@ impl Experiment {
             stats,
             power,
             area,
+            build_wall,
         }
     }
 }
@@ -277,6 +281,10 @@ pub struct RunReport {
     pub power: PowerBreakdown,
     /// NoC active-layer area.
     pub area: AreaBreakdown,
+    /// Host time the build stage took — profiling, shortcut selection and
+    /// elaboration, everything before `Network::new`. Not a simulated
+    /// quantity: it differs from run to run.
+    pub build_wall: Duration,
 }
 
 impl RunReport {

@@ -16,6 +16,7 @@ use crate::workload::WorkloadSpec;
 use rfnoc_power::NocPowerModel;
 use rfnoc_sim::Network;
 use rfnoc_traffic::{Placement, TrafficConfig};
+use std::time::Instant;
 
 /// When the adaptive architectures retune their shortcuts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,6 +100,7 @@ impl PhasedExperiment {
         let mut reports = Vec::with_capacity(self.phases.len());
         let mut reconfigurations = 0usize;
         for (i, phase) in self.phases.iter().enumerate() {
+            let build_start = Instant::now();
             let profile = if adaptive {
                 match self.policy {
                     ReconfigPolicy::PerPhase => {
@@ -122,6 +124,7 @@ impl PhasedExperiment {
                 None
             };
             let built = build_system(&self.system, &placement, profile.as_ref());
+            let build_wall = build_start.elapsed();
             let mut network = Network::new(built.network.clone());
             let mut workload = phase.instantiate(&placement, &self.traffic);
             let stats = network.run(workload.as_mut());
@@ -133,6 +136,7 @@ impl PhasedExperiment {
                 stats,
                 power,
                 area,
+                build_wall,
             });
         }
         PhasedReport {

@@ -10,6 +10,9 @@ use rfnoc_traffic::{
     staggered_rf_routers, Placement, Profile, ProfileSpec, TraceKind, TrafficConfig,
 };
 
+/// A budget's worth of `(src, dst)`, in selection order.
+type Pin = [(usize, usize); 16];
+
 fn selected(workload: &WorkloadSpec, access_points: usize) -> Vec<(usize, usize)> {
     let placement = Placement::paper_10x10();
     let profile = workload.profile(&placement, &TrafficConfig::default(), DEFAULT_PROFILE_CYCLES);
@@ -27,7 +30,7 @@ fn application_specific_sets_match_their_pins() {
     let bidf = WorkloadSpec::Trace(TraceKind::BiDf);
     let stress = WorkloadSpec::Profile(ProfileSpec::new(Profile::Stress, 1));
     #[rustfmt::skip]
-    let pins: [(&WorkloadSpec, usize, [(usize, usize); 16]); 8] = [
+    let pins: [(&WorkloadSpec, usize, Pin); 8] = [
         (&uniform, 50, [
             (8, 82), (11, 97), (84, 8), (68, 11), (59, 6), (60, 26), (28, 40), (51, 68),
             (73, 4), (22, 48), (95, 71), (24, 77), (79, 44), (55, 91), (15, 39), (42, 75),

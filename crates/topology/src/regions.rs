@@ -118,29 +118,90 @@ pub fn best_region_pair(
     dist: &DistanceMatrix,
     weights: &PairWeights,
 ) -> Option<(Region, Region)> {
-    let regions = all_regions(dims);
-    let mut best: Option<(f64, usize, usize)> = None;
-    for (ia, a) in regions.iter().enumerate() {
-        for (ib, b) in regions.iter().enumerate() {
-            if ia == ib || a.overlaps(b) {
-                continue;
-            }
-            let cost = region_cost(a, b, dist, weights);
-            if cost <= 0.0 {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some((bc, bia, bib)) => {
-                    cost > bc + 1e-9 || ((cost - bc).abs() <= 1e-9 && (ia, ib) < (bia, bib))
+    let set = RegionSet::new(dims);
+    let (ia, ib) = set.best_pair(dist, weights)?;
+    Some((set.regions[ia].clone(), set.regions[ib].clone()))
+}
+
+/// Every region of a grid with its router ids, built once per selection.
+pub(crate) struct RegionSet {
+    regions: Vec<Region>,
+    /// `nodes[r]` is `regions[r].nodes()`: row-major, which is also
+    /// ascending id.
+    nodes: Vec<[NodeId; REGION_SIDE * REGION_SIDE]>,
+}
+
+impl RegionSet {
+    pub(crate) fn new(dims: GridDims) -> Self {
+        let regions = all_regions(dims);
+        let nodes = regions
+            .iter()
+            .map(|r| r.nodes().try_into().expect("every region is REGION_SIDE square"))
+            .collect();
+        Self { regions, nodes }
+    }
+
+    /// Router ids of region `r`, ascending.
+    pub(crate) fn nodes(&self, r: usize) -> &[NodeId] {
+        &self.nodes[r]
+    }
+
+    /// `costs[b] = C_Region(a, b)` for every region `b`.
+    ///
+    /// Each cost adds the terms of [`region_cost`] in that function's order
+    /// — sources of `a` row-major, destinations of `b` row-major, one
+    /// running `f64` sum — so it is the same number bit for bit. The sums
+    /// are filled source by source, which keeps that order within each and
+    /// lets the sums of different regions proceed side by side. Regions
+    /// overlapping `a` are summed too (a test per pair costs more than
+    /// their share of the terms) without `region_cost`'s `x != y`, which
+    /// only matters for them: their entries are not `C_Region`.
+    fn costs_from(
+        &self,
+        a: usize,
+        dist: &DistanceMatrix,
+        weights: &PairWeights,
+        costs: &mut [f64],
+    ) {
+        costs.fill(0.0);
+        for &x in &self.nodes[a] {
+            let (d_x, w_x) = (dist.row(x), weights.row(x));
+            for (cost, ys) in costs.iter_mut().zip(&self.nodes) {
+                for &y in ys {
+                    *cost += w_x.map_or(1.0, |w| w[y]) * d_x[y] as f64;
                 }
-            };
-            if better {
-                best = Some((cost, ia, ib));
             }
         }
     }
-    best.map(|(_, ia, ib)| (regions[ia].clone(), regions[ib].clone()))
+
+    /// Indices of the pair [`best_region_pair`] returns. One pick costs
+    /// `R² × 81` multiply-adds over `R` regions.
+    pub(crate) fn best_pair(
+        &self,
+        dist: &DistanceMatrix,
+        weights: &PairWeights,
+    ) -> Option<(usize, usize)> {
+        let mut best: Option<(f64, usize, usize)> = None;
+        let mut costs = vec![0.0; self.regions.len()];
+        for (ia, a) in self.regions.iter().enumerate() {
+            self.costs_from(ia, dist, weights, &mut costs);
+            for (ib, (b, &cost)) in self.regions.iter().zip(&costs).enumerate() {
+                if ia == ib || a.overlaps(b) || cost <= 0.0 {
+                    continue;
+                }
+                let better = match best {
+                    None => true,
+                    Some((bc, bia, bib)) => {
+                        cost > bc + 1e-9 || ((cost - bc).abs() <= 1e-9 && (ia, ib) < (bia, bib))
+                    }
+                };
+                if better {
+                    best = Some((cost, ia, ib));
+                }
+            }
+        }
+        best.map(|(_, ia, ib)| (ia, ib))
+    }
 }
 
 #[cfg(test)]
@@ -199,6 +260,41 @@ mod tests {
         let dims = GridDims::new(10, 10);
         let dist = GridGraph::mesh(dims).distances();
         assert!(best_region_pair(dims, &dist, &PairWeights::zero(100)).is_none());
+    }
+
+    /// The kernel's cost of every competing pair is `region_cost`'s, bit
+    /// for bit, under non-integer weights and shortcut-shortened distances.
+    #[test]
+    fn kernel_costs_equal_region_cost() {
+        use crate::graph::Shortcut;
+        for (width, height) in [(10, 10), (7, 4), (3, 9)] {
+            let dims = GridDims::new(width, height);
+            let n = dims.nodes();
+            let mut g = GridGraph::mesh(dims);
+            g.add_shortcut(Shortcut::new(0, n - 1));
+            g.add_shortcut(Shortcut::new(n - 2, 1));
+            let dist = g.distances();
+            let mut dense = PairWeights::zero(n);
+            for x in 0..n {
+                for y in 0..n {
+                    if (x * 7 + y * 3) % 4 != 0 {
+                        dense.add(x, y, ((x * 31 + y * 17) % 23) as f64 / 7.0 + 0.1);
+                    }
+                }
+            }
+            for weights in [dense, PairWeights::uniform(n)] {
+                let set = RegionSet::new(dims);
+                let mut costs = vec![0.0; set.regions.len()];
+                for (ia, a) in set.regions.iter().enumerate() {
+                    set.costs_from(ia, &dist, &weights, &mut costs);
+                    for (b, &cost) in set.regions.iter().zip(&costs) {
+                        if !a.overlaps(b) {
+                            assert_eq!(cost, region_cost(a, b, &dist, &weights));
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use crate::dist::DistanceMatrix;
 use crate::graph::{GridGraph, NodeId, Shortcut};
-use crate::regions::{best_region_pair, Region};
+use crate::regions::RegionSet;
 use crate::weights::PairWeights;
 
 /// Constraints on shortcut placement.
@@ -232,8 +232,8 @@ pub fn select_max_cost_rescan(
             weights,
             constraints,
             &usage,
-            None,
-            None,
+            0..n,
+            0..n,
             PairScore::WeightedDistance,
         ) else {
             break;
@@ -376,41 +376,32 @@ enum PairScore {
     Distance,
 }
 
-/// Finds the feasible pair maximising the chosen score, optionally with the
-/// source restricted to region `src_region` and the destination to
-/// `dst_region`. Ties break toward the lexicographically smallest pair.
+/// Finds the feasible pair maximising the chosen score with the source
+/// drawn from `sources` and the destination from `dests` (both ascending).
+/// Ties break toward the lexicographically smallest pair.
 fn max_cost_pair(
     dist: &DistanceMatrix,
     weights: &PairWeights,
     constraints: &SelectionConstraints,
     usage: &PortUsage,
-    src_region: Option<&Region>,
-    dst_region: Option<&Region>,
+    sources: impl Iterator<Item = NodeId>,
+    dests: impl Iterator<Item = NodeId> + Clone,
     score: PairScore,
 ) -> Option<(NodeId, NodeId)> {
-    let n = dist.node_count();
     let mut best: Option<(f64, NodeId, NodeId)> = None;
-    for i in 0..n {
-        if let Some(r) = src_region {
-            if !r.contains_node(i) {
-                continue;
-            }
-        }
+    for i in sources {
         if !constraints.eligible[i] || usage.out_used[i] >= constraints.max_out_per_node {
             continue;
         }
-        for j in 0..n {
-            if let Some(r) = dst_region {
-                if !r.contains_node(j) {
-                    continue;
-                }
-            }
-            if !usage.can_place(constraints, i, j) || dist.get(i, j) <= 1 {
+        let (d_i, w_i) = (dist.row(i), weights.row(i));
+        for j in dests.clone() {
+            let d = d_i[j];
+            if !usage.can_place(constraints, i, j) || d <= 1 {
                 continue;
             }
             let cost = match score {
-                PairScore::WeightedDistance => weights.get(i, j) * dist.get(i, j) as f64,
-                PairScore::Distance => dist.get(i, j) as f64,
+                PairScore::WeightedDistance => w_i.map_or(1.0, |w| w[j]) * d as f64,
+                PairScore::Distance => d as f64,
             };
             if cost <= 0.0 {
                 continue;
@@ -449,38 +440,30 @@ pub fn select_application_specific(
     let n = graph.node_count();
     constraints.validate(n);
     assert_eq!(weights.node_count(), n, "weights node count mismatch");
-    let dims = graph.dims();
+    let regions = RegionSet::new(graph.dims());
     let mut dist = graph.distances();
     let mut usage = PortUsage::new(n);
     let mut selected = Vec::with_capacity(constraints.budget);
     let mut region_turn = false;
     while selected.len() < constraints.budget {
         let region_pick = || {
-            let (region_i, region_j) = best_region_pair(dims, &dist, weights)?;
+            let (region_i, region_j) = regions.best_pair(&dist, weights)?;
             // Within the hottest region pair, prefer the hottest remaining
             // router pair; if the hot routers' ports are already used, still
             // place a shortcut between the regions (the distance fallback) —
             // this is what lets shortcuts crowd around a hotspot (§3.2.2).
-            max_cost_pair(
-                &dist,
-                weights,
-                constraints,
-                &usage,
-                Some(&region_i),
-                Some(&region_j),
-                PairScore::WeightedDistance,
-            )
-            .or_else(|| {
+            let between = |score| {
                 max_cost_pair(
                     &dist,
                     weights,
                     constraints,
                     &usage,
-                    Some(&region_i),
-                    Some(&region_j),
-                    PairScore::Distance,
+                    regions.nodes(region_i).iter().copied(),
+                    regions.nodes(region_j).iter().copied(),
+                    score,
                 )
-            })
+            };
+            between(PairScore::WeightedDistance).or_else(|| between(PairScore::Distance))
         };
         let pair_pick = || {
             max_cost_pair(
@@ -488,8 +471,8 @@ pub fn select_application_specific(
                 weights,
                 constraints,
                 &usage,
-                None,
-                None,
+                0..n,
+                0..n,
                 PairScore::WeightedDistance,
             )
         };
@@ -685,6 +668,61 @@ mod tests {
         }
         let c = SelectionConstraints::allowing_all(n, 8);
         assert_eq!(select_max_cost(&g, &w, &c), select_max_cost_rescan(&g, &w, &c));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Walking two regions' routers in ascending id picks what the full
+        /// scan filtered through `contains_node` picks, under either score
+        /// and any port usage.
+        #[test]
+        fn region_restricted_pick_equals_filtered_full_scan(
+            width in 3usize..11,
+            height in 3usize..11,
+            pairs in proptest::collection::vec((0usize..100, 0usize..100, 0.5f64..9.0), 0..80),
+            placed in proptest::collection::vec((0usize..100, 0usize..100), 0..12),
+            barred in proptest::collection::vec(0usize..100, 0..8),
+            region_a in 0usize..64,
+            region_b in 0usize..64,
+        ) {
+            let dims = GridDims::new(width, height);
+            let n = dims.nodes();
+            let mut dist = GridGraph::mesh(dims).distances();
+            let mut weights = PairWeights::zero(n);
+            for (a, b, f) in pairs {
+                weights.add(a % n, b % n, f);
+            }
+            let mut constraints = SelectionConstraints::allowing_all(n, 16);
+            for r in barred {
+                constraints.eligible[r % n] = false;
+            }
+            let mut usage = PortUsage::new(n);
+            for (i, j) in placed {
+                if usage.can_place(&constraints, i % n, j % n) {
+                    usage.place(i % n, j % n);
+                    dist.apply_edge(i % n, j % n);
+                }
+            }
+            let regions = RegionSet::new(dims);
+            let all = crate::regions::all_regions(dims);
+            let (a, b) = (region_a % all.len(), region_b % all.len());
+            for score in [PairScore::WeightedDistance, PairScore::Distance] {
+                let walked = max_cost_pair(
+                    &dist, &weights, &constraints, &usage,
+                    regions.nodes(a).iter().copied(),
+                    regions.nodes(b).iter().copied(),
+                    score,
+                );
+                let filtered = max_cost_pair(
+                    &dist, &weights, &constraints, &usage,
+                    (0..n).filter(|&i| all[a].contains_node(i)),
+                    (0..n).filter(|&j| all[b].contains_node(j)),
+                    score,
+                );
+                proptest::prop_assert_eq!(walked, filtered, "{:?} {} -> {}", score, a, b);
+            }
+        }
     }
 
     #[test]

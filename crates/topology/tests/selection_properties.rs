@@ -1,12 +1,13 @@
 //! Property-based tests for graph algorithms and shortcut selection.
 
 use proptest::prelude::*;
+use rfnoc_topology::regions::{all_regions, best_region_pair, region_cost, Region};
 use rfnoc_topology::routing::RoutingTables;
 use rfnoc_topology::select::{
     check_constraints, select_application_specific, select_exhaustive_greedy, select_max_cost,
     select_max_cost_rescan, SelectionConstraints,
 };
-use rfnoc_topology::{FabricSpec, GridDims, GridGraph, PairWeights, Shortcut};
+use rfnoc_topology::{DistanceMatrix, FabricSpec, GridDims, GridGraph, PairWeights, Shortcut};
 
 fn objective(dims: GridDims, set: &[Shortcut], weights: &PairWeights) -> f64 {
     let g = GridGraph::with_shortcuts(dims, set);
@@ -30,8 +31,71 @@ fn legal_shortcuts(n: usize, edges: &[(usize, usize)]) -> Vec<Shortcut> {
     legal
 }
 
+/// What `best_region_pair` is defined to return: the non-overlapping
+/// ordered region pair of maximum `region_cost`, earlier pairs winning
+/// ties within `1e-9`.
+fn region_cost_argmax(
+    dims: GridDims,
+    dist: &DistanceMatrix,
+    weights: &PairWeights,
+) -> Option<(Region, Region)> {
+    let regions = all_regions(dims);
+    let mut best: Option<(f64, usize, usize)> = None;
+    for (ia, a) in regions.iter().enumerate() {
+        for (ib, b) in regions.iter().enumerate() {
+            if ia == ib || a.overlaps(b) {
+                continue;
+            }
+            let cost = region_cost(a, b, dist, weights);
+            if cost > 0.0 && best.is_none_or(|(bc, _, _)| cost > bc + 1e-9) {
+                best = Some((cost, ia, ib));
+            }
+        }
+    }
+    best.map(|(_, ia, ib)| (regions[ia].clone(), regions[ib].clone()))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The region-pick kernel returns the argmax of `region_cost` under the
+    /// same tie-break on any grid with room for a region, square or not,
+    /// for sparse integer and non-integer weights over distances some
+    /// shortcuts have shortened. (That each cost it compares `==`
+    /// `region_cost` is a unit test beside the kernel.)
+    #[test]
+    fn best_region_pair_is_the_region_cost_argmax(
+        width in 3usize..=12,
+        height in 3usize..=12,
+        integer in 0usize..2,
+        pairs in proptest::collection::vec((0usize..144, 0usize..144, 0.5f64..50.0), 0..200),
+        edges in proptest::collection::vec((0usize..144, 0usize..144), 0..6),
+    ) {
+        let dims = GridDims::new(width, height);
+        let n = dims.nodes();
+        let dist = GridGraph::with_shortcuts(dims, &legal_shortcuts(n, &edges)).distances();
+        let mut w = PairWeights::zero(n);
+        for (a, b, f) in pairs {
+            let (a, b) = (a % n, b % n);
+            if a != b {
+                w.add(a, b, if integer == 1 { f.round() } else { f });
+            }
+        }
+        prop_assert_eq!(
+            best_region_pair(dims, &dist, &w),
+            region_cost_argmax(dims, &dist, &w),
+            "{}x{}", width, height
+        );
+        prop_assert_eq!(best_region_pair(dims, &dist, &PairWeights::zero(n)), None);
+    }
+
+    /// A grid under three routers wide or tall has no region to pick.
+    #[test]
+    fn no_region_pair_on_a_narrow_grid(narrow in 1usize..3, long in 1usize..13, tall in 0usize..2) {
+        let dims = if tall == 1 { GridDims::new(narrow, long) } else { GridDims::new(long, narrow) };
+        let dist = GridGraph::mesh(dims).distances();
+        prop_assert_eq!(best_region_pair(dims, &dist, &PairWeights::uniform(dims.nodes())), None);
+    }
 
     /// For a single edge the exhaustive greedy picks the true optimum, so
     /// it can never lose to max-cost at budget 1. Over multiple steps both

@@ -45,7 +45,7 @@ mod trace;
 
 pub use apps::{AppProfile, AppWorkload};
 pub use multicast::{CombinedWorkload, MulticastConfig, MulticastTraffic};
-pub use patterns::{class_for, ProbabilisticWorkload, TraceKind, TrafficConfig};
+pub use patterns::{class_for, ProbabilisticWorkload, TraceKind, TrafficConfig, TrafficError};
 pub use profiles::{
     compile_profiles, derive_seed, CompiledTrace, Profile, ProfileBundle, ProfileError,
     ProfileSpec, ProfileWorkload,

@@ -130,6 +130,73 @@ impl Default for TrafficConfig {
     }
 }
 
+/// A [`TrafficConfig`] field outside its range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TrafficError {
+    /// `injection_rate` must be finite and non-negative.
+    InjectionRate,
+    /// `hot_fraction` must lie in `[0, 1]`.
+    HotFraction,
+    /// `hot_multiplier` must be finite and non-negative.
+    HotMultiplier,
+    /// `hot_group_multiplier` must be finite and non-negative.
+    HotGroupMultiplier,
+    /// `intra_group` must lie in `[0, 1]`.
+    IntraGroup,
+    /// `neighbor_group` must lie in `[0, 1]`.
+    NeighborGroup,
+    /// `intra_group + neighbor_group` must not exceed 1.
+    GroupFractionsExceedOne,
+    /// `memory_fraction` must lie in `[0, 1]`.
+    MemoryFraction,
+}
+
+impl fmt::Display for TrafficError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            TrafficError::InjectionRate => "injection_rate must be finite and non-negative",
+            TrafficError::HotFraction => "hot_fraction must lie in [0, 1]",
+            TrafficError::HotMultiplier => "hot_multiplier must be finite and non-negative",
+            TrafficError::HotGroupMultiplier => {
+                "hot_group_multiplier must be finite and non-negative"
+            }
+            TrafficError::IntraGroup => "intra_group must lie in [0, 1]",
+            TrafficError::NeighborGroup => "neighbor_group must lie in [0, 1]",
+            TrafficError::GroupFractionsExceedOne => {
+                "intra_group + neighbor_group must not exceed 1"
+            }
+            TrafficError::MemoryFraction => "memory_fraction must lie in [0, 1]",
+        })
+    }
+}
+
+impl std::error::Error for TrafficError {}
+
+impl TrafficConfig {
+    /// Checks every field's range. The generators feed the fractions to
+    /// `gen_bool`, which panics outside `[0, 1]`, and scale the rate by the
+    /// multipliers, so a NaN or negative value must not reach them.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`TrafficError`] of the first field out of range.
+    pub fn validate(&self) -> Result<(), TrafficError> {
+        let rate = |v: f64| v.is_finite() && v >= 0.0;
+        let fraction = |v: f64| (0.0..=1.0).contains(&v);
+        let checks = [
+            (rate(self.injection_rate), TrafficError::InjectionRate),
+            (fraction(self.hot_fraction), TrafficError::HotFraction),
+            (rate(self.hot_multiplier), TrafficError::HotMultiplier),
+            (rate(self.hot_group_multiplier), TrafficError::HotGroupMultiplier),
+            (fraction(self.intra_group), TrafficError::IntraGroup),
+            (fraction(self.neighbor_group), TrafficError::NeighborGroup),
+            (self.intra_group + self.neighbor_group <= 1.0, TrafficError::GroupFractionsExceedOne),
+            (fraction(self.memory_fraction), TrafficError::MemoryFraction),
+        ];
+        checks.into_iter().find(|(ok, _)| !ok).map_or(Ok(()), |(_, e)| Err(e))
+    }
+}
+
 /// Message class for a (source kind, destination kind) pair (paper §4.1):
 /// core→cache requests are 7B, data messages between cores and caches (or
 /// core to core) are 39B, and cache↔memory transfers are 132B.
@@ -144,19 +211,35 @@ pub fn class_for(src: ComponentKind, dst: ComponentKind) -> MessageClass {
     }
 }
 
+/// What the generator needs to know about one router, fixed at
+/// construction.
+#[derive(Debug, Clone, Copy)]
+struct Source {
+    /// Messages injected per cycle: `injection_rate × rate multiplier`,
+    /// halved on memory ports — they respond rather than initiate — and 0
+    /// where the protocol response model already generates their replies.
+    rate: f64,
+    kind: ComponentKind,
+    /// Dataflow group (quadrant).
+    group: usize,
+}
+
 /// Generator for the Table 1 probabilistic traces.
 #[derive(Debug, Clone)]
 pub struct ProbabilisticWorkload {
-    placement: Placement,
     kind: TraceKind,
     config: TrafficConfig,
     rng: StdRng,
     hotspots: Vec<NodeId>,
+    /// One record per router, indexed by router id.
+    sources: Vec<Source>,
     /// Non-memory components (cores + caches), the universe for biased
     /// destination choice.
     endpoints: Vec<NodeId>,
     /// Endpoints per dataflow group.
     group_members: [Vec<NodeId>; 4],
+    /// Cache banks per dataflow group: whom a memory port talks to.
+    group_caches: [Vec<NodeId>; 4],
     /// Memory port of each quadrant group.
     group_memory: [NodeId; 4],
     /// Scheduled protocol responses: `(due_cycle, responder, requester,
@@ -171,27 +254,49 @@ impl ProbabilisticWorkload {
             0 => Vec::new(),
             k => placement.hotspot_caches(k),
         };
-        let endpoints: Vec<NodeId> = placement
+        let sources: Vec<Source> = placement
             .all()
-            .filter(|&r| placement.kind(r) != ComponentKind::Memory)
+            .map(|r| {
+                let (component, group) = (placement.kind(r), placement.dataflow_group(r));
+                // Only the hotspot traces have hotspots.
+                let multiplier = if hotspots.contains(&r) {
+                    config.hot_multiplier
+                } else if kind == TraceKind::HotBiDf && group == 1 {
+                    config.hot_group_multiplier
+                } else {
+                    1.0
+                };
+                let mut rate = config.injection_rate * multiplier;
+                if component == ComponentKind::Memory {
+                    rate = if config.response_delay.is_some() { 0.0 } else { rate * 0.5 };
+                }
+                Source { rate, kind: component, group }
+            })
             .collect();
+        let endpoints: Vec<NodeId> =
+            placement.all().filter(|&r| sources[r].kind != ComponentKind::Memory).collect();
         let mut group_members: [Vec<NodeId>; 4] = Default::default();
         for &e in &endpoints {
-            group_members[placement.dataflow_group(e)].push(e);
+            group_members[sources[e].group].push(e);
+        }
+        let mut group_caches: [Vec<NodeId>; 4] = Default::default();
+        for &c in placement.caches() {
+            group_caches[sources[c].group].push(c);
         }
         let mut group_memory = [0usize; 4];
         for &m in placement.memories() {
-            group_memory[placement.dataflow_group(m)] = m;
+            group_memory[sources[m].group] = m;
         }
         let rng = StdRng::seed_from_u64(config.seed);
         Self {
-            placement,
             kind,
             config,
             rng,
             hotspots,
+            sources,
             endpoints,
             group_members,
+            group_caches,
             group_memory,
             pending_responses: std::collections::VecDeque::new(),
         }
@@ -200,21 +305,6 @@ impl ProbabilisticWorkload {
     /// The hotspot routers of this trace (empty for non-hotspot kinds).
     pub fn hotspots(&self) -> &[NodeId] {
         &self.hotspots
-    }
-
-    /// Injection-rate multiplier of component `r` under this trace.
-    fn rate_multiplier(&self, r: NodeId) -> f64 {
-        match self.kind {
-            TraceKind::Hotspot1 | TraceKind::Hotspot2 | TraceKind::Hotspot4
-                if self.hotspots.contains(&r) =>
-            {
-                self.config.hot_multiplier
-            }
-            TraceKind::HotBiDf if self.placement.dataflow_group(r) == 1 => {
-                self.config.hot_group_multiplier
-            }
-            _ => 1.0,
-        }
     }
 
     fn uniform_endpoint(&mut self, exclude: NodeId) -> NodeId {
@@ -244,40 +334,36 @@ impl ProbabilisticWorkload {
     fn dataflow_group_for(&mut self, group: usize, bidirectional: bool) -> usize {
         let p: f64 = self.rng.gen();
         let c = &self.config;
+        let next = (group + 1) % 4;
         if p < c.intra_group {
             group
         } else if p < c.intra_group + c.neighbor_group {
             if bidirectional {
                 if self.rng.gen_bool(0.5) {
-                    (group + 1) % 4
+                    next
                 } else {
                     (group + 3) % 4
                 }
             } else {
-                (group + 1) % 4
+                next
             }
         } else {
-            // uniform among the remaining groups
-            let mut others: Vec<usize> = (0..4).filter(|&g| g != group).collect();
-            if !bidirectional {
-                others.retain(|&g| g != (group + 1) % 4);
-            }
-            others[self.rng.gen_range(0..others.len())]
+            // uniform among the remaining groups, in ascending order: all
+            // three others, or the two that are not the forward neighbour
+            let remaining = if bidirectional { 3 } else { 2 };
+            let pick = self.rng.gen_range(0..remaining);
+            (0..4)
+                .filter(|&g| g != group && (bidirectional || g != next))
+                .nth(pick)
+                .expect("pick is below the number of remaining groups")
         }
     }
 
     fn destination_for(&mut self, src: NodeId) -> NodeId {
-        let src_kind = self.placement.kind(src);
-        let group = self.placement.dataflow_group(src);
+        let Source { kind: src_kind, group, .. } = self.sources[src];
         // Memory ports only talk to nearby cache banks (§3.2.1).
         if src_kind == ComponentKind::Memory {
-            let caches: Vec<NodeId> = self
-                .placement
-                .caches()
-                .iter()
-                .copied()
-                .filter(|&c| self.placement.dataflow_group(c) == group)
-                .collect();
+            let caches = &self.group_caches[group];
             return caches[self.rng.gen_range(0..caches.len())];
         }
         // Cache banks occasionally fetch from their quadrant's memory port.
@@ -327,30 +413,19 @@ impl Workload for ProbabilisticWorkload {
             self.pending_responses.pop_front();
             out.push(MessageSpec::unicast(responder, requester, class));
         }
-        let n = self.placement.dims().nodes();
-        for src in 0..n {
-            let mut rate = self.config.injection_rate * self.rate_multiplier(src);
-            // Memory ports respond rather than initiate; inject at a
-            // reduced rate (and never initiate at all when the protocol
-            // response model already generates their replies).
-            if self.placement.kind(src) == ComponentKind::Memory {
-                if self.config.response_delay.is_some() {
-                    continue;
-                }
-                rate *= 0.5;
-            }
+        for src in 0..self.sources.len() {
+            let Source { rate, kind: src_kind, .. } = self.sources[src];
             let mut budget = rate;
             while budget > 0.0 {
                 let p = budget.min(1.0);
                 if p >= 1.0 || self.rng.gen_bool(p) {
                     let dst = self.destination_for(src);
-                    let class = class_for(self.placement.kind(src), self.placement.kind(dst));
-                    out.push(MessageSpec::unicast(src, dst, class));
+                    let dst_kind = self.sources[dst].kind;
+                    out.push(MessageSpec::unicast(src, dst, class_for(src_kind, dst_kind)));
                     // Requests pull their response back (§4.1's paired
                     // request/data and cache/memory transfers).
                     if let Some(delay) = self.config.response_delay {
-                        let responder_kind = self.placement.kind(dst);
-                        let response = match (self.placement.kind(src), responder_kind) {
+                        let response = match (src_kind, dst_kind) {
                             (ComponentKind::Core, ComponentKind::Cache) => {
                                 Some(MessageClass::Data)
                             }
@@ -486,6 +561,76 @@ mod tests {
         let a = collect(TraceKind::HotBiDf, 200);
         let b = collect(TraceKind::HotBiDf, 200);
         assert_eq!(a, b);
+    }
+
+    /// The per-source table against the definition it replaced: rate ×
+    /// trace multiplier × memory factor, in that order.
+    #[test]
+    fn source_table_matches_rate_definition() {
+        let p = Placement::paper_10x10();
+        for response_delay in [None, Some(20)] {
+            let config = TrafficConfig {
+                hot_multiplier: 3.7,
+                hot_group_multiplier: 1.3,
+                response_delay,
+                ..TrafficConfig::default()
+            };
+            for kind in TraceKind::all() {
+                let w = ProbabilisticWorkload::new(p.clone(), kind, config.clone());
+                for r in p.all() {
+                    let multiplier = if w.hotspots().contains(&r) {
+                        assert!(kind.hotspot_count() > 0);
+                        config.hot_multiplier
+                    } else if kind == TraceKind::HotBiDf && p.dataflow_group(r) == 1 {
+                        config.hot_group_multiplier
+                    } else {
+                        1.0
+                    };
+                    let memory = p.kind(r) == ComponentKind::Memory;
+                    let want = match (memory, response_delay) {
+                        (true, Some(_)) => 0.0,
+                        (true, None) => config.injection_rate * multiplier * 0.5,
+                        (false, _) => config.injection_rate * multiplier,
+                    };
+                    let source = w.sources[r];
+                    assert_eq!(source.rate, want, "{kind} router {r}");
+                    assert_eq!(source.kind, p.kind(r));
+                    assert_eq!(source.group, p.dataflow_group(r));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn validate_names_the_field_out_of_range() {
+        let ok = TrafficConfig::default();
+        assert_eq!(ok.validate(), Ok(()));
+        let zero = TrafficConfig { injection_rate: 0.0, hot_fraction: 1.0, ..ok.clone() };
+        assert_eq!(zero.validate(), Ok(()));
+        let cases: [(TrafficConfig, TrafficError); 10] = [
+            (TrafficConfig { injection_rate: -0.01, ..ok.clone() }, TrafficError::InjectionRate),
+            (TrafficConfig { injection_rate: f64::NAN, ..ok.clone() }, TrafficError::InjectionRate),
+            (
+                TrafficConfig { injection_rate: f64::INFINITY, ..ok.clone() },
+                TrafficError::InjectionRate,
+            ),
+            (TrafficConfig { hot_fraction: 1.5, ..ok.clone() }, TrafficError::HotFraction),
+            (TrafficConfig { hot_multiplier: -1.0, ..ok.clone() }, TrafficError::HotMultiplier),
+            (
+                TrafficConfig { hot_group_multiplier: f64::NAN, ..ok.clone() },
+                TrafficError::HotGroupMultiplier,
+            ),
+            (TrafficConfig { intra_group: -0.1, ..ok.clone() }, TrafficError::IntraGroup),
+            (TrafficConfig { neighbor_group: f64::NAN, ..ok.clone() }, TrafficError::NeighborGroup),
+            (
+                TrafficConfig { intra_group: 0.7, neighbor_group: 0.4, ..ok.clone() },
+                TrafficError::GroupFractionsExceedOne,
+            ),
+            (TrafficConfig { memory_fraction: 1.01, ..ok.clone() }, TrafficError::MemoryFraction),
+        ];
+        for (config, want) in cases {
+            assert_eq!(config.validate(), Err(want), "{want}");
+        }
     }
 
     #[test]

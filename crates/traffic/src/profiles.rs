@@ -193,6 +193,35 @@ struct SourcePhase {
     until: u64,
 }
 
+/// The Pareto length distribution of one phase kind (burst or gap) with
+/// mean `mean`, clamped to `[1, 100 * mean]` so one extreme draw cannot
+/// freeze a source for a whole run.
+#[derive(Debug, Clone, Copy)]
+struct PhaseLength {
+    /// `mean * (alpha - 1) / alpha`.
+    scale: f64,
+    /// `-1 / alpha`.
+    exponent: f64,
+    /// `100 * mean`.
+    longest: f64,
+}
+
+impl PhaseLength {
+    fn new(mean: f64, alpha: f64) -> Self {
+        Self {
+            scale: mean * (alpha - 1.0) / alpha,
+            exponent: -1.0 / alpha,
+            longest: mean * 100.0,
+        }
+    }
+
+    fn sample(self, rng: &mut StdRng) -> u64 {
+        let u: f64 = 1.0 - rng.gen::<f64>();
+        let len = self.scale * u.powf(self.exponent);
+        len.clamp(1.0, self.longest).round() as u64
+    }
+}
+
 /// A live traffic source realising one [`ProfileSpec`].
 ///
 /// Implements [`Workload`]; the same spec, traffic config, and shortcut
@@ -202,15 +231,20 @@ struct SourcePhase {
 #[derive(Debug, Clone)]
 pub struct ProfileWorkload {
     spec: ProfileSpec,
-    traffic: TrafficConfig,
     placement: Placement,
     rng: StdRng,
-    /// All injecting routers.
-    endpoints: Vec<NodeId>,
+    /// Nominal per-source injection probability per cycle.
+    rate: f64,
+    /// Injection probability of a bursting source: `rate × burst_gain`,
+    /// capped at 1.
+    burst_rate: f64,
+    burst_length: PhaseLength,
+    gap_length: PhaseLength,
     /// Shortcut destination of each router owning an RF transmitter.
     shortcut_dst: Vec<Option<NodeId>>,
     /// Shortcut receivers (the sinks everyone else piles onto).
     sinks: Vec<NodeId>,
+    /// One phase machine per router: every router injects.
     phase: Vec<SourcePhase>,
 }
 
@@ -228,8 +262,8 @@ impl ProfileWorkload {
         shortcuts: &[Shortcut],
     ) -> Result<Self, ProfileError> {
         spec.validate()?;
-        let endpoints: Vec<NodeId> = placement.all().collect();
-        let mut shortcut_dst = vec![None; placement.dims().nodes()];
+        let nodes = placement.dims().nodes();
+        let mut shortcut_dst = vec![None; nodes];
         let mut sinks = Vec::new();
         for s in shortcuts {
             shortcut_dst[s.src] = Some(s.dst);
@@ -237,9 +271,19 @@ impl ProfileWorkload {
                 sinks.push(s.dst);
             }
         }
-        let rng = StdRng::seed_from_u64(spec.stream_seed());
-        let phase = vec![SourcePhase { bursting: false, until: 0 }; endpoints.len()];
-        Ok(Self { spec, traffic, placement, rng, endpoints, shortcut_dst, sinks, phase })
+        let rate = traffic.injection_rate;
+        Ok(Self {
+            placement,
+            rng: StdRng::seed_from_u64(spec.stream_seed()),
+            rate,
+            burst_rate: (rate * spec.burst_gain).min(1.0),
+            burst_length: PhaseLength::new(spec.mean_on, spec.pareto_alpha),
+            gap_length: PhaseLength::new(spec.mean_off, spec.pareto_alpha),
+            shortcut_dst,
+            sinks,
+            phase: vec![SourcePhase { bursting: false, until: 0 }; nodes],
+            spec,
+        })
     }
 
     /// The spec this workload realises.
@@ -247,42 +291,10 @@ impl ProfileWorkload {
         &self.spec
     }
 
-    /// Samples a Pareto-distributed phase length with the given mean,
-    /// clamped to `[1, 100 * mean]` so one extreme draw cannot freeze a
-    /// source for a whole run.
-    fn phase_len(&mut self, mean: f64) -> u64 {
-        let alpha = self.spec.pareto_alpha;
-        let scale = mean * (alpha - 1.0) / alpha;
-        let u: f64 = 1.0 - self.rng.gen::<f64>();
-        let len = scale * u.powf(-1.0 / alpha);
-        len.clamp(1.0, mean * 100.0).round() as u64
-    }
-
-    /// Whether source index `i` injects this cycle, advancing its on/off
-    /// phase machine. The expected profile has no phases — it is plain
-    /// Bernoulli at the nominal rate.
-    fn arrives(&mut self, i: usize, cycle: u64) -> bool {
-        let rate = self.traffic.injection_rate;
-        if self.spec.profile == Profile::Expected {
-            return rate >= 1.0 || self.rng.gen_bool(rate);
-        }
-        if cycle >= self.phase[i].until {
-            let bursting = !self.phase[i].bursting;
-            let mean = if bursting { self.spec.mean_on } else { self.spec.mean_off };
-            let len = self.phase_len(mean);
-            self.phase[i] = SourcePhase { bursting, until: cycle + len };
-        }
-        if !self.phase[i].bursting {
-            return false;
-        }
-        let burst_rate = (rate * self.spec.burst_gain).min(1.0);
-        burst_rate >= 1.0 || self.rng.gen_bool(burst_rate)
-    }
-
-    /// Picks a uniform endpoint other than `src`.
+    /// Picks a uniform router other than `src`.
     fn uniform_dest(&mut self, src: NodeId) -> NodeId {
         loop {
-            let pick = self.endpoints[self.rng.gen_range(0..self.endpoints.len())];
+            let pick = self.rng.gen_range(0..self.placement.dims().nodes());
             if pick != src {
                 return pick;
             }
@@ -315,18 +327,37 @@ impl ProfileWorkload {
             }
         }
     }
+
+    fn emit(&mut self, src: NodeId, out: &mut Vec<MessageSpec>) {
+        let dst = self.dest_for(src);
+        let class = class_for(self.placement.kind(src), self.placement.kind(dst));
+        out.push(MessageSpec::unicast(src, dst, class));
+    }
 }
 
 impl Workload for ProfileWorkload {
     fn messages_at(&mut self, cycle: u64, out: &mut Vec<MessageSpec>) {
-        for i in 0..self.endpoints.len() {
-            if !self.arrives(i, cycle) {
-                continue;
+        // The expected profile has no phases — it is plain Bernoulli at
+        // the nominal rate.
+        if self.spec.profile == Profile::Expected {
+            for src in 0..self.placement.dims().nodes() {
+                if self.rate >= 1.0 || self.rng.gen_bool(self.rate) {
+                    self.emit(src, out);
+                }
             }
-            let src = self.endpoints[i];
-            let dst = self.dest_for(src);
-            let class = class_for(self.placement.kind(src), self.placement.kind(dst));
-            out.push(MessageSpec::unicast(src, dst, class));
+            return;
+        }
+        for src in 0..self.phase.len() {
+            // Advance the source's on/off phase machine.
+            let phase = &mut self.phase[src];
+            if cycle >= phase.until {
+                let bursting = !phase.bursting;
+                let length = if bursting { self.burst_length } else { self.gap_length };
+                *phase = SourcePhase { bursting, until: cycle + length.sample(&mut self.rng) };
+            }
+            if phase.bursting && (self.burst_rate >= 1.0 || self.rng.gen_bool(self.burst_rate)) {
+                self.emit(src, out);
+            }
         }
     }
 }
