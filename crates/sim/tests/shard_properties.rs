@@ -1,14 +1,15 @@
 //! Sharded-engine properties: the shard partition covers every router of
 //! any fabric exactly once, and the parallel engine is bit-identical to
-//! the serial one — including under a correlated fault storm, the
-//! adversarial case for cross-shard event ordering (mid-run table
-//! rewrites, glitch retransmissions, and RF-band teardown all land at
-//! cycle boundaries shared by every shard).
+//! the serial one — on random fabrics, shortcut sets and loads with every
+//! observer on, and under a correlated fault storm, the adversarial case
+//! for cross-shard event ordering (mid-run table rewrites, glitch
+//! retransmissions, and RF-band teardown all land at cycle boundaries
+//! shared by every shard).
 
 use proptest::prelude::*;
 use rfnoc_sim::{
-    shard_ranges, FaultPlan, MessageClass, MessageSpec, Network, NetworkSpec, SimConfig,
-    Workload,
+    shard_ranges, FaultPlan, FlitTraceConfig, MessageClass, MessageSpec, Network, NetworkSpec,
+    SimConfig, TelemetryConfig, Workload,
 };
 use rfnoc_topology::{FabricSpec, GridDims, Shortcut};
 
@@ -53,6 +54,138 @@ impl Workload for SyntheticUnicasts {
     }
 }
 
+/// A mesh over `dims`, or — when `tile_sel` is non-zero and some tile size
+/// divides both sides — a ring-mesh with one of the dividing tiles.
+fn pick_fabric(dims: GridDims, tile_sel: usize) -> FabricSpec {
+    let (w, h) = (dims.width(), dims.height());
+    let tiles: Vec<usize> = (2..=w.min(h)).filter(|t| w % t == 0 && h % t == 0).collect();
+    if tiles.is_empty() || tile_sel == 0 {
+        FabricSpec::mesh(dims)
+    } else {
+        FabricSpec::ring_mesh(dims, tiles[tile_sel % tiles.len()])
+    }
+}
+
+/// A legal shortcut set over `ranges` (at least two shards of at least two
+/// routers each): one shortcut with both ends inside a single shard, one
+/// spanning two shards, and up to `extra` more drawn anywhere. A draw that
+/// would give a router a second transmitter or receiver is dropped.
+fn shard_aware_shortcuts(ranges: &[(usize, usize)], seed: u64, extra: usize) -> Vec<Shortcut> {
+    let n = ranges.last().expect("at least one shard").1;
+    let mut state = seed | 1;
+    let mut below = |bound: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % bound as u64) as usize
+    };
+    let len = |s: usize| ranges[s].1 - ranges[s].0;
+    let (mut tx, mut rx) = (vec![false; n], vec![false; n]);
+    let mut out = Vec::new();
+    let mut add = |src: usize, dst: usize| {
+        let legal = src != dst && !tx[src] && !rx[dst];
+        if legal {
+            tx[src] = true;
+            rx[dst] = true;
+            out.push(Shortcut::new(src, dst));
+        }
+        legal
+    };
+    // Intra-shard: two distinct routers of one shard.
+    let s = below(ranges.len());
+    let a = below(len(s));
+    let b = (a + 1 + below(len(s) - 1)) % len(s);
+    add(ranges[s].0 + a, ranges[s].0 + b);
+    // Spanning: one router in each of two different shards, redrawn until
+    // it shares no transmitter or receiver with the first.
+    loop {
+        let s0 = below(ranges.len());
+        let s1 = (s0 + 1 + below(ranges.len() - 1)) % ranges.len();
+        if add(ranges[s0].0 + below(len(s0)), ranges[s1].0 + below(len(s1))) {
+            break;
+        }
+    }
+    for _ in 0..extra {
+        add(below(n), below(n));
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Serial and sharded runs are equal in everything a run reports: the
+    /// whole `RunStats` with every telemetry channel and the per-hop
+    /// profile on (interval samples, packet spans, hop chains, timeline
+    /// events — order included) and the flit trace, on random meshes and
+    /// ring-meshes up to 12×12, even and uneven shard splits, shortcut sets
+    /// with an intra-shard and a shard-spanning shortcut, random load, and
+    /// a correlated fault storm on half the cases.
+    #[test]
+    fn sharded_run_equals_serial_run_on_random_fabrics(
+        w in 4usize..13,
+        h in 4usize..13,
+        tile_sel in 0usize..3,
+        threads in 2usize..5,
+        seed in any::<u64>(),
+        load_256 in 2u64..36,
+        extra_shortcuts in 0usize..5,
+        storm in any::<bool>(),
+    ) {
+        let dims = GridDims::new(w, h);
+        let fabric = pick_fabric(dims, tile_sel);
+        let n = fabric.nodes();
+        let ranges = shard_ranges(n, threads);
+        let shortcuts = shard_aware_shortcuts(&ranges, seed, extra_shortcuts);
+        let shard_of = |r: usize| ranges.iter().position(|&(s, e)| s <= r && r < e).unwrap();
+        prop_assert!(shortcuts.len() >= 2);
+        prop_assert_eq!(shard_of(shortcuts[0].src), shard_of(shortcuts[0].dst));
+        prop_assert_ne!(shard_of(shortcuts[1].src), shard_of(shortcuts[1].dst));
+
+        let run = |threads: usize| {
+            let mut cfg = SimConfig::paper_baseline().with_threads(threads);
+            cfg.warmup_cycles = 200;
+            cfg.measure_cycles = 1_200;
+            cfg.drain_cycles = 6_000;
+            cfg.telemetry = Some(TelemetryConfig::profiling(100));
+            cfg.flit_trace = FlitTraceConfig::capped(1 << 20);
+            let mut spec = NetworkSpec::with_fabric(fabric, cfg, shortcuts.clone());
+            if storm {
+                let plan = FaultPlan::correlated(
+                    seed,
+                    &fabric,
+                    &shortcuts,
+                    2.0,
+                    load_256 as f64 / 16.0,
+                    200..1_400,
+                );
+                spec = spec.with_fault_plan(plan);
+            }
+            let mut workload = SyntheticUnicasts {
+                state: seed | 1,
+                nodes: n,
+                load_256,
+                until: 1_400,
+            };
+            let mut net = Network::new(spec);
+            let stats = net.run(&mut workload);
+            (stats, net.flit_trace().to_vec(), net.flit_trace_dropped())
+        };
+        let (serial, serial_trace, serial_dropped) = run(1);
+        let (sharded, sharded_trace, sharded_dropped) = run(threads);
+        prop_assert!(serial.completed_messages > 0);
+        prop_assert!(serial.telemetry.as_ref().is_some_and(|t| !t.hops.is_empty()));
+        prop_assert!(!serial_trace.is_empty());
+        prop_assert!(
+            serial == sharded,
+            "{fabric:?} with {shortcuts:?}, load {load_256}/256, storm {storm}: \
+             statistics diverged between 1 and {threads} engine threads"
+        );
+        prop_assert!(serial_trace == sharded_trace, "flit traces diverged");
+        prop_assert_eq!(serial_dropped, sharded_dropped);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -67,18 +200,7 @@ proptest! {
         tile_sel in 0usize..3,
         threads in 1usize..33,
     ) {
-        let dims = GridDims::new(w, h);
-        // A mesh, or a ring-mesh when a tile evenly divides the grid.
-        let tiles: Vec<usize> =
-            (2..=w.min(h)).filter(|t| w % t == 0 && h % t == 0).collect();
-        let fabric = if tiles.is_empty() {
-            FabricSpec::mesh(dims)
-        } else {
-            match tile_sel {
-                0 => FabricSpec::mesh(dims),
-                _ => FabricSpec::ring_mesh(dims, tiles[tile_sel % tiles.len()]),
-            }
-        };
+        let fabric = pick_fabric(GridDims::new(w, h), tile_sel);
         let n = fabric.nodes();
         let ranges = shard_ranges(n, threads);
 
