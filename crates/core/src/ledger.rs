@@ -107,7 +107,10 @@ pub struct ShardTotals {
     pub sweep_ms: f64,
     /// Total wall milliseconds spent waiting at cycle barriers.
     pub barrier_ms: f64,
-    /// Total buffered cross-shard operations replayed.
+    /// Total operations the main thread replayed for this shard after
+    /// the barriers: flits and credits that crossed a shard boundary,
+    /// completions, multicast enqueues and buffered observer ops (link
+    /// traffic inside the shard is applied by the shard and not counted).
     pub replay_ops: f64,
 }
 
@@ -390,9 +393,10 @@ impl LedgerSummary {
             let _ = writeln!(
                 out,
                 "shards ({}): slowest #{slow} ({ms:.1} ms swept), imbalance {imb:.2}x, \
-                 barrier wait {:.1}%",
+                 barrier wait {:.1}%, {:.0} ops replayed by the main thread",
                 self.shards.len(),
                 bw * 100.0,
+                self.shards.values().map(|t| t.replay_ops).sum::<f64>(),
             );
         }
         if !self.events.is_empty() {

@@ -106,9 +106,11 @@ impl WorkerPool {
     ///
     /// # Panics
     ///
-    /// Panics if any worker's `f(i)` panicked (after all workers have
-    /// reached the end barrier, so the pool stays usable is *not*
-    /// guaranteed — treat a panic as fatal to the simulation).
+    /// Panics if any `f(i)` panicked. The panic surfaces only after every
+    /// worker has reached the end barrier, so no borrow of `f` outlives
+    /// the call; the pool is not usable afterwards (a worker's panic
+    /// stays recorded and every later call panics too) — treat a panic
+    /// as fatal to the simulation.
     pub fn scoped_run(&self, f: &(dyn Fn(usize) + Sync)) {
         if self.workers == 1 {
             f(0);

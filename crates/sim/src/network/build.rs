@@ -149,6 +149,7 @@ impl Network {
             spec.config.threads.clamp(1, n)
         };
         let pool = (sweep_threads > 1).then(|| rfnoc_parallel::WorkerPool::new(sweep_threads));
+        let shard_ranges = sweep::shard_ranges(n, sweep_threads);
         // Per-shard sweep timing is only worth the clock reads when the run
         // ledger will consume it, and only the sharded engine reports it.
         let time_sweeps = spec.config.ledger.is_some() && sweep_threads > 1;
@@ -184,6 +185,7 @@ impl Network {
             mc_enqueues: Vec::new(),
             pending_inj: Vec::new(),
             sweep_threads,
+            shard_ranges,
             shard_bufs,
             pool,
             sp_dist,

@@ -4,9 +4,12 @@
 //! The per-router pipeline stages live on [`Sweep`] — one shard's view of
 //! the network — so the same code serves the serial engine (one shard,
 //! direct telemetry) and the sharded engine (`SimConfig::threads` worker
-//! shards, buffered side effects replayed in shard order). `Network`
-//! keeps the orchestration: shard construction, worker dispatch, the
-//! deterministic replay, and the outbox application.
+//! shards, buffered observer side effects replayed in shard order). A
+//! shard is the only writer of the routers it owns: it applies its own
+//! link traffic (flits in place, credits at the end of its sweep) and
+//! lists only what is addressed to another shard. `Network` keeps the
+//! orchestration: shard construction, worker dispatch, the deterministic
+//! replay, and the application of the boundary outboxes.
 
 #[allow(clippy::wildcard_imports)]
 use super::*;
@@ -121,10 +124,11 @@ impl Network {
         // Active-router scheduling: visit only routers with (possible)
         // work. `active_stamp[r] == e` means "visit r in sweep e"; each
         // shard scans its slice of the stamp vector in ascending router id
-        // (the push order into the delivery/credit outboxes depends on
-        // visit order, and downstream arrival interleaving is
-        // order-sensitive) and a visited router re-stamps itself for the
-        // next sweep while it is non-quiescent. Skipping a quiescent
+        // (completions, telemetry records and trace events are replayed
+        // in visit order) and a visited router re-stamps itself for the
+        // next sweep while it is non-quiescent; a flit handed to a router
+        // of the same shard stamps its target on the spot
+        // (`Sweep::send_flit`). Skipping a quiescent
         // router is bit-identical to visiting it because a visit to one is
         // a pure no-op (the VA round-robin pointer is derived from the
         // cycle count, not stored and rotated). The O(n) stamp scan is
@@ -132,7 +136,6 @@ impl Network {
         // maintaining a sorted worklist.
         let e = self.active_epoch;
         self.active_epoch = e + 1;
-        let n = self.routers.len();
         let shared = SweepShared {
             cycle: self.cycle,
             counting: self.counting,
@@ -191,8 +194,16 @@ impl Network {
             // Sharded engine: split the router array (and every
             // router-indexed slice) into contiguous per-shard views, hand
             // one to each pool worker behind a take-once mutex, and run
-            // the sweep between the pool's cycle-boundary barriers. All
-            // side effects land in the shard buffers for ordered replay.
+            // the sweep between the pool's cycle-boundary barriers.
+            // Observer side effects land in the shard buffers for ordered
+            // replay; link traffic leaves a shard only when it is
+            // addressed to another one.
+            //
+            // The task vector below is the one allocation a sharded cycle
+            // still makes: the views borrow `self` for this call only, so
+            // they cannot be kept across cycles until the shard team of
+            // ROADMAP item 1 (workers scoped to `Network::run`, tasks
+            // built once per run) replaces the pool.
             let tel_on = self.telemetry.is_some();
             let mut tasks: Vec<std::sync::Mutex<Option<Sweep<'_>>>> =
                 Vec::with_capacity(self.sweep_threads);
@@ -203,7 +214,7 @@ impl Network {
             let mut pdest = &mut self.stats.per_dest[..];
             let mut bufs = &mut self.shard_bufs[..];
             let packets = &self.packets;
-            for (start, end) in sweep::shard_ranges(n, self.sweep_threads) {
+            for &(start, end) in &self.shard_ranges {
                 let len = end - start;
                 let (r0, r1) = routers.split_at_mut(len);
                 routers = r1;
@@ -309,10 +320,13 @@ impl Network {
     }
 
     /// Marks router `r` for a visit on the next `step_routers` sweep.
-    /// Call sites are the points where work can appear at a quiescent
-    /// router: flit deliveries and message injections. Credit returns
-    /// alone never require a mark — VA/SA only act on occupied VCs, and
-    /// any packet waiting for those credits keeps its holder non-quiescent.
+    /// Call sites are the points where the main thread puts work at a
+    /// possibly quiescent router: message injections and the flits that
+    /// crossed a shard boundary (`apply_outboxes`); a flit handed over
+    /// inside a shard is stamped by the shard itself
+    /// (`Sweep::send_flit`). Credit returns alone never require a mark —
+    /// VA/SA only act on occupied VCs, and any packet waiting for those
+    /// credits keeps its holder non-quiescent.
     #[inline]
     pub(super) fn mark_active(&mut self, r: usize) {
         self.active_stamp[r] = self.active_epoch;
@@ -328,6 +342,14 @@ impl Network {
     }
 
     pub(super) fn apply_outboxes(&mut self) {
+        // What the sweep could not apply itself: flits and credits whose
+        // receiving router belongs to another shard than the sender's
+        // (none on the serial engine, where one shard owns every router),
+        // and the RF-multicast enqueues, which touch network-level queues.
+        // Shards are drained in shard order, so a router's input port —
+        // fed by exactly one upstream router — receives its flits in the
+        // sender's grant order, as it does inside a shard.
+        //
         // Indexed drains instead of `mem::take`: the outbox vectors keep
         // their capacity across cycles, so the steady state allocates
         // nothing here. A delivered flit is new work for the target
@@ -797,17 +819,18 @@ impl Sweep<'_> {
                 if is_tail {
                     router.release_out_vc(out, out_vc);
                 }
-                self.buf.deliveries.push(sweep::Delivery {
-                    router: t_router as u32,
-                    port: t_port,
-                    arrival: Arrival {
+                self.send_flit(
+                    r,
+                    t_router,
+                    t_port,
+                    Arrival {
                         at: arrival,
                         packet: sent_packet,
                         idx: flit.idx,
                         dest,
                         vc: out_vc as u8,
                     },
-                });
+                );
             }
         }
 
@@ -819,17 +842,12 @@ impl Sweep<'_> {
             if self.tel_on() {
                 self.tel(sweep::TelOp::BufferPop(r as u32));
             }
-            let router = &mut self.routers[rl];
-            match router.upstream(port) {
-                Some((ur, up)) => self.buf.credit_returns.push(sweep::CreditReturn {
-                    router: ur as u32,
-                    port: up,
-                    vc: vci as u8,
-                }),
-                None => router.return_injection_credit(vci),
+            match self.routers[rl].upstream(port) {
+                Some((ur, up)) => self.send_credit(ur, up, vci as u8),
+                None => self.routers[rl].return_injection_credit(vci),
             }
             if is_tail {
-                router.release_vc(port, vci);
+                self.routers[rl].release_vc(port, vci);
             }
         }
         true

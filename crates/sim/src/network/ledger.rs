@@ -5,8 +5,9 @@
 //! *right now*": it accumulates a chronological stream of structured
 //! records — periodic heartbeats (cycle, throughput, in-flight work,
 //! active-router count), per-shard sweep metrics when the sharded engine
-//! is on (swept routers, sweep wall time, barrier wait, cross-shard
-//! replay volume — the first real measurement of shard imbalance), and
+//! is on (swept routers, sweep wall time, barrier wait, the volume left
+//! for the main thread to replay — the first real measurement of shard
+//! imbalance), and
 //! the fault/retune/watchdog events of the existing timeline mirrored
 //! onto the same stream. The records are typed; their JSONL wire form
 //! lives with its reader in `rfnoc::ledger`, and the bench runner's sink
@@ -92,8 +93,13 @@ pub enum LedgerRecord {
         /// Wall-clock milliseconds this shard spent waiting at the
         /// cycle barriers (total sweep-phase wall minus its own sweep).
         barrier_ms: f64,
-        /// Buffered cross-shard operations this shard produced for the
-        /// ordered replay (deliveries, credits, completions, observer ops).
+        /// Operations this shard left for the main thread to replay after
+        /// the barrier: flit deliveries and credit returns addressed to
+        /// another shard's routers, completions, multicast enqueues and
+        /// buffered observer ops. Link traffic inside the shard is applied
+        /// by the shard itself and is not counted, so with the observers
+        /// off this is the shard's boundary traffic plus one entry per
+        /// completed message.
         replay_ops: u64,
     },
     /// A timeline event ([`TimelineEventKind`]) mirrored onto the ledger
@@ -207,10 +213,11 @@ impl Network {
 
     /// Aggregates this sweep's per-shard metrics, called by
     /// `step_routers` after the sweep and before the buffers are
-    /// replayed (replay volume needs the pre-drain lengths). `total_ns`
-    /// is the whole sweep phase's wall time on the sharded engine
-    /// (`None` on the serial path); a shard's barrier wait is that total
-    /// minus its own sweep time.
+    /// replayed (replay volume needs the pre-drain lengths; the
+    /// shard-local credit list is already drained and not part of it).
+    /// `total_ns` is the whole sweep phase's wall time on the sharded
+    /// engine (`None` on the serial path); a shard's barrier wait is that
+    /// total minus its own sweep time.
     pub(super) fn ledger_note_sweep(&mut self, total_ns: Option<u64>) {
         let sharded = self.sweep_threads > 1;
         let Some(l) = self.ledger.as_deref_mut() else { return };

@@ -379,6 +379,9 @@ pub struct Network {
     /// forced to 1 under VCT multicast (tree forks allocate packets
     /// mid-sweep).
     sweep_threads: usize,
+    /// The `sweep_threads` contiguous router ranges the shards own
+    /// ([`sweep::shard_ranges`]), fixed at construction.
+    shard_ranges: Vec<(usize, usize)>,
     /// One outbox per shard (see [`sweep::ShardBuf`]); the serial engine
     /// uses `shard_bufs[0]`.
     shard_bufs: Vec<sweep::ShardBuf>,
@@ -529,11 +532,25 @@ impl Network {
     ///   credits plus the flits on the link and in the receiver's buffer
     ///   equal the buffer depth (likewise injector → local input port);
     /// - active-set coverage: every non-quiescent router is stamped for
-    ///   the next `step_routers` visit (no lost work).
+    ///   the next `step_routers` visit (no lost work);
+    /// - no link event outlives its cycle: every shard's delivery and
+    ///   credit lists, boundary and shard-local, are empty, so an event
+    ///   that was listed but never applied fails here at the cycle it
+    ///   happens (one applied twice fails the conservation check above).
     #[doc(hidden)]
     pub fn debug_validate(&self) {
         let vcs = self.config.total_vcs();
         let depth = self.config.buffer_depth;
+        for (si, b) in self.shard_bufs.iter().enumerate() {
+            assert!(
+                b.deliveries.is_empty() && b.credit_returns.is_empty() && b.local_credits.is_empty(),
+                "shard {si} holds unapplied link events at a cycle boundary: {} deliveries, \
+                 {} boundary credits, {} shard-local credits",
+                b.deliveries.len(),
+                b.credit_returns.len(),
+                b.local_credits.len()
+            );
+        }
         for (r, router) in self.routers.iter().enumerate() {
             router.validate(r);
             for port in 0..router.num_ports() {

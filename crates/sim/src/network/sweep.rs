@@ -3,19 +3,34 @@
 //! `step_routers` is the only engine phase that parallelises: every other
 //! phase (fault application, reconfiguration, injection bookkeeping, the
 //! multicast engine, telemetry interval flushes) stays serial. The fabric
-//! is partitioned into [`shard_ranges`] — contiguous router ranges — and
-//! each shard steps its routers through the full per-router pipeline
-//! (arrival delivery, injection, VC allocation, switch allocation) using
-//! only state it owns:
+//! is partitioned into [`shard_ranges`] — contiguous router ranges, fixed
+//! at construction — and each shard steps its routers through the full
+//! per-router pipeline (arrival delivery, injection, VC allocation, switch
+//! allocation) using only state it owns:
 //!
 //! * its slice of the router array, the active-stamp list, and the
 //!   per-router statistics vectors (`router_bytes`, `port_flits`,
 //!   `per_dest`);
-//! * a private [`ShardBuf`] collecting everything that crosses a shard
-//!   boundary or touches global state: flit deliveries, credit returns,
-//!   multicast enqueues, message completions, telemetry operations, trace
-//!   events, and scalar statistics deltas — plus the fixed-capacity
+//! * a private [`ShardBuf`] collecting what leaves the shard or touches
+//!   global state: flit deliveries and credit returns addressed to
+//!   *another* shard's routers, multicast enqueues, message completions,
+//!   telemetry operations, trace events, and scalar statistics deltas —
+//!   plus the shard-local credit list and the fixed-capacity
 //!   switch-allocation request scratch ([`SaRequests`]).
+//!
+//! A shard is the only writer of its routers during the sweep, so a link
+//! event (a granted flit, or the credit its departure frees) has one of
+//! three destinations:
+//!
+//! 1. **In place.** A flit whose target router is in the shard is pushed
+//!    onto the target's arrival FIFO at the grant, and the target is
+//!    stamped for the next sweep ([`Sweep::send_flit`]).
+//! 2. **Shard-local list.** A credit whose upstream router is in the shard
+//!    is listed and returned by the same worker at the end of `run_shard`,
+//!    after its last router visit.
+//! 3. **Boundary outbox.** A flit or credit addressed to another shard is
+//!    listed in `ShardBuf::deliveries` / `credit_returns`; the main thread
+//!    applies those in shard order after the barrier (`apply_outboxes`).
 //!
 //! A router visit tests the router's header masks before each stage (see
 //! `crate::router`): no link arrivals, an idle injector, no head awaiting
@@ -31,12 +46,30 @@
 //! *reads* from other shards well-defined, and the pool's cycle-boundary
 //! barriers provide the cross-cycle happens-before edges.
 //!
-//! Determinism: after the barrier, shard buffers are replayed in shard
-//! order — which is ascending-router order, exactly the serial engine's
-//! visit order — so completions, telemetry records, trace events, and
-//! outbox drains land in the bit-identical sequence the single-threaded
-//! engine produces. The serial engine itself runs as one shard through
-//! this same code path, which is how the golden-hash suite pins both.
+//! Determinism: what a router visit does depends on the router's state as
+//! the visit finds it, and none of the three destinations changes what any
+//! visit of the *same* sweep finds. A flit sent at cycle `now` lands at
+//! `now + 2` or later and arrivals are popped against `now`, so a target
+//! visited later in the sweep leaves it on the link; each input port has
+//! one upstream router, so its FIFO holds that sender's flits in grant
+//! order whichever thread appends them; credits are returned only after
+//! the shard's last visit, and returning a credit commutes with every
+//! other credit return. The network at every cycle boundary — all that
+//! the serial phases, `debug_validate` and the observers read — is
+//! therefore the same whatever the shard count, and the same as if every
+//! event had gone through one ordered outbox. The observer side effects
+//! (completions, telemetry records, trace events, statistics deltas) are
+//! still replayed in shard order — ascending-router order, the visit
+//! order of the one-shard engine — so they land in the bit-identical
+//! sequence at any shard count. The serial engine is the one-shard case of
+//! this same code path (every link event is in place or shard-local, and
+//! its telemetry and trace sinks write directly), which is how the
+//! golden-hash suite pins both.
+//!
+//! Allocation: the shard buffers, the request scratch and the shard ranges
+//! persist across cycles, so a serial cycle allocates nothing in the
+//! steady state. A sharded cycle still builds its vector of shard tasks
+//! in `step_routers` — the one break in the rule, see the comment there.
 
 #[allow(clippy::wildcard_imports)]
 use super::*;
@@ -272,15 +305,22 @@ impl SaRequests {
 }
 
 /// Per-shard outbox: everything a shard produces that crosses shard
-/// boundaries or mutates global state. Persistent across cycles so the
-/// steady state allocates nothing; replayed and cleared at each cycle
-/// boundary.
+/// boundaries or mutates global state, plus its shard-local credit list.
+/// Persistent across cycles, so filling it allocates nothing in the steady
+/// state; replayed and cleared at each cycle boundary.
 #[derive(Debug, Default)]
 pub(super) struct ShardBuf {
-    /// Cross-router flit handoffs.
+    /// Flit handoffs to routers of *other* shards, applied by the main
+    /// thread after the barrier (a handoff inside the shard is pushed onto
+    /// the target's arrival FIFO during the sweep).
     pub deliveries: Vec<Delivery>,
-    /// Upstream credit returns.
+    /// Credit returns to upstream routers of *other* shards, applied by
+    /// the main thread after the barrier.
     pub credit_returns: Vec<CreditReturn>,
+    /// Credit returns to upstream routers of this shard, applied by the
+    /// shard itself at the end of `run_shard` — after its last router
+    /// visit, so no visit sees a credit returned in its own sweep.
+    pub local_credits: Vec<CreditReturn>,
     /// RF-multicast engine enqueues: `(cluster, parent)`.
     pub mc_enqueues: Vec<(usize, u32)>,
     /// Completions to replay (see [`Completion`]).
@@ -362,9 +402,53 @@ impl Sweep<'_> {
                 self.stamps[rl] = e + 1;
             }
         }
+        for CreditReturn { router, port, vc } in self.buf.local_credits.drain(..) {
+            self.routers[router as usize - self.base].return_credit(port as usize, vc as usize);
+        }
         self.buf.swept = swept;
         if let Some(t0) = t0 {
             self.buf.sweep_ns = t0.elapsed().as_nanos() as u64;
+        }
+    }
+
+    /// Whether router `r` belongs to this shard.
+    #[inline]
+    fn owns(&self, r: usize) -> bool {
+        r.wrapping_sub(self.base) < self.routers.len()
+    }
+
+    /// Hands a flit granted at router `from` to the link toward input
+    /// `port` of router `target`. Inside the shard the flit goes straight
+    /// onto the target's arrival FIFO — it lands at `now + 2` or later, so
+    /// a target still to be visited this sweep leaves it on the link — and
+    /// the target is stamped for the next sweep unless it is scheduled in
+    /// this one and not yet visited (its own visit then re-stamps it: the
+    /// pending arrival makes it non-quiescent). A target in another shard
+    /// goes to the boundary outbox.
+    #[inline]
+    pub fn send_flit(&mut self, from: usize, target: usize, port: u8, arrival: Arrival) {
+        if self.owns(target) {
+            let tl = target - self.base;
+            self.routers[tl].push_arrival(port as usize, arrival);
+            let e = self.sh.epoch;
+            if target < from || self.stamps[tl] != e {
+                self.stamps[tl] = e + 1;
+            }
+        } else {
+            self.buf.deliveries.push(Delivery { router: target as u32, port, arrival });
+        }
+    }
+
+    /// Returns one buffer credit to output `(port, vc)` of `upstream`:
+    /// deferred to the end of this shard's sweep when the shard owns it,
+    /// through the boundary outbox otherwise.
+    #[inline]
+    pub fn send_credit(&mut self, upstream: usize, port: u8, vc: u8) {
+        let credit = CreditReturn { router: upstream as u32, port, vc };
+        if self.owns(upstream) {
+            self.buf.local_credits.push(credit);
+        } else {
+            self.buf.credit_returns.push(credit);
         }
     }
 

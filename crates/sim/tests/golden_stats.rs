@@ -477,8 +477,10 @@ fn golden_cases_repeat_identically() {
 /// pinned constants (never re-blessed per thread count). The sweep covers
 /// mid-run reconfiguration (`reconfigure_live`), fault storms
 /// (`faults_and_glitches`, `ringmesh_faults`), and the VCT fallback to
-/// the serial path (`mc_vct_tree`). Thread counts above the router count
-/// exercise the shard-clamp path.
+/// the serial path (`mc_vct_tree`). Three threads is the uneven split:
+/// the 8×8 cases get shards of 22, 21 and 21 routers, with the shard
+/// boundaries in the middle of a row. Thread counts above the router
+/// count exercise the shard-clamp path.
 #[test]
 fn golden_stats_reproduce_at_every_thread_count() {
     let threads_env = std::env::var("GOLDEN_THREADS").ok();
@@ -487,7 +489,7 @@ fn golden_stats_reproduce_at_every_thread_count() {
             .split(',')
             .map(|t| t.trim().parse().expect("GOLDEN_THREADS is a comma-separated list"))
             .collect(),
-        None => vec![2, 4, 8],
+        None => vec![2, 3, 4, 8],
     };
     let mut failures = Vec::new();
     for &threads in &sweep {

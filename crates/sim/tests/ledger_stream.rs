@@ -220,6 +220,40 @@ fn shard_records_reconcile_with_active_visits() {
     assert!(timed > 0.0, "sharded sweeps must report wall time");
 }
 
+/// `replay_ops` counts what the main thread replays for a shard after the
+/// barrier. A shard applies the link traffic between its own routers
+/// itself, so with the observers off that is the flits and credits that
+/// crossed the shard boundary plus one entry per completed message: on a
+/// 16×16 mesh cut into two shards of eight rows, about a twentieth of the
+/// run's flit grants per shard (when every link event went through the
+/// outbox, a shard listed about as many operations as the run has grants).
+#[test]
+fn replay_ops_count_boundary_traffic_only() {
+    let dims = GridDims::new(16, 16);
+    let mut cfg = base_config(2);
+    cfg.warmup_cycles = 0; // count every grant
+    cfg.ledger = Some(LedgerConfig::every(400));
+    let mut w = SyntheticWorkload::new(0x1ed6e6, dims.nodes(), 6, cfg.measure_cycles);
+    let stats = Network::new(NetworkSpec::mesh_baseline(dims, cfg)).run(&mut w);
+    assert!(!stats.saturated);
+    let grants: u64 = stats.port_flits.iter().sum();
+    let report = stats.ledger.as_ref().expect("ledger enabled");
+    let mut replayed = [0u64; 2];
+    for r in &report.records {
+        if let LedgerRecord::Shard { shard, replay_ops, .. } = r {
+            replayed[*shard as usize] += replay_ops;
+        }
+    }
+    for (shard, &ops) in replayed.iter().enumerate() {
+        assert!(ops > 0, "shard {shard} replayed nothing across the boundary");
+        assert!(
+            ops * 10 < grants,
+            "shard {shard}: {ops} replayed operations for {grants} flit grants — in-shard \
+             traffic is being listed"
+        );
+    }
+}
+
 /// Timeline events (faults, retunes) are mirrored onto the ledger stream
 /// with their cycle stamps.
 #[test]

@@ -14,7 +14,7 @@ use rfnoc_sim::{
     NetworkSpec, SimConfig, VctConfig,
 };
 use rfnoc_power::LinkWidth;
-use rfnoc_topology::{GridDims, Shortcut};
+use rfnoc_topology::{FabricSpec, GridDims, Shortcut};
 
 const DIMS: (usize, usize) = (6, 6);
 
@@ -233,9 +233,31 @@ fn invariants_hold_for_tree_multicast_at_other_router_shapes() {
 
 #[test]
 fn invariants_hold_on_the_sharded_engine() {
-    for threads in [1, 2, 4] {
-        let spec = NetworkSpec::with_shortcuts(dims(), cfg().with_threads(threads), shortcuts())
+    // 3 → 6 keeps both ends inside shard 0 at every thread count below;
+    // the four corner shortcuts each span two shards. Three threads is the
+    // uneven split, and the ring-mesh adds gateway routers with more ports
+    // than their ring neighbours.
+    let mut shortcuts = shortcuts();
+    shortcuts.push(Shortcut::new(3, 6));
+    let ring = FabricSpec::ring_mesh(dims(), 3);
+    let n = dims().nodes();
+    // Base links picked from the fabric itself, so the plan stays valid
+    // whatever the tile's ring order is.
+    let (nb0, nb20) = (ring.neighbors(0)[0], ring.neighbors(20)[0]);
+    let ring_plan = FaultPlan::new(vec![
+        (100, FaultEvent::ShortcutDown { src: 0 }),
+        (180, FaultEvent::MeshLinkDown { a: 0, b: nb0 }),
+        (260, FaultEvent::LinkGlitch { a: 20, b: nb20 }),
+        (340, FaultEvent::ShortcutUp { src: 0, dst: n - 1 }),
+        (420, FaultEvent::MeshLinkUp { a: 0, b: nb0 }),
+    ]);
+    for threads in [1, 2, 3, 4] {
+        let cfg = cfg().with_threads(threads);
+        let on_mesh = NetworkSpec::with_shortcuts(dims(), cfg.clone(), shortcuts.clone())
             .with_fault_plan(fault_plan());
-        drive(Network::new(spec), 0x0cc_0300, 32, 500, 0);
+        drive(Network::new(on_mesh), 0x0cc_0300, 32, 500, 0);
+        let on_ring = NetworkSpec::with_fabric(ring, cfg, shortcuts.clone())
+            .with_fault_plan(ring_plan.clone());
+        drive(Network::new(on_ring), 0x0cc_0301, 24, 500, 0);
     }
 }
