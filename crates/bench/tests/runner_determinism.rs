@@ -2,12 +2,12 @@
 //! results detail: `--jobs 8` has to produce bit-identical statistics to
 //! a serial run, and deduplicated points must share one report.
 
-use rfnoc::{Architecture, WorkloadSpec};
+use rfnoc::{Architecture, FaultSpec, WorkloadSpec};
 use rfnoc_bench::plan::{labeled, BaselineSel, Design, Plan, SweepSpec};
 use rfnoc_bench::runner::{run_plan, RunnerConfig};
 use rfnoc_power::LinkWidth;
-use rfnoc_sim::SimConfig;
-use rfnoc_traffic::TraceKind;
+use rfnoc_sim::{LedgerConfig, RunStats, SimConfig};
+use rfnoc_traffic::{Profile, ProfileSpec, TraceKind, TrafficConfig};
 
 /// A small but representative plan: two designs (one adaptive, so the
 /// profiling pass is covered), two workloads, short windows, and a
@@ -74,6 +74,122 @@ fn duplicate_experiments_run_once_and_share_reports() {
         let copy = results.expect(&format!("copy/{}", r.point.id));
         assert_eq!(r.report.stats, copy.report.stats);
         assert_eq!(r.wall, copy.wall, "deduplicated points share one timed run");
+    }
+}
+
+/// A plan whose points share a design every way they can: one adaptive
+/// design under three fault intensities and under a second simulator
+/// configuration, one static design on two traces — and two adaptive
+/// designs on one trace, which share a profile but not a selection.
+fn shared_design_plan() -> Plan {
+    let short = {
+        let mut sim = SimConfig::paper_baseline();
+        sim.warmup_cycles = 200;
+        sim.measure_cycles = 1_500;
+        sim.drain_cycles = 500;
+        sim
+    };
+    let other = {
+        let mut sim = short.clone().with_ledger(LedgerConfig::every(400));
+        sim.warmup_cycles = 300;
+        sim.measure_cycles = 1_000;
+        sim
+    };
+    let adaptive = |access_points| Architecture::AdaptiveShortcuts { access_points };
+    let adaptive50 = Design::new("Adaptive-50", adaptive(50), LinkWidth::B16);
+    let storms = SweepSpec::new("shared/storms")
+        .designs(vec![adaptive50.clone()])
+        .workloads(vec![labeled(
+            "adversarial",
+            WorkloadSpec::Profile(ProfileSpec::new(Profile::Adversarial, 7)),
+        )])
+        .sims(vec![labeled("short", short.clone()), labeled("other", other)])
+        .traffics(vec![labeled(
+            "0.012",
+            TrafficConfig { injection_rate: 0.012, ..TrafficConfig::default() },
+        )])
+        .faults(
+            [0.0, 1.0, 2.0]
+                .into_iter()
+                .map(|intensity| {
+                    labeled(format!("{intensity:.1}"), FaultSpec::Correlated { seed: 11, intensity })
+                })
+                .collect(),
+        )
+        .profile_cycles(500);
+    let traces = SweepSpec::new("shared/traces")
+        .designs(vec![
+            Design::new("Static", Architecture::StaticShortcuts, LinkWidth::B16),
+            adaptive50,
+            Design::new("Adaptive-25", adaptive(25), LinkWidth::B16),
+        ])
+        .workloads(vec![
+            labeled("Uniform", WorkloadSpec::Trace(TraceKind::Uniform)),
+            labeled("1Hotspot", WorkloadSpec::Trace(TraceKind::Hotspot1)),
+        ])
+        .sims(vec![labeled("short", short)])
+        .profile_cycles(500);
+    let mut plan = Plan::merge([storms.expand(), traces.expand()]);
+    // The second simulator configuration runs the storm at one intensity,
+    // and the adaptive designs run one trace.
+    plan.points.retain(|p| {
+        (p.labels.sim != "other" || p.labels.fault == "1.0")
+            && (p.labels.design == "Static" || p.labels.workload != "Uniform")
+    });
+    plan
+}
+
+/// The ledger's heartbeats carry host time; everything else in the
+/// statistics is simulated.
+fn simulated(mut stats: RunStats) -> RunStats {
+    stats.ledger = None;
+    stats
+}
+
+/// Whatever the runner shares between points — a profile, a selection, a
+/// distance matrix — every point must report what the stand-alone
+/// `Experiment::run`, which computes all of it itself, reports.
+#[test]
+fn points_sharing_a_design_equal_their_stand_alone_runs() {
+    let plan = shared_design_plan();
+    let ids: Vec<&str> = plan.points.iter().map(|p| p.id.as_str()).collect();
+    assert_eq!(
+        ids,
+        [
+            "shared/storms/short/0-0",
+            "shared/storms/short/1-0",
+            "shared/storms/short/2-0",
+            "shared/storms/other/1-0",
+            "shared/traces/static/uniform",
+            "shared/traces/static/1hotspot",
+            "shared/traces/adaptive-50/1hotspot",
+            "shared/traces/adaptive-25/1hotspot",
+        ]
+    );
+    let alone: Vec<RunStats> =
+        plan.points.iter().map(|p| simulated(p.experiment.run().stats)).collect();
+    assert!(
+        alone[2].mesh_link_faults > 0 && alone[2].shortcut_faults > 0,
+        "the storm must rewrite the routing tables"
+    );
+    for jobs in [1, 2, 8] {
+        let results =
+            run_plan(&plan, &RunnerConfig { jobs, quiet: true, ..RunnerConfig::default() });
+        assert_eq!(results.unique_runs, plan.len());
+        for (r, alone) in results.iter().zip(&alone) {
+            assert_eq!(
+                r.report.stats.ledger.is_some(),
+                r.point.labels.sim == "other",
+                "{}: the point's own simulator configuration runs",
+                r.point.id
+            );
+            assert_eq!(
+                &simulated(r.report.stats.clone()),
+                alone,
+                "jobs {jobs}: {} diverges from its stand-alone run",
+                r.point.id
+            );
+        }
     }
 }
 
