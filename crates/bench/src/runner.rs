@@ -8,6 +8,10 @@
 //! order regardless of execution interleaving, and each point's simulation
 //! is bit-identical to a serial run — plan-level parallelism never touches
 //! simulator state, only which thread runs which self-contained experiment.
+//! Experiments that differ only in what their design stage does not read —
+//! fault schedule, simulator windows, for a static design the workload —
+//! share one profile and one shortcut selection: the first of them to run
+//! computes the design, the others are handed it (see [`DesignSlot`]).
 //! `--sim-threads N` additionally steps each experiment's router sweep on
 //! `N` sharded-engine threads (also bit-identical); the runner then caps
 //! `--jobs` so `jobs × sim_threads` stays within the machine's
@@ -17,10 +21,10 @@ use crate::ledger::{LedgerSink, ENGINE_HEARTBEAT_CYCLES};
 use crate::plan::{Plan, RunPoint};
 use rfnoc::json::{rounded, Json};
 use rfnoc::ledger::record_json;
-use rfnoc::RunReport;
+use rfnoc::{DesignKey, Experiment, RunReport, SharedDesign};
 use rfnoc_sim::LedgerConfig;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Runner knobs, usually parsed from the command line.
@@ -207,13 +211,56 @@ impl PlanResults {
     }
 }
 
+/// One design of a plan, shared by the experiments whose
+/// [`Experiment::design_key`]s are equal: built by the first of them a
+/// worker picks up, handed to the rest, gone when the last has run. It
+/// lives nowhere but in the plan run that made it.
+struct DesignSlot {
+    /// How many of its experiments have yet to claim the design, and the
+    /// design once one of them has built it.
+    state: Mutex<(usize, Option<SharedDesign>)>,
+}
+
+impl DesignSlot {
+    fn new() -> Self {
+        Self { state: Mutex::new((0, None)) }
+    }
+
+    /// Counts one more experiment in; all are counted before any claims.
+    fn add_user(&mut self) {
+        self.state.get_mut().expect("no worker has run yet").0 += 1;
+    }
+
+    /// The design, for one of its experiments, and the host time this call
+    /// spent building it — zero for every claim but the first. A claim that
+    /// arrives while the first is still building waits for it, no longer
+    /// than building the design itself would have taken. The last claim
+    /// empties the slot.
+    fn claim(&self, experiment: &Experiment) -> (SharedDesign, Duration) {
+        let mut state = self.state.lock().expect("another worker panicked building this design");
+        let (unclaimed, design) = &mut *state;
+        let mut build_wall = Duration::ZERO;
+        if design.is_none() {
+            let start = Instant::now();
+            *design = Some(experiment.design());
+            build_wall = start.elapsed();
+        }
+        *unclaimed -= 1;
+        let design = if *unclaimed == 0 { design.take() } else { design.clone() };
+        (design.expect("built above"), build_wall)
+    }
+}
+
 /// Executes every point of the plan on `cfg.jobs` worker threads and
 /// returns results in plan order.
 ///
 /// Identical experiments (by value) run once and share their report.
 /// Unique experiments are scheduled longest-estimated-first through an
 /// atomic work queue, so stragglers start early and the workers
-/// self-balance.
+/// self-balance. Experiments with equal design keys share one design
+/// stage; its time shows in the `build_wall` (and the wall) of the point
+/// that ran it and as zero in the others, so the points of a plan with a
+/// non-zero `build_wall` are as many as its distinct designs.
 ///
 /// # Panics
 ///
@@ -254,6 +301,24 @@ pub fn run_plan_with(plan: &Plan, cfg: &RunnerConfig, sink: &LedgerSink) -> Plan
         }
     }
 
+    // Distinct designs among the unique experiments, by value of exactly
+    // what the design stage reads; experiments index into `designs`.
+    let mut keys: Vec<DesignKey<'_>> = Vec::new();
+    let mut designs: Vec<DesignSlot> = Vec::new();
+    let design_of: Vec<Option<usize>> = unique
+        .iter()
+        .map(|u| {
+            let key = u.experiment.design_key()?;
+            let d = keys.iter().position(|k| *k == key).unwrap_or_else(|| {
+                keys.push(key);
+                designs.push(DesignSlot::new());
+                designs.len() - 1
+            });
+            designs[d].add_user();
+            Some(d)
+        })
+        .collect();
+
     // Longest-first schedule over the unique experiments.
     let mut order: Vec<usize> = (0..unique.len()).collect();
     order.sort_by(|&a, &b| {
@@ -266,9 +331,10 @@ pub fn run_plan_with(plan: &Plan, cfg: &RunnerConfig, sink: &LedgerSink) -> Plan
 
     let jobs = cfg.effective_jobs().clamp(1, unique.len().max(1));
     sink.human(&format!(
-        "plan: {} points ({} unique experiments) on {} thread{}",
+        "plan: {} points ({} unique experiments, {} designs) on {} thread{}",
         plan.len(),
         unique.len(),
+        designs.len(),
         jobs,
         if jobs == 1 { "" } else { "s" }
     ));
@@ -309,7 +375,8 @@ pub fn run_plan_with(plan: &Plan, cfg: &RunnerConfig, sink: &LedgerSink) -> Plan
                     // ledger file is being written — enabling it (like
                     // sim-threads) needs a mutated experiment copy, and
                     // neither changes simulated results (bit-identical).
-                    let report = if cfg.sim_threads > 1 || sink.enabled() {
+                    let tuned;
+                    let experiment = if cfg.sim_threads > 1 || sink.enabled() {
                         let mut exp = point.experiment.clone();
                         if cfg.sim_threads > 1 {
                             exp.system.sim.threads = cfg.sim_threads;
@@ -318,10 +385,17 @@ pub fn run_plan_with(plan: &Plan, cfg: &RunnerConfig, sink: &LedgerSink) -> Plan
                             exp.system.sim.ledger =
                                 Some(LedgerConfig::every(ENGINE_HEARTBEAT_CYCLES));
                         }
-                        exp.run()
+                        tuned = exp;
+                        &tuned
                     } else {
-                        point.experiment.run()
+                        &point.experiment
                     };
+                    let (design, build_wall) = match design_of[u] {
+                        Some(d) => designs[d].claim(experiment),
+                        // No design stage: there is nothing to select.
+                        None => (experiment.design(), Duration::ZERO),
+                    };
+                    let report = RunReport { build_wall, ..experiment.run_on(&design) };
                     let wall = t0.elapsed();
                     let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
                     sink.human(&format!(
@@ -377,7 +451,12 @@ pub fn run_plan_with(plan: &Plan, cfg: &RunnerConfig, sink: &LedgerSink) -> Plan
                 let (baseline, _) = reports[point_to_unique[bidx]];
                 report.normalized_to(baseline)
             });
-            PointResult { point: point.clone(), report: report.clone(), wall: *wall, normalized }
+            let mut report = report.clone();
+            if !std::ptr::eq(point, unique[u]) {
+                // A repeat of an earlier point's experiment built nothing.
+                report.build_wall = Duration::ZERO;
+            }
+            PointResult { point: point.clone(), report, wall: *wall, normalized }
         })
         .collect();
     let total_wall = start.elapsed();

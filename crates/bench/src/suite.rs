@@ -851,14 +851,12 @@ fn render_mesh_scaling(results: &PlanResults, opts: &SuiteOptions) {
             let base = find("mesh-only");
             let rf = find("RF overlay");
 
-            // Build time is not part of the runner's report (it measures
-            // the simulated window), so rebuild the RF design's system
-            // here and time it — this is the shortcut-selection path the
-            // incremental selector has to keep in seconds at 64x64.
-            let started = std::time::Instant::now();
-            let built = rf.point.experiment.build();
-            let build_ms = started.elapsed().as_secs_f64() * 1e3;
-            let shortcuts = built.shortcuts.len();
+            // The RF design's selection, as the run itself timed it — the
+            // path the incremental selector has to keep in seconds at
+            // 64x64. (Zero if another point of a larger plan had already
+            // paid for this design.)
+            let build_ms = rf.report.build_wall.as_secs_f64() * 1e3;
+            let shortcuts = rf.report.shortcuts;
 
             let throughput = |r: &crate::runner::PointResult| {
                 let wall = r.wall.as_secs_f64().max(1e-9);
@@ -891,15 +889,12 @@ fn render_mesh_scaling(results: &PlanResults, opts: &SuiteOptions) {
                 format!("{build_ms:.1}"),
                 format!("{cps:.0}"),
             ]);
-            let base_built = base.point.experiment.build();
-            for (label, r, built) in [("mesh-only", base, &base_built), ("rf", rf, &built)] {
+            for (label, r) in [("mesh-only", base), ("rf", rf)] {
                 let (cps, gps) = throughput(r);
                 let r4 = |v: f64| rounded(v, 4);
-                // Likewise outside the runner's report: routing tables,
-                // base-route table and router wiring of this design.
-                let started = std::time::Instant::now();
-                drop(rfnoc_sim::Network::new(built.network.clone()));
-                let network_new_ms = started.elapsed().as_secs_f64() * 1e3;
+                // Routing tables, base-route table and router wiring of
+                // this design, as its run timed them.
+                let network_new_ms = r.report.network_wall.as_secs_f64() * 1e3;
                 points.push(
                     Json::obj()
                         .field("side", side)

@@ -193,6 +193,44 @@ fn points_sharing_a_design_equal_their_stand_alone_runs() {
     }
 }
 
+/// One design stage per distinct design, charged to exactly one point —
+/// never to a repeat of an earlier point's experiment.
+#[test]
+fn a_design_is_built_once_and_charged_to_one_point() {
+    let mut plan = shared_design_plan();
+    let mut repeat = plan.points[4].clone();
+    repeat.id = "shared/traces/static/uniform-again".into();
+    plan.points.push(repeat);
+    // The storm's four points, Static's three, and the two adaptive ones.
+    let designs = [
+        vec!["shared/storms/short/0-0", "shared/storms/short/1-0", "shared/storms/short/2-0",
+            "shared/storms/other/1-0"],
+        vec!["shared/traces/static/uniform", "shared/traces/static/1hotspot",
+            "shared/traces/static/uniform-again"],
+        vec!["shared/traces/adaptive-50/1hotspot"],
+        vec!["shared/traces/adaptive-25/1hotspot"],
+    ];
+    for jobs in [1, 2, 8] {
+        let results =
+            run_plan(&plan, &RunnerConfig { jobs, quiet: true, ..RunnerConfig::default() });
+        assert_eq!(results.unique_runs, 8);
+        for design in &designs {
+            let charged: Vec<&str> = design
+                .iter()
+                .copied()
+                .filter(|id| !results.expect(id).report.build_wall.is_zero())
+                .collect();
+            assert_eq!(charged.len(), 1, "jobs {jobs}: {design:?} charged to {charged:?}");
+            assert_ne!(charged[0], "shared/traces/static/uniform-again");
+        }
+    }
+    // A mesh baseline has no design stage to charge.
+    let base = run_plan(&small_plan(), &RunnerConfig { jobs: 2, quiet: true, ..RunnerConfig::default() });
+    for r in base.iter() {
+        assert_eq!(r.report.build_wall.is_zero(), r.point.labels.design == "base", "{}", r.point.id);
+    }
+}
+
 #[test]
 fn baseline_pairing_yields_finite_ratios() {
     let results = run_plan(&small_plan(), &RunnerConfig { jobs: 2, quiet: true, ..RunnerConfig::default() });

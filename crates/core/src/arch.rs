@@ -59,6 +59,20 @@ impl Architecture {
         )
     }
 
+    /// Whether this architecture overlays RF-I (or wire) shortcuts, and so
+    /// has a selection to make before it can be elaborated.
+    pub fn selects_shortcuts(&self) -> bool {
+        match self {
+            Architecture::StaticShortcuts
+            | Architecture::WireShortcuts
+            | Architecture::AdaptiveShortcuts { .. }
+            | Architecture::AdaptiveWithMulticast { .. } => true,
+            Architecture::Baseline
+            | Architecture::VctMulticast
+            | Architecture::RfMulticast { .. } => false,
+        }
+    }
+
     /// Short display name following the paper's figures.
     pub fn name(&self) -> String {
         match self {
@@ -126,6 +140,9 @@ mod tests {
 
     #[test]
     fn adaptivity_flags() {
+        assert!(!Architecture::Baseline.selects_shortcuts());
+        assert!(Architecture::WireShortcuts.selects_shortcuts());
+        assert!(!Architecture::RfMulticast { access_points: 50 }.selects_shortcuts());
         assert!(!Architecture::Baseline.is_adaptive());
         assert!(!Architecture::StaticShortcuts.is_adaptive());
         assert!(Architecture::AdaptiveShortcuts { access_points: 50 }.is_adaptive());

@@ -3,12 +3,13 @@
 
 use crate::arch::{Architecture, SystemConfig};
 use rfnoc_power::{DesignSpec, RouterConfig};
-use rfnoc_sim::{McConfig, MulticastMode, NetworkSpec, RoutingKind, VctConfig};
+use rfnoc_sim::{McConfig, MulticastMode, NetworkSpec, VctConfig};
 use rfnoc_topology::select::{
-    select_application_specific, select_max_cost, SelectionConstraints,
+    application_specific_selection, max_cost_selection, Selection, SelectionConstraints,
 };
-use rfnoc_topology::{GridGraph, NodeId, PairWeights, Shortcut};
+use rfnoc_topology::{DistanceMatrix, GridGraph, NodeId, PairWeights, Shortcut};
 use rfnoc_traffic::{staggered_rf_routers, Placement};
+use std::sync::Arc;
 
 /// Cycles between coarse-grain multicast-channel arbitration decisions.
 ///
@@ -49,12 +50,16 @@ fn directed_mesh_links(placement: &Placement) -> usize {
 /// Selects the architecture-specific (design-time) shortcut set: uniform
 /// weights, max-cost heuristic (Figure 3b), corners excluded (§3.2.1).
 pub fn static_shortcuts(placement: &Placement, budget: usize) -> Vec<Shortcut> {
+    static_selection(placement, budget).shortcuts
+}
+
+fn static_selection(placement: &Placement, budget: usize) -> Selection {
     let graph = GridGraph::from_fabric(&placement.fabric(), &[]);
     let n = graph.node_count();
     let weights = PairWeights::uniform(n);
     let constraints =
         SelectionConstraints::allowing_all(n, budget).excluding_corners(&graph);
-    select_max_cost(&graph, &weights, &constraints)
+    max_cost_selection(&graph, &weights, &constraints)
 }
 
 /// Selects application-specific shortcuts over the RF-enabled router set
@@ -65,11 +70,75 @@ pub fn adaptive_shortcuts(
     profile: &PairWeights,
     budget: usize,
 ) -> Vec<Shortcut> {
+    adaptive_selection(placement, rf_enabled, profile, budget).shortcuts
+}
+
+fn adaptive_selection(
+    placement: &Placement,
+    rf_enabled: &[NodeId],
+    profile: &PairWeights,
+    budget: usize,
+) -> Selection {
     let graph = GridGraph::from_fabric(&placement.fabric(), &[]);
     let n = graph.node_count();
     let constraints = SelectionConstraints::for_enabled(n, budget, rf_enabled)
         .excluding_corners(&graph);
-    select_application_specific(&graph, profile, &constraints)
+    application_specific_selection(&graph, profile, &constraints)
+}
+
+/// The part of a built system that costs something to compute and that
+/// every system of the same design shares: the selected shortcut set and
+/// the distance matrix the selection ended with. Empty for the
+/// architectures that select no shortcuts.
+///
+/// The matrix sits behind an `Arc`: [`elaborate`] puts the same one on
+/// every [`NetworkSpec`] it returns, and each network built from such a
+/// spec keeps it until a fault or a retune makes it rebuild tables of its
+/// own.
+#[derive(Debug, Clone, Default)]
+pub struct SharedDesign {
+    selection: Option<(Vec<Shortcut>, Arc<DistanceMatrix>)>,
+}
+
+impl SharedDesign {
+    /// Runs the shortcut selection of `system`'s architecture over
+    /// `placement` — everything [`build_system`] does that is worth doing
+    /// once per design.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an adaptive architecture is given no profile.
+    pub fn select(
+        system: &SystemConfig,
+        placement: &Placement,
+        profile: Option<&PairWeights>,
+    ) -> Self {
+        let adaptive = |access_points: usize, budget: usize| {
+            let profile = profile.expect("adaptive architectures require a traffic profile");
+            let rf_enabled = staggered_rf_routers(placement.dims(), access_points);
+            adaptive_selection(placement, &rf_enabled, profile, budget)
+        };
+        let selection = match system.arch {
+            Architecture::Baseline
+            | Architecture::VctMulticast
+            | Architecture::RfMulticast { .. } => return Self::default(),
+            Architecture::StaticShortcuts | Architecture::WireShortcuts => {
+                static_selection(placement, system.shortcut_budget)
+            }
+            Architecture::AdaptiveShortcuts { access_points } => {
+                adaptive(access_points, system.shortcut_budget)
+            }
+            Architecture::AdaptiveWithMulticast { access_points, shortcut_budget } => {
+                adaptive(access_points, shortcut_budget)
+            }
+        };
+        Self { selection: Some((selection.shortcuts, Arc::new(selection.distances))) }
+    }
+
+    /// The selected shortcuts (none for a design without an RF overlay).
+    pub fn shortcuts(&self) -> &[Shortcut] {
+        self.selection.as_ref().map_or(&[], |(shortcuts, _)| shortcuts)
+    }
 }
 
 /// Per-router port configurations given the shortcut endpoints and the
@@ -131,6 +200,20 @@ pub fn build_system(
     placement: &Placement,
     profile: Option<&PairWeights>,
 ) -> BuiltSystem {
+    elaborate(system, placement, &SharedDesign::select(system, placement, profile))
+}
+
+/// Elaborates `system` over `placement` around a design `shared` with
+/// other systems: one selected for exactly this architecture, shortcut
+/// budget and placement (and, for the adaptive architectures, this
+/// workload's profile) — by [`SharedDesign::select`] on the same arguments,
+/// or on those of another system that differs in nothing the selection
+/// reads.
+pub fn elaborate(
+    system: &SystemConfig,
+    placement: &Placement,
+    shared: &SharedDesign,
+) -> BuiltSystem {
     let dims = placement.dims();
     let mesh_links = directed_mesh_links(placement);
     let width = system.link_width;
@@ -138,26 +221,23 @@ pub fn build_system(
     let clock = 2.0e9;
 
     let mut network = NetworkSpec::with_fabric(placement.fabric(), sim, Vec::new());
-    let mut shortcuts = Vec::new();
+    if let Some((shortcuts, distances)) = &shared.selection {
+        network = network.with_selection(shortcuts.clone(), Arc::clone(distances));
+    }
+    let shortcuts = shared.shortcuts().to_vec();
     let mut rf_enabled: Vec<NodeId> = Vec::new();
     let mut design = DesignSpec::mesh_baseline(dims.nodes(), mesh_links, width);
 
     match &system.arch {
         Architecture::Baseline => {}
         Architecture::StaticShortcuts => {
-            shortcuts = static_shortcuts(placement, system.shortcut_budget);
             rf_enabled = shortcut_endpoints(&shortcuts);
-            network.shortcuts = shortcuts.clone();
-            network.routing = RoutingKind::ShortestPath;
             design.routers = router_configs(placement, &shortcuts, &[], &[]);
             design.rf_provisioned_gbps =
                 rfnoc_power::static_provision_gbps(shortcuts.len(), 16, clock);
         }
         Architecture::WireShortcuts => {
-            shortcuts = static_shortcuts(placement, system.shortcut_budget);
             rf_enabled = shortcut_endpoints(&shortcuts);
-            network.shortcuts = shortcuts.clone();
-            network.routing = RoutingKind::ShortestPath;
             network.wire_shortcut_cycles_per_hop = Some(WIRE_SHORTCUT_CYCLES_PER_HOP);
             design.routers = router_configs(placement, &shortcuts, &[], &[]);
             // Wire shortcuts add repeated-wire area/leakage proportional to
@@ -171,12 +251,7 @@ pub fn build_system(
             design.mesh_links += wire_hops;
         }
         Architecture::AdaptiveShortcuts { access_points } => {
-            let profile = profile.expect("adaptive architectures require a traffic profile");
             rf_enabled = staggered_rf_routers(dims, *access_points);
-            shortcuts =
-                adaptive_shortcuts(placement, &rf_enabled, profile, system.shortcut_budget);
-            network.shortcuts = shortcuts.clone();
-            network.routing = RoutingKind::ShortestPath;
             design.routers = router_configs(placement, &[], &rf_enabled, &[]);
             design.rf_provisioned_gbps =
                 rfnoc_power::adaptive_provision_gbps(*access_points, 16, clock);
@@ -200,10 +275,8 @@ pub fn build_system(
                 rfnoc_power::adaptive_provision_gbps(*access_points, 16, clock)
                     + rfnoc_power::static_provision_gbps(extra_tx.len(), 16, clock);
         }
-        Architecture::AdaptiveWithMulticast { access_points, shortcut_budget } => {
-            let profile = profile.expect("adaptive architectures require a traffic profile");
+        Architecture::AdaptiveWithMulticast { access_points, .. } => {
             rf_enabled = staggered_rf_routers(dims, *access_points);
-            shortcuts = adaptive_shortcuts(placement, &rf_enabled, profile, *shortcut_budget);
             // Receivers not consumed by shortcuts tune to the multicast
             // band (§3.3: "the remaining 35 Rx's are tuned to the multicast
             // channel").
@@ -219,8 +292,6 @@ pub fn build_system(
                 .copied()
                 .filter(|t| !rf_enabled.contains(t))
                 .collect();
-            network.shortcuts = shortcuts.clone();
-            network.routing = RoutingKind::ShortestPath;
             network.multicast = MulticastMode::Rf;
             network.mc = Some(mc_config(placement, receivers));
             design.routers = router_configs(placement, &[], &rf_enabled, &extra_tx);
@@ -335,6 +406,77 @@ mod tests {
         for s in &built.shortcuts {
             assert!(!mc.receivers.contains(&s.dst), "shortcut Rx not on MC band");
         }
+    }
+
+    /// The matrix on a built spec belongs to the shortcuts selected with
+    /// it: swap one of them and the network is refused, not misrouted.
+    #[test]
+    fn editing_the_shortcuts_of_a_built_spec_is_refused() {
+        use rfnoc_sim::{Network, SimError};
+        let sys = SystemConfig::new(Architecture::StaticShortcuts, LinkWidth::B16);
+        let built = build_system(&sys, &placement(), None);
+        let distances = built.network.distances().expect("a selecting design hands its matrix on");
+        assert!(Network::try_new(built.network.clone()).is_ok());
+
+        let mut edited = built.network.clone();
+        let src = edited.shortcuts[0].src;
+        let dst = (0..100)
+            .find(|&d| built.shortcuts.iter().all(|s| s.dst != d) && distances.get(src, d) > 1)
+            .expect("some router is free and further than a hop away");
+        edited.shortcuts[0] = Shortcut::new(src, dst);
+        match Network::try_new(edited) {
+            Err(SimError::StaleDistances { reason }) => {
+                assert!(reason.starts_with(&format!("shortcut {src} -> {dst} is ")), "{reason}");
+            }
+            other => panic!("expected stale distances, got {:?}", other.map(|_| "a network")),
+        }
+    }
+
+    /// Networks built from one system share its matrix; one that runs into
+    /// faults rewrites tables of its own and leaves the shared one alone.
+    #[test]
+    fn a_faulted_network_leaves_the_shared_matrix_alone() {
+        use rfnoc_sim::{FaultEvent, FaultPlan, Network, NetworkSpec, SimConfig};
+        let p = placement();
+        let mut sim = SimConfig::paper_baseline();
+        sim.warmup_cycles = 200;
+        sim.measure_cycles = 1_500;
+        sim.drain_cycles = 2_000;
+        let sys = SystemConfig::new(Architecture::StaticShortcuts, LinkWidth::B16).with_sim(sim);
+        let built = build_system(&sys, &p, None);
+        let shared = |built: &BuiltSystem| {
+            Arc::clone(built.network.distances().expect("a selecting design hands its matrix on"))
+        };
+        let selected = (*shared(&built)).clone();
+        let run = |spec: NetworkSpec| {
+            let mut network = Network::new(spec);
+            let mut workload = WorkloadSpec::Trace(TraceKind::Uniform)
+                .instantiate(&p, &TrafficConfig::default());
+            let stats = network.run(workload.as_mut());
+            (network, stats)
+        };
+        let storm = FaultPlan::new(vec![
+            (300, FaultEvent::MeshLinkDown { a: 44, b: 45 }),
+            (500, FaultEvent::ShortcutDown { src: built.shortcuts[0].src }),
+            (700, FaultEvent::MeshLinkDown { a: 54, b: 55 }),
+            (1_100, FaultEvent::MeshLinkUp { a: 44, b: 45 }),
+        ]);
+        let (faulted_network, faulted) = run(built.network.clone().with_fault_plan(storm));
+        let (intact_network, intact) = run(built.network.clone());
+        assert_eq!((faulted.mesh_link_faults, faulted.shortcut_faults), (2, 1));
+        // The spec, the intact network, and this handle.
+        assert_eq!(Arc::strong_count(&shared(&built)), 3);
+
+        let unshared = NetworkSpec::with_fabric(
+            p.fabric(),
+            built.network.config.clone(),
+            built.shortcuts.clone(),
+        );
+        assert!(unshared.distances().is_none());
+        assert_eq!(intact, run(unshared).1, "sharing a matrix with a faulted network shows");
+        assert_eq!(*shared(&built), selected);
+        drop((faulted_network, intact_network));
+        assert_eq!(Arc::strong_count(built.network.distances().expect("checked above")), 1);
     }
 
     #[test]

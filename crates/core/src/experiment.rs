@@ -1,10 +1,10 @@
 //! End-to-end experiments: build → simulate → cost.
 
 use crate::arch::{Architecture, SystemConfig};
-use crate::builder::{build_system, BuiltSystem};
+use crate::builder::{build_system, elaborate, BuiltSystem, SharedDesign};
 use crate::workload::WorkloadSpec;
-use rfnoc_power::{AreaBreakdown, NocPowerModel, PowerBreakdown};
-use rfnoc_sim::{FaultPlan, FaultRates, Network, RunStats};
+use rfnoc_power::{AreaBreakdown, LinkWidth, NocPowerModel, PowerBreakdown};
+use rfnoc_sim::{FaultPlan, FaultRates, Network, RunStats, SimConfig};
 use rfnoc_topology::PairWeights;
 use rfnoc_traffic::{Placement, TrafficConfig};
 use std::fmt;
@@ -56,6 +56,35 @@ pub enum FaultSpec {
         /// Event-count scale; 0 disables the storm entirely.
         intensity: f64,
     },
+}
+
+/// Everything an experiment's design stage ([`Experiment::design`]) reads,
+/// borrowed from the experiment: two experiments with equal keys select the
+/// same shortcuts and end with the same distance matrix, so one
+/// [`SharedDesign`] serves both. Compared by value with the `PartialEq` its
+/// fields already derive.
+///
+/// The architecture names the selector and the access points, the budget
+/// how many shortcuts, the placement the fabric and — through the traffic
+/// generators — where messages go. The adaptive architectures add what
+/// their profile is drawn from.
+#[derive(Debug, PartialEq)]
+pub struct DesignKey<'a> {
+    arch: &'a Architecture,
+    shortcut_budget: usize,
+    placement: &'a Placement,
+    profile: Option<ProfileKey<'a>>,
+}
+
+/// The inputs of [`Experiment::gather_profile`].
+#[derive(Debug, PartialEq)]
+struct ProfileKey<'a> {
+    workload: &'a WorkloadSpec,
+    traffic: &'a TrafficConfig,
+    cycles: u64,
+    source: ProfileSource,
+    /// The network the event counters sit in; the generator reads neither.
+    counted_on: Option<(LinkWidth, &'a SimConfig)>,
 }
 
 /// A complete experiment: a system configuration exercised by a workload.
@@ -230,25 +259,63 @@ impl Experiment {
         }
     }
 
-    /// Elaborates the system (selecting adaptive shortcuts from a traffic
-    /// profile when needed) without running it.
-    pub fn build(&self) -> BuiltSystem {
+    /// What the design stage of this experiment depends on, or `None` for
+    /// an architecture that selects no shortcuts and so has no such stage.
+    pub fn design_key(&self) -> Option<DesignKey<'_>> {
+        let arch = &self.system.arch;
+        arch.selects_shortcuts().then(|| DesignKey {
+            arch,
+            shortcut_budget: self.system.shortcut_budget,
+            placement: &self.placement,
+            profile: arch.is_adaptive().then(|| ProfileKey {
+                workload: &self.workload,
+                traffic: &self.traffic,
+                cycles: self.profile_cycles,
+                source: self.profile_source,
+                counted_on: (self.profile_source == ProfileSource::EventCounters)
+                    .then_some((self.system.link_width, &self.system.sim)),
+            }),
+        })
+    }
+
+    /// The design stage: profiles the workload when the architecture is
+    /// adaptive and selects the shortcuts. The result serves every
+    /// experiment whose [`Experiment::design_key`] equals this one's.
+    pub fn design(&self) -> SharedDesign {
         let profile = self
             .system
             .arch
             .is_adaptive()
             .then(|| self.gather_profile(&self.placement));
-        build_system(&self.system, &self.placement, profile.as_ref())
+        SharedDesign::select(&self.system, &self.placement, profile.as_ref())
+    }
+
+    /// Elaborates the system (selecting adaptive shortcuts from a traffic
+    /// profile when needed) without running it.
+    pub fn build(&self) -> BuiltSystem {
+        elaborate(&self.system, &self.placement, &self.design())
     }
 
     /// Builds, simulates, and costs the experiment.
     pub fn run(&self) -> RunReport {
+        let start = Instant::now();
+        let design = self.design();
+        let build_wall = start.elapsed();
+        RunReport { build_wall, ..self.run_on(&design) }
+    }
+
+    /// [`Experiment::run`] after the design stage: elaborates the system
+    /// around `design`, simulates and costs it. `design` must come from
+    /// [`Experiment::design`] of an experiment with an equal
+    /// [`Experiment::design_key`]; the report's `build_wall` is zero, for
+    /// the caller to charge the stage to whichever run paid for it.
+    pub fn run_on(&self, design: &SharedDesign) -> RunReport {
         let placement = self.placement.clone();
-        let build_start = Instant::now();
-        let built = self.build();
-        let build_wall = build_start.elapsed();
+        let built = elaborate(&self.system, &placement, design);
         let spec = built.network.clone().with_fault_plan(self.resolve_faults(&built));
+        let network_start = Instant::now();
         let mut network = Network::new(spec);
+        let network_wall = network_start.elapsed();
         // Instantiate against the *built* shortcut set so the adversarial
         // campaign profile targets the overlay actually selected.
         let mut workload =
@@ -263,7 +330,9 @@ impl Experiment {
             stats,
             power,
             area,
-            build_wall,
+            shortcuts: built.shortcuts.len(),
+            build_wall: Duration::ZERO,
+            network_wall,
         }
     }
 }
@@ -281,10 +350,17 @@ pub struct RunReport {
     pub power: PowerBreakdown,
     /// NoC active-layer area.
     pub area: AreaBreakdown,
-    /// Host time the build stage took — profiling, shortcut selection and
-    /// elaboration, everything before `Network::new`. Not a simulated
-    /// quantity: it differs from run to run.
+    /// Shortcuts the design selected (none without an RF or wire overlay).
+    pub shortcuts: usize,
+    /// Host time of the design stage — profiling and shortcut selection,
+    /// [`Experiment::design`]. Zero when the run was handed a design another
+    /// run had paid for; an architecture without shortcuts has no such
+    /// stage, and a plan reports zero for it too. Not a simulated quantity:
+    /// it differs from run to run.
     pub build_wall: Duration,
+    /// Host time in `Network::new`: routing tables, base-route table and
+    /// router wiring. Not a simulated quantity either.
+    pub network_wall: Duration,
 }
 
 impl RunReport {

@@ -68,11 +68,11 @@ mod workload;
 
 pub use arch::{Architecture, SystemConfig, DEFAULT_ACCESS_POINTS, DEFAULT_SHORTCUT_BUDGET};
 pub use builder::{
-    adaptive_shortcuts, build_system, static_shortcuts, BuiltSystem, DEFAULT_MC_EPOCH,
-    WIRE_SHORTCUT_CYCLES_PER_HOP,
+    adaptive_shortcuts, build_system, elaborate, static_shortcuts, BuiltSystem, SharedDesign,
+    DEFAULT_MC_EPOCH, WIRE_SHORTCUT_CYCLES_PER_HOP,
 };
 pub use experiment::{
-    Experiment, FaultSpec, ProfileSource, RunReport, DEFAULT_PROFILE_CYCLES,
+    DesignKey, Experiment, FaultSpec, ProfileSource, RunReport, DEFAULT_PROFILE_CYCLES,
 };
 pub use phased::{PhasedExperiment, PhasedReport, ReconfigPolicy};
 pub use workload::WorkloadSpec;

@@ -125,7 +125,9 @@ impl PhasedExperiment {
             };
             let built = build_system(&self.system, &placement, profile.as_ref());
             let build_wall = build_start.elapsed();
+            let network_start = Instant::now();
             let mut network = Network::new(built.network.clone());
+            let network_wall = network_start.elapsed();
             let mut workload = phase.instantiate(&placement, &self.traffic);
             let stats = network.run(workload.as_mut());
             let power = model.power(&built.design, &stats.activity);
@@ -136,7 +138,9 @@ impl PhasedExperiment {
                 stats,
                 power,
                 area,
+                shortcuts: built.shortcuts.len(),
                 build_wall,
+                network_wall,
             });
         }
         PhasedReport {

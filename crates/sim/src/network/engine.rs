@@ -150,7 +150,7 @@ impl Network {
             max_ports: self.max_ports,
             base_table: self.base_table.as_deref(),
             port_table: self.port_table.as_deref(),
-            sp_dist: self.sp_dist.as_deref(),
+            sp_dist: self.sp_dist.as_deref().map(DistanceMatrix::as_slice),
             escape_table: self.escape_table.as_deref(),
             cluster_of: self.mc.as_ref().map(|mc| mc.cluster_of.as_slice()),
             rf_accepting: self.rf_accepting(),

@@ -381,7 +381,11 @@ impl Network {
         let mut dm = self.sp_dist.take().expect("sp_dist accompanies port_table");
         let mut td = self.detour_dist.take().expect("checked above");
         let shortcuts = self.active_shortcuts.clone();
-        self.detour_tables_update(&shortcuts, &mut pt, Some(&mut dm), &mut td, a, b, removed);
+        // Detour-built tables are this network's own (the rebuild that made
+        // them replaced whatever matrix the spec had shared), so this never
+        // copies; `make_mut` keeps the edit off a shared matrix regardless.
+        let distances = Arc::make_mut(&mut dm).as_mut_slice();
+        self.detour_tables_update(&shortcuts, &mut pt, Some(distances), &mut td, a, b, removed);
         self.port_table = Some(pt);
         self.sp_dist = Some(dm);
         self.detour_dist = Some(td);

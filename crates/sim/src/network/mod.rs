@@ -12,8 +12,9 @@ use crate::router::{
 use crate::stats::RunStats;
 use crate::vct::{VctConfig, VctTable};
 use rfnoc_topology::routing::RoutingTables;
-use rfnoc_topology::{FabricSpec, GridDims, GridGraph, NodeId, Shortcut};
+use rfnoc_topology::{DistanceMatrix, FabricSpec, GridDims, GridGraph, NodeId, Shortcut};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// How unicast packets are routed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,6 +49,11 @@ pub struct NetworkSpec {
     pub config: SimConfig,
     /// RF-I shortcut set (empty for the baseline).
     pub shortcuts: Vec<Shortcut>,
+    /// Hop distances over `fabric` plus `shortcuts`, when whoever chose the
+    /// shortcuts already holds them ([`NetworkSpec::with_selection`]); the
+    /// network then builds its routing tables from this matrix and shares
+    /// it instead of running its own all-pairs search.
+    distances: Option<Arc<DistanceMatrix>>,
     /// Unicast routing algorithm.
     pub routing: RoutingKind,
     /// Multicast handling.
@@ -74,6 +80,7 @@ impl NetworkSpec {
             fabric: FabricSpec::mesh(dims),
             config,
             shortcuts: Vec::new(),
+            distances: None,
             routing: RoutingKind::Xy,
             multicast: MulticastMode::AsUnicasts,
             mc: None,
@@ -89,6 +96,7 @@ impl NetworkSpec {
             fabric: FabricSpec::mesh(dims),
             config,
             shortcuts,
+            distances: None,
             routing: RoutingKind::ShortestPath,
             multicast: MulticastMode::AsUnicasts,
             mc: None,
@@ -112,12 +120,36 @@ impl NetworkSpec {
             fabric,
             config,
             shortcuts,
+            distances: None,
             routing,
             multicast: MulticastMode::AsUnicasts,
             mc: None,
             wire_shortcut_cycles_per_hop: None,
             faults: FaultPlan::default(),
         }
+    }
+
+    /// Overlays a selected shortcut set, routed by shortest paths, together
+    /// with the hop distances the selection ended with (see
+    /// [`rfnoc_topology::select::Selection`]). The two travel as a pair:
+    /// this is the only way to set the matrix, and [`Network::try_new`]
+    /// rejects it with [`SimError::StaleDistances`] if `shortcuts` is edited
+    /// afterwards so that a listed shortcut is no longer one hop long.
+    #[must_use]
+    pub fn with_selection(
+        mut self,
+        shortcuts: Vec<Shortcut>,
+        distances: Arc<DistanceMatrix>,
+    ) -> Self {
+        self.shortcuts = shortcuts;
+        self.distances = Some(distances);
+        self.routing = RoutingKind::ShortestPath;
+        self
+    }
+
+    /// The distance matrix set by [`NetworkSpec::with_selection`], if any.
+    pub fn distances(&self) -> Option<&Arc<DistanceMatrix>> {
+        self.distances.as_ref()
     }
 
     /// Grid dimensions of the fabric.
@@ -316,8 +348,11 @@ pub struct Network {
     /// [`RoutingKind::ShortestPath`] mode.
     port_table: Option<Vec<u8>>,
     /// Shortest-path hop distances over mesh+shortcuts (same indexing),
-    /// used to price contention-avoidance detours.
-    sp_dist: Option<Vec<u32>>,
+    /// used to price contention-avoidance detours. The matrix may be the
+    /// one the spec carried, shared with every other network built from
+    /// that design: replace the `Arc` on a rebuild, and go through
+    /// `Arc::make_mut` to edit it in place.
+    sp_dist: Option<Arc<DistanceMatrix>>,
     /// True BFS distances (`u32::MAX` when unreachable) matching a
     /// detour-built `port_table`; `None` whenever `port_table` was built
     /// over the intact fabric. Drives incremental detour rebuilds on link

@@ -94,13 +94,17 @@ impl Network {
             let shortcuts = self.active_shortcuts.clone();
             let (pt, dm, td) = self.detour_tables(&shortcuts);
             self.port_table = Some(pt);
-            self.sp_dist = Some(dm);
+            self.sp_dist = Some(Arc::new(DistanceMatrix::from_vec(self.dims.nodes(), dm)));
             self.detour_dist = Some(td);
             return;
         }
         self.detour_dist = None;
-        let (pt, dm) =
-            build::shortest_path_tables(&self.fabric, &self.base_ports, &self.active_shortcuts);
+        let (pt, dm) = build::shortest_path_tables(
+            &self.fabric,
+            &self.base_ports,
+            &self.active_shortcuts,
+            None,
+        );
         self.port_table = Some(pt);
         self.sp_dist = Some(dm);
     }

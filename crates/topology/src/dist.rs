@@ -1,5 +1,6 @@
 //! All-pairs shortest-path distances with incremental edge evaluation.
 
+use crate::geom::GridDims;
 use crate::graph::{GridGraph, NodeId};
 use crate::weights::PairWeights;
 
@@ -12,7 +13,9 @@ pub const UNREACHABLE: u32 = u32::MAX;
 /// [`GridGraph::distances`] and consumed by the selection heuristics, which
 /// use the `O(V²)` *would-be* distance update of
 /// [`DistanceMatrix::improvement_if_added`] to evaluate candidate shortcut
-/// edges without recomputing a full APSP per candidate.
+/// edges without recomputing a full APSP per candidate — and, once every
+/// pick is applied, by the routing tables of the network built from the
+/// selection (`W(x,y)` is one quantity, §3.2 and §3.2.1).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistanceMatrix {
     n: usize,
@@ -20,7 +23,41 @@ pub struct DistanceMatrix {
 }
 
 impl DistanceMatrix {
-    /// Computes all-pairs shortest paths over `graph` by BFS from each node.
+    /// The distances of the full `dims` mesh in closed form,
+    /// `|dx| + |dy|`: with every N/S/E/W link present a path can close
+    /// each coordinate gap one hop at a time, and no unit hop closes more.
+    pub fn mesh(dims: GridDims) -> Self {
+        let (w, n) = (dims.width(), dims.nodes());
+        let mut d = vec![0u32; n * n];
+        let mut dx = vec![0u32; w];
+        for (src, row) in d.chunks_exact_mut(n).enumerate() {
+            let (sx, sy) = (src % w, src / w);
+            for (x, gap) in dx.iter_mut().enumerate() {
+                *gap = x.abs_diff(sx) as u32;
+            }
+            for (y, line) in row.chunks_exact_mut(w).enumerate() {
+                let dy = y.abs_diff(sy) as u32;
+                for (cell, &gap) in line.iter_mut().zip(&dx) {
+                    *cell = gap + dy;
+                }
+            }
+        }
+        Self { n, d }
+    }
+
+    /// A matrix over `n` nodes from its flattened form (`src * n + dst`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` does not hold `n²` distances.
+    pub fn from_vec(n: usize, d: Vec<u32>) -> Self {
+        assert_eq!(d.len(), n * n, "a distance matrix over {n} nodes holds {} entries", n * n);
+        Self { n, d }
+    }
+
+    /// Computes all-pairs shortest paths over `graph` by BFS from each
+    /// node — any graph, and the reference [`DistanceMatrix::mesh`] is
+    /// tested against.
     pub fn from_graph(graph: &GridGraph) -> Self {
         let n = graph.node_count();
         // One flat `u32` adjacency and one array queue serve all `V`
@@ -79,9 +116,14 @@ impl DistanceMatrix {
         &self.d[src * self.n..(src + 1) * self.n]
     }
 
-    /// The flattened `V×V` matrix (`src * V + dst`), moved out.
-    pub fn into_vec(self) -> Vec<u32> {
-        self.d
+    /// The flattened `V×V` matrix (`src * V + dst`).
+    pub fn as_slice(&self) -> &[u32] {
+        &self.d
+    }
+
+    /// The flattened `V×V` matrix (`src * V + dst`), for in-place edits.
+    pub fn as_mut_slice(&mut self) -> &mut [u32] {
+        &mut self.d
     }
 
     /// The network diameter: the maximum finite pairwise distance.
@@ -187,18 +229,37 @@ impl DistanceMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geom::GridDims;
     use crate::graph::Shortcut;
 
     #[test]
     fn bfs_matches_manhattan_on_pure_mesh() {
-        let dims = GridDims::new(6, 5);
-        let g = GridGraph::mesh(dims);
-        let d = g.distances();
-        for a in 0..dims.nodes() {
-            for b in 0..dims.nodes() {
-                assert_eq!(d.get(a, b), dims.manhattan(a, b));
+        for width in 2..=12 {
+            for height in 2..=12 {
+                let dims = GridDims::new(width, height);
+                let g = GridGraph::mesh(dims);
+                let closed = DistanceMatrix::mesh(dims);
+                assert_eq!(DistanceMatrix::from_graph(&g), closed, "{width}x{height}");
+                assert_eq!(g.distances(), closed, "{width}x{height}");
+                let far = dims.nodes() - 1;
+                assert_eq!(closed.get(0, far), dims.manhattan(0, far));
             }
+        }
+    }
+
+    /// Only the plain mesh takes the closed form: a ring-mesh, and a mesh
+    /// with a shortcut, keep the BFS.
+    #[test]
+    fn other_graphs_keep_the_bfs() {
+        use crate::fabric::FabricSpec;
+        let dims = GridDims::new(8, 8);
+        let ring = GridGraph::from_fabric(&FabricSpec::ring_mesh(dims, 4), &[]);
+        assert_eq!(ring.distances(), DistanceMatrix::from_graph(&ring));
+        assert_ne!(ring.distances(), DistanceMatrix::mesh(dims));
+        for mut g in [GridGraph::mesh(dims), GridGraph::from_fabric(&FabricSpec::mesh(dims), &[])] {
+            assert_eq!(g.distances(), DistanceMatrix::mesh(dims));
+            g.add_shortcut(Shortcut::new(9, 54));
+            assert_eq!(g.distances(), DistanceMatrix::from_graph(&g));
+            assert_eq!(g.distances().get(9, 54), 1);
         }
     }
 

@@ -57,6 +57,8 @@ pub struct GridGraph {
     shortcuts: Vec<Shortcut>,
     /// Out-neighbour adjacency: mesh neighbours first, then shortcut targets.
     adjacency: Vec<Vec<NodeId>>,
+    /// Whether the base adjacency is the full mesh of `dims`.
+    mesh_base: bool,
 }
 
 impl GridGraph {
@@ -79,7 +81,7 @@ impl GridGraph {
             push(c.x as i32 + 1, c.y as i32); // east
             push(c.x as i32 - 1, c.y as i32); // west
         }
-        Self { dims, shortcuts: Vec::new(), adjacency }
+        Self { dims, shortcuts: Vec::new(), adjacency, mesh_base: true }
     }
 
     /// Creates a mesh and adds every shortcut in `shortcuts`.
@@ -111,7 +113,8 @@ impl GridGraph {
         let dims = fabric.dims();
         let n = dims.nodes();
         let adjacency = (0..n).map(|r| fabric.neighbors(r)).collect();
-        let mut g = Self { dims, shortcuts: Vec::new(), adjacency };
+        let mut g =
+            Self { dims, shortcuts: Vec::new(), adjacency, mesh_base: fabric.is_mesh() };
         for &s in shortcuts {
             g.add_shortcut(s);
         }
@@ -162,10 +165,15 @@ impl GridGraph {
         self.dims.manhattan(src, dst) == 1
     }
 
-    /// Computes all-pairs shortest-path distances (unit edge weights) by BFS
-    /// from every node.
+    /// Computes all-pairs shortest-path distances (unit edge weights): in
+    /// closed form on a mesh without shortcuts, by BFS from every node on
+    /// any other graph.
     pub fn distances(&self) -> DistanceMatrix {
-        DistanceMatrix::from_graph(self)
+        if self.mesh_base && self.shortcuts.is_empty() {
+            DistanceMatrix::mesh(self.dims)
+        } else {
+            DistanceMatrix::from_graph(self)
+        }
     }
 
     /// Total pairwise cost `Σ_{x≠y} weight(x,y) · d(x,y)` under the supplied

@@ -50,5 +50,5 @@ pub use error::TopologyError;
 pub use fabric::FabricSpec;
 pub use geom::{Coord, GridDims};
 pub use graph::{GridGraph, NodeId, Shortcut};
-pub use select::SelectionConstraints;
+pub use select::{Selection, SelectionConstraints};
 pub use weights::PairWeights;

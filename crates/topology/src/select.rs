@@ -88,6 +88,22 @@ impl SelectionConstraints {
     }
 }
 
+/// A selected shortcut set together with the distances it leaves behind.
+///
+/// The max-cost and application-specific selectors update one all-pairs
+/// matrix after every pick, the last included, so when they return it *is*
+/// `W(x,y)` over the input graph plus [`Selection::shortcuts`] — the matrix
+/// the routing tables of that network are built from. Handing it on saves
+/// the network a second all-pairs pass over the same graph.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Selection {
+    /// The selected shortcuts, in selection order.
+    pub shortcuts: Vec<Shortcut>,
+    /// Hop distances over the input graph plus `shortcuts`: what
+    /// [`GridGraph::distances`] returns once every one of them is added.
+    pub distances: DistanceMatrix,
+}
+
 /// Bookkeeping of per-node shortcut port usage during selection.
 #[derive(Debug, Clone)]
 struct PortUsage {
@@ -189,6 +205,19 @@ pub fn select_max_cost(
     weights: &PairWeights,
     constraints: &SelectionConstraints,
 ) -> Vec<Shortcut> {
+    max_cost_selection(graph, weights, constraints).shortcuts
+}
+
+/// [`select_max_cost`], keeping the distance matrix the selection ends with.
+///
+/// # Panics
+///
+/// As [`select_max_cost`].
+pub fn max_cost_selection(
+    graph: &GridGraph,
+    weights: &PairWeights,
+    constraints: &SelectionConstraints,
+) -> Selection {
     let n = graph.node_count();
     constraints.validate(n);
     assert_eq!(weights.node_count(), n, "weights node count mismatch");
@@ -205,7 +234,7 @@ pub fn select_max_cost(
         rows.rescan_port_users(i, j, &dist);
         selected.push(Shortcut::new(i, j));
     }
-    selected
+    Selection { shortcuts: selected, distances: dist }
 }
 
 /// The pre-refactor rescanning implementation of [`select_max_cost`]: every
@@ -437,6 +466,20 @@ pub fn select_application_specific(
     weights: &PairWeights,
     constraints: &SelectionConstraints,
 ) -> Vec<Shortcut> {
+    application_specific_selection(graph, weights, constraints).shortcuts
+}
+
+/// [`select_application_specific`], keeping the distance matrix the
+/// selection ends with.
+///
+/// # Panics
+///
+/// As [`select_application_specific`].
+pub fn application_specific_selection(
+    graph: &GridGraph,
+    weights: &PairWeights,
+    constraints: &SelectionConstraints,
+) -> Selection {
     let n = graph.node_count();
     constraints.validate(n);
     assert_eq!(weights.node_count(), n, "weights node count mismatch");
@@ -487,7 +530,7 @@ pub fn select_application_specific(
         selected.push(Shortcut::new(i, j));
         region_turn = !region_turn;
     }
-    selected
+    Selection { shortcuts: selected, distances: dist }
 }
 
 /// Verifies that a shortcut set satisfies `constraints` against `graph`.
@@ -721,6 +764,34 @@ mod tests {
                     score,
                 );
                 proptest::prop_assert_eq!(walked, filtered, "{:?} {} -> {}", score, a, b);
+            }
+        }
+    }
+
+    /// What both selectors hand on is the all-pairs matrix of the graph
+    /// they were given plus the shortcuts they picked, on either fabric.
+    #[test]
+    fn selections_end_with_the_distances_of_their_graph() {
+        use crate::fabric::FabricSpec;
+        let dims = GridDims::new(8, 8);
+        for fabric in [FabricSpec::mesh(dims), FabricSpec::ring_mesh(dims, 4)] {
+            let g = GridGraph::from_fabric(&fabric, &[]);
+            let n = g.node_count();
+            let mut w = PairWeights::zero(n);
+            for a in 0..n {
+                for b in 0..n {
+                    if a != b {
+                        w.add(a, b, ((a * 29 + b * 13) % 19) as f64);
+                    }
+                }
+            }
+            let c = SelectionConstraints::allowing_all(n, 10).excluding_corners(&g);
+            for selection in
+                [max_cost_selection(&g, &w, &c), application_specific_selection(&g, &w, &c)]
+            {
+                assert_eq!(selection.shortcuts.len(), 10);
+                let with = GridGraph::from_fabric(&fabric, &selection.shortcuts);
+                assert_eq!(selection.distances, DistanceMatrix::from_graph(&with), "{fabric}");
             }
         }
     }
