@@ -367,7 +367,8 @@ mod tests {
         Selection,
     }
 
-    /// FNV-1a of `port_table`, `sp_dist` (little-endian) and `base_table`
+    /// FNV-1a of `port_table`, `sp_dist` (each distance a little-endian
+    /// `u32`, whatever width the matrix stores) and `base_table`
     /// (the empty hash when the fabric keeps none) of a shortest-path
     /// network over `fabric` under `overlay`.
     fn table_hashes(fabric: FabricSpec, overlay: Overlay) -> [u64; 3] {
@@ -393,7 +394,12 @@ mod tests {
         }
         [
             fnv1a(net.port_table.iter().flatten().copied()),
-            fnv1a(net.sp_dist.iter().flat_map(|d| d.as_slice()).flat_map(|d| d.to_le_bytes())),
+            fnv1a(
+                net.sp_dist
+                    .iter()
+                    .flat_map(|d| d.as_slice())
+                    .flat_map(|&d| u32::from(d).to_le_bytes()),
+            ),
             fnv1a(net.base_table.iter().flatten().copied()),
         ]
     }
@@ -438,6 +444,34 @@ mod tests {
                     "{fabric} {overlay:?}: [port_table, sp_dist, base_table]"
                 );
             }
+        }
+    }
+
+    /// 65,535 routers build, with every coordinate intact; one more, on
+    /// any shape, is a typed error before anything is allocated.
+    #[test]
+    fn router_count_is_bounded() {
+        // The smallest router there is: what is tested is the grid.
+        let config = SimConfig {
+            vcs_adaptive: 0,
+            vcs_escape: 1,
+            buffer_depth: 1,
+            ..SimConfig::paper_baseline()
+        };
+        let spec = |w, h| NetworkSpec::mesh_baseline(GridDims::new(w, h), config.clone());
+        let net = Network::try_new(spec(255, 257)).expect("65,535 routers build");
+        assert_eq!(net.coords.len(), 65_535);
+        assert_eq!(net.coords[65_534], (254, 256));
+        drop(net);
+        for (w, h) in [(256, 256), (70_000, 2)] {
+            assert_eq!(
+                Network::try_new(spec(w, h)).map(|_| "a network"),
+                Err(SimError::Fabric(rfnoc_topology::TopologyError::TooManyRouters {
+                    routers: w * h,
+                    limit: 65_535,
+                })),
+                "{w}x{h}"
+            );
         }
     }
 

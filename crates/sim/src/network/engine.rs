@@ -494,8 +494,8 @@ impl Sweep<'_> {
                 let extra_hops = sh
                     .sp_dist
                     .map(|dm| {
-                        let n = sh.dims.nodes();
-                        sh.fabric.base_route_len(r, dest).saturating_sub(dm[r * n + dest])
+                        let shortest = u32::from(dm[r * sh.dims.nodes() + dest]);
+                        sh.fabric.base_route_len(r, dest).saturating_sub(shortest)
                     })
                     .unwrap_or(0);
                 if blocked >= 3 * extra_hops {

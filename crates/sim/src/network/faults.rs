@@ -395,20 +395,20 @@ impl Network {
     /// given (directed) shortcuts. Returns the out-port table, the hop
     /// distances (`router * n + dest`, falling back to the base-route
     /// length for unreachable pairs), and the *true* BFS distances
-    /// (`u32::MAX` when unreachable) that drive incremental updates.
+    /// (`u16::MAX` when unreachable) that drive incremental updates.
     /// An unreachable pair keeps its base-route port: such a packet blocks
     /// at a failed link, where the watchdog will flag the partition rather
     /// than let it misroute.
-    pub(super) fn detour_tables(&self, shortcuts: &[Shortcut]) -> (Vec<u8>, Vec<u32>, Vec<u32>) {
+    pub(super) fn detour_tables(&self, shortcuts: &[Shortcut]) -> (Vec<u8>, Vec<u16>, Vec<u16>) {
         let n = self.dims.nodes();
         let mut pt = vec![0u8; n * n];
-        let mut dm = vec![0u32; n * n];
-        let mut td = vec![0u32; n * n];
+        let mut dm = vec![0u16; n * n];
+        let mut td = vec![0u16; n * n];
         let mut rf_srcs_of: Vec<Vec<usize>> = vec![Vec::new(); n];
         for s in shortcuts {
             rf_srcs_of[s.dst].push(s.src);
         }
-        let mut dist = vec![u32::MAX; n];
+        let mut dist = vec![u16::MAX; n];
         let mut queue = VecDeque::new();
         for d in 0..n {
             self.detour_bfs_column(d, &rf_srcs_of, &mut pt, Some(&mut dm), &mut td, &mut dist, &mut queue);
@@ -432,8 +432,8 @@ impl Network {
         &self,
         shortcuts: &[Shortcut],
         pt: &mut [u8],
-        mut dm: Option<&mut [u32]>,
-        td: &mut [u32],
+        mut dm: Option<&mut [u16]>,
+        td: &mut [u16],
         a: usize,
         b: usize,
         removed: bool,
@@ -445,17 +445,17 @@ impl Network {
         for s in shortcuts {
             rf_srcs_of[s.dst].push(s.src);
         }
-        let mut dist = vec![u32::MAX; n];
+        let mut dist = vec![u16::MAX; n];
         let mut queue = VecDeque::new();
         let mut recomputed = 0;
         for d in 0..n {
             let ta = td[a * n + d];
             let tb = td[b * n + d];
             let affected = if removed {
-                (ta != u32::MAX && pt[a * n + d] == p_ab)
-                    || (tb != u32::MAX && pt[b * n + d] == p_ba)
+                (ta != u16::MAX && pt[a * n + d] == p_ab)
+                    || (tb != u16::MAX && pt[b * n + d] == p_ba)
             } else {
-                (ta > tb && tb != u32::MAX) || (tb > ta && ta != u32::MAX)
+                (ta > tb && tb != u16::MAX) || (tb > ta && ta != u16::MAX)
             };
             if affected {
                 self.detour_bfs_column(
@@ -483,9 +483,9 @@ impl Network {
         d: usize,
         rf_srcs_of: &[Vec<usize>],
         pt: &mut [u8],
-        mut dm: Option<&mut [u32]>,
-        td: &mut [u32],
-        dist: &mut [u32],
+        mut dm: Option<&mut [u16]>,
+        td: &mut [u16],
+        dist: &mut [u16],
         queue: &mut VecDeque<usize>,
     ) {
         let n = self.dims.nodes();
@@ -498,13 +498,14 @@ impl Network {
                 }
             } else {
                 pt[r * n + d] = self.base_port_toward(r, d);
-                td[r * n + d] = u32::MAX;
+                td[r * n + d] = u16::MAX;
                 if let Some(dm) = dm.as_deref_mut() {
-                    dm[r * n + d] = self.fabric.base_route_len(r, d);
+                    // A base route is a simple path: at most `n - 1` hops.
+                    dm[r * n + d] = self.fabric.base_route_len(r, d) as u16;
                 }
             }
         }
-        dist.fill(u32::MAX);
+        dist.fill(u16::MAX);
         queue.clear();
         dist[d] = 0;
         queue.push_back(d);
@@ -515,7 +516,7 @@ impl Network {
                 let Some(u) = self.fabric.port_neighbor(v, slot) else { continue };
                 let out_at_u =
                     self.fabric.port_between(u, v).expect("base links are bidirectional") as usize;
-                if self.link_failed[u * mb + out_at_u] || dist[u] != u32::MAX {
+                if self.link_failed[u * mb + out_at_u] || dist[u] != u16::MAX {
                     continue;
                 }
                 dist[u] = dist[v] + 1;
@@ -528,7 +529,7 @@ impl Network {
             }
             // Incoming shortcut edges u -> v.
             for &u in &rf_srcs_of[v] {
-                if dist[u] == u32::MAX {
+                if dist[u] == u16::MAX {
                     dist[u] = dist[v] + 1;
                     pt[u * n + d] = self.rf_port(u) as u8;
                     td[u * n + d] = dist[u];

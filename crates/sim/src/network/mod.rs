@@ -353,11 +353,11 @@ pub struct Network {
     /// that design: replace the `Arc` on a rebuild, and go through
     /// `Arc::make_mut` to edit it in place.
     sp_dist: Option<Arc<DistanceMatrix>>,
-    /// True BFS distances (`u32::MAX` when unreachable) matching a
+    /// True BFS distances (`u16::MAX` when unreachable) matching a
     /// detour-built `port_table`; `None` whenever `port_table` was built
     /// over the intact fabric. Drives incremental detour rebuilds on link
     /// fail/repair.
-    detour_dist: Option<Vec<u32>>,
+    detour_dist: Option<Vec<u16>>,
     reconfig: ReconfigState,
     reconfigurations: u64,
     /// Shortcut set currently installed on the RF ports (tracks retunes
@@ -381,10 +381,10 @@ pub struct Network {
     /// route, exactly as the fault-free simulator did).
     escape_table: Option<Vec<u8>>,
     /// True BFS distances matching `escape_table` (same indexing,
-    /// `u32::MAX` when unreachable), kept so link fail/repair events can
+    /// `u16::MAX` when unreachable), kept so link fail/repair events can
     /// re-run the detour BFS only for the destinations whose routes the
     /// changed edge actually carries.
-    escape_dist: Option<Vec<u32>>,
+    escape_dist: Option<Vec<u16>>,
     /// Fault schedule being applied.
     faults: FaultPlan,
     /// Last cycle any switch grant happened (or the network went busy) —

@@ -115,7 +115,7 @@ pub(super) struct SweepShared<'a> {
     pub max_ports: usize,
     pub base_table: Option<&'a [u8]>,
     pub port_table: Option<&'a [u8]>,
-    pub sp_dist: Option<&'a [u32]>,
+    pub sp_dist: Option<&'a [u16]>,
     pub escape_table: Option<&'a [u8]>,
     /// RF-multicast cluster of each router, when RF multicast is active.
     pub cluster_of: Option<&'a [Option<usize>]>,

@@ -1,13 +1,16 @@
 //! All-pairs shortest-path distances with incremental edge evaluation.
 
+use crate::fabric::{FabricSpec, RingMeshView};
 use crate::geom::GridDims;
 use crate::graph::{GridGraph, NodeId};
 use crate::weights::PairWeights;
 
-/// Distance value used to mark unreachable pairs.
-pub const UNREACHABLE: u32 = u32::MAX;
+/// Distance value used to mark unreachable pairs. No finite distance comes
+/// near it: a shortest path visits each of at most
+/// [`FabricSpec::MAX_ROUTERS`] routers once, so it is at most 65,534 hops.
+pub const UNREACHABLE: u16 = u16::MAX;
 
-/// A dense `V×V` matrix of shortest-path hop distances.
+/// A dense `V×V` matrix of shortest-path hop distances, two bytes a pair.
 ///
 /// Row index is the source node, column index the destination. Produced by
 /// [`GridGraph::distances`] and consumed by the selection heuristics, which
@@ -19,27 +22,101 @@ pub const UNREACHABLE: u32 = u32::MAX;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistanceMatrix {
     n: usize,
-    d: Vec<u32>,
+    d: Vec<u16>,
+}
+
+/// Refuses a matrix over more nodes than a `u16` distance can span.
+fn check_size(n: usize) {
+    assert!(
+        n <= FabricSpec::MAX_ROUTERS,
+        "a distance matrix covers at most {} nodes, not {n}",
+        FabricSpec::MAX_ROUTERS
+    );
 }
 
 impl DistanceMatrix {
     /// The distances of the full `dims` mesh in closed form,
     /// `|dx| + |dy|`: with every N/S/E/W link present a path can close
     /// each coordinate gap one hop at a time, and no unit hop closes more.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the grid has more than [`FabricSpec::MAX_ROUTERS`] nodes.
     pub fn mesh(dims: GridDims) -> Self {
         let (w, n) = (dims.width(), dims.nodes());
-        let mut d = vec![0u32; n * n];
-        let mut dx = vec![0u32; w];
+        check_size(n);
+        let mut d = vec![0u16; n * n];
+        let mut dx = vec![0u16; w];
         for (src, row) in d.chunks_exact_mut(n).enumerate() {
             let (sx, sy) = (src % w, src / w);
             for (x, gap) in dx.iter_mut().enumerate() {
-                *gap = x.abs_diff(sx) as u32;
+                *gap = x.abs_diff(sx) as u16;
             }
             for (y, line) in row.chunks_exact_mut(w).enumerate() {
-                let dy = y.abs_diff(sy) as u32;
+                let dy = y.abs_diff(sy) as u16;
                 for (cell, &gap) in line.iter_mut().zip(&dx) {
                     *cell = gap + dy;
                 }
+            }
+        }
+        Self { n, d }
+    }
+
+    /// The distances of the `dims` ring-mesh with `tile×tile` tiles in
+    /// closed form. With `L = tile²`, `ring(s,t) = min(|s−t|, L−|s−t|)` and
+    /// `s_a`, `s_b` the snake indices of `a` and `b` in their tiles:
+    ///
+    /// * same tile: `d(a,b) = ring(s_a, s_b)`;
+    /// * different tiles: `d(a,b) = ring(s_a, 0) + |Δtx| + |Δty| + ring(0, s_b)`.
+    ///
+    /// Only a tile's gateway (snake index 0) has links out of the tile, so a
+    /// path between tiles leaves through `a`'s gateway and enters through
+    /// `b`'s, reaching each along its own ring; between gateways it crosses
+    /// the gateway mesh, where passing through another tile only adds a
+    /// loop out of and back into that tile's gateway. Inside one tile a
+    /// path that leaves must come back through the same gateway, so the
+    /// ring is the shortest way round.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tile` is below 2 or does not divide both sides, or if the
+    /// grid has more than [`FabricSpec::MAX_ROUTERS`] nodes.
+    pub fn ring_mesh(dims: GridDims, tile: usize) -> Self {
+        let (w, n) = (dims.width(), dims.nodes());
+        check_size(n);
+        assert!(
+            tile >= 2 && w.is_multiple_of(tile) && dims.height().is_multiple_of(tile),
+            "{dims} does not divide into {tile}x{tile} ring tiles"
+        );
+        let view = RingMeshView::new(dims, tile);
+        let ring_len = tile * tile;
+        let ring = |s: usize, t: usize| {
+            let gap = s.abs_diff(t);
+            gap.min(ring_len - gap) as u16
+        };
+        let snake: Vec<usize> = (0..n).map(|r| view.snake_of(r)).collect();
+        let to_gateway: Vec<u16> = snake.iter().map(|&s| ring(s, 0)).collect();
+        let mut d = vec![0u16; n * n];
+        let mut dtx = vec![0u16; w];
+        for (src, row) in d.chunks_exact_mut(n).enumerate() {
+            let (tx, ty) = view.tile_of(src);
+            for (x, gap) in dtx.iter_mut().enumerate() {
+                *gap = (x / tile).abs_diff(tx) as u16;
+            }
+            // Out through this tile's gateway, across the gateway mesh, in
+            // through the destination tile's gateway.
+            let out = to_gateway[src];
+            let rows = row.chunks_exact_mut(w).zip(to_gateway.chunks_exact(w));
+            for (y, (line, inward)) in rows.enumerate() {
+                let across_y = out + (y / tile).abs_diff(ty) as u16;
+                for ((cell, &across_x), &into) in line.iter_mut().zip(&dtx).zip(inward) {
+                    *cell = across_y + across_x + into;
+                }
+            }
+            // The source's own tile: round the ring.
+            for s in 0..ring_len {
+                let b = view.node_at(tx, ty, s);
+                row[b] = ring(snake[src], s);
             }
         }
         Self { n, d }
@@ -49,8 +126,10 @@ impl DistanceMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if `d` does not hold `n²` distances.
-    pub fn from_vec(n: usize, d: Vec<u32>) -> Self {
+    /// Panics if `d` does not hold `n²` distances, or if `n` exceeds
+    /// [`FabricSpec::MAX_ROUTERS`].
+    pub fn from_vec(n: usize, d: Vec<u16>) -> Self {
+        check_size(n);
         assert_eq!(d.len(), n * n, "a distance matrix over {n} nodes holds {} entries", n * n);
         Self { n, d }
     }
@@ -58,8 +137,13 @@ impl DistanceMatrix {
     /// Computes all-pairs shortest paths over `graph` by BFS from each
     /// node — any graph, and the reference [`DistanceMatrix::mesh`] is
     /// tested against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has more than [`FabricSpec::MAX_ROUTERS`] nodes.
     pub fn from_graph(graph: &GridGraph) -> Self {
         let n = graph.node_count();
+        check_size(n);
         // One flat `u32` adjacency and one array queue serve all `V`
         // searches: every node enters the queue at most once per source.
         let mut starts = Vec::with_capacity(n + 1);
@@ -97,14 +181,15 @@ impl DistanceMatrix {
         self.n
     }
 
-    /// Shortest-path distance from `src` to `dst` in hops.
+    /// Shortest-path distance from `src` to `dst` in hops, widened
+    /// (an unreachable pair reads as `65_535`).
     ///
     /// # Panics
     ///
     /// Panics if an index is out of range.
     pub fn get(&self, src: NodeId, dst: NodeId) -> u32 {
         assert!(src < self.n && dst < self.n, "node index out of range");
-        self.d[src * self.n + dst]
+        u32::from(self.d[src * self.n + dst])
     }
 
     /// The distances out of `src`, indexed by destination.
@@ -112,17 +197,17 @@ impl DistanceMatrix {
     /// # Panics
     ///
     /// Panics if `src` is out of range.
-    pub fn row(&self, src: NodeId) -> &[u32] {
+    pub fn row(&self, src: NodeId) -> &[u16] {
         &self.d[src * self.n..(src + 1) * self.n]
     }
 
     /// The flattened `V×V` matrix (`src * V + dst`).
-    pub fn as_slice(&self) -> &[u32] {
+    pub fn as_slice(&self) -> &[u16] {
         &self.d
     }
 
     /// The flattened `V×V` matrix (`src * V + dst`), for in-place edits.
-    pub fn as_mut_slice(&mut self) -> &mut [u32] {
+    pub fn as_mut_slice(&mut self) -> &mut [u16] {
         &mut self.d
     }
 
@@ -133,7 +218,7 @@ impl DistanceMatrix {
             .copied()
             .filter(|&v| v != UNREACHABLE)
             .max()
-            .unwrap_or(0)
+            .map_or(0, u32::from)
     }
 
     /// Sum of all finite pairwise distances (the unweighted objective).
@@ -168,15 +253,15 @@ impl DistanceMatrix {
             if dxi == UNREACHABLE {
                 continue;
             }
-            let base = dxi as u64 + 1;
+            let base = u64::from(dxi) + 1;
             let w_x = weights.row(x);
             for (y, (&dxy, &djy)) in row_x.iter().zip(row_j).enumerate() {
                 if djy == UNREACHABLE || dxy == UNREACHABLE {
                     continue;
                 }
-                let via = base + djy as u64;
-                if (via as u32 as u64) < dxy as u64 {
-                    gain += w_x.map_or(1.0, |w| w[y]) * (dxy as u64 - via) as f64;
+                let (via, direct) = (base + u64::from(djy), u64::from(dxy));
+                if via < direct {
+                    gain += w_x.map_or(1.0, |w| w[y]) * (direct - via) as f64;
                 }
             }
         }
@@ -204,7 +289,7 @@ impl DistanceMatrix {
         &mut self,
         i: NodeId,
         j: NodeId,
-        mut touched: impl FnMut(NodeId, &[u32]),
+        mut touched: impl FnMut(NodeId, &[u16]),
     ) {
         let n = self.n;
         assert!(i < n && j < n, "node index out of range");
@@ -216,7 +301,8 @@ impl DistanceMatrix {
             if dxi == UNREACHABLE || dxi + 1 >= row_x[j] {
                 continue;
             }
-            // `d(j,y) ≤ UNREACHABLE`, so a saturated sum never wins.
+            // `d(j,y) ≤ UNREACHABLE`, so a saturated sum never wins; no
+            // finite `d(x,i)` reaches it, so `dxi + 1` cannot overflow.
             let base = dxi + 1;
             for (dxy, &djy) in row_x.iter_mut().zip(&*row_j) {
                 *dxy = (*dxy).min(base.saturating_add(djy));
@@ -246,21 +332,62 @@ mod tests {
         }
     }
 
-    /// Only the plain mesh takes the closed form: a ring-mesh, and a mesh
-    /// with a shortcut, keep the BFS.
+    /// A base fabric without shortcuts takes its closed form; a mesh or
+    /// a ring-mesh with one shortcut keeps the BFS, and still equals it.
     #[test]
     fn other_graphs_keep_the_bfs() {
         use crate::fabric::FabricSpec;
         let dims = GridDims::new(8, 8);
-        let ring = GridGraph::from_fabric(&FabricSpec::ring_mesh(dims, 4), &[]);
-        assert_eq!(ring.distances(), DistanceMatrix::from_graph(&ring));
-        assert_ne!(ring.distances(), DistanceMatrix::mesh(dims));
-        for mut g in [GridGraph::mesh(dims), GridGraph::from_fabric(&FabricSpec::mesh(dims), &[])] {
-            assert_eq!(g.distances(), DistanceMatrix::mesh(dims));
+        let ring = FabricSpec::ring_mesh(dims, 4);
+        assert_ne!(DistanceMatrix::ring_mesh(dims, 4), DistanceMatrix::mesh(dims));
+        for (mut g, closed) in [
+            (GridGraph::mesh(dims), DistanceMatrix::mesh(dims)),
+            (GridGraph::from_fabric(&ring, &[]), DistanceMatrix::ring_mesh(dims, 4)),
+        ] {
+            assert_eq!(g.distances(), closed);
             g.add_shortcut(Shortcut::new(9, 54));
-            assert_eq!(g.distances(), DistanceMatrix::from_graph(&g));
-            assert_eq!(g.distances().get(9, 54), 1);
+            let searched = g.distances();
+            assert_eq!(searched, DistanceMatrix::from_graph(&g));
+            assert_ne!(searched, closed);
+            assert_eq!(searched.get(9, 54), 1);
         }
+    }
+
+    /// The ring-mesh's closed form is its BFS on every grid from 2×2 to
+    /// 16×16 that some tile side in 2..=4 divides — square or not, one
+    /// tile row or one tile column included.
+    #[test]
+    fn ring_mesh_closed_form_matches_bfs() {
+        use crate::fabric::FabricSpec;
+        let mut cases = 0;
+        for width in 2..=16 {
+            for height in 2..=16 {
+                for tile in (2..=4).filter(|t| width % t == 0 && height % t == 0) {
+                    let dims = GridDims::new(width, height);
+                    let g = GridGraph::from_fabric(&FabricSpec::ring_mesh(dims, tile), &[]);
+                    assert_eq!(
+                        DistanceMatrix::ring_mesh(dims, tile),
+                        DistanceMatrix::from_graph(&g),
+                        "{width}x{height} t{tile}"
+                    );
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 105);
+    }
+
+    /// The closed form at the size `rf64_build` elaborates. Too slow for
+    /// the debug tier-1 run: `cargo test --release -p rfnoc-topology --
+    /// --ignored`.
+    #[test]
+    #[ignore = "64x64 all-pairs search; run in release with --ignored"]
+    fn ring_mesh_closed_form_matches_bfs_at_64x64() {
+        use crate::fabric::FabricSpec;
+        let dims = GridDims::new(64, 64);
+        let g = GridGraph::from_fabric(&FabricSpec::ring_mesh(dims, 4), &[]);
+        // Not `assert_eq!`: a failure would print 16.7 M distances twice.
+        assert!(DistanceMatrix::ring_mesh(dims, 4) == DistanceMatrix::from_graph(&g));
     }
 
     #[test]

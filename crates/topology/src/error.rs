@@ -1,7 +1,8 @@
 //! Typed validation errors for topology construction.
 //!
 //! Degenerate fabrics (zero- or one-wide meshes, rings shorter than three
-//! stations, tiles that do not evenly partition the grid) are rejected here
+//! stations, tiles that do not evenly partition the grid, grids of more
+//! routers than a 16-bit distance spans) are rejected here
 //! with a descriptive error instead of panicking deep inside
 //! [`crate::GridGraph::mesh`] or the simulator build.
 
@@ -41,6 +42,14 @@ pub enum TopologyError {
         /// Requested tile side.
         tile: usize,
     },
+    /// More routers than [`crate::FabricSpec::MAX_ROUTERS`]: distances are
+    /// two bytes wide and coordinates `u16`.
+    TooManyRouters {
+        /// Routers the fabric would have.
+        routers: usize,
+        /// The most a fabric may have.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for TopologyError {
@@ -62,6 +71,11 @@ impl fmt::Display for TopologyError {
             Self::TileMisaligned { width, height, tile } => write!(
                 f,
                 "ring-mesh grid {width}x{height} is not divisible into {tile}x{tile} tiles"
+            ),
+            Self::TooManyRouters { routers, limit } => write!(
+                f,
+                "a fabric of {routers} routers exceeds the limit of {limit} \
+                 (distances are 16-bit)"
             ),
         }
     }

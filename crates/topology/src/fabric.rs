@@ -78,6 +78,14 @@ pub const SLOT_RING_PREV: u8 = 0;
 pub const SLOT_RING_NEXT: u8 = 1;
 
 impl FabricSpec {
+    /// The most routers a fabric may have. A distance is stored in two
+    /// bytes with `u16::MAX` marking an unreachable pair, and a shortest
+    /// path over `n` routers is at most `n − 1` hops, so up to 65,535
+    /// routers every finite distance stays below the sentinel and a
+    /// saturating sum never wins a `min`. It also keeps every grid side
+    /// inside the `u16` of a [`crate::Coord`].
+    pub const MAX_ROUTERS: usize = u16::MAX as usize;
+
     /// A mesh fabric over `dims`.
     pub fn mesh(dims: GridDims) -> Self {
         Self::Mesh { dims }
@@ -88,8 +96,13 @@ impl FabricSpec {
         Self::RingMesh { dims, tile }
     }
 
-    /// Checks the fabric for degenerate parameters.
+    /// Checks the fabric for degenerate parameters and for more than
+    /// [`FabricSpec::MAX_ROUTERS`] routers.
     pub fn validate(&self) -> Result<(), TopologyError> {
+        let routers = self.nodes();
+        if routers > Self::MAX_ROUTERS {
+            return Err(TopologyError::TooManyRouters { routers, limit: Self::MAX_ROUTERS });
+        }
         match *self {
             Self::Mesh { dims } => {
                 if dims.width() < 2 || dims.height() < 2 {
@@ -425,7 +438,7 @@ fn xy_slot(at: (usize, usize), to: (usize, usize)) -> Option<u8> {
 }
 
 /// Precomputed tile arithmetic for a ring-mesh fabric.
-struct RingMeshView {
+pub(crate) struct RingMeshView {
     dims: GridDims,
     tile: usize,
     tiles_x: usize,
@@ -433,7 +446,7 @@ struct RingMeshView {
 }
 
 impl RingMeshView {
-    fn new(dims: GridDims, tile: usize) -> Self {
+    pub(crate) fn new(dims: GridDims, tile: usize) -> Self {
         debug_assert!(
             tile >= 2 && dims.width().is_multiple_of(tile) && dims.height().is_multiple_of(tile)
         );
@@ -441,7 +454,7 @@ impl RingMeshView {
     }
 
     /// Tile coordinates of router `r`.
-    fn tile_of(&self, r: NodeId) -> (usize, usize) {
+    pub(crate) fn tile_of(&self, r: NodeId) -> (usize, usize) {
         let c = self.dims.coord_of(r);
         (c.x as usize / self.tile, c.y as usize / self.tile)
     }
@@ -449,7 +462,7 @@ impl RingMeshView {
     /// Snake index of `r` inside its tile: row-major boustrophedon, so
     /// consecutive indices are grid-adjacent and index 0 is the tile's
     /// top-left cell (the gateway).
-    fn snake_of(&self, r: NodeId) -> usize {
+    pub(crate) fn snake_of(&self, r: NodeId) -> usize {
         let c = self.dims.coord_of(r);
         let lx = c.x as usize % self.tile;
         let ly = c.y as usize % self.tile;
@@ -457,7 +470,7 @@ impl RingMeshView {
     }
 
     /// Router at snake index `s` inside tile `(tx, ty)`.
-    fn node_at(&self, tx: usize, ty: usize, s: usize) -> NodeId {
+    pub(crate) fn node_at(&self, tx: usize, ty: usize, s: usize) -> NodeId {
         let ly = s / self.tile;
         let lx =
             if ly.is_multiple_of(2) { s % self.tile } else { self.tile - 1 - s % self.tile };
@@ -481,6 +494,12 @@ mod tests {
         assert!(FabricSpec::ring_mesh(GridDims::new(8, 8), 3).validate().is_err());
         assert!(FabricSpec::ring_mesh(GridDims::new(9, 9), 3).validate().is_ok());
         assert!(FabricSpec::ring_mesh(GridDims::new(8, 8), 4).validate().is_ok());
+        // Up to 65,535 routers, on any shape: distances are 16-bit.
+        assert_eq!(FabricSpec::mesh(GridDims::new(255, 257)).validate(), Ok(()));
+        let too_many = |routers| Err(TopologyError::TooManyRouters { routers, limit: 65_535 });
+        assert_eq!(FabricSpec::mesh(GridDims::new(256, 256)).validate(), too_many(65_536));
+        assert_eq!(FabricSpec::mesh(GridDims::new(70_000, 2)).validate(), too_many(140_000));
+        assert_eq!(FabricSpec::ring_mesh(GridDims::new(256, 256), 4).validate(), too_many(65_536));
     }
 
     #[test]
@@ -489,7 +508,23 @@ mod tests {
         let fabric = FabricSpec::mesh(dims);
         let g = GridGraph::mesh(dims);
         for r in 0..dims.nodes() {
-            assert_eq!(fabric.neighbors(r), g.neighbors(r).to_vec(), "router {r}");
+            // N, S, E, W, skipping the grid boundary.
+            let (x, y) = (r % 5, r / 5);
+            let mut grid = Vec::new();
+            if y > 0 {
+                grid.push(r - 5);
+            }
+            if y < 3 {
+                grid.push(r + 5);
+            }
+            if x < 4 {
+                grid.push(r + 1);
+            }
+            if x > 0 {
+                grid.push(r - 1);
+            }
+            assert_eq!(fabric.neighbors(r), grid, "router {r}");
+            assert_eq!(g.neighbors(r), grid, "router {r}");
         }
     }
 
@@ -624,7 +659,8 @@ mod tests {
             let d = g.distances();
             for a in 0..fabric.nodes() {
                 for b in 0..fabric.nodes() {
-                    assert_ne!(d.get(a, b), crate::dist::UNREACHABLE, "{fabric}: {a}->{b}");
+                    let reached = d.get(a, b) != u32::from(crate::dist::UNREACHABLE);
+                    assert!(reached, "{fabric}: {a}->{b}");
                     // The adaptive graph may beat the escape route but
                     // never exceeds it.
                     assert!(d.get(a, b) <= fabric.base_route_len(a, b));

@@ -2,7 +2,7 @@
 
 use crate::dist::DistanceMatrix;
 use crate::fabric::FabricSpec;
-use crate::geom::{Coord, GridDims};
+use crate::geom::GridDims;
 use crate::weights::PairWeights;
 use std::fmt;
 
@@ -53,35 +53,18 @@ impl fmt::Display for Shortcut {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GridGraph {
-    dims: GridDims,
+    /// The base fabric the adjacency starts from.
+    fabric: FabricSpec,
     shortcuts: Vec<Shortcut>,
-    /// Out-neighbour adjacency: mesh neighbours first, then shortcut targets.
+    /// Out-neighbour adjacency: base-fabric neighbours first, then shortcut
+    /// targets.
     adjacency: Vec<Vec<NodeId>>,
-    /// Whether the base adjacency is the full mesh of `dims`.
-    mesh_base: bool,
 }
 
 impl GridGraph {
     /// Creates a pure mesh (no shortcuts) of the given dimensions.
     pub fn mesh(dims: GridDims) -> Self {
-        let n = dims.nodes();
-        let mut adjacency = vec![Vec::with_capacity(5); n];
-        for (i, neighbors) in adjacency.iter_mut().enumerate() {
-            let c = dims.coord_of(i);
-            let mut push = |x: i32, y: i32| {
-                if x >= 0 && y >= 0 {
-                    let c2 = Coord::new(x as u16, y as u16);
-                    if dims.contains(c2) {
-                        neighbors.push(dims.index_of(c2));
-                    }
-                }
-            };
-            push(c.x as i32, c.y as i32 - 1); // north
-            push(c.x as i32, c.y as i32 + 1); // south
-            push(c.x as i32 + 1, c.y as i32); // east
-            push(c.x as i32 - 1, c.y as i32); // west
-        }
-        Self { dims, shortcuts: Vec::new(), adjacency, mesh_base: true }
+        Self::from_fabric(&FabricSpec::mesh(dims), &[])
     }
 
     /// Creates a mesh and adds every shortcut in `shortcuts`.
@@ -90,19 +73,12 @@ impl GridGraph {
     ///
     /// Panics if any shortcut endpoint is out of range or a self-loop.
     pub fn with_shortcuts(dims: GridDims, shortcuts: &[Shortcut]) -> Self {
-        let mut g = Self::mesh(dims);
-        for &s in shortcuts {
-            g.add_shortcut(s);
-        }
-        g
+        Self::from_fabric(&FabricSpec::mesh(dims), shortcuts)
     }
 
-    /// Creates the base graph of `fabric` (neighbours in fabric slot order)
-    /// and adds every shortcut in `shortcuts`.
-    ///
-    /// For [`FabricSpec::Mesh`] this is identical to
-    /// [`GridGraph::with_shortcuts`] — the mesh fabric's slot order matches
-    /// the mesh adjacency order (N, S, E, W, compacted at boundaries).
+    /// Creates the base graph of `fabric` (neighbours in fabric slot order:
+    /// N, S, E, W on the mesh, compacted at boundaries) and adds every
+    /// shortcut in `shortcuts`.
     ///
     /// # Panics
     ///
@@ -110,11 +86,8 @@ impl GridGraph {
     /// fabric itself should be validated with [`FabricSpec::validate`]
     /// before use.
     pub fn from_fabric(fabric: &FabricSpec, shortcuts: &[Shortcut]) -> Self {
-        let dims = fabric.dims();
-        let n = dims.nodes();
-        let adjacency = (0..n).map(|r| fabric.neighbors(r)).collect();
-        let mut g =
-            Self { dims, shortcuts: Vec::new(), adjacency, mesh_base: fabric.is_mesh() };
+        let adjacency = (0..fabric.nodes()).map(|r| fabric.neighbors(r)).collect();
+        let mut g = Self { fabric: *fabric, shortcuts: Vec::new(), adjacency };
         for &s in shortcuts {
             g.add_shortcut(s);
         }
@@ -123,12 +96,12 @@ impl GridGraph {
 
     /// Grid dimensions.
     pub fn dims(&self) -> GridDims {
-        self.dims
+        self.fabric.dims()
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.dims.nodes()
+        self.fabric.nodes()
     }
 
     /// The shortcut edges added so far, in insertion order.
@@ -136,7 +109,8 @@ impl GridGraph {
         &self.shortcuts
     }
 
-    /// Out-neighbours of `node` (mesh neighbours then shortcut targets).
+    /// Out-neighbours of `node` (base-fabric neighbours then shortcut
+    /// targets).
     pub fn neighbors(&self, node: NodeId) -> &[NodeId] {
         &self.adjacency[node]
     }
@@ -162,17 +136,17 @@ impl GridGraph {
     /// Whether the directed edge `(src, dst)` is a mesh edge (adjacent in the
     /// grid).
     pub fn is_mesh_edge(&self, src: NodeId, dst: NodeId) -> bool {
-        self.dims.manhattan(src, dst) == 1
+        self.dims().manhattan(src, dst) == 1
     }
 
     /// Computes all-pairs shortest-path distances (unit edge weights): in
-    /// closed form on a mesh without shortcuts, by BFS from every node on
-    /// any other graph.
+    /// closed form on a base fabric without shortcuts, by BFS from every
+    /// node once a shortcut is added.
     pub fn distances(&self) -> DistanceMatrix {
-        if self.mesh_base && self.shortcuts.is_empty() {
-            DistanceMatrix::mesh(self.dims)
-        } else {
-            DistanceMatrix::from_graph(self)
+        match self.fabric {
+            _ if !self.shortcuts.is_empty() => DistanceMatrix::from_graph(self),
+            FabricSpec::Mesh { dims } => DistanceMatrix::mesh(dims),
+            FabricSpec::RingMesh { dims, tile } => DistanceMatrix::ring_mesh(dims, tile),
         }
     }
 
@@ -192,7 +166,7 @@ impl GridGraph {
             let w_x = weights.row(x);
             for (y, &d) in dist.row(x).iter().enumerate() {
                 if x != y {
-                    total += w_x.map_or(1.0, |w| w[y]) * d as f64;
+                    total += w_x.map_or(1.0, |w| w[y]) * f64::from(d);
                 }
             }
         }

@@ -101,7 +101,7 @@ pub fn region_cost(
     for x in a.nodes() {
         for y in b.nodes() {
             if x != y {
-                total += weights.get(x, y) * dist.get(x, y) as f64;
+                total += weights.get(x, y) * f64::from(dist.get(x, y));
             }
         }
     }
@@ -168,7 +168,7 @@ impl RegionSet {
             let (d_x, w_x) = (dist.row(x), weights.row(x));
             for (cost, ys) in costs.iter_mut().zip(&self.nodes) {
                 for &y in ys {
-                    *cost += w_x.map_or(1.0, |w| w[y]) * d_x[y] as f64;
+                    *cost += w_x.map_or(1.0, |w| w[y]) * f64::from(d_x[y]);
                 }
             }
         }

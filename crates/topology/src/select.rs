@@ -193,9 +193,9 @@ pub fn select_exhaustive_greedy(
 /// Distances are updated incrementally after each addition, and so is the
 /// max-cost pair itself: per-source row maxima are cached, and a round
 /// re-examines only the rows the distance update touched instead of
-/// rescanning all `V²` candidates. The
-/// selected set is identical to the rescanning reference implementation
-/// [`select_max_cost_rescan`].
+/// rescanning all `V²` candidates. The selected set is identical to that of
+/// a reference that rescans every candidate each round, which the unit
+/// tests hold it to.
 ///
 /// # Panics
 ///
@@ -240,11 +240,8 @@ pub fn max_cost_selection(
 /// The pre-refactor rescanning implementation of [`select_max_cost`]: every
 /// round re-evaluates all `V²` candidates with [`max_cost_pair`]. Kept as
 /// the reference the incremental selector is property-tested against.
-///
-/// # Panics
-///
-/// Panics if the weights or constraints do not match the graph's node count.
-pub fn select_max_cost_rescan(
+#[cfg(test)]
+fn select_max_cost_rescan(
     graph: &GridGraph,
     weights: &PairWeights,
     constraints: &SelectionConstraints,
@@ -295,7 +292,7 @@ struct MaxCostRows<'a> {
     /// All ones where a destination is eligible with a free in-port, zero
     /// elsewhere: `d(x,y) & dst_open[y]` is the distance of a placeable
     /// destination or 0.
-    dst_open: Vec<u32>,
+    dst_open: Vec<u16>,
     rows: Vec<Option<(f64, NodeId)>>,
 }
 
@@ -306,7 +303,7 @@ impl<'a> MaxCostRows<'a> {
             weights,
             constraints,
             usage: PortUsage::new(n),
-            dst_open: constraints.eligible.iter().map(|&e| if e { u32::MAX } else { 0 }).collect(),
+            dst_open: constraints.eligible.iter().map(|&e| if e { u16::MAX } else { 0 }).collect(),
             rows: vec![None; n],
         }
     }
@@ -322,7 +319,7 @@ impl<'a> MaxCostRows<'a> {
     /// Recomputes row `x` from its distance row `dist_x`, mirroring
     /// [`max_cost_pair`]'s inner loop (ascending `y`, so among costs within
     /// its epsilon of each other the first one stands).
-    fn rescan(&mut self, x: NodeId, dist_x: &[u32]) {
+    fn rescan(&mut self, x: NodeId, dist_x: &[u16]) {
         self.rows[x] = None;
         if !self.constraints.eligible[x]
             || self.usage.out_used[x] >= self.constraints.max_out_per_node
@@ -336,12 +333,12 @@ impl<'a> MaxCostRows<'a> {
             None => {
                 let far = open.clone().max().unwrap_or(0);
                 let first = || open.clone().position(|d| d == far).expect("the maximum is in the row");
-                (far > 1).then(|| (far as f64, first()))
+                (far > 1).then(|| (f64::from(far), first()))
             }
             Some(w_x) => {
                 let mut best: Option<(f64, NodeId)> = None;
                 for (y, (d, &w)) in open.zip(w_x).enumerate() {
-                    let cost = w * d as f64;
+                    let cost = w * f64::from(d);
                     if d > 1 && cost > best.map_or(0.0, |(bc, _)| bc + 1e-9) {
                         best = Some((cost, y));
                     }
@@ -372,10 +369,10 @@ impl<'a> MaxCostRows<'a> {
 
     /// Row `x`'s distances just shrank to `dist_x`: rescan it if its cached
     /// entry's own cost or feasibility moved.
-    fn revalidate(&mut self, x: NodeId, dist_x: &[u32]) {
+    fn revalidate(&mut self, x: NodeId, dist_x: &[u16]) {
         if let Some((cost, y)) = self.rows[x] {
             let d = dist_x[y];
-            if d <= 1 || self.weights.get(x, y) * d as f64 != cost {
+            if d <= 1 || self.weights.get(x, y) * f64::from(d) != cost {
                 self.rescan(x, dist_x);
             }
         }
@@ -429,8 +426,8 @@ fn max_cost_pair(
                 continue;
             }
             let cost = match score {
-                PairScore::WeightedDistance => w_i.map_or(1.0, |w| w[j]) * d as f64,
-                PairScore::Distance => d as f64,
+                PairScore::WeightedDistance => w_i.map_or(1.0, |w| w[j]) * f64::from(d),
+                PairScore::Distance => f64::from(d),
             };
             if cost <= 0.0 {
                 continue;
@@ -766,6 +763,70 @@ mod tests {
                 proptest::prop_assert_eq!(walked, filtered, "{:?} {} -> {}", score, a, b);
             }
         }
+
+        /// The incremental max-cost selector (cached row maxima,
+        /// revalidated) is an optimisation of the full-rescan reference,
+        /// never a different algorithm: on any fabric — mesh or ring-mesh —
+        /// and any sparse traffic profile, both pick the *identical*
+        /// shortcut sequence.
+        #[test]
+        fn incremental_selection_matches_rescan(
+            side in 4usize..9,
+            ring in 0usize..2,
+            budget in 1usize..6,
+            pairs in proptest::collection::vec((0usize..64, 0usize..64, 0.5f64..50.0), 0..25),
+        ) {
+            let g = graph(side, ring == 1);
+            let n = g.node_count();
+            let mut w = PairWeights::zero(n);
+            for (a, b, f) in pairs {
+                if a != b && a < n && b < n {
+                    w.add(a, b, f);
+                }
+            }
+            let c = SelectionConstraints::allowing_all(n, budget);
+            proptest::prop_assert_eq!(
+                select_max_cost(&g, &w, &c),
+                select_max_cost_rescan(&g, &w, &c),
+                "selector divergence on {} side {}", g.dims(), side
+            );
+        }
+
+        /// The rescanning reference reads uniform weights, which hold no
+        /// matrix, exactly as the dense all-ones matrix.
+        #[test]
+        fn rescan_reads_uniform_weights_as_dense_ones(
+            side in 4usize..9,
+            ring in 0usize..2,
+            budget in 1usize..6,
+        ) {
+            let g = graph(side, ring == 1);
+            let n = g.node_count();
+            let mut ones = PairWeights::zero(n);
+            for a in 0..n {
+                for b in 0..n {
+                    ones.add(a, b, 1.0);
+                }
+            }
+            let c = SelectionConstraints::allowing_all(n, budget).excluding_corners(&g);
+            proptest::prop_assert_eq!(
+                select_max_cost_rescan(&g, &PairWeights::uniform(n), &c),
+                select_max_cost_rescan(&g, &ones, &c)
+            );
+        }
+    }
+
+    /// A `side`×`side` mesh, or a 4×4-tile ring-mesh where `ring` asks for
+    /// one and the side divides into tiles.
+    fn graph(side: usize, ring: bool) -> GridGraph {
+        use crate::fabric::FabricSpec;
+        let dims = GridDims::new(side, side);
+        let fabric = if ring && side.is_multiple_of(4) {
+            FabricSpec::ring_mesh(dims, 4)
+        } else {
+            FabricSpec::mesh(dims)
+        };
+        GridGraph::from_fabric(&fabric, &[])
     }
 
     /// What both selectors hand on is the all-pairs matrix of the graph

@@ -5,7 +5,7 @@ use rfnoc_topology::regions::{all_regions, best_region_pair, region_cost, Region
 use rfnoc_topology::routing::RoutingTables;
 use rfnoc_topology::select::{
     check_constraints, select_application_specific, select_exhaustive_greedy, select_max_cost,
-    select_max_cost_rescan, SelectionConstraints,
+    SelectionConstraints,
 };
 use rfnoc_topology::{DistanceMatrix, FabricSpec, GridDims, GridGraph, PairWeights, Shortcut};
 
@@ -182,40 +182,6 @@ proptest! {
         }
     }
 
-    /// The incremental max-cost selector (cached row maxima, revalidated) is
-    /// an optimisation of the full-rescan reference, never a different
-    /// algorithm: on any fabric — mesh or ring-mesh — and any sparse
-    /// traffic profile, both pick the *identical* shortcut sequence.
-    #[test]
-    fn incremental_selection_matches_rescan(
-        side in 4usize..9,
-        ring in 0usize..2,
-        budget in 1usize..6,
-        pairs in proptest::collection::vec((0usize..64, 0usize..64, 0.5f64..50.0), 0..25),
-    ) {
-        let dims = GridDims::new(side, side);
-        let fabric = if ring == 1 && side % 4 == 0 {
-            FabricSpec::ring_mesh(dims, 4)
-        } else {
-            FabricSpec::mesh(dims)
-        };
-        let n = dims.nodes();
-        let g = GridGraph::from_fabric(&fabric, &[]);
-        let mut w = PairWeights::zero(n);
-        for (a, b, f) in pairs {
-            if a != b && a < n && b < n {
-                w.add(a, b, f);
-            }
-        }
-        let c = SelectionConstraints::allowing_all(n, budget);
-        let incremental = select_max_cost(&g, &w, &c);
-        let rescan = select_max_cost_rescan(&g, &w, &c);
-        prop_assert_eq!(
-            incremental, rescan,
-            "selector divergence on {} side {}", fabric.name(), side
-        );
-    }
-
     /// Every table entry is a neighbour one hop closer to the destination;
     /// among those a shortcut target wins, and otherwise the lowest node id.
     #[test]
@@ -307,7 +273,7 @@ proptest! {
             dist.improvement_if_added(0, n - 1, &ones)
         );
         let c = SelectionConstraints::allowing_all(n, budget).excluding_corners(&g);
-        for select in [select_max_cost, select_max_cost_rescan, select_application_specific] {
+        for select in [select_max_cost, select_application_specific] {
             prop_assert_eq!(select(&g, &uniform, &c), select(&g, &ones, &c));
         }
         let c = SelectionConstraints::allowing_all(n, 1);
