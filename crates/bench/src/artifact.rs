@@ -135,169 +135,14 @@ pub fn write_artifact(name: &str, doc: &Json) -> Option<PathBuf> {
 /// content-addressed).
 pub fn ingest_history(doc: &Json, path: &Path) {
     let Some(store) = HistoryStore::from_env() else { return };
-    let added = HistoryRecord::from_artifact(doc, None).and_then(|records| {
-        let mut added = 0usize;
-        for rec in &records {
-            if let IngestOutcome::Added(_) = store.ingest(rec)? {
-                added += 1;
-            }
-        }
-        Ok(added)
-    });
-    match added {
-        Ok(0) => {}
-        Ok(added) => eprintln!(
-            "history: {added} new record(s) from {} into {}",
+    match HistoryRecord::from_artifact(doc, None).and_then(|rec| store.ingest(&rec)) {
+        Ok(IngestOutcome::Duplicate(_)) => {}
+        Ok(IngestOutcome::Added(_)) => eprintln!(
+            "history: new record from {} into {}",
             path.display(),
             store.dir().display()
         ),
         Err(e) => eprintln!("history: cannot ingest {}: {e}", path.display()),
-    }
-}
-
-/// The wall-clock noise envelope of a best-of-N timed metric: the spread
-/// of the repeat samples behind the reported best value. Stored alongside
-/// the metric so the regression gate has a per-row noise prior instead of
-/// assuming every row is equally (un)reliable.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MetricSpread {
-    /// Smallest repeat sample.
-    pub min: f64,
-    /// Largest repeat sample.
-    pub max: f64,
-    /// Population standard deviation of the repeat samples.
-    pub stddev: f64,
-}
-
-impl MetricSpread {
-    /// The spread of `samples`, or `None` when fewer than two repeats
-    /// were timed (a single sample has no measurable spread).
-    pub fn of(samples: &[f64]) -> Option<Self> {
-        if samples.len() < 2 {
-            return None;
-        }
-        let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        let var =
-            samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / samples.len() as f64;
-        Some(Self { min, max, stddev: var.sqrt() })
-    }
-}
-
-/// One configuration's headline metrics in a BENCH_trajectory row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrajectoryPoint {
-    /// Configuration id (`mesh10x10_low_load`, `mesh64x64_saturated_t4`).
-    pub id: String,
-    /// Simulated cycles per wall-clock second.
-    pub cycles_per_sec: f64,
-    /// Switch-allocator flit grants per wall-clock second.
-    pub flit_grants_per_sec: f64,
-    /// Max-over-mean per-shard sweep time on the sharded engine; `None`
-    /// on serial configs or when the run was not ledger-instrumented.
-    pub shard_imbalance: Option<f64>,
-    /// Barrier-wait share of the sharded sweep wall time (`None` like
-    /// `shard_imbalance`).
-    pub barrier_wait_frac: Option<f64>,
-    /// Spread of the `cycles_per_sec` repeat samples (best-of-N runs);
-    /// `None` on single-repeat configs. The `_spread_*` metric names
-    /// contain "spread", which `rfnoc::compare` treats as informational,
-    /// so the noise metadata itself is never gated.
-    pub spread: Option<MetricSpread>,
-}
-
-impl TrajectoryPoint {
-    /// A point with throughput metrics only (the serial-engine shape).
-    pub fn new(id: impl Into<String>, cycles_per_sec: f64, flit_grants_per_sec: f64) -> Self {
-        Self {
-            id: id.into(),
-            cycles_per_sec,
-            flit_grants_per_sec,
-            shard_imbalance: None,
-            barrier_wait_frac: None,
-            spread: None,
-        }
-    }
-}
-
-impl TrajectoryPoint {
-    /// Appends the fields only some rows carry — shard balance on
-    /// threaded configs, the repeat-sample spread on best-of-N ones — to
-    /// a config object; absent values leave their keys out.
-    pub fn optional_fields(&self, config: Json) -> Json {
-        let r4 = |v: f64| rounded(v, 4);
-        config
-            .field_opt("shard_imbalance", self.shard_imbalance.map(r4))
-            .field_opt("barrier_wait_frac", self.barrier_wait_frac.map(r4))
-            .field_opt("cycles_per_sec_spread_min", self.spread.map(|s| r4(s.min)))
-            .field_opt("cycles_per_sec_spread_max", self.spread.map(|s| r4(s.max)))
-            .field_opt("cycles_per_sec_spread_stddev", self.spread.map(|s| r4(s.stddev)))
-    }
-}
-
-/// One BENCH_trajectory row: provenance plus the headline throughput of
-/// each config. The row is itself a complete artifact, so a row extracted
-/// from the trajectory diffs cleanly against another row.
-pub fn trajectory_row(git: &str, unix: u64, quick: bool, configs: &[TrajectoryPoint]) -> Json {
-    let configs = configs.iter().map(|p| {
-        p.optional_fields(
-            Json::obj()
-                .field("id", &p.id)
-                .field("cycles_per_sec", rounded(p.cycles_per_sec, 4))
-                .field("flit_grants_per_sec", rounded(p.flit_grants_per_sec, 4)),
-        )
-    });
-    Json::obj()
-        .field("git", git)
-        .field("generated_unix", unix)
-        .field("quick", quick)
-        .field("configs", Json::arr(configs))
-}
-
-/// The `{"name": ..., "rows": [...]}` document at `path` (a fresh one
-/// when the file does not exist yet) with `row` appended.
-fn with_row(path: &Path, name: &str, row: Json) -> Result<Json, String> {
-    let mut doc = match std::fs::read_to_string(path) {
-        Ok(text) => rfnoc::json::parse(&text).map_err(|e| e.to_string())?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            Json::obj().field("name", name).field("rows", Json::Arr(Vec::new()))
-        }
-        Err(e) => return Err(e.to_string()),
-    };
-    let rows = match &mut doc {
-        Json::Obj(fields) => fields.iter_mut().find(|(k, _)| k == "rows"),
-        _ => None,
-    };
-    match rows {
-        Some((_, Json::Arr(rows))) => rows.push(row),
-        _ => return Err("no \"rows\" array".into()),
-    }
-    Ok(doc)
-}
-
-/// Appends `row` to the rows file at `path`, creating it on first use,
-/// and returns the document written. A file that cannot be read, does
-/// not parse, or has no `rows` array is reported and left untouched —
-/// earlier rows are never dropped.
-pub fn append_row(path: &Path, name: &str, row: Json) -> Option<Json> {
-    match with_row(path, name, row) {
-        Ok(doc) => write_file(path, &doc.pretty()).then_some(doc),
-        Err(e) => {
-            eprintln!("WARNING: {}: {e}; row not appended, file left as it is", path.display());
-            None
-        }
-    }
-}
-
-/// Appends a row to `results/json/BENCH_trajectory.json` and files it
-/// into the trend store (idempotent: rows already stored hash to the same
-/// filename, so only the fresh row lands).
-pub fn append_trajectory(git: &str, unix: u64, quick: bool, configs: &[TrajectoryPoint]) {
-    let path = artifact_path("BENCH_trajectory");
-    let row = trajectory_row(git, unix, quick, configs);
-    if let Some(doc) = append_row(&path, "BENCH_trajectory", row) {
-        ingest_history(&doc, &path);
     }
 }
 
@@ -319,28 +164,5 @@ mod tests {
     #[test]
     fn git_describe_never_empty() {
         assert!(!git_describe().is_empty());
-    }
-
-    #[test]
-    fn metric_spread_needs_two_samples() {
-        assert_eq!(MetricSpread::of(&[]), None);
-        assert_eq!(MetricSpread::of(&[5.0]), None);
-        let s = MetricSpread::of(&[10.0, 14.0]).unwrap();
-        assert_eq!(s.min, 10.0);
-        assert_eq!(s.max, 14.0);
-        assert!((s.stddev - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn trajectory_row_renders_spread_fields() {
-        let mut p = TrajectoryPoint::new("mesh", 100.0, 50.0);
-        p.spread = MetricSpread::of(&[90.0, 100.0]);
-        let row = trajectory_row("g", 1, true, std::slice::from_ref(&p));
-        let config = &row.get("configs").unwrap().line();
-        assert!(config.contains("\"cycles_per_sec_spread_min\": 90, "), "{config}");
-        assert!(config.contains("\"cycles_per_sec_spread_max\": 100, "), "{config}");
-        assert!(config.ends_with("\"cycles_per_sec_spread_stddev\": 5}]"), "{config}");
-        let bare = trajectory_row("g", 1, true, &[TrajectoryPoint::new("m", 1.0, 1.0)]);
-        assert!(!bare.line().contains("spread"), "{bare:?}");
     }
 }

@@ -4,10 +4,12 @@
 //! renders the telemetry layer's artifacts:
 //!
 //! 1. **Congestion** — a saturating uniform load on the static-shortcut
-//!    design. Writes `results/json/TELEMETRY_congestion.json` (interval
-//!    time series, per-link utilization, per-band RF utilization, span
-//!    digest) and `results/svg/TELEMETRY_link_heatmap.svg` (mesh links
-//!    stroked by utilization, RF arcs shaded by band utilization).
+//!    design. Prints ASCII maps of the mean mesh-port and the ejection
+//!    utilization per router and the hottest output ports, and writes
+//!    `results/json/TELEMETRY_congestion.json` (interval time series,
+//!    per-link utilization, per-band RF utilization, span digest) and
+//!    `results/svg/TELEMETRY_link_heatmap.svg` (mesh links stroked by
+//!    utilization, RF arcs shaded by band utilization).
 //! 2. **Fault timeline** — the same design at moderate load with the
 //!    whole RF band failing mid-run. Writes
 //!    `results/json/TELEMETRY_fault_timeline.json`; the printed timeline
@@ -25,7 +27,7 @@ use rfnoc_bench::scenarios::{
 use rfnoc_bench::svg::{render_link_heatmap, LinkHeatFigure};
 use rfnoc_bench::telemetry::{
     self, covered_cycles, event_label, hottest_ports, link_utilization, print_timeline,
-    PORT_NAMES,
+    MESH_PORTS, PORT_NAMES,
 };
 use rfnoc_sim::TelemetryReport;
 use rfnoc_traffic::Placement;
@@ -64,6 +66,7 @@ fn congestion_scenario(quick: bool) {
         stats.saturated,
     );
     print_timeline(tel, 16);
+    print_port_maps(tel);
     print_hot_ports(tel);
 
     write_file(&artifact_path("TELEMETRY_congestion"), &telemetry::render_json("TELEMETRY_congestion", stats, tel));
@@ -94,6 +97,39 @@ const HEAT_SCALE: f64 = 2.5;
 
 fn scaled_link_util(tel: &TelemetryReport) -> Vec<f64> {
     link_utilization(tel).iter().map(|u| (u * HEAT_SCALE).min(1.0)).collect()
+}
+
+/// One character per utilization level, `.` below 2 % to `#` above 55 %.
+fn glyph(util: f64) -> char {
+    match util {
+        u if u < 0.02 => '.',
+        u if u < 0.05 => '1',
+        u if u < 0.10 => '2',
+        u if u < 0.20 => '3',
+        u if u < 0.35 => '5',
+        u if u < 0.55 => '7',
+        _ => '#',
+    }
+}
+
+/// Prints one glyph per router of `util(router)`, laid out as the grid.
+fn print_router_map(util: impl Fn(usize) -> f64) {
+    let dims = Placement::paper_10x10().dims();
+    for y in 0..dims.height() {
+        let row: Vec<String> =
+            (0..dims.width()).map(|x| glyph(util(y * dims.width() + x)).to_string()).collect();
+        println!("    {}", row.join(" "));
+    }
+}
+
+fn print_port_maps(tel: &TelemetryReport) {
+    println!("\nmean mesh-link utilization per router ('.'<2% … '#'>55%):\n");
+    print_router_map(|r| {
+        (0..MESH_PORTS).map(|p| telemetry::port_utilization(tel, r, p, 1)).sum::<f64>()
+            / MESH_PORTS as f64
+    });
+    println!("\nejection (local port) utilization:\n");
+    print_router_map(|r| telemetry::port_utilization(tel, r, MESH_PORTS, 2));
 }
 
 fn print_hot_ports(tel: &TelemetryReport) {

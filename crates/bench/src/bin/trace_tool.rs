@@ -70,6 +70,18 @@ fn record(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The first record that names a node outside a `nodes`-router network,
+/// as `(record index, cycle, node)`.
+fn first_foreign_node(trace: &Trace, nodes: usize) -> Option<(usize, u64, usize)> {
+    trace.records().iter().enumerate().find_map(|(i, (cycle, msg))| {
+        let dests: Vec<usize> = match msg.dest {
+            Destination::Unicast(dst) => vec![dst],
+            Destination::Multicast(set) => set.iter().collect(),
+        };
+        std::iter::once(msg.src).chain(dests).find(|&n| n >= nodes).map(|n| (i, *cycle, n))
+    })
+}
+
 fn replay(args: &[String]) -> ExitCode {
     let [path, arch_name, rest @ ..] = args else { return usage() };
     let width = match rest.first().map(String::as_str) {
@@ -104,13 +116,21 @@ fn replay(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let placement = Placement::paper_10x10();
+    let nodes = placement.dims().nodes();
+    if let Some((i, cycle, node)) = first_foreign_node(&trace, nodes) {
+        eprintln!(
+            "{path}: record {} (cycle {cycle}) names node {node}, but the network has {nodes} nodes",
+            i + 1
+        );
+        return ExitCode::FAILURE;
+    }
     println!("replaying {} messages from {path}", trace.len());
 
     // Profile the trace itself for the adaptive architecture (§3.2.2's
     // event-counter statistics, here from the captured records).
-    let placement = Placement::paper_10x10();
     let profile = arch.is_adaptive().then(|| {
-        let mut weights = PairWeights::zero(placement.dims().nodes());
+        let mut weights = PairWeights::zero(nodes);
         for (_, msg) in trace.records() {
             if let Destination::Unicast(dst) = msg.dest {
                 weights.add(msg.src, dst, 1.0);

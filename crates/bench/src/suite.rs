@@ -835,7 +835,6 @@ fn render_mesh_scaling(results: &PlanResults, opts: &SuiteOptions) {
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     let mut points = Vec::new();
-    let mut trajectory: Vec<(String, f64, f64)> = Vec::new();
     for side in scaling_sides(opts) {
         for (placement, _) in scaling_fabrics(side) {
             let fabric_kind = placement.split('-').next_back().unwrap_or("mesh");
@@ -863,7 +862,7 @@ fn render_mesh_scaling(results: &PlanResults, opts: &SuiteOptions) {
                 let grants: u64 = r.report.stats.port_flits.iter().sum();
                 (r.report.stats.end_cycle as f64 / wall, grants as f64 / wall)
             };
-            let (cps, gps) = throughput(rf);
+            let (cps, _) = throughput(rf);
             let norm_lat = rf
                 .normalized
                 .map_or_else(|| "-".into(), |(lat, _)| format!("{lat:.2}"));
@@ -911,7 +910,6 @@ fn render_mesh_scaling(results: &PlanResults, opts: &SuiteOptions) {
                         .field("flit_grants_per_sec", r4(gps)),
                 );
             }
-            trajectory.push((format!("mesh_scaling_{side}x{side}_{fabric_kind}_rf"), cps, gps));
         }
     }
     print_table(
@@ -949,16 +947,6 @@ fn render_mesh_scaling(results: &PlanResults, opts: &SuiteOptions) {
     let name = "BENCH_mesh_scaling";
     let doc = artifact::header(name).field("quick", opts.quick).field("points", Json::Arr(points));
     artifact::write_artifact(name, &doc);
-    let refs: Vec<artifact::TrajectoryPoint> = trajectory
-        .iter()
-        .map(|(id, c, g)| artifact::TrajectoryPoint::new(id.as_str(), *c, *g))
-        .collect();
-    artifact::append_trajectory(
-        &artifact::git_describe(),
-        artifact::unix_now(),
-        opts.quick,
-        &refs,
-    );
     println!(
         "\nExpectation: normalised RF latency falls as the grid grows\n\
          (single-cycle shortcuts replace ever-longer multi-hop paths), the\n\

@@ -14,7 +14,7 @@
 use rfnoc::json::{parse, Json};
 use rfnoc::ledger::LedgerSummary;
 use rfnoc::{Architecture, WorkloadSpec};
-use rfnoc_bench::artifact::{self, MetricSpread, TrajectoryPoint};
+use rfnoc_bench::artifact;
 use rfnoc_bench::campaign::{
     self, CampaignSummary, IntensitySummary, MeanMax, ProfileSummary,
     RecoveryAggregate,
@@ -266,21 +266,6 @@ const LEDGER: &str = concat!(
 fn ledger_summary_report() {
     let summary = LedgerSummary::from_text(LEDGER).unwrap();
     check_pin("ledger_summary_report", &leaves_fixed(&summary.render_json()));
-}
-
-#[test]
-fn trajectory_row() {
-    let mut full = TrajectoryPoint::new("mesh64x64_saturated_t4", 51.7991, 350_823.619_1);
-    full.shard_imbalance = Some(1.25);
-    full.barrier_wait_frac = Some(0.3);
-    full.spread = MetricSpread::of(&[90.0, 100.0]);
-    let configs = [TrajectoryPoint::new("mesh10x10_low_load", 264_023.932_1, 2.5e6), full];
-    check_pin(
-        "trajectory_row",
-        &leaves_fixed(
-            &artifact::trajectory_row("abc123-dirty", 1_786_043_102, true, &configs).line(),
-        ),
-    );
 }
 
 #[test]

@@ -46,7 +46,7 @@
 //!
 //! Observatory: `ingest` files bench/campaign/sweep artifacts into the
 //! content-addressed history at `results/history/` (one record per
-//! trajectory row), `trend` renders per-config time series from it, and
+//! artifact), `trend` renders per-config time series from it, and
 //! `gate` replaces the old fixed-percent regression threshold with a
 //! noise-aware verdict — median of the new samples vs the rolling median
 //! ± k·MAD of history, direction-aware via the `compare` keyword rules.
@@ -393,32 +393,27 @@ fn cmd_tail(args: &[String]) -> Option<ExitCode> {
     }
 }
 
-/// Reads and parses one artifact file into history records.
-fn read_artifact_records(
+/// Reads and parses one artifact file into its history record.
+fn read_artifact_record(
     path: &str,
     name_override: Option<&str>,
-) -> Result<Vec<rfnoc::history::HistoryRecord>, String> {
+) -> Result<rfnoc::history::HistoryRecord, String> {
     let doc = rfnoc::json::read_file(path)?;
     rfnoc::history::HistoryRecord::from_artifact(&doc, name_override)
         .map_err(|e| format!("{path}: {e}"))
 }
 
-/// `ingest [--history DIR] [--name NAME] [--exclude-last] <file.json>...`:
-/// files each artifact into the content-addressed trend store. A
-/// trajectory-shaped artifact (`{"rows": [...]}`) ingests one record per
-/// row; `--exclude-last` skips its newest row (CI ingests the committed
-/// rows as history, then gates the freshly appended row against them).
+/// `ingest [--history DIR] [--name NAME] <file.json>...`: files each
+/// artifact into the content-addressed trend store as one record.
 fn cmd_ingest(args: &[String]) -> Option<ExitCode> {
     let mut dir = rfnoc::history::DEFAULT_DIR.to_string();
     let mut name: Option<String> = None;
-    let mut exclude_last = false;
     let mut files: Vec<&String> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--history" => dir = it.next()?.clone(),
             "--name" => name = Some(it.next()?.clone()),
-            "--exclude-last" => exclude_last = true,
             _ if arg.starts_with("--") => return None,
             _ => files.push(arg),
         }
@@ -429,24 +424,12 @@ fn cmd_ingest(args: &[String]) -> Option<ExitCode> {
     let store = rfnoc::history::HistoryStore::open(&dir);
     let (mut added, mut dups) = (0usize, 0usize);
     for path in files {
-        let mut records = match read_artifact_records(path, name.as_deref()) {
-            Ok(r) => r,
+        match read_artifact_record(path, name.as_deref()).and_then(|rec| store.ingest(&rec)) {
+            Ok(rfnoc::history::IngestOutcome::Added(_)) => added += 1,
+            Ok(rfnoc::history::IngestOutcome::Duplicate(_)) => dups += 1,
             Err(e) => {
                 eprintln!("ingest: {e}");
                 return Some(ExitCode::FAILURE);
-            }
-        };
-        if exclude_last {
-            records.pop();
-        }
-        for rec in &records {
-            match store.ingest(rec) {
-                Ok(rfnoc::history::IngestOutcome::Added(_)) => added += 1,
-                Ok(rfnoc::history::IngestOutcome::Duplicate(_)) => dups += 1,
-                Err(e) => {
-                    eprintln!("ingest: {e}");
-                    return Some(ExitCode::FAILURE);
-                }
             }
         }
     }
@@ -511,14 +494,14 @@ fn cmd_trend(args: &[String]) -> Option<ExitCode> {
     Some(ExitCode::SUCCESS)
 }
 
-/// `gate <new.json>... [--history DIR] [--name NAME] [--last-row] [--k F]
-/// [--floor F] [--window N] [--min-history N]`: judges fresh artifacts
-/// against the trend store with the noise-aware median ± k·MAD band.
-/// Exit 0 on pass, 2 on a statistically significant regression.
+/// `gate <new.json>... [--history DIR] [--name NAME] [--k F] [--floor F]
+/// [--window N] [--min-history N]`: judges fresh samples of one artifact
+/// against its trend-store history with the noise-aware median ± k·MAD
+/// band. Exit 0 on pass, 2 on a statistically significant regression, 1
+/// on unreadable input or samples of more than one artifact.
 fn cmd_gate(args: &[String]) -> Option<ExitCode> {
     let mut dir = rfnoc::history::DEFAULT_DIR.to_string();
     let mut name: Option<String> = None;
-    let mut last_row = false;
     let mut cfg = rfnoc::gate::GateConfig::default();
     let mut files: Vec<&String> = Vec::new();
     let mut it = args.iter();
@@ -526,7 +509,6 @@ fn cmd_gate(args: &[String]) -> Option<ExitCode> {
         match arg.as_str() {
             "--history" => dir = it.next()?.clone(),
             "--name" => name = Some(it.next()?.clone()),
-            "--last-row" => last_row = true,
             "--k" => cfg.k = it.next()?.parse().ok().filter(|k: &f64| *k > 0.0)?,
             "--floor" => {
                 cfg.rel_floor = it.next()?.parse().ok().filter(|f: &f64| *f >= 0.0)?;
@@ -546,27 +528,23 @@ fn cmd_gate(args: &[String]) -> Option<ExitCode> {
     }
     let mut new_records = Vec::new();
     for path in files {
-        match read_artifact_records(path, name.as_deref()) {
-            Ok(mut records) => {
-                if last_row {
-                    match records.pop() {
-                        Some(last) => new_records.push(last),
-                        None => {
-                            eprintln!("gate: {path} has no rows");
-                            return Some(ExitCode::FAILURE);
-                        }
-                    }
-                } else {
-                    new_records.append(&mut records);
-                }
-            }
+        match read_artifact_record(path, name.as_deref()) {
+            Ok(rec) => new_records.push(rec),
             Err(e) => {
                 eprintln!("gate: {e}");
                 return Some(ExitCode::FAILURE);
             }
         }
     }
-    let artifact = new_records.first().map(|r| r.artifact.clone())?;
+    // History is loaded for one artifact, so every sample must be of it.
+    let artifact = new_records[0].artifact.clone();
+    if let Some(other) = new_records.iter().find(|r| r.artifact != artifact) {
+        eprintln!(
+            "gate: samples of two artifacts, {artifact:?} and {:?}; gate one at a time",
+            other.artifact
+        );
+        return Some(ExitCode::FAILURE);
+    }
     let store = rfnoc::history::HistoryStore::open(&dir);
     let history = match store.load(Some(&artifact)) {
         Ok(h) => h,
@@ -700,9 +678,9 @@ fn main() -> ExitCode {
              rfnoc-cli sweep <arch> <workload>\n  \
              rfnoc-cli map <workload>\n  \
              rfnoc-cli tail <ledger.jsonl> [--follow] [--poll-ms N]\n  \
-             rfnoc-cli ingest [--history DIR] [--name NAME] [--exclude-last] <file.json>...\n  \
+             rfnoc-cli ingest [--history DIR] [--name NAME] <file.json>...\n  \
              rfnoc-cli trend <metric> [--history DIR] [--artifact NAME]\n  \
-             rfnoc-cli gate <new.json>... [--history DIR] [--name NAME] [--last-row] \
+             rfnoc-cli gate <new.json>... [--history DIR] [--name NAME] \
              [--k F] [--floor F] [--window N] [--min-history N]\n  \
              rfnoc-cli serve-obs <ledger.jsonl> [--port P] [--poll-ms N]\n  \
              rfnoc-cli ledger-summary <ledger.jsonl>\n  \

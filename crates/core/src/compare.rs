@@ -12,8 +12,7 @@
 //! `*dropped*`, `*fault*`, `*imbalance*`) should not rise, and anything else is
 //! informational. A metric whose worsening exceeds the threshold is a
 //! **breach**; the CLI exits nonzero if any metric breaches, which is
-//! what CI uses to gate simulator-throughput regressions against the
-//! committed trajectory baseline.
+//! how CI holds a rerun campaign to its first run (`--threshold 0`).
 
 pub use crate::json::{parse, Json, ParseError};
 use std::collections::BTreeMap;
@@ -69,21 +68,12 @@ pub enum Direction {
 }
 
 /// Infers a metric's direction from the last segment of its path.
-///
-/// Noise metadata is checked first: a leaf containing `spread` (the
-/// best-of-N min/max/stddev fields the perf benchmark records, e.g.
-/// `cycles_per_sec_spread_stddev`) is always informational, even though
-/// the stem would otherwise match a directional keyword — run-to-run
-/// spread is an input to the noise-aware gate, never a gated metric
-/// itself.
 pub fn direction_of(path: &str) -> Direction {
     let leaf = path.rsplit('.').next().unwrap_or(path).to_ascii_lowercase();
     const HIGHER: &[&str] = &["per_sec", "throughput", "rate", "coverage"];
     const LOWER: &[&str] =
         &["latency", "stall", "wait", "wall_ms", "dropped", "fault", "retransmit", "imbalance"];
-    if leaf.contains("spread") {
-        Direction::Informational
-    } else if HIGHER.iter().any(|k| leaf.contains(k)) {
+    if HIGHER.iter().any(|k| leaf.contains(k)) {
         Direction::HigherIsBetter
     } else if LOWER.iter().any(|k| leaf.contains(k)) {
         Direction::LowerIsBetter

@@ -11,10 +11,8 @@
 //! * the **expected value** is the rolling median of that metric over
 //!   the last [`GateConfig::window`] matching history records, and
 //! * the **tolerance band** is
-//!   `max(k·MAD, k·noise_prior, rel_floor·|median|)` — the median
-//!   absolute deviation of the history widened by any recorded
-//!   best-of-N spread (`<metric>_spread_stddev`, see the bench perf
-//!   binary) and floored at a relative band so a freakishly quiet
+//!   `max(k·MAD, rel_floor·|median|)` — the median absolute deviation
+//!   of the history, floored at a relative band so a freakishly quiet
 //!   history cannot make ordinary jitter significant.
 //!
 //! A metric **regresses** when it moves past the band in its worsening
@@ -34,7 +32,7 @@ use std::fmt::Write as _;
 /// Gate tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GateConfig {
-    /// Band width in MADs (and in noise-prior standard deviations).
+    /// Band width in MADs.
     pub k: f64,
     /// Relative band floor: the band is at least this fraction of the
     /// history median's magnitude.
@@ -68,8 +66,6 @@ pub struct MetricVerdict {
     pub median_hist: f64,
     /// Median absolute deviation of the history window.
     pub mad: f64,
-    /// Median recorded `_spread_stddev` noise prior (0 when absent).
-    pub noise_prior: f64,
     /// The tolerance band actually applied.
     pub band: f64,
     /// Direction-signed absolute movement (positive = worse).
@@ -87,7 +83,7 @@ pub struct GateReport {
     pub verdicts: Vec<MetricVerdict>,
     /// Directional metrics skipped for insufficient history.
     pub skipped_insufficient: usize,
-    /// Informational metrics skipped (spread fields, counts, ...).
+    /// Informational metrics skipped (counts, ids, ...).
     pub skipped_informational: usize,
     /// History records in the rolling window after quick-flag filtering.
     pub history_used: usize,
@@ -129,7 +125,7 @@ impl GateReport {
         let fmt = |v: &MetricVerdict| {
             format!(
                 "{}: {:.4} -> {:.4} ({} {:.4}, band {:.4} = max(k*MAD {:.4}, \
-                 k*noise {:.4}, floor {:.4}), {} pts)",
+                 floor {:.4}), {} pts)",
                 v.path,
                 v.median_hist,
                 v.median_new,
@@ -137,7 +133,6 @@ impl GateReport {
                 v.worsening,
                 v.band,
                 cfg.k * v.mad,
-                cfg.k * v.noise_prior,
                 cfg.rel_floor * v.median_hist.abs(),
                 v.history_points,
             )
@@ -237,21 +232,7 @@ pub fn gate(history: &[HistoryRecord], new: &[HistoryRecord], cfg: &GateConfig) 
                 let median_new = median(&new_vals).expect("path came from new records");
                 let median_hist = median(&hist_vals).expect("len checked above");
                 let mad = mad(&hist_vals, median_hist);
-                // The recorded best-of-N spread of this metric, across
-                // history and fresh samples alike, is a floor on how
-                // noisy we know the measurement to be.
-                let prior_path = format!("{path}_spread_stddev");
-                let priors: Vec<f64> = window
-                    .iter()
-                    .map(|r| &r.metrics)
-                    .chain(new.iter().map(|r| &r.metrics))
-                    .filter_map(|m| m.get(&prior_path))
-                    .copied()
-                    .collect();
-                let noise_prior = median(&priors).unwrap_or(0.0);
-                let band = (cfg.k * mad)
-                    .max(cfg.k * noise_prior)
-                    .max(cfg.rel_floor * median_hist.abs());
+                let band = (cfg.k * mad).max(cfg.rel_floor * median_hist.abs());
                 let worsening = match direction {
                     Direction::HigherIsBetter => median_hist - median_new,
                     Direction::LowerIsBetter => median_new - median_hist,
@@ -263,7 +244,6 @@ pub fn gate(history: &[HistoryRecord], new: &[HistoryRecord], cfg: &GateConfig) 
                     median_new,
                     median_hist,
                     mad,
-                    noise_prior,
                     band,
                     worsening,
                     history_points: hist_vals.len(),
@@ -346,27 +326,6 @@ mod tests {
         let regs = r.regressions();
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].path, "avg_latency_cycles");
-    }
-
-    #[test]
-    fn noise_prior_widens_band() {
-        // Tight history (MAD 0) but a recorded spread stddev of 100:
-        // a 350 drop is within k*noise = 400, so it must pass.
-        let hist = vec![
-            rec(1, None, &[("cycles_per_sec", 1000.0), ("cycles_per_sec_spread_stddev", 100.0)]),
-            rec(2, None, &[("cycles_per_sec", 1000.0), ("cycles_per_sec_spread_stddev", 100.0)]),
-        ];
-        let new = vec![rec(3, None, &[("cycles_per_sec", 650.0)])];
-        let r = gate(&hist, &new, &GateConfig::default());
-        assert!(r.pass(), "{:?}", r.regressions());
-        // Without the prior the same movement fails.
-        let quiet = vec![
-            rec(1, None, &[("cycles_per_sec", 1000.0)]),
-            rec(2, None, &[("cycles_per_sec", 1000.0)]),
-        ];
-        assert!(!gate(&quiet, &new, &GateConfig::default()).pass());
-        // And the spread field itself is never judged.
-        assert!(r.verdicts.iter().all(|v| !v.path.contains("spread")));
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub const DEFAULT_DIR: &str = "results/history";
 /// vector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistoryRecord {
-    /// Artifact name (`BENCH_sim_throughput`, `BENCH_trajectory`, ...).
+    /// Artifact name (`fig7`, `BENCH_mesh_scaling`, ...).
     pub artifact: String,
     /// `git describe` of the run that produced the artifact.
     pub git: String,
@@ -51,22 +51,12 @@ pub struct HistoryRecord {
 }
 
 impl HistoryRecord {
-    /// Reduces one parsed artifact document to history records.
-    ///
-    /// A plain artifact yields one record. A trajectory-shaped artifact
-    /// (`{"name": ..., "rows": [...]}`) yields one record per row, in
-    /// file order — each row is itself a complete artifact with its own
-    /// provenance, which is exactly the cross-run series the store
-    /// exists to hold.
+    /// Reduces one parsed artifact document to its history record.
     ///
     /// # Errors
     ///
-    /// No artifact name (neither `name_override` nor a `"name"` field),
-    /// or a rows file whose rows are not objects.
-    pub fn from_artifact(
-        doc: &Json,
-        name_override: Option<&str>,
-    ) -> Result<Vec<Self>, String> {
+    /// No artifact name (neither `name_override` nor a `"name"` field).
+    pub fn from_artifact(doc: &Json, name_override: Option<&str>) -> Result<Self, String> {
         let name = match name_override {
             Some(n) => n.to_string(),
             None => doc
@@ -75,21 +65,6 @@ impl HistoryRecord {
                 .map(str::to_string)
                 .ok_or("artifact has no \"name\" field (pass --name)")?,
         };
-        if let Some(Json::Arr(rows)) = doc.get("rows") {
-            return rows
-                .iter()
-                .enumerate()
-                .map(|(i, row)| match row {
-                    Json::Obj(_) => Ok(Self::from_flat(row, &name)),
-                    _ => Err(format!("row {i} of {name} is not an object")),
-                })
-                .collect();
-        }
-        Ok(vec![Self::from_flat(doc, &name)])
-    }
-
-    /// Reduces one flat artifact object (no rows nesting) to a record.
-    fn from_flat(doc: &Json, name: &str) -> Self {
         let git = doc
             .get("git")
             .and_then(Json::as_str)
@@ -110,7 +85,7 @@ impl HistoryRecord {
                     && path.rsplit('.').next().unwrap_or(path) != "generated_unix"
             })
             .collect();
-        Self { artifact: name.to_string(), git, unix, quick, metrics }
+        Ok(Self { artifact: name, git, unix, quick, metrics })
     }
 
     /// The canonical JSON rendering ([`Json::pretty`]) — what the content
@@ -345,9 +320,7 @@ mod tests {
     #[test]
     fn artifact_reduces_to_record() {
         let doc = parse(ARTIFACT).unwrap();
-        let recs = HistoryRecord::from_artifact(&doc, None).unwrap();
-        assert_eq!(recs.len(), 1);
-        let r = &recs[0];
+        let r = HistoryRecord::from_artifact(&doc, None).unwrap();
         assert_eq!(r.artifact, "BENCH_example");
         assert_eq!(r.git, "abc123");
         assert_eq!(r.unix, 500);
@@ -360,27 +333,9 @@ mod tests {
     }
 
     #[test]
-    fn rows_artifact_yields_one_record_per_row() {
-        let doc = parse(
-            r#"{"name": "BENCH_trajectory", "rows": [
-                {"git": "a", "generated_unix": 1, "quick": true,
-                 "configs": [{"id": "m", "cycles_per_sec": 10.0}]},
-                {"git": "b", "generated_unix": 2, "quick": false,
-                 "configs": [{"id": "m", "cycles_per_sec": 20.0}]}
-            ]}"#,
-        )
-        .unwrap();
-        let recs = HistoryRecord::from_artifact(&doc, None).unwrap();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].git, "a");
-        assert_eq!(recs[0].quick, Some(true));
-        assert_eq!(recs[1].metrics["configs[m].cycles_per_sec"], 20.0);
-    }
-
-    #[test]
     fn record_roundtrips_through_canonical_json() {
         let doc = parse(ARTIFACT).unwrap();
-        let rec = HistoryRecord::from_artifact(&doc, None).unwrap().remove(0);
+        let rec = HistoryRecord::from_artifact(&doc, None).unwrap();
         let back = HistoryRecord::parse_record(&rec.render_json()).unwrap();
         assert_eq!(rec, back);
         assert_eq!(rec.content_hash(), back.content_hash());
@@ -392,7 +347,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = HistoryStore::open(&dir);
         let doc = parse(ARTIFACT).unwrap();
-        let rec = HistoryRecord::from_artifact(&doc, None).unwrap().remove(0);
+        let rec = HistoryRecord::from_artifact(&doc, None).unwrap();
         assert!(matches!(store.ingest(&rec).unwrap(), IngestOutcome::Added(_)));
         assert!(matches!(store.ingest(&rec).unwrap(), IngestOutcome::Duplicate(_)));
         // A different run (new timestamp) is a new record.

@@ -11,7 +11,7 @@
 //! [`Json::pretty`] is the artifact-file form: the first two nesting
 //! levels get one entry per line, anything deeper (and any array of
 //! scalars) stays on one line, and the document ends in a newline — one
-//! plan point, one trajectory row, one history metric per line. Numbers
+//! plan point, one history metric per line. Numbers
 //! print in Rust's shortest round-trip form (`1000.0` prints `1000`, so
 //! counters need no integer variant); a non-finite number prints `null`.
 //! Strings escape `"`, `\`, `\n`, `\t`, `\r`, and the remaining control

@@ -45,20 +45,6 @@ fn unmatched_leaves_are_informational() {
 }
 
 #[test]
-fn spread_noise_metadata_is_never_gated() {
-    // The stems would match a directional keyword (`per_sec`), but the
-    // `spread` marker wins: noise metadata is input to the gate's band,
-    // never a gated metric itself.
-    for path in [
-        "cycles_per_sec_spread_min",
-        "cycles_per_sec_spread_max",
-        "configs[mesh].cycles_per_sec_spread_stddev",
-    ] {
-        assert_eq!(direction_of(path), Direction::Informational, "{path}");
-    }
-}
-
-#[test]
 fn direction_uses_only_the_last_path_segment() {
     // A directional keyword in a parent segment must not leak into the
     // leaf's classification.

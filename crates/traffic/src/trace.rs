@@ -204,6 +204,9 @@ impl Trace {
                         .map_err(|_| parse("bad dst"))?;
                     let class = parse_class(parts.next().ok_or_else(|| parse("missing class"))?)
                         .ok_or_else(|| parse("bad class"))?;
+                    if src == dst {
+                        return Err(parse("unicast to its own source"));
+                    }
                     records.push((cycle, MessageSpec::unicast(src, dst, class)));
                 }
                 "M" => {
@@ -325,6 +328,7 @@ mod tests {
         for bad in [
             "0 U 1 2",            // missing class
             "0 U 1 two req",      // bad dst
+            "0 U 3 3 req",        // self-unicast
             "x U 1 2 req",        // bad cycle
             "0 Z 1 2 req",        // unknown kind
             "0 M 4 mc",           // missing dests
