@@ -7,11 +7,9 @@
 //! provenance (git describe, timestamp, thread count) — so regenerated
 //! figures carry their own methodology. Artifacts are
 //! [`rfnoc::json::Json`] values; this module owns the one function that
-//! puts them on disk ([`write_file`], with [`write_artifact`] adding the
-//! history ingest).
+//! puts them on disk ([`write_file`]; [`write_artifact`] picks the path).
 
 use crate::runner::PlanResults;
-use rfnoc::history::{HistoryRecord, HistoryStore, IngestOutcome};
 use rfnoc::json::{rounded, Json};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
@@ -116,34 +114,11 @@ pub fn write_file(path: &Path, text: &str) -> bool {
     written.is_ok()
 }
 
-/// Writes `doc` to `results/json/<name>.json` and files it into the
-/// cross-run trend store; returns the path on success.
+/// Writes `doc` to `results/json/<name>.json`; returns the path on
+/// success.
 pub fn write_artifact(name: &str, doc: &Json) -> Option<PathBuf> {
     let path = artifact_path(name);
-    write_file(&path, &doc.pretty()).then(|| {
-        ingest_history(doc, &path);
-        path
-    })
-}
-
-/// Best-effort ingest of an artifact (just written to `path`) into the
-/// cross-run trend store ([`rfnoc::history`]). Controlled by
-/// `RFNOC_HISTORY`: unset files records under `results/history/`, a path
-/// redirects the store, and `off`/`0` disables ingestion entirely.
-/// Failures are logged, never propagated — observability must not fail
-/// the run. Re-ingesting an unchanged artifact is a no-op (records are
-/// content-addressed).
-pub fn ingest_history(doc: &Json, path: &Path) {
-    let Some(store) = HistoryStore::from_env() else { return };
-    match HistoryRecord::from_artifact(doc, None).and_then(|rec| store.ingest(&rec)) {
-        Ok(IngestOutcome::Duplicate(_)) => {}
-        Ok(IngestOutcome::Added(_)) => eprintln!(
-            "history: new record from {} into {}",
-            path.display(),
-            store.dir().display()
-        ),
-        Err(e) => eprintln!("history: cannot ingest {}: {e}", path.display()),
-    }
+    write_file(&path, &doc.pretty()).then_some(path)
 }
 
 /// Writes a CSV next to the printed table, logging (not propagating)

@@ -70,59 +70,48 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
+/// The numeric value of a command-line `flag`; exits with status 2,
+/// naming the flag, when it is missing or does not parse.
+fn number<T: std::str::FromStr>(flag: &str, value: Option<&str>) -> T {
+    value.and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+        let got = value.map_or(String::new(), |v| format!(", got {v:?}"));
+        eprintln!("runner: {flag} needs a number{got}");
+        std::process::exit(2);
+    })
+}
+
 impl RunnerConfig {
     /// Parses `--jobs N` (or `-j N`, or `--jobs=N`), `--sim-threads N`
     /// (or `--sim-threads=N`), `--quiet`, `--ledger NAME` (or
     /// `--ledger=NAME`), and `--obs-port P` (or `--obs-port=P`) out of
     /// the process arguments; every other argument is ignored.
     ///
-    /// Exits with status 2 on `--sim-threads 0` — the simulator rejects a
-    /// zero thread count ([`rfnoc_sim::ConfigError::ZeroSimThreads`]), so
-    /// fail before any experiment runs.
+    /// Exits with status 2, before any experiment runs, on a `--jobs`,
+    /// `--sim-threads` or `--obs-port` whose value is missing or does not
+    /// parse, and on `--sim-threads 0` — the simulator rejects a zero
+    /// thread count ([`rfnoc_sim::ConfigError::ZeroSimThreads`]).
     pub fn from_args() -> Self {
         let mut cfg = Self::default();
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            let arg = &args[i];
-            if arg == "--jobs" || arg == "-j" {
-                if let Some(n) = args.get(i + 1).and_then(|v| v.parse().ok()) {
-                    cfg.jobs = n;
-                    i += 1;
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let (flag, inline) = match arg.split_once('=') {
+                Some((flag, v)) if flag.starts_with("--") => (flag, Some(v)),
+                _ => (arg.as_str(), None),
+            };
+            let mut value = || inline.or_else(|| it.next().map(String::as_str));
+            match flag {
+                "--jobs" | "-j" => cfg.jobs = number(flag, value()),
+                "--sim-threads" => cfg.sim_threads = number(flag, value()),
+                "--obs-port" => cfg.obs_port = Some(number(flag, value())),
+                "--ledger" => {
+                    if let Some(name) = value() {
+                        cfg.ledger = Some(name.to_string());
+                    }
                 }
-            } else if let Some(v) = arg.strip_prefix("--jobs=") {
-                if let Ok(n) = v.parse() {
-                    cfg.jobs = n;
-                }
-            } else if arg == "--sim-threads" {
-                if let Some(n) = args.get(i + 1).and_then(|v| v.parse().ok()) {
-                    cfg.sim_threads = n;
-                    i += 1;
-                }
-            } else if let Some(v) = arg.strip_prefix("--sim-threads=") {
-                if let Ok(n) = v.parse() {
-                    cfg.sim_threads = n;
-                }
-            } else if arg == "--ledger" {
-                if let Some(name) = args.get(i + 1) {
-                    cfg.ledger = Some(name.clone());
-                    i += 1;
-                }
-            } else if let Some(name) = arg.strip_prefix("--ledger=") {
-                cfg.ledger = Some(name.to_string());
-            } else if arg == "--obs-port" {
-                if let Some(p) = args.get(i + 1).and_then(|v| v.parse().ok()) {
-                    cfg.obs_port = Some(p);
-                    i += 1;
-                }
-            } else if let Some(v) = arg.strip_prefix("--obs-port=") {
-                if let Ok(p) = v.parse() {
-                    cfg.obs_port = Some(p);
-                }
-            } else if arg == "--quiet" {
-                cfg.quiet = true;
+                "--quiet" => cfg.quiet = true,
+                _ => {}
             }
-            i += 1;
         }
         cfg.jobs = cfg.jobs.max(1);
         if cfg.sim_threads == 0 {

@@ -11,13 +11,6 @@
 //! rfnoc-cli map <workload>                   adaptive shortcut map
 //! rfnoc-cli tail <ledger.jsonl> [--follow] [--poll-ms N]
 //!                                            live run-ledger summary
-//! rfnoc-cli ingest [opts] <file.json>...     file artifacts into the
-//!                                            cross-run trend store
-//! rfnoc-cli trend <metric> [opts]            per-config metric time series
-//! rfnoc-cli gate <new.json>... [opts]        noise-aware regression gate;
-//!                                            exit 2 on a significant drop
-//! rfnoc-cli serve-obs <ledger.jsonl> [opts]  /metrics /healthz /events
-//!                                            HTTP endpoints over a ledger
 //! rfnoc-cli ledger-summary <ledger.jsonl>    ledger -> flat JSON report
 //! rfnoc-cli info                             architecture & workload names
 //! ```
@@ -43,16 +36,6 @@
 //! JSON report (metric names carry the `compare` direction keywords, so
 //! two reports gate with `rfnoc-cli compare a.json b.json`); schema
 //! problems go to stderr and exit code 2.
-//!
-//! Observatory: `ingest` files bench/campaign/sweep artifacts into the
-//! content-addressed history at `results/history/` (one record per
-//! artifact), `trend` renders per-config time series from it, and
-//! `gate` replaces the old fixed-percent regression threshold with a
-//! noise-aware verdict — median of the new samples vs the rolling median
-//! ± k·MAD of history, direction-aware via the `compare` keyword rules.
-//! `serve-obs` exposes a running (or finished) ledger over plain HTTP:
-//! Prometheus text on `/metrics`, liveness on `/healthz`, and an SSE
-//! replay-then-follow of the raw JSONL on `/events`.
 
 use rfnoc::{Architecture, Experiment, FaultSpec, RunReport, SystemConfig, WorkloadSpec};
 use rfnoc_power::LinkWidth;
@@ -336,18 +319,6 @@ fn cmd_map(args: &[String]) -> Option<ExitCode> {
     Some(ExitCode::SUCCESS)
 }
 
-/// Parses a `--poll-ms N` value: zero is rejected with the simulator's
-/// typed [`rfnoc_sim::ConfigError::ZeroPollInterval`] (exit 2), matching
-/// how the runner rejects `--sim-threads 0`.
-fn parse_poll_ms(value: &str) -> Result<Option<std::time::Duration>, ExitCode> {
-    let Ok(ms) = value.parse::<u64>() else { return Ok(None) };
-    if ms == 0 {
-        eprintln!("rfnoc-cli: {}", rfnoc_sim::ConfigError::ZeroPollInterval);
-        return Err(ExitCode::from(2));
-    }
-    Ok(Some(std::time::Duration::from_millis(ms)))
-}
-
 /// `tail <ledger.jsonl> [--follow] [--poll-ms N]`: renders the live
 /// run-ledger summary. With `--follow`, re-renders whenever new records
 /// land (polling every `--poll-ms` milliseconds, default 500; 0 is
@@ -361,11 +332,12 @@ fn cmd_tail(args: &[String]) -> Option<ExitCode> {
         if flag == "--follow" {
             follow = true;
         } else if flag == "--poll-ms" {
-            match parse_poll_ms(it.next()?) {
-                Ok(Some(d)) => poll = d,
-                Ok(None) => return None,
-                Err(code) => return Some(code),
+            let ms: u64 = it.next()?.parse().ok()?;
+            if ms == 0 {
+                eprintln!("rfnoc-cli: {}", rfnoc_sim::ConfigError::ZeroPollInterval);
+                return Some(ExitCode::from(2));
             }
+            poll = std::time::Duration::from_millis(ms);
         } else {
             return None;
         }
@@ -391,230 +363,6 @@ fn cmd_tail(args: &[String]) -> Option<ExitCode> {
         }
         std::thread::sleep(poll);
     }
-}
-
-/// Reads and parses one artifact file into its history record.
-fn read_artifact_record(
-    path: &str,
-    name_override: Option<&str>,
-) -> Result<rfnoc::history::HistoryRecord, String> {
-    let doc = rfnoc::json::read_file(path)?;
-    rfnoc::history::HistoryRecord::from_artifact(&doc, name_override)
-        .map_err(|e| format!("{path}: {e}"))
-}
-
-/// `ingest [--history DIR] [--name NAME] <file.json>...`: files each
-/// artifact into the content-addressed trend store as one record.
-fn cmd_ingest(args: &[String]) -> Option<ExitCode> {
-    let mut dir = rfnoc::history::DEFAULT_DIR.to_string();
-    let mut name: Option<String> = None;
-    let mut files: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--history" => dir = it.next()?.clone(),
-            "--name" => name = Some(it.next()?.clone()),
-            _ if arg.starts_with("--") => return None,
-            _ => files.push(arg),
-        }
-    }
-    if files.is_empty() {
-        return None;
-    }
-    let store = rfnoc::history::HistoryStore::open(&dir);
-    let (mut added, mut dups) = (0usize, 0usize);
-    for path in files {
-        match read_artifact_record(path, name.as_deref()).and_then(|rec| store.ingest(&rec)) {
-            Ok(rfnoc::history::IngestOutcome::Added(_)) => added += 1,
-            Ok(rfnoc::history::IngestOutcome::Duplicate(_)) => dups += 1,
-            Err(e) => {
-                eprintln!("ingest: {e}");
-                return Some(ExitCode::FAILURE);
-            }
-        }
-    }
-    println!("ingest: {added} new record(s), {dups} duplicate(s) into {dir}");
-    Some(ExitCode::SUCCESS)
-}
-
-/// `trend <metric> [--history DIR] [--artifact NAME]`: renders the
-/// chronological series of every stored metric path containing the query
-/// — sparkline, first/last values, median and MAD.
-fn cmd_trend(args: &[String]) -> Option<ExitCode> {
-    let [metric, rest @ ..] = args else { return None };
-    let mut dir = rfnoc::history::DEFAULT_DIR.to_string();
-    let mut artifact: Option<String> = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--history" => dir = it.next()?.clone(),
-            "--artifact" => artifact = Some(it.next()?.clone()),
-            _ => return None,
-        }
-    }
-    let store = rfnoc::history::HistoryStore::open(&dir);
-    let records = match store.load(artifact.as_deref()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("trend: {e}");
-            return Some(ExitCode::FAILURE);
-        }
-    };
-    if records.is_empty() {
-        println!("trend: no history records in {dir}");
-        return Some(ExitCode::SUCCESS);
-    }
-    let paths = rfnoc::history::matching_paths(&records, metric);
-    if paths.is_empty() {
-        println!("trend: no stored metric matches {metric:?} ({} records)", records.len());
-        return Some(ExitCode::SUCCESS);
-    }
-    const MAX_PATHS: usize = 40;
-    println!(
-        "trend: {} path(s) matching {metric:?} over {} record(s) in {dir}",
-        paths.len(),
-        records.len(),
-    );
-    for path in paths.iter().take(MAX_PATHS) {
-        let series = rfnoc::history::series(&records, path);
-        let values: Vec<f64> = series.iter().map(|&(_, _, v)| v).collect();
-        let med = rfnoc::gate::median(&values).unwrap_or(0.0);
-        let (_, first_git, first) = series.first().copied().unwrap_or((0, "-", 0.0));
-        let (_, last_git, last) = series.last().copied().unwrap_or((0, "-", 0.0));
-        println!(
-            "  {path} ({} pts)\n    {}  {first:.4} [{first_git}] -> {last:.4} [{last_git}]  \
-             median {med:.4}",
-            series.len(),
-            rfnoc::ledger::sparkline(&values, 40),
-        );
-    }
-    if paths.len() > MAX_PATHS {
-        println!("  ... {} more path(s); narrow the query", paths.len() - MAX_PATHS);
-    }
-    Some(ExitCode::SUCCESS)
-}
-
-/// `gate <new.json>... [--history DIR] [--name NAME] [--k F] [--floor F]
-/// [--window N] [--min-history N]`: judges fresh samples of one artifact
-/// against its trend-store history with the noise-aware median ± k·MAD
-/// band. Exit 0 on pass, 2 on a statistically significant regression, 1
-/// on unreadable input or samples of more than one artifact.
-fn cmd_gate(args: &[String]) -> Option<ExitCode> {
-    let mut dir = rfnoc::history::DEFAULT_DIR.to_string();
-    let mut name: Option<String> = None;
-    let mut cfg = rfnoc::gate::GateConfig::default();
-    let mut files: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--history" => dir = it.next()?.clone(),
-            "--name" => name = Some(it.next()?.clone()),
-            "--k" => cfg.k = it.next()?.parse().ok().filter(|k: &f64| *k > 0.0)?,
-            "--floor" => {
-                cfg.rel_floor = it.next()?.parse().ok().filter(|f: &f64| *f >= 0.0)?;
-            }
-            "--window" => {
-                cfg.window = it.next()?.parse().ok().filter(|w: &usize| *w > 0)?;
-            }
-            "--min-history" => {
-                cfg.min_history = it.next()?.parse().ok().filter(|m: &usize| *m > 0)?;
-            }
-            _ if arg.starts_with("--") => return None,
-            _ => files.push(arg),
-        }
-    }
-    if files.is_empty() {
-        return None;
-    }
-    let mut new_records = Vec::new();
-    for path in files {
-        match read_artifact_record(path, name.as_deref()) {
-            Ok(rec) => new_records.push(rec),
-            Err(e) => {
-                eprintln!("gate: {e}");
-                return Some(ExitCode::FAILURE);
-            }
-        }
-    }
-    // History is loaded for one artifact, so every sample must be of it.
-    let artifact = new_records[0].artifact.clone();
-    if let Some(other) = new_records.iter().find(|r| r.artifact != artifact) {
-        eprintln!(
-            "gate: samples of two artifacts, {artifact:?} and {:?}; gate one at a time",
-            other.artifact
-        );
-        return Some(ExitCode::FAILURE);
-    }
-    let store = rfnoc::history::HistoryStore::open(&dir);
-    let history = match store.load(Some(&artifact)) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("gate: {e}");
-            return Some(ExitCode::FAILURE);
-        }
-    };
-    // A fresh sample that is already ingested would gate against itself;
-    // drop exact content matches from the history side.
-    let new_hashes: Vec<u64> = new_records.iter().map(|r| r.content_hash()).collect();
-    let history: Vec<rfnoc::history::HistoryRecord> = history
-        .into_iter()
-        .filter(|h| !new_hashes.contains(&h.content_hash()))
-        .collect();
-    let report = rfnoc::gate::gate(&history, &new_records, &cfg);
-    print!("{}", report.render(&cfg));
-    if report.pass() {
-        Some(ExitCode::SUCCESS)
-    } else {
-        Some(ExitCode::from(2))
-    }
-}
-
-/// `serve-obs <ledger.jsonl> [--port P] [--poll-ms N]`: serves the
-/// observatory endpoints (`/metrics`, `/healthz`, `/events`) over a
-/// ledger file, following it as it grows. A file that is already
-/// finished (ends in `plan_finish`) serves a bounded `/events` replay;
-/// a live file streams until the process is interrupted. Default port
-/// 9137; `--port 0` picks a free port (printed on stderr).
-fn cmd_serve_obs(args: &[String]) -> Option<ExitCode> {
-    let [path, rest @ ..] = args else { return None };
-    let mut port: u16 = 9137;
-    let mut poll = std::time::Duration::from_millis(500);
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--port" {
-            port = it.next()?.parse().ok()?;
-        } else if flag == "--poll-ms" {
-            match parse_poll_ms(it.next()?) {
-                Ok(Some(d)) => poll = d,
-                Ok(None) => return None,
-                Err(code) => return Some(code),
-            }
-        } else {
-            return None;
-        }
-    }
-    if !std::path::Path::new(path).exists() {
-        eprintln!("serve-obs: {path}: no such file");
-        return Some(ExitCode::FAILURE);
-    }
-    let hub = std::sync::Arc::new(rfnoc::obs::ObsHub::new());
-    let addr = match rfnoc::obs::spawn_server(std::sync::Arc::clone(&hub), port) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("serve-obs: cannot bind port {port}: {e}");
-            return Some(ExitCode::FAILURE);
-        }
-    };
-    eprintln!(
-        "serve-obs: http://{addr}/metrics /healthz /events over {path} \
-         (poll {} ms; ctrl-c to stop)",
-        poll.as_millis(),
-    );
-    if let Err(e) = rfnoc::obs::tail_file_into_hub(path, &hub, poll) {
-        eprintln!("serve-obs: {e}");
-        return Some(ExitCode::FAILURE);
-    }
-    Some(ExitCode::SUCCESS)
 }
 
 /// `ledger-summary <ledger.jsonl>`: reduces a finished ledger to a flat
@@ -659,10 +407,6 @@ fn main() -> ExitCode {
         Some((cmd, rest)) if cmd == "sweep" => cmd_sweep(rest),
         Some((cmd, rest)) if cmd == "map" => cmd_map(rest),
         Some((cmd, rest)) if cmd == "tail" => cmd_tail(rest),
-        Some((cmd, rest)) if cmd == "ingest" => cmd_ingest(rest),
-        Some((cmd, rest)) if cmd == "trend" => cmd_trend(rest),
-        Some((cmd, rest)) if cmd == "gate" => cmd_gate(rest),
-        Some((cmd, rest)) if cmd == "serve-obs" => cmd_serve_obs(rest),
         Some((cmd, rest)) if cmd == "ledger-summary" => cmd_ledger_summary(rest),
         Some((cmd, _)) if cmd == "info" => cmd_info(),
         _ => None,
@@ -678,11 +422,6 @@ fn main() -> ExitCode {
              rfnoc-cli sweep <arch> <workload>\n  \
              rfnoc-cli map <workload>\n  \
              rfnoc-cli tail <ledger.jsonl> [--follow] [--poll-ms N]\n  \
-             rfnoc-cli ingest [--history DIR] [--name NAME] <file.json>...\n  \
-             rfnoc-cli trend <metric> [--history DIR] [--artifact NAME]\n  \
-             rfnoc-cli gate <new.json>... [--history DIR] [--name NAME] \
-             [--k F] [--floor F] [--window N] [--min-history N]\n  \
-             rfnoc-cli serve-obs <ledger.jsonl> [--port P] [--poll-ms N]\n  \
              rfnoc-cli ledger-summary <ledger.jsonl>\n  \
              rfnoc-cli info"
         );

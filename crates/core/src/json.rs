@@ -1,7 +1,7 @@
 //! The workspace's one JSON model: a value, a writer, and a parser.
 //!
-//! Every artifact under `results/json/`, every run-ledger line, every
-//! SSE frame and every history record is a [`Json`] value handed to one
+//! Every artifact under `results/json/`, every run-ledger line and every
+//! SSE frame is a [`Json`] value handed to one
 //! of the writer's two layouts, and everything read back comes through
 //! [`parse`]. Producers build values with the `From` conversions,
 //! [`Json::obj`]/[`Json::field`], [`Json::arr`] and [`rounded`].
@@ -11,9 +11,9 @@
 //! [`Json::pretty`] is the artifact-file form: the first two nesting
 //! levels get one entry per line, anything deeper (and any array of
 //! scalars) stays on one line, and the document ends in a newline — one
-//! plan point, one history metric per line. Numbers
-//! print in Rust's shortest round-trip form (`1000.0` prints `1000`, so
-//! counters need no integer variant); a non-finite number prints `null`.
+//! plan point per line. Numbers print in Rust's shortest round-trip form
+//! (`1000.0` prints `1000`, so counters need no integer variant); a
+//! non-finite number prints `null`.
 //! Strings escape `"`, `\`, `\n`, `\t`, `\r`, and the remaining control
 //! characters as `\u00XX`.
 //!

@@ -59,7 +59,6 @@ mod builder;
 pub mod compare;
 mod experiment;
 pub mod gate;
-pub mod history;
 pub mod json;
 pub mod ledger;
 pub mod obs;

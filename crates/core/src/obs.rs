@@ -1,8 +1,8 @@
 //! The live observatory: an in-process hub fed with run-ledger lines and
 //! a dependency-free HTTP server exposing them.
 //!
-//! The bench runner's `LedgerSink` (and `rfnoc-cli serve-obs`, which
-//! tails a ledger file) pushes every JSONL line into an [`ObsHub`]. The
+//! The bench runner's `LedgerSink` pushes every JSONL line into an
+//! [`ObsHub`]. The
 //! hub keeps two things: an incremental [`LedgerReader`] reduction (so
 //! `/metrics` answers from aggregates, never by re-reading a file) and a
 //! bounded ring of the raw lines (so `/events` can replay the stream
@@ -439,54 +439,6 @@ fn serve_events(mut stream: TcpStream, hub: &Arc<ObsHub>) {
     hub.cv.notify_all();
 }
 
-/// Follows a ledger file into a hub for `rfnoc-cli serve-obs`: pushes
-/// every complete line, then polls for growth every `poll`.
-///
-/// If the file already ends in a `plan_finish` record when first read
-/// (i.e. it is a finished run, not a live one), the hub is closed right
-/// away so `/events` subscribers get a bounded replay. A live file is
-/// followed indefinitely — the server runs until interrupted.
-///
-/// # Errors
-///
-/// The initial read failing. Later read failures are tolerated (the file
-/// may be mid-rotation); the hub simply stops growing until it heals.
-pub fn tail_file_into_hub(
-    path: &str,
-    hub: &ObsHub,
-    poll: Duration,
-) -> Result<(), String> {
-    let mut consumed = 0usize;
-    let mut first = true;
-    loop {
-        match std::fs::read_to_string(path) {
-            Ok(data) => {
-                // A shrunk (rotated/truncated) file restarts the tail.
-                if data.len() < consumed {
-                    consumed = 0;
-                }
-                let fresh = &data[consumed..];
-                // Only complete lines; a partial tail stays unconsumed.
-                if let Some(last_nl) = fresh.rfind('\n') {
-                    for line in fresh[..=last_nl].lines() {
-                        hub.push_line(line);
-                    }
-                    consumed += last_nl + 1;
-                }
-                if first {
-                    first = false;
-                    if hub.summary().plan_wall_ms.is_some() {
-                        hub.close();
-                    }
-                }
-            }
-            Err(e) if first => return Err(format!("{path}: {e}")),
-            Err(_) => {}
-        }
-        std::thread::sleep(poll);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -613,37 +565,5 @@ mod tests {
         hub.close();
         assert!(hub.wait_drained(Duration::from_millis(1)));
         assert!(hub.is_closed());
-    }
-
-    #[test]
-    fn tail_reads_finished_file_and_closes() {
-        let dir = std::env::temp_dir().join("rfnoc_obs_tail_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("done.jsonl");
-        std::fs::write(
-            &path,
-            "{\"t_ms\": 1.0, \"kind\": \"point_queued\", \"point\": \"a\"}\n\
-             {\"t_ms\": 2.0, \"kind\": \"plan_finish\", \"wall_ms\": 5.0}\n",
-        )
-        .unwrap();
-        let hub = Arc::new(ObsHub::new());
-        let h2 = Arc::clone(&hub);
-        let p = path.to_str().unwrap().to_string();
-        // The tail loop never returns on success; give it a thread and
-        // watch the hub instead.
-        std::thread::spawn(move || {
-            let _ = tail_file_into_hub(&p, &h2, Duration::from_millis(10));
-        });
-        let t0 = Instant::now();
-        while !hub.is_closed() && t0.elapsed() < Duration::from_secs(10) {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert!(hub.is_closed(), "finished file must close the hub");
-        assert_eq!(hub.lines_pushed(), 2);
-        assert!(
-            tail_file_into_hub("/nonexistent/x.jsonl", &ObsHub::new(), Duration::ZERO)
-                .is_err()
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -123,10 +123,10 @@ fn ledger_summary_tolerates_a_truncated_final_line() {
     assert!(rfnoc::ledger::LedgerSummary::from_text(bad).is_err());
 }
 
-/// Bytes from outside reach the parser through `compare`, `ingest`/`gate`
-/// (history records) and `tail` (ledger lines). Every hostile document
-/// comes back as a typed error or as the correct value — never a panic,
-/// never a stack overflow.
+/// Bytes from outside reach the parser through `compare` (artifacts) and
+/// the ledger reader behind `tail`, `ledger-summary` and the live hub
+/// (ledger lines). Every hostile document comes back as a typed error or
+/// as the correct value — never a panic, never a stack overflow.
 #[test]
 fn hostile_documents_are_errors_or_values_never_panics() {
     let unclosed = "[".repeat(200_000);
@@ -152,7 +152,6 @@ fn hostile_documents_are_errors_or_values_never_panics() {
         if let Ok(v) = &got {
             flatten(v);
         }
-        assert!(rfnoc::history::HistoryRecord::parse_record(doc).is_err(), "{label}");
         // As a ledger: the hostile line first (an error unless it parses),
         // and last (forgiven as a truncated tail).
         let first = rfnoc::ledger::LedgerSummary::from_text(&format!("{doc}\n{{}}\n"));

@@ -55,9 +55,9 @@ pub enum ConfigError {
     ZeroTelemetryInterval,
     /// The run ledger was enabled with a zero heartbeat interval.
     ZeroLedgerInterval,
-    /// A ledger follower (`tail --follow`, `serve-obs`) was asked to
-    /// poll with a zero-millisecond interval, which would spin a CPU
-    /// core re-reading the file.
+    /// The ledger follower (`rfnoc-cli tail --follow`) was asked to poll
+    /// with a zero-millisecond interval, which would spin a CPU core
+    /// re-reading the file.
     ZeroPollInterval,
     /// Recovery tracking was enabled with a zero-completion window.
     ZeroRecoveryWindow,
