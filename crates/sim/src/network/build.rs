@@ -146,20 +146,21 @@ impl Network {
         if spec.config.collect_pair_counts {
             stats.pair_counts = vec![0; n * n];
         }
-        // The sharded sweep: VCT multicast allocates tree-child packets
-        // mid-sweep, which needs exclusive packet-table access, so it
-        // falls back to the serial engine.
-        let sweep_threads = if matches!(spec.multicast, MulticastMode::Vct(_)) {
-            1
-        } else {
-            spec.config.threads.clamp(1, n)
+        // The sweep's shards: VCT multicast allocates tree-child packets
+        // mid-sweep, which needs exclusive packet-table access, so it runs
+        // on one shard.
+        let threads = match spec.multicast {
+            MulticastMode::Vct(_) => 1,
+            _ => spec.config.threads,
         };
-        let pool = (sweep_threads > 1).then(|| rfnoc_parallel::WorkerPool::new(sweep_threads));
-        let shard_ranges = sweep::shard_ranges(n, sweep_threads);
+        let shard_ranges = sweep::shard_ranges(n, threads);
+        let shards = shard_ranges.len();
+        let pool = (shards > 1).then(|| rfnoc_parallel::WorkerPool::new(shards));
         // Per-shard sweep timing is only worth the clock reads when the run
-        // ledger will consume it, and only the sharded engine reports it.
-        let time_sweeps = spec.config.ledger.is_some() && sweep_threads > 1;
-        let shard_bufs = (0..sweep_threads)
+        // ledger will consume it, and only a sweep over several shards
+        // reports it.
+        let time_sweeps = spec.config.ledger.is_some() && shards > 1;
+        let shard_bufs = (0..shards)
             .map(|_| sweep::ShardBuf { timed: time_sweeps, ..Default::default() })
             .collect();
         Ok(Self {
@@ -190,7 +191,6 @@ impl Network {
             counting: false,
             mc_enqueues: Vec::new(),
             pending_inj: Vec::new(),
-            sweep_threads,
             shard_ranges,
             shard_bufs,
             pool,
@@ -206,7 +206,7 @@ impl Network {
             ledger: spec
                 .config
                 .ledger
-                .map(|c| Box::new(ledger::LedgerState::new(c, sweep_threads))),
+                .map(|c| Box::new(ledger::LedgerState::new(c, shards))),
             reconfig: ReconfigState::Idle,
             reconfigurations: 0,
             active_shortcuts: spec.shortcuts,

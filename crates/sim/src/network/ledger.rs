@@ -18,8 +18,9 @@
 //! The ledger follows the telemetry inertness contract exactly: the
 //! state lives behind `Option<Box<LedgerState>>`, every engine hook
 //! starts with one pointer check, and the report is excluded from the
-//! golden determinism hashes — all thirteen golden FNV hashes reproduce
-//! bit-for-bit with the ledger on or off, at any thread count. Wall-clock
+//! golden determinism hashes — all eighteen golden FNV hashes reproduce
+//! bit-for-bit with the ledger on, at 1 and 4 threads
+//! (`golden_stats_reproduce_with_ledger_enabled`). Wall-clock
 //! readings (`Instant`) feed only the observer fields (`wall_ms`,
 //! `kcycles_per_sec`, shard sweep/barrier times), never simulated state.
 //!
@@ -219,7 +220,7 @@ impl Network {
     /// engine (`None` on the serial path); a shard's barrier wait is that
     /// total minus its own sweep time.
     pub(super) fn ledger_note_sweep(&mut self, total_ns: Option<u64>) {
-        let sharded = self.sweep_threads > 1;
+        let sharded = self.shard_ranges.len() > 1;
         let Some(l) = self.ledger.as_deref_mut() else { return };
         for (si, b) in self.shard_bufs.iter().enumerate() {
             l.active_visits += b.swept;
@@ -246,7 +247,7 @@ impl Network {
         let completed = self.stats.completed_messages;
         let epoch = self.active_epoch;
         let active = self.active_stamp.iter().filter(|&&s| s == epoch).count() as u64;
-        let sharded = self.sweep_threads > 1;
+        let sharded = self.shard_ranges.len() > 1;
         let Some(l) = self.ledger.as_deref_mut() else { return };
         let cycles = cycle - l.hb_start;
         if cycles == 0 {
@@ -290,7 +291,7 @@ impl Network {
             return;
         }
         self.ledger_emit();
-        let shards = self.sweep_threads as u32;
+        let shards = self.shard_ranges.len() as u32;
         let l = self.ledger.as_deref_mut().expect("checked above");
         let report = LedgerReport {
             interval: l.cfg.interval,

@@ -369,7 +369,7 @@ pub struct Network {
     /// Per-router RF transmitter failure flags: a failed transmitter is
     /// skipped by every retune until repaired.
     failed_rf_tx: Vec<bool>,
-    /// Directed base-link failure flags (`router * max_base_slots + slot`,
+    /// One-way base-link failure flags (`router * max_base_slots + slot`,
     /// base fabric slots only). `MeshLinkDown` fails both directions
     /// together.
     link_failed: Vec<bool>,
@@ -410,18 +410,16 @@ pub struct Network {
     /// the shard buffers instead.
     mc_enqueues: Vec<(usize, u32)>,
     pending_inj: Vec<(usize, u32, u64)>,
-    /// Sweep parallelism: `SimConfig::threads` clamped to the router count,
-    /// forced to 1 under VCT multicast (tree forks allocate packets
-    /// mid-sweep).
-    sweep_threads: usize,
-    /// The `sweep_threads` contiguous router ranges the shards own
-    /// ([`sweep::shard_ranges`]), fixed at construction.
+    /// The contiguous router ranges the sweep's shards own
+    /// ([`sweep::shard_ranges`]), fixed at construction: one per
+    /// `SimConfig::threads`, clamped to the router count, and a single
+    /// range under VCT multicast (tree forks allocate packets mid-sweep).
+    /// Its length is the shard count.
     shard_ranges: Vec<(usize, usize)>,
-    /// One outbox per shard (see [`sweep::ShardBuf`]); the serial engine
-    /// uses `shard_bufs[0]`.
+    /// One outbox per shard (see [`sweep::ShardBuf`]).
     shard_bufs: Vec<sweep::ShardBuf>,
-    /// Parked worker threads for the sharded sweep (`None` when
-    /// `sweep_threads == 1`).
+    /// Parked worker threads for a sweep over several shards (`None` on
+    /// one shard).
     pool: Option<rfnoc_parallel::WorkerPool>,
     flit_trace: Vec<telemetry::FlitEvent>,
     /// Flit-trace events dropped at the cap (see

@@ -59,15 +59,16 @@
 //! therefore the same whatever the shard count, and the same as if every
 //! event had gone through one ordered outbox. The observer side effects
 //! (completions, telemetry records, trace events, statistics deltas) are
-//! still replayed in shard order — ascending-router order, the visit
-//! order of the one-shard engine — so they land in the bit-identical
-//! sequence at any shard count. The serial engine is the one-shard case of
-//! this same code path (every link event is in place or shard-local, and
-//! its telemetry and trace sinks write directly), which is how the
-//! golden-hash suite pins both.
+//! buffered by every shard and replayed in shard order — ascending-router
+//! order, the visit order of the one-shard engine — so they land in the
+//! bit-identical sequence at any shard count. The serial engine is the
+//! one-shard case of this same code path: every link event is in place or
+//! shard-local, its one view runs inline on the calling thread, and its
+//! observer side effects take the same buffer and replay as a shard's.
+//! That is how the golden-hash and observer-pin suites pin both.
 //!
 //! Allocation: the shard buffers, the request scratch and the shard ranges
-//! persist across cycles, so a serial cycle allocates nothing in the
+//! persist across cycles, so a one-shard cycle allocates nothing in the
 //! steady state. A sharded cycle still builds its vector of shard tasks
 //! in `step_routers` — the one break in the rule, see the comment there.
 
@@ -168,10 +169,10 @@ impl SweepShared<'_> {
 
 /// How a shard reaches the packet table.
 pub(super) enum PacketAccess<'a> {
-    /// Parallel sweep: shared read access (the mutable per-packet fields
-    /// are atomics).
+    /// A sweep over several shards: shared read access (the mutable
+    /// per-packet fields are atomics).
     Shared(&'a PacketTable),
-    /// Serial sweep: exclusive access, so tree multicast may allocate
+    /// A one-shard sweep: exclusive access, so tree multicast may allocate
     /// child packets mid-sweep.
     Owned(&'a mut PacketTable),
 }
@@ -186,34 +187,14 @@ impl PacketAccess<'_> {
     }
 }
 
-/// Where a shard's telemetry hooks land.
-pub(super) enum TelSink<'a> {
-    /// Telemetry disabled: hooks cost one discriminant check.
-    Off,
-    /// Serial sweep: apply each operation to the accumulator immediately
-    /// (identical cost profile to the pre-sharding inline hooks).
-    Direct(&'a mut telemetry::TelemetryState),
-    /// Parallel sweep: buffer operations in the [`ShardBuf`] for
-    /// shard-order replay after the barrier.
-    Buffer,
-}
-
-/// Where a shard's flit-trace events land (mirrors [`TelSink`]).
-pub(super) enum TraceSink<'a> {
-    Off,
-    Direct {
-        events: &'a mut Vec<FlitEvent>,
-        dropped: &'a mut u64,
-        limit: usize,
-    },
-    Buffer,
-}
-
-/// One telemetry hook invocation, captured during a parallel sweep and
-/// replayed in shard order. Packet-derived values (creation cycle, head
-/// grants) are captured at emission so replay needs no packet-table access.
+/// One telemetry hook invocation, captured during the sweep and replayed
+/// in shard order. Packet-derived values (source, destination, creation
+/// cycle, head grants) are captured at emission so replay needs no
+/// packet-table access.
 #[derive(Debug, Clone, Copy)]
 pub(super) enum TelOp {
+    /// A packet was created (see [`TelOp::packet_created`]).
+    PacketCreated { packet: u32, src: u32, dest: u32, created: u64, measured: bool },
     BufferPush(u32),
     BufferPop(u32),
     HopArrived { packet: u32, r: u32, port: u8, at: u64 },
@@ -228,9 +209,22 @@ pub(super) enum TelOp {
     PacketDone { packet: u32, created: u64, head_grants: u32, at: u64 },
 }
 
+impl TelOp {
+    /// The creation of packet `id`, which opens its lifecycle span; `dest`
+    /// is `u32::MAX` for a multicast tree packet.
+    pub fn packet_created(id: u32, p: &PacketInfo) -> Self {
+        let dest = match p.dest {
+            PacketDest::Unicast(d) => d as u32,
+            PacketDest::Tree(_) => u32::MAX,
+        };
+        let (src, created, measured) = (p.src, p.created, p.measured);
+        TelOp::PacketCreated { packet: id, src, dest, created, measured }
+    }
+}
+
 /// A message-completion event observed during the sweep, replayed in shard
 /// order so latency pushes, per-source counts, the outstanding-message
-/// decrement, and recovery-convergence checks happen in the serial
+/// decrement, and recovery-convergence checks happen in the one-shard
 /// engine's ascending-router order.
 #[derive(Debug, Clone, Copy)]
 pub(super) enum Completion {
@@ -325,10 +319,9 @@ pub(super) struct ShardBuf {
     pub mc_enqueues: Vec<(usize, u32)>,
     /// Completions to replay (see [`Completion`]).
     pub completions: Vec<Completion>,
-    /// Buffered telemetry operations (parallel sweeps only).
+    /// Buffered telemetry operations.
     pub tel_ops: Vec<TelOp>,
-    /// Buffered flit-trace events (parallel sweeps only; the cap is
-    /// applied at replay).
+    /// Buffered flit-trace events (the cap is applied at replay).
     pub trace: Vec<FlitEvent>,
     /// Switch-allocation request scratch (reused by every router visit).
     pub sa_requests: SaRequests,
@@ -347,7 +340,7 @@ pub(super) struct ShardBuf {
     /// Wall-clock nanoseconds the last `run_shard` took, when `timed`.
     pub sweep_ns: u64,
     /// Record per-sweep wall time (set at build only when the run ledger
-    /// is enabled on the sharded engine; the serial path never reads the
+    /// is enabled on the sharded engine; a one-shard sweep never reads the
     /// clock inside the sweep).
     pub timed: bool,
 }
@@ -368,8 +361,11 @@ pub(super) struct Sweep<'a> {
     /// This shard's slice of `RunStats::per_dest`.
     pub per_dest: &'a mut [u32],
     pub packets: PacketAccess<'a>,
-    pub tel: TelSink<'a>,
-    pub trace: TraceSink<'a>,
+    /// Whether the telemetry hooks fire (their operations go to
+    /// `buf.tel_ops`).
+    pub tel_on: bool,
+    /// Whether the flit trace records (its events go to `buf.trace`).
+    pub trace_on: bool,
     pub buf: &'a mut ShardBuf,
 }
 
@@ -452,58 +448,28 @@ impl Sweep<'_> {
         }
     }
 
-    /// Whether any telemetry hook should fire.
-    #[inline]
-    pub fn tel_on(&self) -> bool {
-        !matches!(self.tel, TelSink::Off)
-    }
-
-    /// Routes one telemetry operation to the shard's sink.
+    /// Buffers one telemetry operation for replay.
     #[inline]
     pub fn tel(&mut self, op: TelOp) {
-        match &mut self.tel {
-            TelSink::Off => {}
-            TelSink::Direct(t) => t.apply_op(self.sh.cycle, op),
-            TelSink::Buffer => self.buf.tel_ops.push(op),
-        }
+        self.buf.tel_ops.push(op);
     }
 
-    /// Whether the flit trace is recording.
-    #[inline]
-    pub fn trace_on(&self) -> bool {
-        !matches!(self.trace, TraceSink::Off)
-    }
-
-    /// Records a flit-trace event on the shard's sink.
+    /// Buffers one flit-trace event for replay.
     pub fn trace_event(&mut self, packet: u32, flit: u32, router: usize, kind: FlitEventKind) {
         let ev = FlitEvent { cycle: self.sh.cycle, packet, flit, router, kind };
-        match &mut self.trace {
-            TraceSink::Off => {}
-            TraceSink::Direct { events, dropped, limit } => {
-                if events.len() < *limit {
-                    events.push(ev);
-                } else {
-                    **dropped += 1;
-                }
-            }
-            TraceSink::Buffer => self.buf.trace.push(ev),
-        }
+        self.buf.trace.push(ev);
     }
 
     /// Allocates a mid-sweep packet (tree-multicast children). Only legal
-    /// on the serial path: VCT multicast forces `threads = 1`.
+    /// on a one-shard sweep, which is where VCT multicast always runs.
     pub fn new_packet(&mut self, p: PacketInfo) -> u32 {
         let PacketAccess::Owned(packets) = &mut self.packets else {
-            unreachable!("tree multicast allocates packets mid-sweep; it runs serial")
+            unreachable!("tree multicast allocates packets mid-sweep; it runs on one shard")
         };
         let id = packets.push(p);
-        if let TelSink::Direct(t) = &mut self.tel {
-            let p = packets.get(id);
-            let dest = match p.dest {
-                PacketDest::Unicast(d) => d as u32,
-                PacketDest::Tree(_) => u32::MAX,
-            };
-            t.on_packet_created(id, p.src, dest, p.created, p.measured);
+        if self.tel_on {
+            let op = TelOp::packet_created(id, packets.get(id));
+            self.tel(op);
         }
         id
     }
@@ -520,7 +486,7 @@ impl Sweep<'_> {
             self.buf.ejected_flits += 1;
             self.buf.flit_latency_sum += at.saturating_sub(created);
         }
-        if self.tel_on() {
+        if self.tel_on {
             self.tel(TelOp::EjectedFlit);
         }
         if ejected == flits {
@@ -532,7 +498,7 @@ impl Sweep<'_> {
                 self.buf.hops_sum += (head_grants - 1) as u64;
                 self.buf.hop_packets += 1;
             }
-            if self.tel_on() {
+            if self.tel_on {
                 self.tel(TelOp::PacketDone { packet, created, head_grants, at });
             }
             if measured && !mc_carry {

@@ -824,14 +824,17 @@ impl TelemetryState {
         self.spans.get_mut(idx as usize)
     }
 
-    /// Applies one buffered sweep-phase telemetry operation. The serial
-    /// engine routes its hooks through here too (via
-    /// [`super::sweep::TelSink::Direct`]), so both engines execute the
-    /// identical accumulator mutations — the parallel engine merely defers
-    /// them to the shard-order replay. `now` is the sweep's cycle.
+    /// Applies one telemetry operation. Every sweep-phase hook arrives
+    /// here from `replay_shards`, one shard buffer after another in shard
+    /// order, whatever the shard count; serial-phase packet creations
+    /// arrive directly ([`Network::tel_packet_created`]). `now` is the
+    /// cycle being stepped.
     pub(super) fn apply_op(&mut self, now: u64, op: sweep::TelOp) {
         use sweep::TelOp as Op;
         match op {
+            Op::PacketCreated { packet, src, dest, created, measured } => {
+                self.on_packet_created(packet, src, dest, created, measured);
+            }
             Op::BufferPush(r) => self.on_buffer_push(r as usize),
             Op::BufferPop(r) => self.on_buffer_pop(r as usize),
             Op::HopArrived { packet, r, port, at } => {
@@ -1123,18 +1126,15 @@ impl Network {
         self.stats.telemetry = Some(Box::new(report));
     }
 
-    /// Registers a freshly created packet: opens its lifecycle span.
-    /// (Serial-phase creations only — sweep-phase creations go through
-    /// [`super::sweep::Sweep::new_packet`].)
+    /// Registers a packet created in a serial phase (injection, the
+    /// multicast engine): opens its lifecycle span at once. A packet created
+    /// mid-sweep (a tree-multicast child, [`super::sweep::Sweep::new_packet`])
+    /// buffers the same [`sweep::TelOp::PacketCreated`] for the replay
+    /// instead.
     #[inline]
     pub(super) fn tel_packet_created(&mut self, packet: u32) {
         let Some(t) = self.telemetry.as_deref_mut() else { return };
-        let p = self.packets.get(packet);
-        let dest = match p.dest {
-            PacketDest::Unicast(d) => d as u32,
-            PacketDest::Tree(_) => u32::MAX,
-        };
-        t.on_packet_created(packet, p.src, dest, p.created, p.measured);
+        t.apply_op(self.cycle, sweep::TelOp::packet_created(packet, self.packets.get(packet)));
     }
 
     /// Records one flit transmitted on the RF broadcast band.
