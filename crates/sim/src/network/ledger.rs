@@ -18,7 +18,7 @@
 //! The ledger follows the telemetry inertness contract exactly: the
 //! state lives behind `Option<Box<LedgerState>>`, every engine hook
 //! starts with one pointer check, and the report is excluded from the
-//! golden determinism hashes — all eighteen golden FNV hashes reproduce
+//! golden determinism hashes — all nineteen golden FNV hashes reproduce
 //! bit-for-bit with the ledger on, at 1 and 4 threads
 //! (`golden_stats_reproduce_with_ledger_enabled`). Wall-clock
 //! readings (`Instant`) feed only the observer fields (`wall_ms`,

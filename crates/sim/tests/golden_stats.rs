@@ -261,6 +261,10 @@ const GOLDEN: &[(&str, u64)] = &[
     ("shape_4p12_depth8_rf_faults", 0x857c9d89b565c81d),
     ("shape_2p2_depth2_vct", 0x45d151d91c98698f),
     ("shape_ringmesh_1p2_depth3_b8", 0xf0a89bd7c99a4cc2),
+    // Shortcuts with adaptive routing under saturating load, through an RF
+    // teardown, a mesh-link detour and both repairs (two retunes mid-run):
+    // every head waits for VCs while routes, tables and RF admission change.
+    ("rf_adaptive_saturating_faults", 0xf6a7009d1e039a58),
 ];
 
 /// The ring-mesh fabric the `ringmesh_*` golden cases run on.
@@ -431,6 +435,21 @@ fn run_case(name: &str, threads: usize) -> RunStats {
             let mut w = SyntheticWorkload::unicast(0x5eed_0012, rn, 6, horizon(&cfg));
             Network::new(NetworkSpec::with_fabric(fabric, cfg, shortcuts(fabric.dims())))
                 .run(&mut w)
+        }
+        "rf_adaptive_saturating_faults" => {
+            let mut cfg = golden_config(threads);
+            cfg.drain_cycles = 2_000;
+            cfg.watchdog_cycles = 0;
+            let plan = FaultPlan::new(vec![
+                (400, FaultEvent::ShortcutDown { src: 0 }),
+                (600, FaultEvent::MeshLinkDown { a: 14, b: 15 }),
+                (900, FaultEvent::ShortcutUp { src: 0, dst: n - 1 }),
+                (1_200, FaultEvent::MeshLinkUp { a: 14, b: 15 }),
+            ]);
+            let spec = NetworkSpec::with_shortcuts(dims, cfg, shortcuts(dims))
+                .with_fault_plan(plan);
+            let mut w = SyntheticWorkload::unicast(0x5eed_0013, n, 96, horizon(&spec.config));
+            Network::new(spec).run(&mut w)
         }
         other => panic!("unknown golden case {other:?}"),
     }

@@ -1,7 +1,7 @@
 //! Observer pins: FNV-1a hashes of everything the engine's observers
-//! report — the whole telemetry report (every channel plus the per-hop
-//! profile), the capped flit trace, and its dropped-event count — for
-//! three runs that each reach a different corner of the sweep's observer
+//! report — the whole telemetry report (every channel, plus the per-hop
+//! profile where it is on), the capped flit trace, and its dropped-event
+//! count — for four runs that each reach a different corner of the sweep's observer
 //! path:
 //!
 //! * `vct_tree_mixed`: VCT tree multicast mixed with unicasts, where the
@@ -9,11 +9,14 @@
 //! * `rf_multicast_shortcuts`: RF multicast on a mesh with shortcuts, the
 //!   multicast engine's serial-phase sends beside the sweep's hooks;
 //! * `unicast_trace_overflow`: a unicast run whose flit trace overflows
-//!   its cap, so the cap and the dropped count are pinned too.
+//!   its cap, so the cap and the dropped count are pinned too;
+//! * `default_channels_rf_adaptive`: adaptive shortcut routing near
+//!   saturation with the standard channels only (no per-hop profile), the
+//!   telemetry set most runs record.
 //!
 //! The golden-stats suite hashes the simulated statistics only; these pins
-//! hold the observer output to the same bit-for-bit standard. Both
-//! non-VCT cases must reproduce the same constants at every engine thread
+//! hold the observer output to the same bit-for-bit standard. Every
+//! non-VCT case must reproduce the same constants at every engine thread
 //! count (VCT multicast always runs on one shard).
 //!
 //! Re-bless after an *intentional* change to what an observer records:
@@ -116,6 +119,17 @@ fn observed_config(threads: usize, trace_limit: usize) -> SimConfig {
     cfg
 }
 
+/// The corner shortcuts of the 6×6 cases.
+fn corner_shortcuts(dims: GridDims) -> Vec<Shortcut> {
+    let n = dims.nodes();
+    vec![
+        Shortcut::new(0, n - 1),
+        Shortcut::new(n - 1, 0),
+        Shortcut::new(dims.width() - 1, n - dims.width()),
+        Shortcut::new(n - dims.width(), dims.width() - 1),
+    ]
+}
+
 /// The observer output of one run: `(telemetry, flit trace, dropped)`
 /// hashes.
 type Pins = (u64, u64, u64);
@@ -139,20 +153,17 @@ fn run_case(name: &str, threads: usize) -> Pins {
             (spec, workload(0x0b5e_0001, 12, 4))
         }
         "rf_multicast_shortcuts" => {
-            let shortcuts = vec![
-                Shortcut::new(0, n - 1),
-                Shortcut::new(n - 1, 0),
-                Shortcut::new(dims.width() - 1, n - dims.width()),
-                Shortcut::new(n - dims.width(), dims.width() - 1),
-            ];
             let receivers: Vec<usize> = (0..n).filter(|i| i % 3 == 0).collect();
             let mut cluster_of = vec![None; n];
             for (cluster, &tx) in MC_SRCS.iter().enumerate() {
                 cluster_of[tx] = Some(cluster);
                 cluster_of[tx + 1] = Some(cluster);
             }
-            let mut spec =
-                NetworkSpec::with_shortcuts(dims, observed_config(threads, 1 << 20), shortcuts);
+            let mut spec = NetworkSpec::with_shortcuts(
+                dims,
+                observed_config(threads, 1 << 20),
+                corner_shortcuts(dims),
+            );
             spec.multicast = MulticastMode::Rf;
             spec.mc = Some(McConfig {
                 transmitters: MC_SRCS.to_vec(),
@@ -168,12 +179,19 @@ fn run_case(name: &str, threads: usize) -> Pins {
             let spec = NetworkSpec::mesh_baseline(dims, observed_config(threads, 20_000));
             (spec, workload(0x0b5e_0003, 24, 0))
         }
+        "default_channels_rf_adaptive" => {
+            let mut cfg = observed_config(threads, 1 << 20);
+            cfg.telemetry = Some(TelemetryConfig::every(100));
+            let spec = NetworkSpec::with_shortcuts(dims, cfg, corner_shortcuts(dims));
+            (spec, workload(0x0b5e_0004, 64, 0))
+        }
         other => panic!("unknown observer case {other:?}"),
     };
     let mut net = Network::new(spec);
     let stats = net.run(&mut w);
     let telemetry = stats.telemetry.as_ref().expect("telemetry configured");
-    assert!(!telemetry.hops.is_empty(), "{name}: no hop records");
+    let profiled = name != "default_channels_rf_adaptive";
+    assert_eq!(!telemetry.hops.is_empty(), profiled, "{name}: hop records iff profiled");
     assert!(!net.flit_trace().is_empty(), "{name}: empty flit trace");
     if name == "unicast_trace_overflow" {
         assert!(net.flit_trace_dropped() > 0, "{name}: the flit trace must overflow its cap");
@@ -190,6 +208,7 @@ const PINS: &[(&str, u64, u64, u64)] = &[
     ("vct_tree_mixed", 0x06bc0ca3488098ad, 0xdd87fb514f618aa3, 0xaf63ad4c86019caf),
     ("rf_multicast_shortcuts", 0x2df6a2e0e8cb251e, 0x9c63460121a521af, 0xaf63ad4c86019caf),
     ("unicast_trace_overflow", 0x3473a87893e28678, 0xd45d30400c7dfc7e, 0x229e2934bd40b49a),
+    ("default_channels_rf_adaptive", 0x0dd3311914ed546d, 0xa0c3b3128cadbf6e, 0xaf63ad4c86019caf),
 ];
 
 /// The cases whose constants must also hold on the sharded engine.
