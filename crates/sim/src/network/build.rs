@@ -89,7 +89,8 @@ impl Network {
         let mut routers = Vec::with_capacity(n);
         for r in 0..n {
             let base = base_ports[r] as usize;
-            let mut router = Router::new(base + 2, vcs, spec.config.buffer_depth);
+            let mut router =
+                Router::new(base + 2, vcs, spec.config.vcs_escape, spec.config.buffer_depth);
             for slot in 0..base {
                 if let Some(nb) = fabric.port_neighbor(r, slot as u8) {
                     let back = fabric

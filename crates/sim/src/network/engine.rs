@@ -12,6 +12,7 @@
 
 #[allow(clippy::wildcard_imports)]
 use super::*;
+use crate::flit::Flit;
 use std::sync::atomic::Ordering::Relaxed;
 use sweep::{Completion, PacketAccess, Sweep, SweepShared};
 
@@ -168,6 +169,7 @@ impl Network {
             (None, Some(&self.packets))
         };
         let tel_on = self.telemetry.is_some();
+        let hop_on = self.telemetry.as_deref().is_some_and(telemetry::TelemetryState::profiling);
         let trace_on = self.config.flit_trace.is_enabled();
         let max_ports = self.max_ports;
         let mut routers = &mut self.routers[..];
@@ -195,6 +197,7 @@ impl Network {
                     None => PacketAccess::Shared(shared_packets.expect("shared packet table")),
                 },
                 tel_on,
+                hop_on,
                 trace_on,
                 buf,
             }
@@ -304,12 +307,24 @@ impl Network {
         self.active_stamp[r] = self.active_epoch;
     }
 
-    /// Marks every router active — cheap insurance around rare global
-    /// events (fault arrivals, RF retuning) whose reach is hard to bound
-    /// locally. Visits to routers that turn out to be idle are no-ops.
+    /// Marks every router active and unparks every head — cheap
+    /// insurance around rare global events (fault arrivals, RF retuning)
+    /// whose reach is hard to bound locally. Visits to routers that turn
+    /// out to be idle are no-ops.
     pub(super) fn mark_all_active(&mut self) {
         for r in 0..self.routers.len() {
             self.mark_active(r);
+        }
+        self.unpark_all();
+    }
+
+    /// Unparks every head in the network: called on every change to what
+    /// a head asks VA for (routing tables, RF admission). Heads park on
+    /// the output ports their request named; a new request may name
+    /// others.
+    pub(super) fn unpark_all(&mut self) {
+        for router in &mut self.routers {
+            router.unpark_all();
         }
     }
 
@@ -369,24 +384,25 @@ impl Sweep<'_> {
                 self.routers[rl].push_flit(port, a);
                 if self.tel_on {
                     self.tel(sweep::TelOp::BufferPush(r as u32));
-                    // Tree-multicast packets fork mid-network; only
-                    // unicast packets (RF-multicast carriers included)
-                    // get hop chains.
-                    if a.idx == 0 && a.dest != Arrival::TREE {
-                        self.tel(sweep::TelOp::HopArrived {
-                            packet: a.packet,
-                            r: r as u32,
-                            port: port as u8,
-                            at: a.at,
-                        });
-                    }
+                }
+                // Tree-multicast packets fork mid-network; only unicast
+                // packets (RF-multicast carriers included) get hop chains.
+                if self.hop_on && a.idx == 0 && a.dest != Arrival::TREE {
+                    self.tel(sweep::TelOp::HopArrived {
+                        packet: a.packet,
+                        r: r as u32,
+                        port: port as u8,
+                        at: a.at,
+                    });
                 }
             }
         }
     }
 
-    /// Route computation + VC allocation for head flits.
-    pub(super) fn step_va(&mut self, r: usize) {
+    /// Route computation + VC allocation for the unparked head flits.
+    /// Returns the failed attempts that parked no head, for the VA-stall
+    /// count (the parked heads are counted by the caller).
+    pub(super) fn step_va(&mut self, r: usize) -> u64 {
         let rl = r - self.base;
         let now = self.sh.cycle;
         // The VA port round-robin pointer advances once per cycle on every
@@ -395,46 +411,63 @@ impl Sweep<'_> {
         // rotating a field keeps idle-router visits side-effect free.
         let np = self.routers[rl].num_ports();
         let start = ((r as u64 + now) % np as u64) as usize;
+        let mut stalls = 0;
         for port in bits_from(self.routers[rl].va_ports(), start) {
-            // VA neither claims nor releases VCs and only ever clears the
-            // mask bit of the VC it just served, so the occupied list and
-            // this snapshot of the mask are stable across the loop.
-            let pending = self.routers[rl].va_mask(port);
+            // VA neither claims nor releases VCs, and only ever clears the
+            // VA bit of, or parks, the VC it just served, so the occupied
+            // list and this snapshot of the mask are stable across the
+            // loop. Skipping a parked head is the same as trying it: the
+            // attempt would fail, and a failure changes nothing.
+            let mut pending = self.routers[rl].va_unparked(port);
             for oi in 0..self.routers[rl].occupied(port).len() {
+                if pending == 0 {
+                    break;
+                }
                 let vci = self.routers[rl].occupied(port)[oi] as usize;
                 if pending & (1 << vci) == 0 {
                     continue;
                 }
+                pending &= !(1 << vci);
                 let flit = self.routers[rl].front(port, vci).expect("pending head is buffered");
                 debug_assert!(flit.is_head(), "VA pending behind a granted head");
                 if flit.eligible > now {
                     continue;
                 }
-                match self.routers[rl].vc(port, vci).dest() {
+                let stalled = match self.routers[rl].vc(port, vci).dest() {
                     Arrival::TREE => self.va_tree(r, port, vci, flit.packet, now),
-                    dest => self.va_unicast(r, port, vci, flit.packet, dest as usize, now),
-                }
+                    dest => self.va_unicast(r, port, vci, flit, dest as usize, now),
+                };
+                stalls += u64::from(stalled);
             }
         }
+        stalls
     }
 
+    /// VC allocation for a unicast head: on failure the head is parked on
+    /// the ports it asked for, unless its request changes with time (an
+    /// RF-bound head under adaptive shortcut routing may detour). Returns
+    /// whether it failed without parking.
     pub(super) fn va_unicast(
         &mut self,
         r: usize,
         port: usize,
         vci: usize,
-        packet: u32,
+        flit: Flit,
         dest: NodeId,
         now: u64,
-    ) {
+    ) -> bool {
         let rl = r - self.base;
         let sh = self.sh;
         let (escape_vcs, adaptive_vcs) = (sh.escape_vcs, sh.adaptive_vcs);
+        let packet = flit.packet;
         let router = &mut self.routers[rl];
         let rf = router.rf_port();
         let on_escape = escape_vcs & (1 << vci) != 0;
+        // The ports to park on if allocation fails, and whether to.
+        let mut wait = None;
         let grant = if on_escape {
             let out = sh.escape_port(r, dest) as usize;
+            wait = Some((out, out));
             router.alloc_out_vc(out, escape_vcs).map(|ov| (out, ov))
         } else {
             // Only a shortcut detour sets `mesh_only`, and without a route
@@ -460,9 +493,12 @@ impl Sweep<'_> {
             // shortcut may adaptively take the mesh route instead, but only
             // once the wait already exceeds the estimated extra cost of the
             // mesh detour (≈3 cycles per extra hop); it then commits to XY
-            // so the detour cannot loop back.
-            if grant.is_none() && out == rf && sh.config.adaptive_shortcut_routing {
-                let blocked = router.vc(port, vci).va_blocked();
+            // so the detour cannot loop back. A pending head is tried on
+            // every cycle from its eligible one on (such a head is never
+            // parked), so it has waited exactly `now - eligible` cycles.
+            let detours = out == rf && sh.config.adaptive_shortcut_routing;
+            if grant.is_none() && detours {
+                let blocked = now - flit.eligible;
                 let extra_hops = sh
                     .sp_dist
                     .map(|dm| {
@@ -470,7 +506,7 @@ impl Sweep<'_> {
                         sh.fabric.base_route_len(r, dest).saturating_sub(shortest)
                     })
                     .unwrap_or(0);
-                if blocked >= 3 * extra_hops {
+                if blocked >= 3 * u64::from(extra_hops) {
                     let mesh = escape_port();
                     grant = router.alloc_out_vc(mesh, adaptive_vcs).map(|ov| (mesh, ov));
                     if grant.is_some() {
@@ -480,22 +516,31 @@ impl Sweep<'_> {
             }
             grant.or_else(|| {
                 let esc = escape_port();
+                if !detours {
+                    wait = Some((out, esc));
+                }
                 router.alloc_out_vc(esc, escape_vcs).map(|ov| (esc, ov))
             })
         };
-        match grant {
-            Some((out, ovc)) => router.va_grant(port, vci, out, ovc, now + 1),
-            None => router.note_va_blocked(port, vci),
-        }
-        if self.tel_on {
-            if grant.is_some() {
-                self.tel(sweep::TelOp::HopVa { packet });
-            } else {
-                self.tel(sweep::TelOp::VaStall);
+        match (grant, wait) {
+            (Some((out, ovc)), _) => {
+                router.va_grant(port, vci, out, ovc, now + 1);
+                if self.hop_on {
+                    self.tel(sweep::TelOp::HopVa { packet });
+                }
+                false
             }
+            (None, Some((want, esc))) => {
+                router.park(port, vci, want, esc);
+                false
+            }
+            (None, None) => true,
         }
     }
 
+    /// VC allocation for the branches of a tree (VCT) head, which is
+    /// never parked. Returns whether the head is still waiting for its
+    /// first branch.
     pub(super) fn va_tree(
         &mut self,
         r: usize,
@@ -503,7 +548,7 @@ impl Sweep<'_> {
         vci: usize,
         packet: u32,
         now: u64,
-    ) {
+    ) -> bool {
         let rl = r - self.base;
         let sh = self.sh;
         // Compute the base-route tree partition once.
@@ -569,9 +614,7 @@ impl Sweep<'_> {
         if any_allocated && !had_allocation {
             router.mc_release_head(port, vci, now + 1);
         }
-        if !any_allocated && !had_allocation && self.tel_on {
-            self.tel(sweep::TelOp::VaStall);
-        }
+        !any_allocated && !had_allocation
     }
 
     /// Switch allocation + traversal: grant flits to output ports.
@@ -706,11 +749,11 @@ impl Sweep<'_> {
         if target.is_some() && op.credits(out_vc) == 0 {
             if self.tel_on {
                 self.tel(sweep::TelOp::CreditStall);
-                // Body-flit credit stalls surface in tail serialization;
-                // only the head's count toward the hop's credit-wait.
-                if !is_mc && flit.is_head() {
-                    self.tel(sweep::TelOp::HopCredit { packet: sent_packet });
-                }
+            }
+            // Body-flit credit stalls surface in tail serialization; only
+            // the head's count toward the hop's credit-wait.
+            if self.hop_on && !is_mc && flit.is_head() {
+                self.tel(sweep::TelOp::HopCredit { packet: sent_packet });
             }
             return false;
         }
@@ -751,13 +794,9 @@ impl Sweep<'_> {
                 packet: sent_packet,
                 first: first_grant,
             });
-            if !is_mc && flit.is_head() {
-                self.tel(sweep::TelOp::HopGranted {
-                    packet: sent_packet,
-                    r: r as u32,
-                    out: out as u8,
-                });
-            }
+        }
+        if self.hop_on && !is_mc && flit.is_head() {
+            self.tel(sweep::TelOp::HopGranted { packet: sent_packet, r: r as u32, out: out as u8 });
         }
 
         // Statistics (per payload byte; see rfnoc-power's ActivityCounters).

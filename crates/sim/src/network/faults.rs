@@ -218,7 +218,7 @@ impl Network {
             return;
         }
         match &mut self.reconfig {
-            ReconfigState::Idle => self.reconfig = ReconfigState::Draining(target),
+            ReconfigState::Idle => self.begin_draining(target),
             ReconfigState::Draining(current) => *current = target,
             ReconfigState::Updating(_) => self.pending_target = Some(target),
         }
@@ -226,8 +226,9 @@ impl Network {
 
     fn apply_fault(&mut self, event: FaultEvent) {
         // Fault events can reroute traffic or delay in-flight flits far
-        // from the event site; a blanket mark is cheap insurance (visits
-        // to idle routers are no-ops) against missing a wakeup.
+        // from the event site; a blanket mark (which also unparks every
+        // head) is cheap insurance (visits to idle routers are no-ops)
+        // against missing a wakeup.
         self.mark_all_active();
         self.tel_event(telemetry::TimelineEventKind::Fault(event));
         let cycle = self.cycle;

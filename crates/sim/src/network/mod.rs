@@ -14,7 +14,7 @@ use crate::vct::{VctConfig, VctTable};
 use rfnoc_topology::routing::RoutingTables;
 use rfnoc_topology::{DistanceMatrix, FabricSpec, GridDims, GridGraph, NodeId, Shortcut};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{atomic, Arc};
 
 /// How unicast packets are routed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -551,10 +551,15 @@ impl Network {
     ///   needs an output VC, each SA mask bit exactly for a VC holding an
     ///   output allocation; a cold multicast entry exists exactly for a
     ///   VC flagged `mc_routed`;
-    /// - each header port mask (link arrivals pending, claimed VCs, heads
-    ///   awaiting VA) has exactly the bits of the ports with such work,
-    ///   and the arrival slab's FIFOs and free list account for every
-    ///   node;
+    /// - each header port mask (link arrivals pending, claimed VCs,
+    ///   unparked heads awaiting VA) has exactly the bits of the ports
+    ///   with such work, and the arrival slab's FIFOs and free list
+    ///   account for every node;
+    /// - no lost wake-up: every parked head is a claimed unicast head
+    ///   awaiting VA, listed as a waiter on each output port it asked for,
+    ///   and neither port has a free VC of the class it asked for there;
+    ///   and those ports are the ones it would ask for now (no route or RF
+    ///   admission change since it parked), recomputed from the tables;
     /// - each output port's free-VC mask (and the injector's) equals
     ///   "unowned and fully credited";
     /// - ports that don't physically exist hold no work.
@@ -586,6 +591,7 @@ impl Network {
         }
         for (r, router) in self.routers.iter().enumerate() {
             router.validate(r);
+            self.validate_parked_requests(r);
             for port in 0..router.num_ports() {
                 let Some((t_router, t_port)) = router.out(port).target() else { continue };
                 let target = &self.routers[t_router];
@@ -619,6 +625,50 @@ impl Network {
                 assert_eq!(
                     self.active_stamp[r], self.active_epoch,
                     "router {r} has pending work but is not in the active set"
+                );
+            }
+        }
+    }
+
+    /// Checks that every head parked at router `r` waits on the output
+    /// ports VA would ask for if it tried the head now — the rules of
+    /// `Sweep::va_unicast`, recomputed from the current tables.
+    fn validate_parked_requests(&self, r: usize) {
+        let router = &self.routers[r];
+        let (rf, nodes) = (self.rf_port(r), self.dims.nodes());
+        let escape_vcs = low_mask(self.config.vcs_escape);
+        for port in bits(router.occupied_ports()) {
+            for vc in bits(router.parked(port)) {
+                let v = router.vc(port, vc);
+                let dest = v.dest() as usize;
+                let packet = v.cur_packet().expect("a parked VC is claimed");
+                let escape = match &self.escape_table {
+                    _ if r == dest => self.local_port(r),
+                    Some(table) => table[r * nodes + dest] as usize,
+                    None => self.base_port_toward(r, dest) as usize,
+                };
+                let want = if escape_vcs & (1 << vc) != 0 {
+                    escape
+                } else {
+                    let mesh_only = self.port_table.is_some()
+                        && self.packets.get(packet).mesh_only.load(atomic::Ordering::Relaxed);
+                    let route = match &self.port_table {
+                        Some(pt) if !mesh_only && r != dest => pt[r * nodes + dest] as usize,
+                        _ => escape,
+                    };
+                    let asked = if route == rf && !self.rf_accepting() { escape } else { route };
+                    assert!(
+                        asked != rf || !self.config.adaptive_shortcut_routing,
+                        "router {r} port {port} vc {vc}: an RF-bound head parked under \
+                         adaptive shortcut routing"
+                    );
+                    asked
+                };
+                assert_eq!(
+                    (v.out_port(), v.out_vc() as usize),
+                    (want, escape),
+                    "router {r} port {port} vc {vc}: parked on a request that changed since \
+                     — a lost wake-up"
                 );
             }
         }

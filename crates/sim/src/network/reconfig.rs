@@ -30,8 +30,17 @@ impl Network {
             return Err(ReconfigError::InProgress);
         }
         check_shortcut_set(&shortcuts, self.dims.nodes())?;
-        self.reconfig = ReconfigState::Draining(shortcuts);
+        self.begin_draining(shortcuts);
         Ok(())
+    }
+
+    /// Starts draining the RF ports toward `target`. They stop accepting
+    /// new packets, which reroutes every head bound for one, so every head
+    /// is unparked (leaving the drain, `apply_retuning` unparks them
+    /// again).
+    pub(super) fn begin_draining(&mut self, target: Vec<Shortcut>) {
+        self.reconfig = ReconfigState::Draining(target);
+        self.unpark_all();
     }
 
     /// Completed reconfigurations so far (planned retunes and fault-driven
@@ -78,8 +87,9 @@ impl Network {
             installed: self.active_shortcuts.len(),
         });
         self.recovery_note_retune_applied();
-        // Retuning rewrites the routing tables; wake everyone so any
-        // packet whose route just changed is revisited promptly.
+        // Retuning rewrites the routing tables and reopens the RF ports;
+        // wake everyone so any packet whose route just changed is
+        // revisited promptly, and unpark every head.
         self.mark_all_active();
     }
 
@@ -130,7 +140,7 @@ impl Network {
                     // A fault that struck mid-rewrite queued a fresh target;
                     // start draining toward it now.
                     if let Some(target) = self.pending_target.take() {
-                        self.reconfig = ReconfigState::Draining(target);
+                        self.begin_draining(target);
                     }
                 } else {
                     self.reconfig = ReconfigState::Updating(until);

@@ -33,9 +33,9 @@
 //!    applies those in shard order after the barrier (`apply_outboxes`).
 //!
 //! A router visit tests the router's header masks before each stage (see
-//! `crate::router`): no link arrivals, an idle injector, no head awaiting
-//! VA, or no claimed VC each skip their stage with one compare, and a
-//! stage that runs walks only the ports whose bit is set.
+//! `crate::router`): no link arrivals, an idle injector, no unparked head
+//! awaiting VA, or no claimed VC each skip their stage with one compare,
+//! and a stage that runs walks only the ports whose bit is set.
 //!
 //! Shared state is read-only during the sweep ([`SweepShared`] snapshots
 //! the routing tables and per-cycle flags) except for three per-packet
@@ -198,7 +198,8 @@ pub(super) enum TelOp {
     BufferPush(u32),
     BufferPop(u32),
     HopArrived { packet: u32, r: u32, port: u8, at: u64 },
-    VaStall,
+    /// Heads of one router visit that failed VC allocation or sat parked.
+    VaStalls(u64),
     HopVa { packet: u32 },
     CreditStall,
     HopCredit { packet: u32 },
@@ -364,6 +365,9 @@ pub(super) struct Sweep<'a> {
     /// Whether the telemetry hooks fire (their operations go to
     /// `buf.tel_ops`).
     pub tel_on: bool,
+    /// Whether the per-hop profile records: the `Hop*` operations are
+    /// emitted only then, as nothing else reads them.
+    pub hop_on: bool,
     /// Whether the flit trace records (its events go to `buf.trace`).
     pub trace_on: bool,
     pub buf: &'a mut ShardBuf,
@@ -388,8 +392,16 @@ impl Sweep<'_> {
             if !self.sh.injection_stalled && !self.routers[rl].injector_idle() {
                 self.step_injector(r);
             }
+            let mut va_stalls = 0;
             if self.routers[rl].va_ports() != 0 {
-                self.step_va(r);
+                va_stalls = self.step_va(r);
+            }
+            if self.tel_on {
+                // A parked head would have failed VA this cycle: it stalls.
+                va_stalls += self.routers[rl].parked_heads();
+                if va_stalls > 0 {
+                    self.tel(TelOp::VaStalls(va_stalls));
+                }
             }
             if self.routers[rl].occupied_ports() != 0 {
                 self.step_sa(r);

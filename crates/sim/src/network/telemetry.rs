@@ -273,8 +273,9 @@ pub struct IntervalSample {
     /// Measured messages still in flight at the end of the interval.
     /// Channel: [`ChannelMask::RATES`].
     pub in_flight_end: u64,
-    /// VC-allocation failures (a head flit found no free output VC).
-    /// Channel: [`ChannelMask::STALLS`].
+    /// VC-allocation failures: per cycle, each head flit that found no
+    /// free output VC (a parked head counts). Channel:
+    /// [`ChannelMask::STALLS`].
     pub va_stalls: u64,
     /// Switch-allocation losses (an eligible request not granted this
     /// cycle). Channel: [`ChannelMask::STALLS`].
@@ -786,7 +787,7 @@ impl TelemetryState {
 
     /// Whether per-hop attribution is recording (needs both the profile
     /// channel and the span slots it rides on).
-    fn profiling(&self) -> bool {
+    pub(super) fn profiling(&self) -> bool {
         self.cfg
             .channels
             .contains(ChannelMask::PROFILE.with(ChannelMask::SPANS))
@@ -840,7 +841,7 @@ impl TelemetryState {
             Op::HopArrived { packet, r, port, at } => {
                 self.on_hop_arrived(packet, r as usize, port as usize, at);
             }
-            Op::VaStall => self.on_va_stall(),
+            Op::VaStalls(count) => self.on_va_stalls(count),
             Op::HopVa { packet } => self.on_hop_va(packet, now),
             Op::CreditStall => self.on_credit_stall(),
             Op::HopCredit { packet } => self.on_hop_credit(packet),
@@ -932,10 +933,11 @@ impl TelemetryState {
         }
     }
 
-    /// Records a failed VC allocation attempt.
-    fn on_va_stall(&mut self) {
+    /// Records `count` head flits that failed VC allocation this cycle
+    /// (a parked head counts: it would have failed).
+    fn on_va_stalls(&mut self, count: u64) {
         if self.on(ChannelMask::STALLS) {
-            self.cur.va_stalls += 1;
+            self.cur.va_stalls += count;
         }
     }
 

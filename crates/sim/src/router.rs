@@ -15,23 +15,25 @@
 //!
 //! * **header** — port/VC/depth shape, the summary masks the sweep tests
 //!   before entering a pipeline stage (which ports have link arrivals,
-//!   claimed VCs, heads awaiting VA; which injection VCs are streaming)
+//!   claimed VCs, heads VA should try; which injection VCs are streaming)
 //!   and the injection queue. A stage with nothing to do costs one
 //!   compare, and a stage with work touches only the ports that have it;
-//! * **input-port records** (56 B) — upstream link, the
+//! * **input-port records** (60 B) — upstream link, the
 //!   order-preserving list of claimed VCs, the masks of VCs whose head
-//!   awaits VC allocation / that hold an output allocation, and the
-//!   head/tail of the port's link-arrival FIFO;
-//! * **VC records** (20 B) — current packet and its unicast destination
-//!   (carried in by the head flit), unicast allocation, flags, ring
+//!   awaits VC allocation / is parked / holds an output allocation, and
+//!   the head/tail of the port's link-arrival FIFO;
+//! * **VC records** (16 B) — current packet and its unicast destination
+//!   (carried in by the head flit), unicast allocation (or, while the
+//!   head is parked, the output ports it waits on), flags, ring
 //!   head/length;
 //! * **flit rings** — `depth` slots per VC in one slice. A VC holds one
 //!   packet at a time and its flits arrive in index order, so a slot stores
 //!   only the flit's `eligible` cycle; packet and index come from the VC
 //!   record;
 //! * **output-port records** (64 B) — target, capacity, round-robin
-//!   cursor, per-VC credits, the `owned` mask and the derived **free-VC
-//!   mask** that makes VC allocation a `trailing_zeros`;
+//!   cursor, per-VC credits, the `owned` mask, the derived **free-VC
+//!   mask** that makes VC allocation a `trailing_zeros`, and the input
+//!   ports with a head parked on this port;
 //! * **injector streams** — per local-input VC, the packet being streamed.
 //!
 //! Two structures grow on demand: the link-arrival slab (one `Vec` of
@@ -41,6 +43,17 @@
 //! Every derived field (masks, list links) is private and
 //! mutated only by the methods below; [`Router::validate`] recomputes each
 //! from primary state.
+//!
+//! # Parked heads
+//!
+//! A unicast head that fails VC allocation is *parked* ([`Router::park`])
+//! on the output ports it asked for: VA skips it until one of them gains
+//! a free VC of the class it asked for there (a credit or a tail release
+//! frees one, or a repair clears the fail-stop flag), which unparks it. The invariant is that a parked head
+//! would fail VA if it were tried now; [`Router::validate`] checks it.
+//! Anything that changes a head's request — a routing-table rewrite, RF
+//! ports closing or reopening — unparks every head
+//! ([`Router::unpark_all`]). Waking early is always safe.
 
 use crate::flit::Flit;
 use std::collections::VecDeque;
@@ -110,14 +123,13 @@ pub(crate) struct VcState {
     /// taken from the head flit when it claims the VC so VA never touches
     /// the packet table for a unicast.
     dest: u32,
-    /// Consecutive cycles the head flit has failed VC allocation (drives
-    /// the shortcut contention-avoidance detour).
-    va_blocked: u32,
     /// Flit index of the ring's front flit.
     front_idx: u16,
-    /// Unicast allocation: output port (valid when allocated).
+    /// Unicast allocation: output port (valid when allocated). While the
+    /// head is parked: the port it asked for in its own VC class.
     out_port: u8,
-    /// Unicast allocation: downstream VC (valid when allocated).
+    /// Unicast allocation: downstream VC (valid when allocated). While the
+    /// head is parked: the escape port it asked for in the escape class.
     out_vc: u8,
     flags: u8,
     /// Ring position of the front flit.
@@ -130,7 +142,6 @@ impl VcState {
     const FREE: Self = Self {
         packet: NONE,
         dest: NONE,
-        va_blocked: 0,
         front_idx: 0,
         out_port: 0,
         out_vc: 0,
@@ -175,11 +186,6 @@ impl VcState {
         self.out_vc
     }
 
-    #[inline]
-    pub fn va_blocked(&self) -> u32 {
-        self.va_blocked
-    }
-
     /// Buffered flits.
     #[inline]
     pub fn len(&self) -> usize {
@@ -199,6 +205,8 @@ struct InPort {
     arr_tail: u32,
     /// VCs whose head flit still needs VC allocation.
     va_mask: u32,
+    /// The VCs of `va_mask` whose head is parked.
+    parked: u32,
     /// VCs holding an output allocation (unicast, or at least one tree
     /// branch): the only ones that can request the switch.
     sa_mask: u32,
@@ -216,6 +224,7 @@ impl InPort {
         arr_head: NONE,
         arr_tail: NONE,
         va_mask: 0,
+        parked: 0,
         sa_mask: 0,
         upstream_port: 0,
         exists: false,
@@ -271,6 +280,9 @@ pub(crate) struct OutPort {
     shortcut_hops: u32,
     target_port: u8,
     flags: u8,
+    /// Input ports with a head parked on this port (a superset: a bit may
+    /// outlive its heads until the next wake-up clears it).
+    waiters: u16,
     /// Remaining downstream buffer credits per VC. The ejection port's
     /// stay at `depth` (it sinks flits), so `free` has one definition.
     credits: [u8; MAX_VCS],
@@ -287,6 +299,7 @@ impl OutPort {
         shortcut_hops: 0,
         target_port: 0,
         flags: 0,
+        waiters: 0,
         credits: [0; MAX_VCS],
     };
 
@@ -330,6 +343,12 @@ impl OutPort {
     #[inline]
     pub fn credits(&self, vc: usize) -> u32 {
         self.credits[vc] as u32
+    }
+
+    /// Whether a new packet could claim a downstream VC of `class` here.
+    #[inline]
+    fn can_alloc(&self, class: u32) -> bool {
+        self.flags & (OUT_EXISTS | OUT_FAILED) == OUT_EXISTS && self.free & class != 0
     }
 
     /// The free mask recomputed from `owned` and `credits`.
@@ -459,11 +478,13 @@ pub(crate) struct Router {
     depth: u8,
     /// Round-robin cursor over streaming injection VCs.
     inj_rr: u8,
+    /// Escape-class VCs per port: VCs `0..escape`; the rest are adaptive.
+    escape: u8,
     /// Input ports with a flit in flight on the inbound link.
     arr_ports: u16,
     /// Input ports with a claimed VC.
     occ_ports: u16,
-    /// Input ports with a head awaiting VC allocation.
+    /// Input ports with an unparked head awaiting VC allocation.
     va_ports: u16,
     /// Injection VCs with a packet streaming.
     inj_active: u32,
@@ -490,15 +511,17 @@ pub(crate) struct Router {
 
 impl Router {
     /// A router with `np` port slots (none connected yet), `vcs` virtual
-    /// channels per port and `depth` flit slots per VC.
+    /// channels per port of which the first `escape` form the escape
+    /// class, and `depth` flit slots per VC.
     ///
     /// # Panics
     ///
     /// Panics if a dimension exceeds its cap (`SimConfig::validate` and
     /// network construction reject such shapes first).
-    pub fn new(np: usize, vcs: usize, depth: usize) -> Self {
+    pub fn new(np: usize, vcs: usize, escape: usize, depth: usize) -> Self {
         assert!((2..=MAX_ROUTER_PORTS).contains(&np), "port count {np} out of range");
         assert!((1..=MAX_VCS).contains(&vcs), "VC count {vcs} out of range");
+        assert!((1..=vcs).contains(&escape), "escape VC count {escape} out of range");
         assert!((1..=MAX_BUFFER_DEPTH).contains(&depth), "buffer depth {depth} out of range");
         let mut inj_credits = [0; MAX_VCS];
         inj_credits[..vcs].fill(depth as u8);
@@ -507,6 +530,7 @@ impl Router {
             vcs: vcs as u8,
             depth: depth as u8,
             inj_rr: 0,
+            escape: escape as u8,
             arr_ports: 0,
             occ_ports: 0,
             va_ports: 0,
@@ -544,6 +568,17 @@ impl Router {
         self.np as usize - 1
     }
 
+    /// The VC class (a VC mask) `vc` belongs to: escape or adaptive.
+    #[inline]
+    fn class_of(&self, vc: usize) -> u32 {
+        let escape = low_mask(self.escape as usize);
+        if escape & (1 << vc) != 0 {
+            escape
+        } else {
+            low_mask(self.vcs as usize) & !escape
+        }
+    }
+
     #[inline]
     fn pv(&self, port: usize, vc: usize) -> usize {
         debug_assert!(vc < self.vcs as usize);
@@ -568,6 +603,7 @@ impl Router {
     /// and fully credited.
     pub fn connect_output(&mut self, port: usize, link: OutLink) {
         let (vcs, depth) = (self.vcs as usize, self.depth);
+        self.wake(port, u32::MAX);
         let p = &mut self.out_ports[port];
         debug_assert!(!p.exists(), "output port connected twice");
         *p = OutPort::ABSENT;
@@ -586,17 +622,20 @@ impl Router {
     /// Removes both directions of a drained `port` (RF teardown).
     pub fn disconnect(&mut self, port: usize) {
         debug_assert!(self.port_idle(port), "tearing down a port with traffic on it");
+        self.wake(port, u32::MAX);
         self.in_ports[port] = InPort::ABSENT;
         self.out_ports[port] = OutPort::ABSENT;
     }
 
-    /// Sets or clears the fail-stop flag of output `port`.
+    /// Sets or clears the fail-stop flag of output `port`; clearing it
+    /// wakes the heads parked on the port.
     pub fn set_failed(&mut self, port: usize, failed: bool) {
         let p = &mut self.out_ports[port];
         if failed {
             p.flags |= OUT_FAILED;
         } else {
             p.flags &= !OUT_FAILED;
+            self.wake(port, u32::MAX);
         }
     }
 
@@ -627,9 +666,28 @@ impl Router {
     }
 
     /// VCs of input `port` whose head flit awaits VC allocation.
-    #[inline]
+    #[cfg(test)]
     pub fn va_mask(&self, port: usize) -> u32 {
         self.in_ports[port].va_mask
+    }
+
+    /// VCs of input `port` whose head is parked.
+    #[inline]
+    pub fn parked(&self, port: usize) -> u32 {
+        self.in_ports[port].parked
+    }
+
+    /// VCs of input `port` whose head VA should try: awaiting allocation
+    /// and not parked.
+    #[inline]
+    pub fn va_unparked(&self, port: usize) -> u32 {
+        let p = &self.in_ports[port];
+        p.va_mask & !p.parked
+    }
+
+    /// Parked heads over every input port.
+    pub fn parked_heads(&self) -> u64 {
+        bits(self.occupied_ports()).map(|p| u64::from(self.in_ports[p].parked.count_ones())).sum()
     }
 
     /// VCs of input `port` that hold an output allocation.
@@ -650,7 +708,8 @@ impl Router {
         self.occ_ports as u32
     }
 
-    /// Input ports (as a bit mask) with a head awaiting VC allocation.
+    /// Input ports (as a bit mask) with an unparked head awaiting VC
+    /// allocation.
     #[inline]
     pub fn va_ports(&self) -> u32 {
         self.va_ports as u32
@@ -828,8 +887,9 @@ impl Router {
         self.vc_state[pv] = VcState::FREE;
         let p = &mut self.in_ports[port];
         p.va_mask &= !(1 << vc);
+        p.parked &= !(1 << vc);
         p.sa_mask &= !(1 << vc);
-        if p.va_mask == 0 {
+        if p.va_mask & !p.parked == 0 {
             self.va_ports &= !(1 << port);
         }
         let len = p.occ_len as usize;
@@ -849,14 +909,10 @@ impl Router {
     #[inline]
     pub fn alloc_out_vc(&mut self, out: usize, class: u32) -> Option<u8> {
         let op = &mut self.out_ports[out];
-        if op.flags & (OUT_EXISTS | OUT_FAILED) != OUT_EXISTS {
+        if !op.can_alloc(class) {
             return None;
         }
-        let candidates = op.free & class;
-        if candidates == 0 {
-            return None;
-        }
-        let vc = candidates.trailing_zeros();
+        let vc = (op.free & class).trailing_zeros();
         op.free &= !(1 << vc);
         op.owned |= 1 << vc;
         Some(vc as u8)
@@ -870,24 +926,74 @@ impl Router {
         v.flags |= VC_ALLOCATED;
         v.out_port = out as u8;
         v.out_vc = out_vc;
-        v.va_blocked = 0;
         self.set_front_eligible(pv, eligible);
         self.in_ports[port].sa_mask |= 1 << vc;
         self.va_done(port, vc);
     }
 
-    /// Records a failed unicast allocation attempt.
-    #[inline]
-    pub fn note_va_blocked(&mut self, port: usize, vc: usize) {
+    /// Parks the unicast head on `(port, vc)` after a failed allocation:
+    /// it asked for output `want` in its own VC class and output `escape`
+    /// in the escape class (`want == escape` for a head on an escape VC),
+    /// and VA skips it until one of the two gains a free VC of that class.
+    pub fn park(&mut self, port: usize, vc: usize, want: usize, escape: usize) {
         let pv = self.pv(port, vc);
-        self.vc_state[pv].va_blocked += 1;
+        let v = &mut self.vc_state[pv];
+        v.out_port = want as u8;
+        v.out_vc = escape as u8;
+        self.out_ports[want].waiters |= 1 << port;
+        self.out_ports[escape].waiters |= 1 << port;
+        let p = &mut self.in_ports[port];
+        debug_assert!(p.va_mask & (1 << vc) != 0, "parking a head that needs no VA");
+        p.parked |= 1 << vc;
+        if p.va_mask & !p.parked == 0 {
+            self.va_ports &= !(1 << port);
+        }
+    }
+
+    /// Unparks every head parked on output `out` that asked there for a
+    /// class `freed` (a VC mask) meets: the VCs that just became free, or
+    /// `u32::MAX` when the port's flags or wiring changed.
+    fn wake(&mut self, out: usize, freed: u32) {
+        let escape = low_mask(self.escape as usize);
+        let mut still_waiting = 0;
+        for port in bits(self.out_ports[out].waiters as u32) {
+            let mut parked = self.in_ports[port].parked;
+            for vc in bits(parked) {
+                let v = &self.vc_state[self.pv(port, vc)];
+                let (want, esc) = (v.out_port as usize == out, v.out_vc as usize == out);
+                if (want && freed & self.class_of(vc) != 0) || (esc && freed & escape != 0) {
+                    parked &= !(1 << vc);
+                } else if want || esc {
+                    still_waiting |= 1 << port;
+                }
+            }
+            let p = &mut self.in_ports[port];
+            p.parked = parked;
+            if p.va_mask & !parked != 0 {
+                self.va_ports |= 1 << port;
+            }
+        }
+        self.out_ports[out].waiters = still_waiting;
+    }
+
+    /// Unparks every head of this router (its routes may have changed).
+    pub fn unpark_all(&mut self) {
+        for port in 0..self.num_ports() {
+            let p = &mut self.in_ports[port];
+            p.parked = 0;
+            if p.va_mask != 0 {
+                self.va_ports |= 1 << port;
+            }
+            self.out_ports[port].waiters = 0;
+        }
     }
 
     fn va_done(&mut self, port: usize, vc: usize) {
         let p = &mut self.in_ports[port];
         debug_assert!(p.va_mask & (1 << vc) != 0, "VA completed twice");
+        debug_assert!(p.parked & (1 << vc) == 0, "VA granted to a parked head");
         p.va_mask &= !(1 << vc);
-        if p.va_mask == 0 {
+        if p.va_mask & !p.parked == 0 {
             self.va_ports &= !(1 << port);
         }
     }
@@ -902,7 +1008,8 @@ impl Router {
         op.credits[vc] -= 1;
     }
 
-    /// Returns one downstream credit to `(out, vc)`.
+    /// Returns one downstream credit to `(out, vc)`; a VC it frees wakes
+    /// the heads parked on `out`.
     #[inline]
     pub fn return_credit(&mut self, out: usize, vc: usize) {
         let depth = self.depth;
@@ -911,10 +1018,14 @@ impl Router {
         debug_assert!(op.credits[vc] <= depth, "credit overflow");
         if op.credits[vc] == depth && op.owned & (1 << vc) == 0 {
             op.free |= 1 << vc;
+            if op.waiters != 0 {
+                self.wake(out, 1 << vc);
+            }
         }
     }
 
-    /// Gives up ownership of downstream VC `(out, vc)` (tail flit sent).
+    /// Gives up ownership of downstream VC `(out, vc)` (tail flit sent);
+    /// a VC it frees wakes the heads parked on `out`.
     #[inline]
     pub fn release_out_vc(&mut self, out: usize, vc: usize) {
         let depth = self.depth;
@@ -922,6 +1033,9 @@ impl Router {
         op.owned &= !(1 << vc);
         if op.credits[vc] == depth {
             op.free |= 1 << vc;
+            if op.waiters != 0 {
+                self.wake(out, 1 << vc);
+            }
         }
     }
 
@@ -1081,7 +1195,8 @@ impl Router {
     }
 
     /// Recomputes every derived field from primary state and panics on a
-    /// mismatch (`r` labels the router in the message).
+    /// mismatch (`r` labels the router in the message). Every parked head
+    /// must still be unable to allocate (no lost wake-up).
     pub fn validate(&self, r: usize) {
         let vcs = self.vcs as usize;
         let (mut arr_ports, mut occ_ports, mut va_ports) = (0, 0, 0);
@@ -1129,9 +1244,12 @@ impl Router {
                     || (v.mc_routed()
                         && self.mc(port, vc).branches().iter().any(|b| b.out_vc.is_some()));
                 assert_eq!(p.sa_mask & (1 << vc) != 0, holds_output, "{}: SA mask bit", at());
+                if p.parked & (1 << vc) != 0 {
+                    self.validate_parked(port, vc, &at);
+                }
             }
             assert_eq!(
-                (p.va_mask | p.sa_mask) & !low_mask(vcs),
+                (p.va_mask | p.sa_mask | p.parked) & !low_mask(vcs),
                 0,
                 "router {r} port {port}: VC mask overflow"
             );
@@ -1149,7 +1267,7 @@ impl Router {
             }
             arr_ports |= u32::from(arrivals > 0) << port;
             occ_ports |= u32::from(!occ.is_empty()) << port;
-            va_ports |= u32::from(p.va_mask != 0) << port;
+            va_ports |= u32::from(p.va_mask & !p.parked != 0) << port;
             arrival_nodes += arrivals;
         }
         assert_eq!(self.arrival_ports(), arr_ports, "router {r}: arrival-ports mask");
@@ -1192,14 +1310,45 @@ impl Router {
         assert_eq!(self.inj_active & !low_mask(vcs), 0, "router {r}: injector stream mask");
         assert!((self.inj_rr as usize) < vcs, "router {r}: injector cursor out of range");
     }
+
+    /// The lost-wake-up check of one parked head: it is a claimed unicast
+    /// head awaiting VA, its port is listed as a waiter on each output it
+    /// asked for, and neither output could grant it a VC of the class it
+    /// asked for there.
+    fn validate_parked(&self, port: usize, vc: usize, at: &dyn Fn() -> String) {
+        let v = self.vc(port, vc);
+        assert!(
+            v.cur_packet().is_some() && self.in_ports[port].va_mask & (1 << vc) != 0,
+            "{}: parked without a head awaiting VA",
+            at()
+        );
+        assert!(v.dest != Arrival::TREE, "{}: parked tree head", at());
+        let escape = low_mask(self.escape as usize);
+        for (out, class) in [(v.out_port(), self.class_of(vc)), (v.out_vc as usize, escape)] {
+            let op = &self.out_ports[out];
+            assert!(
+                op.waiters & (1 << port) != 0,
+                "{}: parked on out port {out}, which does not list it as a waiter",
+                at()
+            );
+            assert!(
+                !op.can_alloc(class),
+                "{}: parked on out port {out}, which has a free VC of its class (free {:#b}, \
+                 class {class:#b}) — a lost wake-up",
+                at(),
+                op.free
+            );
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A three-slot router (port 2 unconnected) whose escape class is VC 0.
     fn router(vcs: usize, depth: usize) -> Router {
-        let mut r = Router::new(3, vcs, depth);
+        let mut r = Router::new(3, vcs, 1, depth);
         r.connect_input(0, Some((9, 0)));
         r.connect_output(
             0,
@@ -1213,6 +1362,9 @@ mod tests {
     fn flit(packet: u32, idx: u32, vc: u8) -> Arrival {
         Arrival { at: 10, packet, idx, dest: 4, vc }
     }
+
+    /// The escape class of [`router`].
+    const ESCAPE: u32 = 0b1;
 
     #[test]
     fn mask_iteration_orders() {
@@ -1229,7 +1381,7 @@ mod tests {
     fn header_fits_one_cache_line() {
         assert!(std::mem::offset_of!(Router, in_ports) <= 64);
         assert_eq!(std::mem::align_of::<Router>(), 64);
-        assert_eq!(std::mem::size_of::<VcState>(), 20);
+        assert_eq!(std::mem::size_of::<VcState>(), 16);
         assert!(std::mem::size_of::<InPort>() <= 64);
         assert_eq!(std::mem::size_of::<OutPort>(), 64);
     }
@@ -1320,6 +1472,82 @@ mod tests {
         assert_eq!(r.alloc_out_vc(1, all), Some(0));
         r.release_out_vc(1, 0);
         assert_eq!(r.alloc_out_vc(1, all), Some(0));
+    }
+
+    /// A router whose output 0 has both VCs owned and one unicast head on
+    /// adaptive VC 1 of the local input port, parked on output 0.
+    fn parked_on_out0() -> Router {
+        let mut r = router(2, 2);
+        assert_eq!(r.alloc_out_vc(0, low_mask(2)), Some(0));
+        assert_eq!(r.alloc_out_vc(0, low_mask(2)), Some(1));
+        r.take_credit(0, 1);
+        r.release_out_vc(0, 1);
+        r.push_flit(1, flit(5, 0, 1));
+        assert_eq!(r.va_ports(), 0b10);
+        r.park(1, 1, 0, 0);
+        assert_eq!((r.va_ports(), r.va_unparked(1), r.parked_heads()), (0, 0, 1));
+        r.validate(0);
+        r
+    }
+
+    #[test]
+    fn credit_freeing_a_vc_on_the_waited_port_wakes_the_head() {
+        let mut r = parked_on_out0();
+        r.return_credit(0, 1);
+        assert_eq!((r.va_ports(), r.va_unparked(1), r.parked_heads()), (0b10, 0b10, 0));
+        r.validate(0);
+        assert_eq!(r.alloc_out_vc(0, low_mask(2) & !ESCAPE), Some(1), "the retry succeeds");
+    }
+
+    #[test]
+    fn credit_on_another_port_leaves_the_head_parked() {
+        let mut r = parked_on_out0();
+        assert_eq!(r.alloc_out_vc(1, low_mask(2)), Some(0));
+        r.take_credit(1, 0);
+        r.release_out_vc(1, 0);
+        r.return_credit(1, 0);
+        assert_eq!(r.out(1).credits(0), 2, "output 1 regained a free VC");
+        assert_eq!((r.va_ports(), r.parked_heads()), (0, 1));
+        r.validate(0);
+    }
+
+    #[test]
+    fn a_free_vc_of_another_class_leaves_the_head_parked() {
+        let mut r = router(2, 2);
+        assert_eq!(r.alloc_out_vc(0, low_mask(2)), Some(0));
+        assert_eq!(r.alloc_out_vc(0, low_mask(2)), Some(1));
+        // A head on escape VC 0 asks for the escape class only.
+        r.push_flit(1, flit(5, 0, 0));
+        r.park(1, 0, 0, 0);
+        r.release_out_vc(0, 1);
+        assert_eq!((r.va_ports(), r.parked_heads()), (0, 1), "adaptive VC 1 freed");
+        r.validate(0);
+        r.release_out_vc(0, 0);
+        assert_eq!((r.va_ports(), r.parked_heads()), (0b10, 0), "escape VC 0 freed");
+        r.validate(0);
+    }
+
+    #[test]
+    fn clearing_a_fault_on_the_waited_port_wakes_the_head() {
+        let mut r = router(2, 2);
+        r.set_failed(0, true);
+        r.push_flit(1, flit(5, 0, 0));
+        r.park(1, 0, 0, 0);
+        r.validate(0);
+        r.set_failed(0, true);
+        assert_eq!(r.parked_heads(), 1, "setting the flag wakes nobody");
+        r.set_failed(0, false);
+        assert_eq!((r.va_ports(), r.va_unparked(1), r.parked_heads()), (0b10, 0b01, 0));
+        r.validate(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "lost wake-up")]
+    fn validate_catches_a_head_parked_on_a_port_with_a_free_vc() {
+        let mut r = router(2, 2);
+        r.push_flit(1, flit(5, 0, 1));
+        r.park(1, 1, 0, 0);
+        r.validate(0);
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! the claimed VCs, no duplicates, no stale entries), the VA/SA masks and
 //! the header's port masks, every free-VC mask, the arrival FIFOs, "cold
 //! multicast entry present ⇔ `mc_routed`", flit/credit conservation on
-//! every link, and active-set coverage (any router with pending work is
-//! scheduled for the next visit) — across unicast, adaptive-RF, multicast
-//! (tree and RF broadcast), fault, and reconfiguration traffic, at the
-//! paper's router shape and at others, serial and sharded.
+//! every link, active-set coverage (any router with pending work is
+//! scheduled for the next visit) and parked heads (no lost wake-up: each
+//! still could not allocate, and still waits on the ports its route names)
+//! — across unicast, adaptive-RF, static-RF, multicast (tree and RF
+//! broadcast), fault, and reconfiguration traffic, at the paper's router
+//! shape and at others, serial and sharded.
 
 use rfnoc_sim::{
     DestSet, FaultEvent, FaultPlan, McConfig, MessageClass, MessageSpec, MulticastMode, Network,
@@ -58,11 +60,25 @@ impl Rng {
 /// per node per cycle (plus one multicast per `mc_every` messages when
 /// non-zero), validating the bookkeeping after every single step, then
 /// drains with validation until the network goes idle.
-fn drive(mut net: Network, seed: u64, load_256: u64, cycles: u64, mc_every: u64) {
+fn drive(net: Network, seed: u64, load_256: u64, cycles: u64, mc_every: u64) {
+    drive_with(net, seed, load_256, cycles, mc_every, |_, _| {});
+}
+
+/// [`drive`], calling `before_step(net, cycle)` ahead of each loaded
+/// cycle's step.
+fn drive_with(
+    mut net: Network,
+    seed: u64,
+    load_256: u64,
+    cycles: u64,
+    mc_every: u64,
+    mut before_step: impl FnMut(&mut Network, u64),
+) {
     let n = net.dims().nodes();
     let mut rng = Rng(seed);
     let mut emitted = 0u64;
-    for _ in 0..cycles {
+    for cycle in 0..cycles {
+        before_step(&mut net, cycle);
         for src in 0..n {
             if rng.next() % 256 >= load_256 {
                 continue;
@@ -170,6 +186,45 @@ fn occupied_consistent_through_reconfiguration() {
     let mut net = Network::new(NetworkSpec::with_shortcuts(dims(), cfg(), shortcuts()));
     net.reconfigure(vec![Shortcut::new(2, 33), Shortcut::new(33, 2)]).expect("legal retune");
     drive(net, 0x0cc_0007, 32, 600, 0);
+}
+
+/// Static shortcut routing parks heads on the RF ports; loaded retunes
+/// then close and reopen them under parked heads. Every tenth cycle from
+/// 50 on requests a retune to the other of two shortcut sets (refused
+/// while one is in flight), so drains start at many points of the run.
+/// From cycle 250 two shortcuts fail and are repaired in turn every 15
+/// cycles, so faults also land inside a 40-cycle table rewrite and queue
+/// the next drain behind it.
+#[test]
+fn parked_heads_follow_rf_admission_changes() {
+    let mut cfg = cfg();
+    cfg.adaptive_shortcut_routing = false;
+    cfg.reconfig_cycles = 40;
+    let n = dims().nodes();
+    let plan = FaultPlan::new(
+        (0..16u64)
+            .map(|k| {
+                let event = match k % 4 {
+                    0 => FaultEvent::ShortcutDown { src: 0 },
+                    1 => FaultEvent::ShortcutDown { src: 5 },
+                    2 => FaultEvent::ShortcutUp { src: 0, dst: n - 1 },
+                    _ => FaultEvent::ShortcutUp { src: 5, dst: n - 6 },
+                };
+                (250 + 15 * k, event)
+            })
+            .collect(),
+    );
+    let net = Network::new(
+        NetworkSpec::with_shortcuts(dims(), cfg, shortcuts()).with_fault_plan(plan),
+    );
+    let sets = [vec![Shortcut::new(2, 33), Shortcut::new(33, 2)], shortcuts()];
+    let mut retunes = 0;
+    drive_with(net, 0x0cc_0008, 96, 500, 0, |net, cycle| {
+        if cycle >= 50 && cycle % 10 == 0 && net.reconfigure(sets[retunes % 2].clone()).is_ok() {
+            retunes += 1;
+        }
+    });
+    assert!(retunes >= 2, "only {retunes} retunes requested");
 }
 
 /// `(adaptive VCs, escape VCs, buffer depth, link width)` shapes away from
