@@ -19,6 +19,7 @@
 //! cargo run --release -p rfnoc-bench --bin telemetry_report [--quick]
 //! ```
 
+use rfnoc::timeline::timeline_table;
 use rfnoc::Architecture;
 use rfnoc_bench::artifact::{artifact_path, write_file};
 use rfnoc_bench::scenarios::{
@@ -26,8 +27,7 @@ use rfnoc_bench::scenarios::{
 };
 use rfnoc_bench::svg::{render_link_heatmap, LinkHeatFigure};
 use rfnoc_bench::telemetry::{
-    self, covered_cycles, event_label, hottest_ports, link_utilization, print_timeline,
-    MESH_PORTS, PORT_NAMES,
+    self, covered_cycles, hottest_ports, link_utilization, MESH_PORTS, PORT_NAMES,
 };
 use rfnoc_sim::TelemetryReport;
 use rfnoc_traffic::Placement;
@@ -65,7 +65,7 @@ fn congestion_scenario(quick: bool) {
         tel.dropped_spans,
         stats.saturated,
     );
-    print_timeline(tel, 16);
+    print!("\n{}", timeline_table(tel, 16));
     print_port_maps(tel);
     print_hot_ports(tel);
 
@@ -156,7 +156,7 @@ fn fault_scenario(quick: bool) {
     let tel = stats.telemetry.as_ref().expect("telemetry was enabled");
 
     println!("\n# Fault timeline: whole RF band down at cycle {fault_at}");
-    print_timeline(tel, 24);
+    print!("\n{}", timeline_table(tel, 24));
     write_file(&artifact_path("TELEMETRY_fault_timeline"), &telemetry::render_json("TELEMETRY_fault_timeline", stats, tel));
 
     // Sanity narration: RF utilization before vs after the fault interval.
@@ -172,7 +172,7 @@ fn fault_scenario(quick: bool) {
             "\nRF grants/cycle: {before:.3} before the fault interval, {after:.3} after"
         );
         for e in tel.events_in_sample(i) {
-            println!("  event in interval {i}: cycle {} {}", e.cycle, event_label(&e.kind));
+            println!("  event in interval {i}: cycle {} {}", e.cycle, e.kind);
         }
     }
 }

@@ -24,7 +24,7 @@ pub mod suite;
 pub mod svg;
 pub mod telemetry;
 
-use rfnoc::{Architecture, Experiment, RunReport, SystemConfig, WorkloadSpec};
+use rfnoc::{Architecture, Experiment, SystemConfig, WorkloadSpec};
 use rfnoc_power::LinkWidth;
 use rfnoc_traffic::TraceKind;
 
@@ -32,16 +32,6 @@ use rfnoc_traffic::TraceKind;
 /// triple with paper-default parameters.
 pub fn experiment(arch: Architecture, width: LinkWidth, workload: WorkloadSpec) -> Experiment {
     Experiment::new(SystemConfig::new(arch, width), workload)
-}
-
-/// Runs one experiment, printing a progress line to stderr.
-pub fn run_logged(arch: Architecture, width: LinkWidth, workload: WorkloadSpec) -> RunReport {
-    eprintln!("  running {} @{width} on {} ...", arch.name(), workload.name());
-    let report = experiment(arch, width, workload).run();
-    if report.stats.saturated {
-        eprintln!("    WARNING: saturated (latency is a lower bound)");
-    }
-    report
 }
 
 /// The multicast-augmented workload used by the Figure 9/10b experiments.

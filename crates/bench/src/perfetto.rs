@@ -10,7 +10,7 @@
 //! emitted as microsecond timestamps, so 1 µs on the Perfetto ruler reads
 //! as 1 simulated cycle.
 
-use crate::telemetry::{event_label, port_name};
+use crate::telemetry::port_name;
 use rfnoc::json::Json;
 use rfnoc_sim::TelemetryReport;
 use rfnoc_topology::{GridDims, Shortcut};
@@ -102,7 +102,7 @@ pub fn render_trace(report: &TelemetryReport, spec: &TraceSpec<'_>) -> String {
 
     // Fault/retune instants on the router process's first track.
     for e in &report.events {
-        push(instant_event(e.cycle, event_label(&e.kind)));
+        push(instant_event(e.cycle, e.kind.to_string()));
     }
     if truncated > 0 || report.dropped_hops > 0 {
         let note = format!(

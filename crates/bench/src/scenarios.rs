@@ -92,12 +92,10 @@ mod tests {
 
     #[test]
     fn profile_flag_selects_the_profiling_channel() {
-        use rfnoc_sim::ChannelMask;
         let plain = instrumented_experiment(Architecture::StaticShortcuts, true, 0.01, false);
         let prof = instrumented_experiment(Architecture::StaticShortcuts, true, 0.01, true);
-        let chan = |e: &Experiment| e.system.sim.telemetry.as_ref().unwrap().channels;
-        assert!(!chan(&plain).contains(ChannelMask::PROFILE));
-        assert!(chan(&prof).contains(ChannelMask::PROFILE));
-        assert!(chan(&prof).contains(ChannelMask::SPANS), "attribution needs spans");
+        let profile = |e: &Experiment| e.system.sim.telemetry.as_ref().unwrap().profile;
+        assert!(!profile(&plain));
+        assert!(profile(&prof));
     }
 }

@@ -1,17 +1,16 @@
-//! Telemetry artifacts: JSON export, link-utilization helpers, and a
-//! terminal timeline table for [`rfnoc_sim::TelemetryReport`] time series.
+//! Telemetry artifacts: JSON export and link-utilization helpers for
+//! [`rfnoc_sim::TelemetryReport`] time series.
 //!
 //! The simulator's telemetry layer produces interval samples, packet
 //! spans, and a fault/retune event timeline; this module turns one run's
-//! report into the repo's standard artifacts: `results/json/<name>.json`
-//! and a per-interval table on stdout. The SVG congestion heatmap lives
-//! in [`crate::svg`].
+//! report into the repo's standard artifact, `results/json/<name>.json`.
+//! The per-interval table is [`rfnoc::timeline::timeline_table`]; the SVG
+//! congestion heatmap lives in [`crate::svg`].
 
 use crate::artifact::header;
 use rfnoc::json::{rounded, Json};
-use rfnoc_sim::{
-    latency_bucket_bounds, RunStats, TelemetryReport, TimelineEventKind, LATENCY_BUCKETS,
-};
+use rfnoc::timeline::sample_mesh_utilization;
+use rfnoc_sim::{latency_bucket_bounds, RunStats, TelemetryReport, LATENCY_BUCKETS};
 
 /// Output ports per router on the plain mesh (N, S, E, W, Local, RF) —
 /// mirrors the simulator's mesh port order. Reports from other fabrics
@@ -51,14 +50,14 @@ pub fn covered_cycles(report: &TelemetryReport) -> u64 {
 
 /// Whole-run utilization of one output port from the telemetry time
 /// series: total grants over total cycles, against a per-cycle flit
-/// capacity. Returns 0.0 when the links channel was off.
+/// capacity.
 pub fn port_utilization(report: &TelemetryReport, r: usize, port: usize, capacity: u32) -> f64 {
     let cycles = covered_cycles(report);
-    let totals = report.total_port_grants();
-    if cycles == 0 || totals.is_empty() {
+    if cycles == 0 {
         return 0.0;
     }
-    totals[r * report.ports + port] as f64 / (cycles as f64 * f64::from(capacity.max(1)))
+    let grants = report.total_port_grants()[r * report.ports + port];
+    grants as f64 / (cycles as f64 * f64::from(capacity.max(1)))
 }
 
 /// Per-router mean mesh-link utilization — the heat vector for
@@ -77,8 +76,7 @@ pub fn mesh_heat(report: &TelemetryReport) -> Vec<f64> {
 }
 
 /// Flattened directed per-port utilization (`router * report.ports +
-/// port`, capacity 1) for the link heatmap. Empty when the links channel
-/// was off.
+/// port`, capacity 1) for the link heatmap.
 pub fn link_utilization(report: &TelemetryReport) -> Vec<f64> {
     let cycles = covered_cycles(report).max(1) as f64;
     report
@@ -100,36 +98,6 @@ pub fn hottest_ports(report: &TelemetryReport, k: usize) -> Vec<(usize, usize, u
     ports.sort_by_key(|&(_, _, g)| std::cmp::Reverse(g));
     ports.truncate(k);
     ports
-}
-
-/// Mean mesh-link utilization of one interval sample (ports N/S/E/W over
-/// every router, capacity 1 flit/cycle).
-pub fn sample_mesh_utilization(report: &TelemetryReport, i: usize) -> f64 {
-    let s = &report.samples[i];
-    if s.cycles == 0 || s.port_grants.is_empty() {
-        return 0.0;
-    }
-    let slots = fabric_slots(report).max(1);
-    let ports = report.ports;
-    let mesh: u64 = (0..report.routers)
-        .flat_map(|r| (0..slots).map(move |p| s.port_grants[r * ports + p]))
-        .sum();
-    mesh as f64 / (s.cycles as f64 * (report.routers * slots) as f64)
-}
-
-/// A short stable label for a timeline event, used in JSON and tables.
-pub fn event_label(kind: &TimelineEventKind) -> String {
-    match kind {
-        TimelineEventKind::Fault(e) => format!("fault: {e:?}"),
-        TimelineEventKind::RetuneApplied { installed } => {
-            format!("retune_applied({installed} shortcuts)")
-        }
-        TimelineEventKind::TablesRewritten => "tables_rewritten".into(),
-        TimelineEventKind::WatchdogFired => "watchdog_fired".into(),
-        TimelineEventKind::RecoveryConverged { fault_cycle, after } => {
-            format!("recovery_converged(fault@{fault_cycle} after {after})")
-        }
-    }
 }
 
 /// Renders the full telemetry JSON artifact for one run.
@@ -167,12 +135,12 @@ pub fn render_json(name: &str, stats: &RunStats, report: &TelemetryReport) -> St
             .field("latency_hist", Json::arr(s.latency_hist.iter().copied()))
     });
     let events = report.events.iter().map(|e| {
-        Json::obj().field("cycle", e.cycle).field("kind", event_label(&e.kind))
+        Json::obj().field("cycle", e.cycle).field("kind", e.kind.to_string())
     });
     header(name)
         .field("interval", report.interval)
         .field("routers", report.routers)
-        .field("channels", report.channels.0)
+        .field("profile", report.profile)
         .field("end_cycle", stats.end_cycle)
         .field("saturated", stats.saturated)
         .field("injected_messages", stats.injected_messages)
@@ -191,39 +159,6 @@ pub fn render_json(name: &str, stats: &RunStats, report: &TelemetryReport) -> St
         .field("samples", Json::arr(samples))
         .field("events", Json::arr(events))
         .pretty()
-}
-
-/// Prints the per-interval timeline table: rates, mesh utilization, peak
-/// occupancy, stall mix, and the events that fell inside each interval.
-/// Long runs are subsampled to at most `max_rows` evenly spaced rows
-/// (event-bearing intervals are always kept).
-pub fn print_timeline(report: &TelemetryReport, max_rows: usize) {
-    println!(
-        "\n{:>14} {:>8} {:>8} {:>9} {:>8} {:>8} {:>18}  events",
-        "interval", "inj/cyc", "cmp/cyc", "mesh-util", "rf/cyc", "peak-buf", "va/sa/credit"
-    );
-    let n = report.samples.len();
-    let stride = n.div_ceil(max_rows.max(1)).max(1);
-    for (i, s) in report.samples.iter().enumerate() {
-        let events: Vec<String> =
-            report.events_in_sample(i).map(|e| event_label(&e.kind)).collect();
-        if i % stride != 0 && events.is_empty() && i + 1 != n {
-            continue;
-        }
-        let cycles = s.cycles.max(1) as f64;
-        let peak = s.buffered_peak.iter().copied().max().unwrap_or(0);
-        println!(
-            "{:>14} {:>8.3} {:>8.3} {:>8.1}% {:>8.3} {:>8} {:>18}  {}",
-            format!("[{}, {})", s.start, s.start + s.cycles),
-            s.injected as f64 / cycles,
-            s.completed_packets as f64 / cycles,
-            sample_mesh_utilization(report, i) * 100.0,
-            s.rf_grants as f64 / cycles,
-            peak,
-            format!("{}/{}/{}", s.va_stalls, s.sa_stalls, s.credit_stalls),
-            if events.is_empty() { "-".to_string() } else { events.join("; ") },
-        );
-    }
 }
 
 #[cfg(test)]

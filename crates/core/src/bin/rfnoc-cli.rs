@@ -22,7 +22,8 @@
 //!
 //! Telemetry (run only): `--telemetry <interval>` enables the
 //! interval-sampled telemetry layer and prints the per-interval timeline
-//! (rates, RF grants, stalls, fault/retune events) after the report.
+//! (rates, mesh utilization, RF grants, stalls, fault/retune events)
+//! after the report.
 //!
 //! Threads (run only): `--sim-threads <n>` steps the router sweep on `n`
 //! worker threads (the sharded cycle engine). Results are bit-identical
@@ -37,9 +38,10 @@
 //! two reports gate with `rfnoc-cli compare a.json b.json`); schema
 //! problems go to stderr and exit code 2.
 
+use rfnoc::timeline::timeline_table;
 use rfnoc::{Architecture, Experiment, FaultSpec, RunReport, SystemConfig, WorkloadSpec};
 use rfnoc_power::LinkWidth;
-use rfnoc_sim::{FaultRates, TelemetryConfig, TelemetryReport, TimelineEventKind};
+use rfnoc_sim::{FaultRates, TelemetryConfig};
 use rfnoc_traffic::{AppProfile, Placement, TraceKind};
 use std::process::ExitCode;
 
@@ -155,55 +157,6 @@ fn run_one(arch: Architecture, width: LinkWidth, workload: WorkloadSpec) -> RunR
     Experiment::new(SystemConfig::new(arch, width), workload).run()
 }
 
-/// Prints the telemetry timeline: one row per interval (capped at 20
-/// evenly spaced rows; event-bearing intervals always shown).
-fn print_timeline(report: &TelemetryReport) {
-    let event_label = |kind: &TimelineEventKind| match kind {
-        TimelineEventKind::Fault(e) => format!("fault: {e:?}"),
-        TimelineEventKind::RetuneApplied { installed } => {
-            format!("retune_applied({installed} shortcuts)")
-        }
-        TimelineEventKind::TablesRewritten => "tables_rewritten".into(),
-        TimelineEventKind::WatchdogFired => "watchdog_fired".into(),
-        TimelineEventKind::RecoveryConverged { fault_cycle, after } => {
-            format!("recovery_converged(fault@{fault_cycle} after {after})")
-        }
-    };
-    println!(
-        "  {:>16} {:>8} {:>8} {:>8} {:>8} {:>18}  events",
-        "interval", "inj/cyc", "cmp/cyc", "rf/cyc", "peak-buf", "va/sa/credit"
-    );
-    let n = report.samples.len();
-    let stride = n.div_ceil(20).max(1);
-    for (i, s) in report.samples.iter().enumerate() {
-        let events: Vec<String> =
-            report.events_in_sample(i).map(|e| event_label(&e.kind)).collect();
-        if i % stride != 0 && events.is_empty() && i + 1 != n {
-            continue;
-        }
-        let cycles = s.cycles.max(1) as f64;
-        let peak = s.buffered_peak.iter().copied().max().unwrap_or(0);
-        println!(
-            "  {:>16} {:>8.3} {:>8.3} {:>8.3} {:>8} {:>18}  {}",
-            format!("[{}, {})", s.start, s.start + s.cycles),
-            s.injected as f64 / cycles,
-            s.completed_packets as f64 / cycles,
-            s.rf_grants as f64 / cycles,
-            peak,
-            format!("{}/{}/{}", s.va_stalls, s.sa_stalls, s.credit_stalls),
-            if events.is_empty() { "-".to_string() } else { events.join("; ") },
-        );
-    }
-    let complete = report.spans.iter().filter(|s| s.is_complete()).count();
-    println!(
-        "  spans: {} recorded ({} complete, {} dropped), {} timeline events",
-        report.spans.len(),
-        complete,
-        report.dropped_spans,
-        report.events.len()
-    );
-}
-
 fn cmd_run(args: &[String]) -> Option<ExitCode> {
     let [arch, width, workload, rest @ ..] = args else { return None };
     let mut experiment = Experiment::new(
@@ -241,7 +194,15 @@ fn cmd_run(args: &[String]) -> Option<ExitCode> {
     report_line(&report);
     if let Some(tel) = &report.stats.telemetry {
         println!("telemetry ({} samples at interval {}):", tel.samples.len(), tel.interval);
-        print_timeline(tel);
+        print!("{}", timeline_table(tel, 20));
+        let complete = tel.spans.iter().filter(|s| s.is_complete()).count();
+        println!(
+            "  spans: {} recorded ({} complete, {} dropped), {} timeline events",
+            tel.spans.len(),
+            complete,
+            tel.dropped_spans,
+            tel.events.len()
+        );
     }
     Some(ExitCode::SUCCESS)
 }

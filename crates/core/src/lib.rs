@@ -63,6 +63,7 @@ pub mod json;
 pub mod ledger;
 pub mod obs;
 mod phased;
+pub mod timeline;
 mod workload;
 
 pub use arch::{Architecture, SystemConfig, DEFAULT_ACCESS_POINTS, DEFAULT_SHORTCUT_BUDGET};

@@ -178,11 +178,6 @@ impl BandPlan {
         self.budget
     }
 
-    /// The band index carrying shortcut `i` (its position in the input).
-    pub fn shortcut_band(&self, i: usize) -> Option<usize> {
-        (i < self.shortcuts.len()).then_some(i)
-    }
-
     /// The broadcast band index, if one was reserved.
     pub fn broadcast_band(&self) -> Option<usize> {
         self.broadcast_band

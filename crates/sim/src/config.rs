@@ -3,7 +3,7 @@
 use crate::error::ConfigError;
 use crate::fault::RecoveryConfig;
 use crate::network::ledger::LedgerConfig;
-use crate::network::telemetry::{FlitTraceConfig, TelemetryConfig};
+use crate::network::telemetry::TelemetryConfig;
 use crate::router::{MAX_BUFFER_DEPTH, MAX_VCS};
 use rfnoc_power::LinkWidth;
 
@@ -51,9 +51,6 @@ pub struct SimConfig {
     /// 2 GHz interconnect (§3.1), so the local port drains and fills at
     /// twice the network rate: 2.
     pub local_port_speedup: u32,
-    /// Flit-level debug trace configuration (off by default). See
-    /// `Network::flit_trace` and `Network::flit_trace_dropped`.
-    pub flit_trace: FlitTraceConfig,
     /// Telemetry subsystem configuration: `Some` enables interval-sampled
     /// counters, packet spans, and the event timeline (returned through
     /// `RunStats::telemetry`); `None` (the default) keeps the engine
@@ -122,7 +119,6 @@ impl SimConfig {
             drain_cycles: 50_000,
             reconfig_cycles: 99,
             local_port_speedup: 2,
-            flit_trace: FlitTraceConfig::disabled(),
             telemetry: None,
             collect_pair_counts: false,
             adaptive_shortcut_routing: true,
@@ -150,18 +146,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_link_width(mut self, width: LinkWidth) -> Self {
         self.link_width = width;
-        self
-    }
-
-    /// Returns a copy with flit tracing capped at `limit` events.
-    #[deprecated(
-        since = "0.5.0",
-        note = "set `flit_trace = FlitTraceConfig::capped(limit)` instead; \
-                the bare cap truncated silently"
-    )]
-    #[must_use]
-    pub fn with_flit_trace_limit(mut self, limit: usize) -> Self {
-        self.flit_trace = FlitTraceConfig::capped(limit);
         self
     }
 
@@ -400,12 +384,5 @@ mod tests {
         assert_eq!(cfg.validate(), Err(ConfigError::NonPositiveRecoveryEpsilon));
         cfg = cfg.with_recovery(RecoveryConfig::slo());
         assert_eq!(cfg.validate(), Ok(()));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_flit_trace_builder_maps_to_config() {
-        let cfg = SimConfig::paper_baseline().with_flit_trace_limit(42);
-        assert_eq!(cfg.flit_trace, FlitTraceConfig::capped(42));
     }
 }

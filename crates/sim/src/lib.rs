@@ -64,11 +64,11 @@ pub use fault::{
     RecoveryRecord,
 };
 pub use network::{
-    latency_bucket, latency_bucket_bounds, shard_ranges, ChannelMask, DelayBreakdown,
-    FlitEvent, FlitEventKind, FlitTraceConfig, HopRecord, IntervalSample, LedgerConfig,
-    LedgerRecord, LedgerReport, MulticastMode, Network, NetworkSpec, PacketSpan,
-    RoutingKind, ScriptedWorkload, TelemetryConfig, TelemetryReport, TimelineEvent,
-    TimelineEventKind, Workload, HOP_ROUTE_CYCLES, HOP_SWITCH_CYCLES, LATENCY_BUCKETS,
+    latency_bucket, latency_bucket_bounds, shard_ranges, DelayBreakdown, HopRecord,
+    IntervalSample, LedgerConfig, LedgerRecord, LedgerReport, MulticastMode, Network,
+    NetworkSpec, PacketSpan, RoutingKind, ScriptedWorkload, TelemetryConfig, TelemetryReport,
+    TimelineEvent, TimelineEventKind, Workload, HOP_ROUTE_CYCLES, HOP_SWITCH_CYCLES,
+    LATENCY_BUCKETS,
 };
 pub use packet::{DestSet, Destination, MessageClass, MessageSpec};
 pub use rfmc::McConfig;

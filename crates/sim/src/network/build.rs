@@ -197,8 +197,6 @@ impl Network {
             pool,
             sp_dist,
             detour_dist: None,
-            flit_trace: Vec::new(),
-            flit_trace_dropped: 0,
             telemetry: spec
                 .config
                 .telemetry

@@ -124,8 +124,8 @@ impl Network {
         // Active-router scheduling: visit only routers with (possible)
         // work. `active_stamp[r] == e` means "visit r in sweep e"; each
         // shard scans its slice of the stamp vector in ascending router id
-        // (completions, telemetry records and trace events are replayed
-        // in visit order) and a visited router re-stamps itself for the
+        // (completions and telemetry records are replayed in visit
+        // order) and a visited router re-stamps itself for the
         // next sweep while it is non-quiescent; a flit handed to a router
         // of the same shard stamps its target on the spot
         // (`Sweep::send_flit`). Skipping a quiescent
@@ -170,7 +170,6 @@ impl Network {
         };
         let tel_on = self.telemetry.is_some();
         let hop_on = self.telemetry.as_deref().is_some_and(telemetry::TelemetryState::profiling);
-        let trace_on = self.config.flit_trace.is_enabled();
         let max_ports = self.max_ports;
         let mut routers = &mut self.routers[..];
         let mut stamps = &mut self.active_stamp[..];
@@ -198,7 +197,6 @@ impl Network {
                 },
                 tel_on,
                 hop_on,
-                trace_on,
                 buf,
             }
         });
@@ -245,12 +243,10 @@ impl Network {
     }
 
     /// Replays every shard buffer in shard order — ascending router order,
-    /// the one-shard visit order — so telemetry records, trace events,
-    /// statistics, and message completions land in the same sequence at
-    /// any shard count. The flit-trace cap is applied here, and only here.
+    /// the one-shard visit order — so telemetry records, statistics, and
+    /// message completions land in the same sequence at any shard count.
     fn replay_shards(&mut self) {
         let now = self.cycle;
-        let trace_limit = self.config.flit_trace.limit;
         for si in 0..self.shard_bufs.len() {
             if let Some(t) = self.telemetry.as_deref_mut() {
                 for op in self.shard_bufs[si].tel_ops.drain(..) {
@@ -259,15 +255,6 @@ impl Network {
             } else {
                 self.shard_bufs[si].tel_ops.clear();
             }
-            for i in 0..self.shard_bufs[si].trace.len() {
-                let ev = self.shard_bufs[si].trace[i];
-                if self.flit_trace.len() < trace_limit {
-                    self.flit_trace.push(ev);
-                } else {
-                    self.flit_trace_dropped += 1;
-                }
-            }
-            self.shard_bufs[si].trace.clear();
             {
                 let b = &mut self.shard_bufs[si];
                 self.stats.ejected_flits += std::mem::take(&mut b.ejected_flits);
@@ -382,9 +369,6 @@ impl Sweep<'_> {
         for port in bits(self.routers[rl].arrival_ports()) {
             while let Some(a) = self.routers[rl].pop_arrival_due(port, now) {
                 self.routers[rl].push_flit(port, a);
-                if self.tel_on {
-                    self.tel(sweep::TelOp::BufferPush(r as u32));
-                }
                 // Tree-multicast packets fork mid-network; only unicast
                 // packets (RF-multicast carriers included) get hop chains.
                 if self.hop_on && a.idx == 0 && a.dest != Arrival::TREE {
@@ -778,14 +762,6 @@ impl Sweep<'_> {
             width_bytes
         };
 
-        if self.trace_on {
-            let kind = if target.is_none() {
-                telemetry::FlitEventKind::Ejected
-            } else {
-                telemetry::FlitEventKind::Granted { out_port: out as u8 }
-            };
-            self.trace_event(sent_packet, flit.idx, r, kind);
-        }
         if self.tel_on {
             self.tel(sweep::TelOp::Grant {
                 r: r as u32,
@@ -850,9 +826,6 @@ impl Sweep<'_> {
         let retire = !is_mc || self.routers[rl].mc_mark_sent(port, vci, branch as usize);
         if retire {
             self.routers[rl].pop_front(port, vci);
-            if self.tel_on {
-                self.tel(sweep::TelOp::BufferPop(r as u32));
-            }
             match self.routers[rl].upstream(port) {
                 Some((ur, up)) => self.send_credit(ur, up, vci as u8),
                 None => self.routers[rl].return_injection_credit(vci),

@@ -267,9 +267,6 @@ impl sweep::Sweep<'_> {
         for _ in 0..self.sh.config.local_port_speedup {
             let Some(flit) = self.routers[rl].next_injection_flit(now + 1) else { break };
             self.routers[rl].push_arrival(local, flit);
-            if self.trace_on {
-                self.trace_event(flit.packet, flit.idx, r, telemetry::FlitEventKind::Injected);
-            }
         }
     }
 }

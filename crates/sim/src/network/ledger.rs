@@ -233,8 +233,7 @@ impl Network {
                     + b.credit_returns.len()
                     + b.mc_enqueues.len()
                     + b.completions.len()
-                    + b.tel_ops.len()
-                    + b.trace.len()) as u64;
+                    + b.tel_ops.len()) as u64;
             }
         }
     }

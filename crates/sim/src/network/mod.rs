@@ -421,10 +421,6 @@ pub struct Network {
     /// Parked worker threads for a sweep over several shards (`None` on
     /// one shard).
     pool: Option<rfnoc_parallel::WorkerPool>,
-    flit_trace: Vec<telemetry::FlitEvent>,
-    /// Flit-trace events dropped at the cap (see
-    /// [`telemetry::FlitTraceConfig`]).
-    flit_trace_dropped: u64,
     /// Telemetry accumulator, present when [`SimConfig::telemetry`] is
     /// set. Boxed so the disabled case costs one null-check per hook.
     telemetry: Option<Box<telemetry::TelemetryState>>,
@@ -457,9 +453,8 @@ pub use ledger::{LedgerConfig, LedgerRecord, LedgerReport};
 pub use sweep::shard_ranges;
 
 pub use telemetry::{
-    latency_bucket, latency_bucket_bounds, ChannelMask, DelayBreakdown, FlitEvent,
-    FlitEventKind, FlitTraceConfig, HopRecord, IntervalSample, PacketSpan,
-    TelemetryConfig, TelemetryReport, TimelineEvent, TimelineEventKind,
+    latency_bucket, latency_bucket_bounds, DelayBreakdown, HopRecord, IntervalSample,
+    PacketSpan, TelemetryConfig, TelemetryReport, TimelineEvent, TimelineEventKind,
     HOP_ROUTE_CYCLES, HOP_SWITCH_CYCLES, LATENCY_BUCKETS,
 };
 

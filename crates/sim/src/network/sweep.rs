@@ -14,7 +14,7 @@
 //! * a private [`ShardBuf`] collecting what leaves the shard or touches
 //!   global state: flit deliveries and credit returns addressed to
 //!   *another* shard's routers, multicast enqueues, message completions,
-//!   telemetry operations, trace events, and scalar statistics deltas —
+//!   telemetry operations, and scalar statistics deltas —
 //!   plus the shard-local credit list and the fixed-capacity
 //!   switch-allocation request scratch ([`SaRequests`]).
 //!
@@ -58,7 +58,7 @@
 //! the serial phases, `debug_validate` and the observers read — is
 //! therefore the same whatever the shard count, and the same as if every
 //! event had gone through one ordered outbox. The observer side effects
-//! (completions, telemetry records, trace events, statistics deltas) are
+//! (completions, telemetry records, statistics deltas) are
 //! buffered by every shard and replayed in shard order — ascending-router
 //! order, the visit order of the one-shard engine — so they land in the
 //! bit-identical sequence at any shard count. The serial engine is the
@@ -195,8 +195,6 @@ impl PacketAccess<'_> {
 pub(super) enum TelOp {
     /// A packet was created (see [`TelOp::packet_created`]).
     PacketCreated { packet: u32, src: u32, dest: u32, created: u64, measured: bool },
-    BufferPush(u32),
-    BufferPop(u32),
     HopArrived { packet: u32, r: u32, port: u8, at: u64 },
     /// Heads of one router visit that failed VC allocation or sat parked.
     VaStalls(u64),
@@ -322,8 +320,6 @@ pub(super) struct ShardBuf {
     pub completions: Vec<Completion>,
     /// Buffered telemetry operations.
     pub tel_ops: Vec<TelOp>,
-    /// Buffered flit-trace events (the cap is applied at replay).
-    pub trace: Vec<FlitEvent>,
     /// Switch-allocation request scratch (reused by every router visit).
     pub sa_requests: SaRequests,
     /// Scalar statistics deltas, added to `RunStats` at replay.
@@ -368,8 +364,6 @@ pub(super) struct Sweep<'a> {
     /// Whether the per-hop profile records: the `Hop*` operations are
     /// emitted only then, as nothing else reads them.
     pub hop_on: bool,
-    /// Whether the flit trace records (its events go to `buf.trace`).
-    pub trace_on: bool,
     pub buf: &'a mut ShardBuf,
 }
 
@@ -464,12 +458,6 @@ impl Sweep<'_> {
     #[inline]
     pub fn tel(&mut self, op: TelOp) {
         self.buf.tel_ops.push(op);
-    }
-
-    /// Buffers one flit-trace event for replay.
-    pub fn trace_event(&mut self, packet: u32, flit: u32, router: usize, kind: FlitEventKind) {
-        let ev = FlitEvent { cycle: self.sh.cycle, packet, flit, router, kind };
-        self.buf.trace.push(ev);
     }
 
     /// Allocates a mid-sweep packet (tree-multicast children). Only legal

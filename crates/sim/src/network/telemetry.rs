@@ -1,5 +1,5 @@
 //! Telemetry: interval-sampled counters, packet-lifecycle spans, the
-//! fault/retune event timeline, and the flit-level debug trace.
+//! fault/retune event timeline, and the opt-in per-hop profile.
 //!
 //! The aggregate [`crate::RunStats`] answer "how did the run end"; this
 //! module answers "where and *when* did congestion form". When enabled via
@@ -18,145 +18,20 @@
 //! `Option` check; the steady state allocates nothing. The only
 //! allocations happen at *interval boundaries* (one `IntervalSample` per
 //! `interval` cycles) and when the packet table itself grows (span slots
-//! grow in step with `Network::packets`). With telemetry disabled the
-//! engine takes a single never-taken branch per hook site, and the
-//! golden-determinism suite proves the results are bit-identical.
+//! grow in step with `Network::packets`). Buffer occupancy is read off the
+//! routers at each cycle boundary, visiting only routers with a claimed
+//! VC. With telemetry disabled the engine takes a single never-taken
+//! branch per hook site, and the golden-determinism suite proves the
+//! results are bit-identical.
 //!
-//! The opt-in [`ChannelMask::PROFILE`] channel (per-hop delay
+//! The opt-in profile ([`TelemetryConfig::profile`], per-hop delay
 //! attribution, see [`HopRecord`]) adds one amortized `Vec` push per
-//! router traversal, bounded by [`TelemetryConfig::hop_limit`]; it is
-//! excluded from [`ChannelMask::ALL`] so the standard telemetry overhead
+//! router traversal, bounded by [`TelemetryConfig::hop_limit`]; it is off
+//! in [`TelemetryConfig::every`] so the standard telemetry overhead
 //! envelope is unchanged.
-//!
-//! # Flit trace
-//!
-//! The older flit-level debug trace lives here too. It is configured by
-//! [`FlitTraceConfig`] (the bare `flit_trace_limit` field is gone) and no
-//! longer truncates silently: events past the cap are counted in
-//! [`Network::flit_trace_dropped`].
 
 #[allow(clippy::wildcard_imports)]
 use super::*;
-
-/// What happened to a flit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlitEventKind {
-    /// Entered the network at the source's local port.
-    Injected,
-    /// Granted switch allocation at a router toward the given output port
-    /// (0–3 mesh, 4 local/ejection, 5 RF).
-    Granted {
-        /// Output port index.
-        out_port: u8,
-    },
-    /// Left the network at the destination's local port.
-    Ejected,
-}
-
-/// One traced flit movement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlitEvent {
-    /// Cycle the event occurred.
-    pub cycle: u64,
-    /// Packet table index.
-    pub packet: u32,
-    /// Flit index within the packet (0 = head).
-    pub flit: u32,
-    /// Router where the event occurred.
-    pub router: usize,
-    /// Event kind.
-    pub kind: FlitEventKind,
-}
-
-/// Configuration of the flit-level debug trace.
-///
-/// Replaces the old bare `flit_trace_limit` field: the cap is now
-/// documented and truncation is visible. Tracing records one [`FlitEvent`]
-/// per flit movement (injection, switch grant, ejection) up to `limit`
-/// events; movements past the cap are *counted* in
-/// [`Network::flit_trace_dropped`] instead of vanishing silently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlitTraceConfig {
-    /// Maximum events to record; 0 disables tracing entirely.
-    pub limit: usize,
-}
-
-impl FlitTraceConfig {
-    /// Tracing off (the default — tracing costs time and memory).
-    pub const fn disabled() -> Self {
-        Self { limit: 0 }
-    }
-
-    /// Tracing on, capped at `limit` events.
-    pub const fn capped(limit: usize) -> Self {
-        Self { limit }
-    }
-
-    /// Whether any tracing happens.
-    pub const fn is_enabled(&self) -> bool {
-        self.limit > 0
-    }
-}
-
-impl Default for FlitTraceConfig {
-    fn default() -> Self {
-        Self::disabled()
-    }
-}
-
-/// Bit mask selecting which telemetry channels are recorded.
-///
-/// Channels are independent: disabling one removes its hook cost and its
-/// per-interval storage. [`ChannelMask::ALL`] is the default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChannelMask(pub u16);
-
-impl ChannelMask {
-    /// Per-output-port flit grants and RF band activity per interval.
-    pub const LINKS: Self = Self(1 << 0);
-    /// Per-router buffer occupancy (average and peak) per interval.
-    pub const OCCUPANCY: Self = Self(1 << 1);
-    /// Injection/ejection/completion rates and in-flight counts.
-    pub const RATES: Self = Self(1 << 2);
-    /// Stall cycles by cause (VC allocation, switch allocation, credits).
-    pub const STALLS: Self = Self(1 << 3);
-    /// Per-interval completion-latency histogram.
-    pub const LATENCY: Self = Self(1 << 4);
-    /// Packet-lifecycle spans (inject → first grant → eject).
-    pub const SPANS: Self = Self(1 << 5);
-    /// Fault/retune/reconfigure/watchdog timeline events.
-    pub const EVENTS: Self = Self(1 << 6);
-    /// Per-hop delay attribution: one [`HopRecord`] per (packet, router)
-    /// traversal splitting the hop into route-compute, VA-wait, switch
-    /// traversal, SA-wait, and credit-wait cycles. Opt-in — deliberately
-    /// *not* part of [`ChannelMask::ALL`], so existing all-channel runs
-    /// keep their PR-4 overhead envelope. Requires [`ChannelMask::SPANS`]
-    /// (hop records ride on span slots); without it the channel records
-    /// nothing. Enable both with [`TelemetryConfig::profiling`].
-    pub const PROFILE: Self = Self(1 << 7);
-    /// Every standard channel. Does not include the opt-in
-    /// [`ChannelMask::PROFILE`] channel.
-    pub const ALL: Self = Self(0x7f);
-    /// No channels (telemetry enabled but recording nothing).
-    pub const NONE: Self = Self(0);
-
-    /// Whether every channel in `other` is enabled in `self`.
-    pub const fn contains(self, other: Self) -> bool {
-        self.0 & other.0 == other.0
-    }
-
-    /// The union of two masks.
-    #[must_use]
-    pub const fn with(self, other: Self) -> Self {
-        Self(self.0 | other.0)
-    }
-}
-
-impl Default for ChannelMask {
-    fn default() -> Self {
-        Self::ALL
-    }
-}
 
 /// Configuration of the telemetry subsystem
 /// ([`crate::SimConfig::telemetry`]).
@@ -166,41 +41,36 @@ pub struct TelemetryConfig {
     /// `interval` cycles (the last sample may be shorter). Must be
     /// non-zero — [`crate::SimConfig::validate`] rejects 0.
     pub interval: u64,
-    /// Channels to record.
-    pub channels: ChannelMask,
+    /// Whether the per-hop profile records: one [`HopRecord`] per
+    /// (packet, router) traversal splitting the hop into route-compute,
+    /// VA-wait, switch traversal, SA-wait, and credit-wait cycles.
+    pub profile: bool,
     /// Maximum packet spans to record; spans past the cap are counted in
     /// [`TelemetryReport::dropped_spans`].
     pub span_limit: usize,
-    /// Maximum per-hop delay-attribution records to record
-    /// ([`ChannelMask::PROFILE`] only); hops past the cap are counted in
-    /// [`TelemetryReport::dropped_hops`].
+    /// Maximum hop records to record over the run (profile only); hops
+    /// past the cap are counted in [`TelemetryReport::dropped_hops`].
     pub hop_limit: usize,
 }
 
 impl TelemetryConfig {
-    /// All standard channels at the given sampling interval, with the
-    /// default span cap (65 536 spans ≈ 1.8 MB). The per-hop
-    /// [`ChannelMask::PROFILE`] channel stays off; see
-    /// [`TelemetryConfig::profiling`].
+    /// Every time series, span and event at the given sampling interval,
+    /// with the default span cap (65 536 spans ≈ 1.8 MB). The per-hop
+    /// profile stays off; see [`TelemetryConfig::profiling`].
     pub const fn every(interval: u64) -> Self {
         Self {
             interval,
-            channels: ChannelMask::ALL,
+            profile: false,
             span_limit: 1 << 16,
             hop_limit: 1 << 19,
         }
     }
 
-    /// All standard channels *plus* per-hop delay attribution
-    /// ([`ChannelMask::PROFILE`]) at the given sampling interval, with the
-    /// default span and hop caps (2^19 hops ≈ 20 MB worst case).
+    /// [`TelemetryConfig::every`] *plus* the per-hop profile at the given
+    /// sampling interval, with the default span and hop caps (2^19 hops
+    /// ≈ 20 MB worst case).
     pub const fn profiling(interval: u64) -> Self {
-        Self {
-            interval,
-            channels: ChannelMask::ALL.with(ChannelMask::PROFILE),
-            span_limit: 1 << 16,
-            hop_limit: 1 << 19,
-        }
+        Self { profile: true, ..Self::every(interval) }
     }
 }
 
@@ -231,10 +101,10 @@ pub fn latency_bucket_bounds(i: usize) -> (u64, u64) {
 
 /// One sampling interval's worth of counters.
 ///
-/// Vector fields are sized `routers * ports` (per output port, in fabric
-/// slot order then Local then RF — `ports` is the network's widest
-/// per-router port count, 6 on the mesh) or `routers`; they are empty
-/// when their channel is disabled.
+/// Vector fields are sized `routers * ports` (per output port, indexed
+/// `router * ports + port`, in fabric slot order then Local then RF —
+/// `ports` is the network's widest per-router port count, 6 on the mesh)
+/// or `routers`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IntervalSample {
     /// First cycle covered by this sample.
@@ -247,61 +117,48 @@ pub struct IntervalSample {
     pub ports: usize,
     /// Flit grants per output port (`router * ports + port`) — the
     /// time-series counterpart of [`crate::RunStats::port_flits`].
-    /// Channel: [`ChannelMask::LINKS`].
     pub port_grants: Vec<u64>,
     /// Flit grants onto RF shortcut ports (the point-to-point RF band).
-    /// Channel: [`ChannelMask::LINKS`].
     pub rf_grants: u64,
-    /// Flits transmitted on the RF broadcast (multicast) band. Channel:
-    /// [`ChannelMask::LINKS`].
+    /// Flits transmitted on the RF broadcast (multicast) band.
     pub rf_mc_flits: u64,
-    /// Per-router sum over the interval's cycles of buffered flit counts
-    /// (divide by `cycles` for the average). Channel:
-    /// [`ChannelMask::OCCUPANCY`].
+    /// Per-router sum over the interval's cycles of the flits buffered at
+    /// each cycle boundary (divide by `cycles` for the average).
     pub buffered_cycles: Vec<u64>,
-    /// Per-router peak buffered flit count within the interval. Channel:
-    /// [`ChannelMask::OCCUPANCY`].
+    /// Per-router peak buffered flit count within the interval.
     pub buffered_peak: Vec<u32>,
-    /// Messages injected (all traffic, warmup included). Channel:
-    /// [`ChannelMask::RATES`].
+    /// Messages injected (all traffic, warmup included).
     pub injected: u64,
-    /// Flits ejected at local ports. Channel: [`ChannelMask::RATES`].
+    /// Flits ejected at local ports.
     pub ejected_flits: u64,
-    /// Packets whose last flit ejected this interval. Channel:
-    /// [`ChannelMask::RATES`].
+    /// Packets whose last flit ejected this interval.
     pub completed_packets: u64,
     /// Measured messages still in flight at the end of the interval.
-    /// Channel: [`ChannelMask::RATES`].
     pub in_flight_end: u64,
     /// VC-allocation failures: per cycle, each head flit that found no
-    /// free output VC (a parked head counts). Channel:
-    /// [`ChannelMask::STALLS`].
+    /// free output VC (a parked head counts).
     pub va_stalls: u64,
     /// Switch-allocation losses (an eligible request not granted this
-    /// cycle). Channel: [`ChannelMask::STALLS`].
+    /// cycle).
     pub sa_stalls: u64,
-    /// Grants refused for lack of downstream credits. Channel:
-    /// [`ChannelMask::STALLS`].
+    /// Grants refused for lack of downstream credits.
     pub credit_stalls: u64,
     /// Histogram of packet completion latencies (creation → last flit
-    /// ejected), bucketed by [`latency_bucket`]. Channel:
-    /// [`ChannelMask::LATENCY`].
+    /// ejected), bucketed by [`latency_bucket`].
     pub latency_hist: [u64; LATENCY_BUCKETS],
 }
 
 impl IntervalSample {
-    fn zeroed(start: u64, routers: usize, ports: usize, channels: ChannelMask) -> Self {
-        let links = channels.contains(ChannelMask::LINKS);
-        let occ = channels.contains(ChannelMask::OCCUPANCY);
+    fn zeroed(start: u64, routers: usize, ports: usize) -> Self {
         Self {
             start,
             cycles: 0,
             ports,
-            port_grants: if links { vec![0; routers * ports] } else { Vec::new() },
+            port_grants: vec![0; routers * ports],
             rf_grants: 0,
             rf_mc_flits: 0,
-            buffered_cycles: if occ { vec![0; routers] } else { Vec::new() },
-            buffered_peak: if occ { vec![0; routers] } else { Vec::new() },
+            buffered_cycles: vec![0; routers],
+            buffered_peak: vec![0; routers],
             injected: 0,
             ejected_flits: 0,
             completed_packets: 0,
@@ -312,33 +169,10 @@ impl IntervalSample {
             latency_hist: [0; LATENCY_BUCKETS],
         }
     }
-
-    /// Mean buffered flits at router `r` over this interval (0.0 when the
-    /// occupancy channel is off or no cycles elapsed).
-    pub fn avg_buffered(&self, r: usize) -> f64 {
-        if self.cycles == 0 || self.buffered_cycles.is_empty() {
-            0.0
-        } else {
-            self.buffered_cycles[r] as f64 / self.cycles as f64
-        }
-    }
-
-    /// Utilization of one output port over this interval: grants divided
-    /// by `capacity × cycles` slot capacity (0.0 when the links channel is
-    /// off or no cycles elapsed).
-    pub fn port_utilization(&self, r: usize, port: usize, capacity: u32) -> f64 {
-        assert!(port < self.ports, "port index out of range");
-        if self.cycles == 0 || self.port_grants.is_empty() {
-            0.0
-        } else {
-            self.port_grants[r * self.ports + port] as f64
-                / (self.cycles as f64 * capacity.max(1) as f64)
-        }
-    }
 }
 
 /// The lifecycle of one network packet: inject → first switch grant →
-/// last flit ejected. The structured successor to walking the flit trace.
+/// last flit ejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketSpan {
     /// Packet table index.
@@ -386,7 +220,7 @@ pub const HOP_ROUTE_CYCLES: u64 = 2;
 pub const HOP_SWITCH_CYCLES: u64 = 1;
 
 /// One router traversal of a profiled packet's head flit, recorded by the
-/// [`ChannelMask::PROFILE`] channel: the raw pipeline timestamps from
+/// per-hop profile ([`TelemetryConfig::profile`]): the raw pipeline timestamps from
 /// which the RC / VA-stall / ST / SA-stall decomposition derives.
 ///
 /// Only unicast packets (including RF-multicast carrier packets) get hop
@@ -534,6 +368,24 @@ pub enum TimelineEventKind {
     WatchdogFired,
 }
 
+/// A short stable label, used in the telemetry, profile and Perfetto
+/// artifacts and in timeline tables.
+impl std::fmt::Display for TimelineEventKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Fault(e) => write!(f, "fault: {e:?}"),
+            Self::RetuneApplied { installed } => {
+                write!(f, "retune_applied({installed} shortcuts)")
+            }
+            Self::TablesRewritten => f.write_str("tables_rewritten"),
+            Self::WatchdogFired => f.write_str("watchdog_fired"),
+            Self::RecoveryConverged { fault_cycle, after } => {
+                write!(f, "recovery_converged(fault@{fault_cycle} after {after})")
+            }
+        }
+    }
+}
+
 /// One timeline event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimelineEvent {
@@ -549,8 +401,8 @@ pub struct TimelineEvent {
 pub struct TelemetryReport {
     /// Sampling interval in cycles.
     pub interval: u64,
-    /// Channels that were recorded.
-    pub channels: ChannelMask,
+    /// Whether the per-hop profile recorded ([`TelemetryConfig::profile`]).
+    pub profile: bool,
     /// Routers in the network (sizes the per-router vectors).
     pub routers: usize,
     /// Stride of the per-port vectors: the network's widest per-router
@@ -568,7 +420,7 @@ pub struct TelemetryReport {
     pub events: Vec<TimelineEvent>,
     /// Per-hop delay-attribution records, sorted by `(packet,
     /// arrived_at)` so each packet's chain is contiguous and in traversal
-    /// order. Empty unless [`ChannelMask::PROFILE`] was on.
+    /// order. Empty unless the profile was on.
     pub hops: Vec<HopRecord>,
     /// Hop records not recorded because [`TelemetryConfig::hop_limit`]
     /// was reached.
@@ -585,12 +437,9 @@ impl TelemetryReport {
 
     /// Total flit grants per output port (`router * ports + port`) summed
     /// over every sample — equals `RunStats::port_flits` plus warmup/drain
-    /// traffic. Empty when the links channel was off.
+    /// traffic.
     pub fn total_port_grants(&self) -> Vec<u64> {
-        let Some(first) = self.samples.iter().find(|s| !s.port_grants.is_empty()) else {
-            return Vec::new();
-        };
-        let mut total = vec![0u64; first.port_grants.len()];
+        let mut total = vec![0u64; self.routers * self.ports];
         for s in &self.samples {
             for (t, g) in total.iter_mut().zip(&s.port_grants) {
                 *t += g;
@@ -611,7 +460,7 @@ impl TelemetryReport {
     /// Whole-run completion-latency histogram: the per-interval
     /// [`IntervalSample::latency_hist`] summed over every sample. Bucket
     /// `i` spans [`latency_bucket_bounds`]`(i)`; bucket counts sum to the
-    /// total completed-packet count when the latency channel was on.
+    /// total completed-packet count.
     pub fn total_latency_histogram(&self) -> [u64; LATENCY_BUCKETS] {
         let mut hist = [0u64; LATENCY_BUCKETS];
         for s in &self.samples {
@@ -632,7 +481,7 @@ impl TelemetryReport {
     }
 
     /// The hop chain of `packet` in traversal order (empty unless the
-    /// profile channel recorded it).
+    /// profile recorded it).
     pub fn hops_of(&self, packet: u32) -> &[HopRecord] {
         let lo = self.hops.partition_point(|h| h.packet < packet);
         let hi = self.hops.partition_point(|h| h.packet <= packet);
@@ -647,7 +496,7 @@ impl TelemetryReport {
     /// (no double counting). A packet that waited on a busy RF port and
     /// then adaptively detoured to the mesh blames the mesh port it took;
     /// the approximation is documented in DESIGN.md. Empty unless the
-    /// profile channel was on.
+    /// profile was on.
     pub fn contention_blame(&self) -> Vec<u64> {
         if self.hops.is_empty() {
             return Vec::new();
@@ -661,8 +510,8 @@ impl TelemetryReport {
     }
 
     /// The delay attribution of one profiled packet, or `None` when the
-    /// packet has no complete span + hop chain (profile channel off, span
-    /// or hop cap hit, still in flight, or a tree-multicast packet).
+    /// packet has no complete span + hop chain (profile off, span or hop
+    /// cap hit, still in flight, or a tree-multicast packet).
     ///
     /// The returned components partition the packet's end-to-end latency
     /// exactly — see [`DelayBreakdown`].
@@ -721,10 +570,6 @@ pub(super) struct TelemetryState {
     cur: IntervalSample,
     /// Flushed samples.
     samples: Vec<IntervalSample>,
-    /// Per-router live buffered-flit count, maintained incrementally at
-    /// the two buffer mutation sites instead of walking every VC per
-    /// cycle.
-    buffered: Vec<u32>,
     /// Span index per packet id (`u32::MAX` = none), grown on demand so it
     /// stays parallel with the packet table across runs.
     span_of: Vec<u32>,
@@ -732,7 +577,7 @@ pub(super) struct TelemetryState {
     dropped_spans: u64,
     events: Vec<TimelineEvent>,
     /// The in-progress hop of each span's packet (parallel to `spans`,
-    /// profile channel only): timestamps accumulate here between the
+    /// profile only): timestamps accumulate here between the
     /// head's arrival and its switch grant, then flush into `hops`.
     open_hops: Vec<OpenHop>,
     hops: Vec<HopRecord>,
@@ -762,15 +607,13 @@ const NO_HOP: OpenHop = OpenHop {
 
 impl TelemetryState {
     pub(super) fn new(cfg: TelemetryConfig, routers: usize, ports: usize) -> Self {
-        let occ = cfg.channels.contains(ChannelMask::OCCUPANCY);
         Self {
             cfg,
             routers,
             ports,
             interval_start: 0,
-            cur: IntervalSample::zeroed(0, routers, ports, cfg.channels),
+            cur: IntervalSample::zeroed(0, routers, ports),
             samples: Vec::new(),
-            buffered: if occ { vec![0; routers] } else { Vec::new() },
             span_of: Vec::new(),
             spans: Vec::new(),
             dropped_spans: 0,
@@ -781,20 +624,13 @@ impl TelemetryState {
         }
     }
 
-    fn on(&self, channel: ChannelMask) -> bool {
-        self.cfg.channels.contains(channel)
-    }
-
-    /// Whether per-hop attribution is recording (needs both the profile
-    /// channel and the span slots it rides on).
+    /// Whether the per-hop profile is recording.
     pub(super) fn profiling(&self) -> bool {
-        self.cfg
-            .channels
-            .contains(ChannelMask::PROFILE.with(ChannelMask::SPANS))
+        self.cfg.profile
     }
 
-    /// The open-hop scratch slot of `packet`, when the profile channel is
-    /// on and the packet holds a span slot.
+    /// The open-hop scratch slot of `packet`, when the profile is on and
+    /// the packet holds a span slot.
     fn open_hop(&mut self, packet: u32) -> Option<&mut OpenHop> {
         if !self.profiling() {
             return None;
@@ -812,7 +648,7 @@ impl TelemetryState {
         self.cur.cycles = covered;
         self.cur.in_flight_end = in_flight;
         let next_start = self.interval_start + covered;
-        let next = IntervalSample::zeroed(next_start, self.routers, self.ports, self.cfg.channels);
+        let next = IntervalSample::zeroed(next_start, self.routers, self.ports);
         self.samples.push(std::mem::replace(&mut self.cur, next));
         self.interval_start = next_start;
     }
@@ -836,8 +672,6 @@ impl TelemetryState {
             Op::PacketCreated { packet, src, dest, created, measured } => {
                 self.on_packet_created(packet, src, dest, created, measured);
             }
-            Op::BufferPush(r) => self.on_buffer_push(r as usize),
-            Op::BufferPop(r) => self.on_buffer_pop(r as usize),
             Op::HopArrived { packet, r, port, at } => {
                 self.on_hop_arrived(packet, r as usize, port as usize, at);
             }
@@ -870,9 +704,6 @@ impl TelemetryState {
         injected_at: u64,
         measured: bool,
     ) {
-        if !self.on(ChannelMask::SPANS) {
-            return;
-        }
         if self.span_of.len() <= packet as usize {
             self.span_of.resize(packet as usize + 1, NO_SPAN);
         }
@@ -897,17 +728,15 @@ impl TelemetryState {
         });
     }
 
-    /// Records a switch grant: the links channel and span first-grant/RF
-    /// marks. `first` is true for the head flit's first grant anywhere;
-    /// `is_rf` when `out` is the granting router's RF slot.
+    /// Records a switch grant: the port's grant count and the span's
+    /// first-grant/RF marks. `first` is true for the head flit's first
+    /// grant anywhere; `is_rf` when `out` is the granting router's RF slot.
     fn on_grant(&mut self, r: usize, out: usize, is_rf: bool, packet: u32, first: bool, now: u64) {
-        if self.on(ChannelMask::LINKS) {
-            self.cur.port_grants[r * self.ports + out] += 1;
-            if is_rf {
-                self.cur.rf_grants += 1;
-            }
+        self.cur.port_grants[r * self.ports + out] += 1;
+        if is_rf {
+            self.cur.rf_grants += 1;
         }
-        if (first || is_rf) && self.on(ChannelMask::SPANS) {
+        if first || is_rf {
             if let Some(span) = self.span_slot(packet) {
                 if first {
                     span.first_grant_at = now;
@@ -921,78 +750,45 @@ impl TelemetryState {
 
     /// Records one flit transmitted on the RF broadcast band.
     pub(super) fn on_rf_mc_flit(&mut self) {
-        if self.on(ChannelMask::LINKS) {
-            self.cur.rf_mc_flits += 1;
-        }
+        self.cur.rf_mc_flits += 1;
     }
 
     /// Records a grant refused for lack of downstream credits.
     fn on_credit_stall(&mut self) {
-        if self.on(ChannelMask::STALLS) {
-            self.cur.credit_stalls += 1;
-        }
+        self.cur.credit_stalls += 1;
     }
 
     /// Records `count` head flits that failed VC allocation this cycle
     /// (a parked head counts: it would have failed).
     fn on_va_stalls(&mut self, count: u64) {
-        if self.on(ChannelMask::STALLS) {
-            self.cur.va_stalls += count;
-        }
+        self.cur.va_stalls += count;
     }
 
     /// Records `count` switch-allocation requests that lost arbitration
     /// this cycle.
     fn on_sa_stalls(&mut self, count: u64) {
-        if self.on(ChannelMask::STALLS) {
-            self.cur.sa_stalls += count;
-        }
-    }
-
-    /// Records a flit entering router `r`'s input buffers.
-    fn on_buffer_push(&mut self, r: usize) {
-        if let Some(b) = self.buffered.get_mut(r) {
-            *b += 1;
-        }
-    }
-
-    /// Records a flit retired from router `r`'s input buffers.
-    fn on_buffer_pop(&mut self, r: usize) {
-        if let Some(b) = self.buffered.get_mut(r) {
-            debug_assert!(*b > 0, "buffered-flit underflow at router {r}");
-            *b = b.saturating_sub(1);
-        }
+        self.cur.sa_stalls += count;
     }
 
     /// Records one injected message.
     pub(super) fn on_injected(&mut self) {
-        if self.on(ChannelMask::RATES) {
-            self.cur.injected += 1;
-        }
+        self.cur.injected += 1;
     }
 
     /// Records one flit ejected at a local port.
     fn on_ejected_flit(&mut self) {
-        if self.on(ChannelMask::RATES) {
-            self.cur.ejected_flits += 1;
-        }
+        self.cur.ejected_flits += 1;
     }
 
-    /// Records a packet whose last flit just ejected: the rates and
-    /// latency channels, and the span's eject stamp. `created` and
-    /// `head_grants` are the packet's values at ejection.
+    /// Records a packet whose last flit just ejected: the completion
+    /// count, the latency histogram, and the span's eject stamp. `created`
+    /// and `head_grants` are the packet's values at ejection.
     fn on_packet_done(&mut self, packet: u32, created: u64, head_grants: u32, at: u64) {
-        if self.on(ChannelMask::RATES) {
-            self.cur.completed_packets += 1;
-        }
-        if self.on(ChannelMask::LATENCY) {
-            self.cur.latency_hist[latency_bucket(at.saturating_sub(created))] += 1;
-        }
-        if self.on(ChannelMask::SPANS) {
-            if let Some(span) = self.span_slot(packet) {
-                span.ejected_at = at;
-                span.hops = head_grants.saturating_sub(1);
-            }
+        self.cur.completed_packets += 1;
+        self.cur.latency_hist[latency_bucket(at.saturating_sub(created))] += 1;
+        if let Some(span) = self.span_slot(packet) {
+            span.ejected_at = at;
+            span.hops = head_grants.saturating_sub(1);
         }
     }
 
@@ -1056,39 +852,32 @@ impl TelemetryState {
 
     /// Appends a timeline event at `cycle`.
     pub(super) fn on_event(&mut self, cycle: u64, kind: TimelineEventKind) {
-        if self.on(ChannelMask::EVENTS) {
-            self.events.push(TimelineEvent { cycle, kind });
-        }
+        self.events.push(TimelineEvent { cycle, kind });
     }
 }
 
 impl Network {
-    /// The recorded flit trace so far (empty unless
-    /// [`crate::SimConfig::flit_trace`] enables tracing).
-    pub fn flit_trace(&self) -> &[FlitEvent] {
-        &self.flit_trace
-    }
-
-    /// Flit-trace events dropped because [`FlitTraceConfig::limit`] was
-    /// reached — non-zero means the trace is a truncated prefix.
-    pub fn flit_trace_dropped(&self) -> u64 {
-        self.flit_trace_dropped
-    }
-
     /// Per-cycle telemetry work, called once at the end of every
-    /// [`Network::step`]: accumulates the occupancy channel and flushes
-    /// the interval at its boundary. No-op when telemetry is disabled.
+    /// [`Network::step`]: adds each router's buffered flits to the
+    /// occupancy series and flushes the interval at its boundary. No-op
+    /// when telemetry is disabled.
+    ///
+    /// Input buffers change only inside the sweep (`deliver_arrivals`
+    /// and the retire in `try_grant`), so at this cycle boundary the
+    /// routers hold the cycle's final count.
     #[inline]
     pub(super) fn step_telemetry(&mut self) {
         let cycle = self.cycle;
         let in_flight = self.measured_outstanding;
         let Some(t) = self.telemetry.as_deref_mut() else { return };
-        if !t.buffered.is_empty() {
-            for (r, &b) in t.buffered.iter().enumerate() {
-                t.cur.buffered_cycles[r] += b as u64;
-                if b > t.cur.buffered_peak[r] {
-                    t.cur.buffered_peak[r] = b;
-                }
+        for (r, router) in self.routers.iter().enumerate() {
+            if router.occupied_ports() == 0 {
+                continue;
+            }
+            let b = router.buffered_flits();
+            t.cur.buffered_cycles[r] += u64::from(b);
+            if b > t.cur.buffered_peak[r] {
+                t.cur.buffered_peak[r] = b;
             }
         }
         let covered = cycle - t.interval_start;
@@ -1113,7 +902,7 @@ impl Network {
         t.hops.sort_unstable_by_key(|h| (h.packet, h.arrived_at));
         let report = TelemetryReport {
             interval: t.cfg.interval,
-            channels: t.cfg.channels,
+            profile: t.cfg.profile,
             routers: t.routers,
             ports: t.ports,
             samples: std::mem::take(&mut t.samples),
@@ -1189,23 +978,5 @@ mod tests {
                 assert_eq!(latency_bucket(hi - 1), i);
             }
         }
-    }
-
-    #[test]
-    fn channel_mask_algebra() {
-        assert!(ChannelMask::ALL.contains(ChannelMask::LINKS));
-        assert!(ChannelMask::ALL.contains(ChannelMask::SPANS));
-        assert!(!ChannelMask::LINKS.contains(ChannelMask::SPANS));
-        let m = ChannelMask::LINKS.with(ChannelMask::STALLS);
-        assert!(m.contains(ChannelMask::LINKS) && m.contains(ChannelMask::STALLS));
-        assert!(!m.contains(ChannelMask::OCCUPANCY));
-        assert!(!ChannelMask::NONE.contains(ChannelMask::LINKS));
-    }
-
-    #[test]
-    fn flit_trace_config_defaults_off() {
-        assert!(!FlitTraceConfig::default().is_enabled());
-        assert!(FlitTraceConfig::capped(7).is_enabled());
-        assert_eq!(FlitTraceConfig::disabled(), FlitTraceConfig::default());
     }
 }

@@ -690,6 +690,17 @@ impl Router {
         bits(self.occupied_ports()).map(|p| u64::from(self.in_ports[p].parked.count_ones())).sum()
     }
 
+    /// Flits buffered over every input port.
+    pub fn buffered_flits(&self) -> u32 {
+        let mut flits = 0;
+        for p in bits(self.occupied_ports()) {
+            for &vc in self.occupied(p) {
+                flits += u32::from(self.vc(p, vc as usize).len);
+            }
+        }
+        flits
+    }
+
     /// VCs of input `port` that hold an output allocation.
     #[inline]
     pub fn sa_mask(&self, port: usize) -> u32 {

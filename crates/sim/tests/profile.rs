@@ -4,7 +4,7 @@
 //! contention-blame accounting, and inertness of the profile hooks.
 
 use rfnoc_sim::{
-    ChannelMask, DestSet, HopRecord, McConfig, MessageClass, MessageSpec, MulticastMode,
+    DestSet, HopRecord, McConfig, MessageClass, MessageSpec, MulticastMode,
     Network, NetworkSpec, RunStats, ScriptedWorkload, SimConfig, TelemetryConfig,
     HOP_ROUTE_CYCLES, HOP_SWITCH_CYCLES,
 };
@@ -201,7 +201,7 @@ fn contention_blame_conserves_stall_cycles() {
     assert!(blame[14 * 6 + PORT_LOCAL as usize] > 0);
 }
 
-/// The profile channel observes without disturbing: aggregate results are
+/// The profile observes without disturbing: aggregate results are
 /// bit-identical with profiling on, off, and with telemetry absent.
 #[test]
 fn profiling_is_inert() {
@@ -221,13 +221,13 @@ fn profiling_is_inert() {
         assert_eq!(r.port_flits, runs[0].port_flits);
         assert_eq!(r.end_cycle, runs[0].end_cycle);
     }
-    // The ALL-channel run records no hops; the profiling run does.
+    // The standard run records no hops; the profiling run does.
     let plain = runs[1].telemetry.as_ref().unwrap();
     assert!(plain.hops.is_empty());
-    assert!(!plain.channels.contains(ChannelMask::PROFILE));
+    assert!(!plain.profile);
     let profiled = runs[2].telemetry.as_ref().unwrap();
     assert!(!profiled.hops.is_empty());
-    assert!(profiled.channels.contains(ChannelMask::PROFILE));
+    assert!(profiled.profile);
 }
 
 /// The hop cap truncates visibly, never silently.

@@ -133,12 +133,6 @@ impl GridGraph {
         self.shortcuts.push(s);
     }
 
-    /// Whether the directed edge `(src, dst)` is a mesh edge (adjacent in the
-    /// grid).
-    pub fn is_mesh_edge(&self, src: NodeId, dst: NodeId) -> bool {
-        self.dims().manhattan(src, dst) == 1
-    }
-
     /// Computes all-pairs shortest-path distances (unit edge weights): in
     /// closed form on a base fabric without shortcuts, by BFS from every
     /// node once a shortcut is added.
