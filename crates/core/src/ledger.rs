@@ -109,8 +109,10 @@ pub struct ShardTotals {
     pub barrier_ms: f64,
     /// Total operations the main thread replayed for this shard after
     /// the barriers: flits and credits that crossed a shard boundary,
-    /// completions, multicast enqueues and buffered observer ops (link
-    /// traffic inside the shard is applied by the shard and not counted).
+    /// completions, multicast enqueues and the telemetry operations whose
+    /// order matters. Link traffic inside the shard is applied by the
+    /// shard, and summed counters are added without an operation; neither
+    /// is counted.
     pub replay_ops: f64,
 }
 

@@ -168,9 +168,9 @@ impl Network {
         } else {
             (None, Some(&self.packets))
         };
-        let tel_on = self.telemetry.is_some();
         let hop_on = self.telemetry.as_deref().is_some_and(telemetry::TelemetryState::profiling);
         let max_ports = self.max_ports;
+        let mut pgrants = self.telemetry.as_deref_mut().map(|t| &mut t.cur.port_grants[..]);
         let mut routers = &mut self.routers[..];
         let mut stamps = &mut self.active_stamp[..];
         let mut rbytes = &mut self.stats.activity.router_bytes[..];
@@ -195,7 +195,9 @@ impl Network {
                     Some(p) => PacketAccess::Owned(p),
                     None => PacketAccess::Shared(shared_packets.expect("shared packet table")),
                 },
-                tel_on,
+                port_grants: pgrants
+                    .as_mut()
+                    .map(|g| g.split_off_mut(..len * max_ports).expect(TILED)),
                 hop_on,
                 buf,
             }
@@ -214,7 +216,7 @@ impl Network {
             // The task vector below is the one allocation a sharded cycle
             // still makes: the views borrow `self` for this call only, so
             // they cannot be kept across cycles until the shard team of
-            // ROADMAP item 1 (workers scoped to `Network::run`, tasks
+            // ROADMAP item 3 (workers scoped to `Network::run`, tasks
             // built once per run) replaces the pool.
             let tasks: Vec<std::sync::Mutex<Option<Sweep<'_>>>> =
                 views.map(|view| std::sync::Mutex::new(Some(view))).collect();
@@ -243,20 +245,20 @@ impl Network {
     }
 
     /// Replays every shard buffer in shard order — ascending router order,
-    /// the one-shard visit order — so telemetry records, statistics, and
-    /// message completions land in the same sequence at any shard count.
+    /// the one-shard visit order — so telemetry records and message
+    /// completions land in the same sequence at any shard count; the
+    /// counters are sums, added in any order.
     fn replay_shards(&mut self) {
         let now = self.cycle;
         for si in 0..self.shard_bufs.len() {
-            if let Some(t) = self.telemetry.as_deref_mut() {
-                for op in self.shard_bufs[si].tel_ops.drain(..) {
-                    t.apply_op(now, op);
-                }
-            } else {
-                self.shard_bufs[si].tel_ops.clear();
-            }
             {
                 let b = &mut self.shard_bufs[si];
+                if let Some(t) = self.telemetry.as_deref_mut() {
+                    std::mem::take(&mut b.tel_counts).add_to(&mut t.cur);
+                    for op in b.tel_ops.drain(..) {
+                        t.apply_op(now, op);
+                    }
+                }
                 self.stats.ejected_flits += std::mem::take(&mut b.ejected_flits);
                 self.stats.flit_latency_sum += std::mem::take(&mut b.flit_latency_sum);
                 self.stats.hops_sum += std::mem::take(&mut b.hops_sum);
@@ -683,11 +685,11 @@ impl Sweep<'_> {
                     }
                 }
             }
-            if self.tel_on {
+            if self.tel_on() {
                 // Requests left ungranted this cycle lost switch
                 // arbitration (to competition, capacity, or credits).
                 let granted = (capacity - budget) as u64;
-                self.tel(sweep::TelOp::SaStalls((reqs_len as u64).saturating_sub(granted)));
+                self.buf.tel_counts.sa_stalls += (reqs_len as u64).saturating_sub(granted);
             }
         }
     }
@@ -731,8 +733,8 @@ impl Sweep<'_> {
         let wire_hops = op.is_wire().then(|| op.shortcut_hops());
         // Credit check for non-ejection ports.
         if target.is_some() && op.credits(out_vc) == 0 {
-            if self.tel_on {
-                self.tel(sweep::TelOp::CreditStall);
+            if self.tel_on() {
+                self.buf.tel_counts.credit_stalls += 1;
             }
             // Body-flit credit stalls surface in tail serialization; only
             // the head's count toward the hop's credit-wait.
@@ -762,14 +764,12 @@ impl Sweep<'_> {
             width_bytes
         };
 
-        if self.tel_on {
-            self.tel(sweep::TelOp::Grant {
-                r: r as u32,
-                out: out as u8,
-                is_rf,
-                packet: sent_packet,
-                first: first_grant,
-            });
+        if let Some(grants) = self.port_grants.as_deref_mut() {
+            grants[rl * self.sh.max_ports + out] += 1;
+            self.buf.tel_counts.rf_grants += u64::from(is_rf);
+            if first_grant || is_rf {
+                self.tel(sweep::TelOp::Grant { packet: sent_packet, first: first_grant, is_rf });
+            }
         }
         if self.hop_on && !is_mc && flit.is_head() {
             self.tel(sweep::TelOp::HopGranted { packet: sent_packet, r: r as u32, out: out as u8 });

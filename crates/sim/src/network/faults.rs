@@ -59,40 +59,40 @@ impl RecoveryState {
         }
     }
 
-    fn on_fault(&mut self, event: FaultEvent, cycle: u64) {
-        self.open.push(OpenRecovery {
-            record: RecoveryRecord {
-                event,
-                fault_cycle: cycle,
-                drain_cycles: None,
-                rewrite_cycles: None,
-                convergence_cycles: None,
-            },
-            baseline: self.windowed_mean(),
-            awaiting_drain: event.rf_only(),
-            awaiting_rewrite: false,
-            retune_cycle: 0,
-            completions_after: 0,
-        });
-    }
-
-    fn on_retune_applied(&mut self, cycle: u64) {
-        for o in &mut self.open {
-            if o.awaiting_drain {
-                o.record.drain_cycles = Some(cycle - o.record.fault_cycle);
-                o.awaiting_drain = false;
-                o.awaiting_rewrite = true;
-                o.retune_cycle = cycle;
+    /// Takes one timeline event (see [`Network::tel_event`]): a fault
+    /// opens a record, a retune ends the drain of every record waiting
+    /// for one, and a table rewrite ends the rewrite stall.
+    pub(super) fn on_event(&mut self, cycle: u64, kind: TimelineEventKind) {
+        match kind {
+            TimelineEventKind::Fault(event) => self.open.push(OpenRecovery {
+                record: RecoveryRecord {
+                    event,
+                    fault_cycle: cycle,
+                    drain_cycles: None,
+                    rewrite_cycles: None,
+                    convergence_cycles: None,
+                },
+                baseline: self.windowed_mean(),
+                awaiting_drain: event.rf_only(),
+                awaiting_rewrite: false,
+                retune_cycle: 0,
+                completions_after: 0,
+            }),
+            TimelineEventKind::RetuneApplied { .. } => {
+                for o in self.open.iter_mut().filter(|o| o.awaiting_drain) {
+                    o.record.drain_cycles = Some(cycle - o.record.fault_cycle);
+                    o.awaiting_drain = false;
+                    o.awaiting_rewrite = true;
+                    o.retune_cycle = cycle;
+                }
             }
-        }
-    }
-
-    fn on_tables_rewritten(&mut self, cycle: u64) {
-        for o in &mut self.open {
-            if o.awaiting_rewrite {
-                o.record.rewrite_cycles = Some(cycle - o.retune_cycle);
-                o.awaiting_rewrite = false;
+            TimelineEventKind::TablesRewritten => {
+                for o in self.open.iter_mut().filter(|o| o.awaiting_rewrite) {
+                    o.record.rewrite_cycles = Some(cycle - o.retune_cycle);
+                    o.awaiting_rewrite = false;
+                }
             }
+            TimelineEventKind::RecoveryConverged { .. } | TimelineEventKind::WatchdogFired => {}
         }
     }
 
@@ -148,22 +148,6 @@ impl RecoveryState {
 }
 
 impl Network {
-
-    /// Recovery hook: a retune was applied (drain phase over).
-    pub(super) fn recovery_note_retune_applied(&mut self) {
-        let cycle = self.cycle;
-        if let Some(r) = self.recovery.as_deref_mut() {
-            r.on_retune_applied(cycle);
-        }
-    }
-
-    /// Recovery hook: the routing-table rewrite completed.
-    pub(super) fn recovery_note_tables_rewritten(&mut self) {
-        let cycle = self.cycle;
-        if let Some(r) = self.recovery.as_deref_mut() {
-            r.on_tables_rewritten(cycle);
-        }
-    }
 
     /// Recovery hook: one measured message completed at `at` with the
     /// given latency. Emits a timeline event per newly-converged fault.
@@ -231,10 +215,6 @@ impl Network {
         // against missing a wakeup.
         self.mark_all_active();
         self.tel_event(telemetry::TimelineEventKind::Fault(event));
-        let cycle = self.cycle;
-        if let Some(r) = self.recovery.as_deref_mut() {
-            r.on_fault(event, cycle);
-        }
         match event {
             FaultEvent::ShortcutDown { src } => self.fail_shortcut(src),
             FaultEvent::BandDown => {

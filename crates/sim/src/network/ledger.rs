@@ -97,10 +97,10 @@ pub enum LedgerRecord {
         /// Operations this shard left for the main thread to replay after
         /// the barrier: flit deliveries and credit returns addressed to
         /// another shard's routers, completions, multicast enqueues and
-        /// buffered observer ops. Link traffic inside the shard is applied
-        /// by the shard itself and is not counted, so with the observers
-        /// off this is the shard's boundary traffic plus one entry per
-        /// completed message.
+        /// the order-dependent telemetry operations. Link traffic inside
+        /// the shard and summed counters are not counted, so with the
+        /// observers off this is the shard's boundary traffic plus one
+        /// entry per completed message.
         replay_ops: u64,
     },
     /// A timeline event ([`TimelineEventKind`]) mirrored onto the ledger

@@ -86,7 +86,6 @@ impl Network {
         self.tel_event(telemetry::TimelineEventKind::RetuneApplied {
             installed: self.active_shortcuts.len(),
         });
-        self.recovery_note_retune_applied();
         // Retuning rewrites the routing tables and reopens the RF ports;
         // wake everyone so any packet whose route just changed is
         // revisited promptly, and unpark every head.
@@ -136,7 +135,6 @@ impl Network {
                 if self.cycle >= until {
                     self.reconfigurations += 1;
                     self.tel_event(telemetry::TimelineEventKind::TablesRewritten);
-                    self.recovery_note_tables_rewritten();
                     // A fault that struck mid-rewrite queued a fresh target;
                     // start draining toward it now.
                     if let Some(target) = self.pending_target.take() {

@@ -8,15 +8,16 @@
 //! per-router pipeline (arrival delivery, injection, VC allocation, switch
 //! allocation) using only state it owns:
 //!
-//! * its slice of the router array, the active-stamp list, and the
+//! * its slice of the router array, the active-stamp list, the
 //!   per-router statistics vectors (`router_bytes`, `port_flits`,
-//!   `per_dest`);
+//!   `per_dest`) and, with telemetry on, the open interval sample's
+//!   `port_grants`;
 //! * a private [`ShardBuf`] collecting what leaves the shard or touches
 //!   global state: flit deliveries and credit returns addressed to
 //!   *another* shard's routers, multicast enqueues, message completions,
-//!   telemetry operations, and scalar statistics deltas —
-//!   plus the shard-local credit list and the fixed-capacity
-//!   switch-allocation request scratch ([`SaRequests`]).
+//!   order-dependent telemetry operations, and scalar statistics and
+//!   telemetry counter deltas — plus the shard-local credit list and the
+//!   fixed-capacity switch-allocation request scratch ([`SaRequests`]).
 //!
 //! A shard is the only writer of its routers during the sweep, so a link
 //! event (a granted flit, or the credit its departure frees) has one of
@@ -58,10 +59,14 @@
 //! the serial phases, `debug_validate` and the observers read — is
 //! therefore the same whatever the shard count, and the same as if every
 //! event had gone through one ordered outbox. The observer side effects
-//! (completions, telemetry records, statistics deltas) are
-//! buffered by every shard and replayed in shard order — ascending-router
-//! order, the visit order of the one-shard engine — so they land in the
-//! bit-identical sequence at any shard count. The serial engine is the
+//! are of two kinds. Plain counts — the statistics deltas and the
+//! telemetry counters ([`TelCounts`]) — are summed at replay, where order
+//! cannot matter. Completions and the telemetry operations whose effect
+//! depends on their order ([`TelOp`]: span slots and hop records are
+//! handed out under caps) are buffered by every shard and replayed in
+//! shard order — ascending-router order, the visit order of the one-shard
+//! engine — so they land in the bit-identical sequence at any shard
+//! count. The serial engine is the
 //! one-shard case of this same code path: every link event is in place or
 //! shard-local, its one view runs inline on the calling thread, and its
 //! observer side effects take the same buffer and replay as a shard's.
@@ -187,24 +192,23 @@ impl PacketAccess<'_> {
     }
 }
 
-/// One telemetry hook invocation, captured during the sweep and replayed
-/// in shard order. Packet-derived values (source, destination, creation
+/// One telemetry event whose order matters, captured during the sweep and
+/// replayed in shard order: span slots are handed out in creation order
+/// under the span cap, and hop records are flushed in grant order under
+/// the hop cap. Packet-derived values (source, destination, creation
 /// cycle, head grants) are captured at emission so replay needs no
-/// packet-table access.
+/// packet-table access. Plain counts go to [`TelCounts`] instead.
 #[derive(Debug, Clone, Copy)]
 pub(super) enum TelOp {
     /// A packet was created (see [`TelOp::packet_created`]).
     PacketCreated { packet: u32, src: u32, dest: u32, created: u64, measured: bool },
     HopArrived { packet: u32, r: u32, port: u8, at: u64 },
-    /// Heads of one router visit that failed VC allocation or sat parked.
-    VaStalls(u64),
     HopVa { packet: u32 },
-    CreditStall,
     HopCredit { packet: u32 },
-    SaStalls(u64),
-    Grant { r: u32, out: u8, is_rf: bool, packet: u32, first: bool },
+    /// A span mark: the head flit's first grant, or a grant onto an RF
+    /// port.
+    Grant { packet: u32, first: bool, is_rf: bool },
     HopGranted { packet: u32, r: u32, out: u8 },
-    EjectedFlit,
     PacketDone { packet: u32, created: u64, head_grants: u32, at: u64 },
 }
 
@@ -218,6 +222,28 @@ impl TelOp {
         };
         let (src, created, measured) = (p.src, p.created, p.measured);
         TelOp::PacketCreated { packet: id, src, dest, created, measured }
+    }
+}
+
+/// The telemetry counters of one shard's sweep, summed into the open
+/// [`IntervalSample`] at replay (see the sample for what each counts).
+#[derive(Debug, Default, Clone, Copy)]
+pub(super) struct TelCounts {
+    pub rf_grants: u64,
+    pub va_stalls: u64,
+    pub sa_stalls: u64,
+    pub credit_stalls: u64,
+    pub ejected_flits: u64,
+}
+
+impl TelCounts {
+    /// Adds the counts into `sample`.
+    pub fn add_to(self, sample: &mut IntervalSample) {
+        sample.rf_grants += self.rf_grants;
+        sample.va_stalls += self.va_stalls;
+        sample.sa_stalls += self.sa_stalls;
+        sample.credit_stalls += self.credit_stalls;
+        sample.ejected_flits += self.ejected_flits;
     }
 }
 
@@ -300,8 +326,11 @@ impl SaRequests {
 /// Per-shard outbox: everything a shard produces that crosses shard
 /// boundaries or mutates global state, plus its shard-local credit list.
 /// Persistent across cycles, so filling it allocates nothing in the steady
-/// state; replayed and cleared at each cycle boundary.
+/// state; replayed and cleared at each cycle boundary. Each buffer is
+/// written by its own worker during the sweep, so it is aligned to two
+/// cache lines: neighbouring buffers share no line, whatever their layout.
 #[derive(Debug, Default)]
+#[repr(align(128))]
 pub(super) struct ShardBuf {
     /// Flit handoffs to routers of *other* shards, applied by the main
     /// thread after the barrier (a handoff inside the shard is pushed onto
@@ -318,8 +347,10 @@ pub(super) struct ShardBuf {
     pub mc_enqueues: Vec<(usize, u32)>,
     /// Completions to replay (see [`Completion`]).
     pub completions: Vec<Completion>,
-    /// Buffered telemetry operations.
+    /// Buffered order-dependent telemetry operations.
     pub tel_ops: Vec<TelOp>,
+    /// Telemetry counters, added to the open interval sample at replay.
+    pub tel_counts: TelCounts,
     /// Switch-allocation request scratch (reused by every router visit).
     pub sa_requests: SaRequests,
     /// Scalar statistics deltas, added to `RunStats` at replay.
@@ -358,9 +389,10 @@ pub(super) struct Sweep<'a> {
     /// This shard's slice of `RunStats::per_dest`.
     pub per_dest: &'a mut [u32],
     pub packets: PacketAccess<'a>,
-    /// Whether the telemetry hooks fire (their operations go to
-    /// `buf.tel_ops`).
-    pub tel_on: bool,
+    /// This shard's slice of the open telemetry sample's `port_grants`
+    /// (stride `max_ports`); `Some` exactly when telemetry is on, so it
+    /// also gates the telemetry hooks.
+    pub port_grants: Option<&'a mut [u64]>,
     /// Whether the per-hop profile records: the `Hop*` operations are
     /// emitted only then, as nothing else reads them.
     pub hop_on: bool,
@@ -390,12 +422,9 @@ impl Sweep<'_> {
             if self.routers[rl].va_ports() != 0 {
                 va_stalls = self.step_va(r);
             }
-            if self.tel_on {
+            if self.tel_on() {
                 // A parked head would have failed VA this cycle: it stalls.
-                va_stalls += self.routers[rl].parked_heads();
-                if va_stalls > 0 {
-                    self.tel(TelOp::VaStalls(va_stalls));
-                }
+                self.buf.tel_counts.va_stalls += va_stalls + self.routers[rl].parked_heads();
             }
             if self.routers[rl].occupied_ports() != 0 {
                 self.step_sa(r);
@@ -454,6 +483,12 @@ impl Sweep<'_> {
         }
     }
 
+    /// Whether telemetry is on.
+    #[inline]
+    pub fn tel_on(&self) -> bool {
+        self.port_grants.is_some()
+    }
+
     /// Buffers one telemetry operation for replay.
     #[inline]
     pub fn tel(&mut self, op: TelOp) {
@@ -463,11 +498,12 @@ impl Sweep<'_> {
     /// Allocates a mid-sweep packet (tree-multicast children). Only legal
     /// on a one-shard sweep, which is where VCT multicast always runs.
     pub fn new_packet(&mut self, p: PacketInfo) -> u32 {
+        let tel_on = self.tel_on();
         let PacketAccess::Owned(packets) = &mut self.packets else {
             unreachable!("tree multicast allocates packets mid-sweep; it runs on one shard")
         };
         let id = packets.push(p);
-        if self.tel_on {
+        if tel_on {
             let op = TelOp::packet_created(id, packets.get(id));
             self.tel(op);
         }
@@ -486,8 +522,8 @@ impl Sweep<'_> {
             self.buf.ejected_flits += 1;
             self.buf.flit_latency_sum += at.saturating_sub(created);
         }
-        if self.tel_on {
-            self.tel(TelOp::EjectedFlit);
+        if self.tel_on() {
+            self.buf.tel_counts.ejected_flits += 1;
         }
         if ejected == flits {
             let (parent, mc_carry, src, head_grants) = {
@@ -498,7 +534,7 @@ impl Sweep<'_> {
                 self.buf.hops_sum += (head_grants - 1) as u64;
                 self.buf.hop_packets += 1;
             }
-            if self.tel_on {
+            if self.tel_on() {
                 self.tel(TelOp::PacketDone { packet, created, head_grants, at });
             }
             if measured && !mc_carry {

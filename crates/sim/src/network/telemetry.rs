@@ -20,9 +20,12 @@
 //! `interval` cycles) and when the packet table itself grows (span slots
 //! grow in step with `Network::packets`). Buffer occupancy is read off the
 //! routers at each cycle boundary, visiting only routers with a claimed
-//! VC. With telemetry disabled the engine takes a single never-taken
-//! branch per hook site, and the golden-determinism suite proves the
-//! results are bit-identical.
+//! VC. The sweep's counts are per-shard deltas summed at replay, like the
+//! run statistics; only span and hop events, whose order matters under
+//! their caps, are replayed one by one ([`TelemetryState::apply_op`]).
+//! With telemetry disabled the engine takes a single never-taken branch
+//! per hook site, and the golden-determinism suite proves the results
+//! are bit-identical.
 //!
 //! The opt-in profile ([`TelemetryConfig::profile`], per-hop delay
 //! attribution, see [`HopRecord`]) adds one amortized `Vec` push per
@@ -566,8 +569,9 @@ pub(super) struct TelemetryState {
     ports: usize,
     /// First cycle of the interval being accumulated.
     interval_start: u64,
-    /// The interval currently accumulating.
-    cur: IntervalSample,
+    /// The interval currently accumulating: the sweep writes its port
+    /// grants here, and the replay adds the shards' counters.
+    pub(super) cur: IntervalSample,
     /// Flushed samples.
     samples: Vec<IntervalSample>,
     /// Span index per packet id (`u32::MAX` = none), grown on demand so it
@@ -675,18 +679,12 @@ impl TelemetryState {
             Op::HopArrived { packet, r, port, at } => {
                 self.on_hop_arrived(packet, r as usize, port as usize, at);
             }
-            Op::VaStalls(count) => self.on_va_stalls(count),
             Op::HopVa { packet } => self.on_hop_va(packet, now),
-            Op::CreditStall => self.on_credit_stall(),
             Op::HopCredit { packet } => self.on_hop_credit(packet),
-            Op::SaStalls(count) => self.on_sa_stalls(count),
-            Op::Grant { r, out, is_rf, packet, first } => {
-                self.on_grant(r as usize, out as usize, is_rf, packet, first, now);
-            }
+            Op::Grant { packet, first, is_rf } => self.on_grant(packet, first, is_rf, now),
             Op::HopGranted { packet, r, out } => {
                 self.on_hop_granted(packet, r as usize, out as usize, now);
             }
-            Op::EjectedFlit => self.on_ejected_flit(),
             Op::PacketDone { packet, created, head_grants, at } => {
                 self.on_packet_done(packet, created, head_grants, at);
             }
@@ -728,22 +726,15 @@ impl TelemetryState {
         });
     }
 
-    /// Records a switch grant: the port's grant count and the span's
-    /// first-grant/RF marks. `first` is true for the head flit's first
-    /// grant anywhere; `is_rf` when `out` is the granting router's RF slot.
-    fn on_grant(&mut self, r: usize, out: usize, is_rf: bool, packet: u32, first: bool, now: u64) {
-        self.cur.port_grants[r * self.ports + out] += 1;
-        if is_rf {
-            self.cur.rf_grants += 1;
-        }
-        if first || is_rf {
-            if let Some(span) = self.span_slot(packet) {
-                if first {
-                    span.first_grant_at = now;
-                }
-                if is_rf {
-                    span.took_rf = true;
-                }
+    /// Marks a switch grant on the packet's span: `first` for the head
+    /// flit's first grant anywhere, `is_rf` for a grant onto an RF port.
+    fn on_grant(&mut self, packet: u32, first: bool, is_rf: bool, now: u64) {
+        if let Some(span) = self.span_slot(packet) {
+            if first {
+                span.first_grant_at = now;
+            }
+            if is_rf {
+                span.took_rf = true;
             }
         }
     }
@@ -753,31 +744,9 @@ impl TelemetryState {
         self.cur.rf_mc_flits += 1;
     }
 
-    /// Records a grant refused for lack of downstream credits.
-    fn on_credit_stall(&mut self) {
-        self.cur.credit_stalls += 1;
-    }
-
-    /// Records `count` head flits that failed VC allocation this cycle
-    /// (a parked head counts: it would have failed).
-    fn on_va_stalls(&mut self, count: u64) {
-        self.cur.va_stalls += count;
-    }
-
-    /// Records `count` switch-allocation requests that lost arbitration
-    /// this cycle.
-    fn on_sa_stalls(&mut self, count: u64) {
-        self.cur.sa_stalls += count;
-    }
-
     /// Records one injected message.
     pub(super) fn on_injected(&mut self) {
         self.cur.injected += 1;
-    }
-
-    /// Records one flit ejected at a local port.
-    fn on_ejected_flit(&mut self) {
-        self.cur.ejected_flits += 1;
     }
 
     /// Records a packet whose last flit just ejected: the completion
@@ -942,12 +911,16 @@ impl Network {
         t.on_injected();
     }
 
-    /// Appends a timeline event at the current cycle, mirroring it onto
-    /// the run ledger's stream when that is enabled (the ledger carries
-    /// the same events even with telemetry off).
+    /// The one timeline call: hands an event at the current cycle to
+    /// every observer that is on — the recovery tracker, the run ledger's
+    /// stream (which carries the events even with telemetry off) and the
+    /// telemetry timeline.
     #[inline]
     pub(super) fn tel_event(&mut self, kind: TimelineEventKind) {
         let cycle = self.cycle;
+        if let Some(r) = self.recovery.as_deref_mut() {
+            r.on_event(cycle, kind);
+        }
         if let Some(l) = self.ledger.as_deref_mut() {
             l.on_event(cycle, kind);
         }
