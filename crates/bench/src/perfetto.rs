@@ -1,7 +1,7 @@
 //! Perfetto/Chrome `trace_event` export of a profiled run.
 //!
-//! Converts a [`TelemetryReport`] recorded with the PROFILE channel into
-//! the JSON trace-event format that `ui.perfetto.dev` (and Chrome's
+//! Converts a [`TelemetryReport`] recorded with `TelemetryConfig::profile`
+//! set into the JSON trace-event format that `ui.perfetto.dev` (and Chrome's
 //! `about:tracing`) loads directly: one track per router (pid 1, tid =
 //! router id) and one per RF band (pid 2, tid = band index), a complete
 //! `ph:"X"` span per recorded hop (duration = the head flit's occupancy

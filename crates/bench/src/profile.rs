@@ -1,10 +1,10 @@
 //! Delay-attribution artifacts: aggregates per-packet [`DelayBreakdown`]s
 //! into a per-component cycle budget and renders `PROFILE_*.json`.
 //!
-//! A profiled run (telemetry with the PROFILE channel) yields one exact
-//! decomposition per completed unicast packet: source queueing, route
-//! compute, VA wait, switch traversal, SA wait, link traversal, and tail
-//! serialization, summing to the end-to-end latency cycle-for-cycle.
+//! A profiled run (telemetry with `TelemetryConfig::profile` set) yields
+//! one exact decomposition per completed unicast packet: source queueing,
+//! route compute, VA wait, switch traversal, SA wait, link traversal, and
+//! tail serialization, summing to the end-to-end latency cycle-for-cycle.
 //! This module sums those budgets — overall and split by whether the
 //! packet rode an RF shortcut — and computes the mesh-vs-RF contention
 //! comparison on *shortcut-covered pairs*: the (src, dest) pairs that

@@ -3,13 +3,12 @@
 
 use crate::arch::{Architecture, SystemConfig};
 use rfnoc_power::{DesignSpec, RouterConfig};
-use rfnoc_sim::{McConfig, MulticastMode, NetworkSpec, VctConfig};
+use rfnoc_sim::{McConfig, MulticastMode, NetworkSpec, RoutingKind, VctConfig};
 use rfnoc_topology::select::{
     application_specific_selection, max_cost_selection, Selection, SelectionConstraints,
 };
-use rfnoc_topology::{DistanceMatrix, GridGraph, NodeId, PairWeights, Shortcut};
+use rfnoc_topology::{GridGraph, NodeId, PairWeights, Shortcut};
 use rfnoc_traffic::{staggered_rf_routers, Placement};
-use std::sync::Arc;
 
 /// Cycles between coarse-grain multicast-channel arbitration decisions.
 ///
@@ -87,17 +86,13 @@ fn adaptive_selection(
 }
 
 /// The part of a built system that costs something to compute and that
-/// every system of the same design shares: the selected shortcut set and
-/// the distance matrix the selection ended with. Empty for the
-/// architectures that select no shortcuts.
-///
-/// The matrix sits behind an `Arc`: [`elaborate`] puts the same one on
-/// every [`NetworkSpec`] it returns, and each network built from such a
-/// spec keeps it until a fault or a retune makes it rebuild tables of its
-/// own.
+/// every system of the same design shares: the selected shortcut set.
+/// Empty for the architectures that select no shortcuts.
 #[derive(Debug, Clone, Default)]
 pub struct SharedDesign {
-    selection: Option<(Vec<Shortcut>, Arc<DistanceMatrix>)>,
+    /// The selected shortcuts of a selecting architecture, whose networks
+    /// route by shortest paths even if the selection came back empty.
+    selection: Option<Vec<Shortcut>>,
 }
 
 impl SharedDesign {
@@ -132,12 +127,12 @@ impl SharedDesign {
                 adaptive(access_points, shortcut_budget)
             }
         };
-        Self { selection: Some((selection.shortcuts, Arc::new(selection.distances))) }
+        Self { selection: Some(selection.shortcuts) }
     }
 
     /// The selected shortcuts (none for a design without an RF overlay).
     pub fn shortcuts(&self) -> &[Shortcut] {
-        self.selection.as_ref().map_or(&[], |(shortcuts, _)| shortcuts)
+        self.selection.as_deref().unwrap_or_default()
     }
 }
 
@@ -220,11 +215,11 @@ pub fn elaborate(
     let sim = system.sim.clone().with_link_width(width);
     let clock = 2.0e9;
 
-    let mut network = NetworkSpec::with_fabric(placement.fabric(), sim, Vec::new());
-    if let Some((shortcuts, distances)) = &shared.selection {
-        network = network.with_selection(shortcuts.clone(), Arc::clone(distances));
-    }
     let shortcuts = shared.shortcuts().to_vec();
+    let mut network = NetworkSpec::with_fabric(placement.fabric(), sim, shortcuts.clone());
+    if shared.selection.is_some() {
+        network.routing = RoutingKind::ShortestPath;
+    }
     let mut rf_enabled: Vec<NodeId> = Vec::new();
     let mut design = DesignSpec::mesh_baseline(dims.nodes(), mesh_links, width);
 
@@ -406,77 +401,6 @@ mod tests {
         for s in &built.shortcuts {
             assert!(!mc.receivers.contains(&s.dst), "shortcut Rx not on MC band");
         }
-    }
-
-    /// The matrix on a built spec belongs to the shortcuts selected with
-    /// it: swap one of them and the network is refused, not misrouted.
-    #[test]
-    fn editing_the_shortcuts_of_a_built_spec_is_refused() {
-        use rfnoc_sim::{Network, SimError};
-        let sys = SystemConfig::new(Architecture::StaticShortcuts, LinkWidth::B16);
-        let built = build_system(&sys, &placement(), None);
-        let distances = built.network.distances().expect("a selecting design hands its matrix on");
-        assert!(Network::try_new(built.network.clone()).is_ok());
-
-        let mut edited = built.network.clone();
-        let src = edited.shortcuts[0].src;
-        let dst = (0..100)
-            .find(|&d| built.shortcuts.iter().all(|s| s.dst != d) && distances.get(src, d) > 1)
-            .expect("some router is free and further than a hop away");
-        edited.shortcuts[0] = Shortcut::new(src, dst);
-        match Network::try_new(edited) {
-            Err(SimError::StaleDistances { reason }) => {
-                assert!(reason.starts_with(&format!("shortcut {src} -> {dst} is ")), "{reason}");
-            }
-            other => panic!("expected stale distances, got {:?}", other.map(|_| "a network")),
-        }
-    }
-
-    /// Networks built from one system share its matrix; one that runs into
-    /// faults rewrites tables of its own and leaves the shared one alone.
-    #[test]
-    fn a_faulted_network_leaves_the_shared_matrix_alone() {
-        use rfnoc_sim::{FaultEvent, FaultPlan, Network, NetworkSpec, SimConfig};
-        let p = placement();
-        let mut sim = SimConfig::paper_baseline();
-        sim.warmup_cycles = 200;
-        sim.measure_cycles = 1_500;
-        sim.drain_cycles = 2_000;
-        let sys = SystemConfig::new(Architecture::StaticShortcuts, LinkWidth::B16).with_sim(sim);
-        let built = build_system(&sys, &p, None);
-        let shared = |built: &BuiltSystem| {
-            Arc::clone(built.network.distances().expect("a selecting design hands its matrix on"))
-        };
-        let selected = (*shared(&built)).clone();
-        let run = |spec: NetworkSpec| {
-            let mut network = Network::new(spec);
-            let mut workload = WorkloadSpec::Trace(TraceKind::Uniform)
-                .instantiate(&p, &TrafficConfig::default());
-            let stats = network.run(workload.as_mut());
-            (network, stats)
-        };
-        let storm = FaultPlan::new(vec![
-            (300, FaultEvent::MeshLinkDown { a: 44, b: 45 }),
-            (500, FaultEvent::ShortcutDown { src: built.shortcuts[0].src }),
-            (700, FaultEvent::MeshLinkDown { a: 54, b: 55 }),
-            (1_100, FaultEvent::MeshLinkUp { a: 44, b: 45 }),
-        ]);
-        let (faulted_network, faulted) = run(built.network.clone().with_fault_plan(storm));
-        let (intact_network, intact) = run(built.network.clone());
-        assert_eq!((faulted.mesh_link_faults, faulted.shortcut_faults), (2, 1));
-        // The spec, the intact network, and this handle.
-        assert_eq!(Arc::strong_count(&shared(&built)), 3);
-
-        let unshared = NetworkSpec::with_fabric(
-            p.fabric(),
-            built.network.config.clone(),
-            built.shortcuts.clone(),
-        );
-        assert!(unshared.distances().is_none());
-        assert_eq!(intact, run(unshared).1, "sharing a matrix with a faulted network shows");
-        assert_eq!(*shared(&built), selected);
-        drop((faulted_network, intact_network));
-        assert_eq!(Arc::strong_count(built.network.distances().expect("checked above")), 1);
     }
 
     #[test]

@@ -60,9 +60,8 @@ pub enum FaultSpec {
 
 /// Everything an experiment's design stage ([`Experiment::design`]) reads,
 /// borrowed from the experiment: two experiments with equal keys select the
-/// same shortcuts and end with the same distance matrix, so one
-/// [`SharedDesign`] serves both. Compared by value with the `PartialEq` its
-/// fields already derive.
+/// same shortcuts, so one [`SharedDesign`] serves both. Compared by value
+/// with the `PartialEq` its fields already derive.
 ///
 /// The architecture names the selector and the access points, the budget
 /// how many shortcuts, the placement the fabric and — through the traffic

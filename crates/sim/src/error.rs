@@ -209,14 +209,6 @@ pub enum SimError {
     RfMulticastNeedsMesh,
     /// Shortcuts were supplied to an XY-routed network.
     ShortcutsOnXy,
-    /// The distance matrix the spec carries
-    /// ([`crate::NetworkSpec::with_selection`]) does not belong to its
-    /// fabric and shortcut set — the shortcuts were edited after the
-    /// selection that produced both.
-    StaleDistances {
-        /// What does not fit.
-        reason: String,
-    },
     /// RF multicast mode without an [`crate::McConfig`].
     MissingMcConfig,
     /// The [`crate::McConfig`] is inconsistent with itself or the grid.
@@ -251,9 +243,6 @@ impl fmt::Display for SimError {
             }
             Self::ShortcutsOnXy => {
                 write!(f, "XY routing cannot use shortcuts; use ShortestPath")
-            }
-            Self::StaleDistances { reason } => {
-                write!(f, "the spec's distance matrix is not its shortcut set's: {reason}")
             }
             Self::MissingMcConfig => write!(f, "RF multicast requires an McConfig"),
             Self::InvalidMcConfig { reason } => write!(f, "invalid McConfig: {reason}"),

@@ -8,8 +8,8 @@
 //!   5-cycle pipelined routers for head flits (route computation, VC
 //!   allocation, switch allocation, switch traversal, link traversal) and
 //!   3 cycles for body/tail flits (§3.1).
-//! * XY dimension-order routing on the baseline mesh; table-driven
-//!   shortest-path routing when RF-I shortcuts are overlaid (§3.2), with
+//! * XY dimension-order routing on the baseline mesh; shortest-path
+//!   routing when RF-I shortcuts are overlaid (§3.2), with
 //!   eight reserved escape virtual channels restricted to conventional mesh
 //!   links for deadlock freedom (§4).
 //! * Single-cycle 16-byte RF-I shortcut channels attached to a sixth router

@@ -29,10 +29,11 @@ impl Network {
     /// network, a fault plan naming resources outside the network, RF
     /// multicast without an [`McConfig`] or with an inconsistent one, RF
     /// broadcast multicast on a non-mesh fabric (the broadcast medium spans
-    /// the mesh only), a fabric with more ports per router than the
-    /// engine supports, or a distance matrix
-    /// ([`NetworkSpec::with_selection`]) that does not fit the shortcut set
-    /// it arrives with.
+    /// the mesh only), or a fabric with more ports per router than the
+    /// engine supports.
+    ///
+    /// A shortest-path network routes from a [`DistanceOracle`] over the
+    /// fabric and its shortcuts, so it holds no table of router pairs.
     pub fn try_new(spec: NetworkSpec) -> Result<Self, SimError> {
         spec.config.validate()?;
         let fabric = spec.fabric;
@@ -73,17 +74,10 @@ impl Network {
         // computation (no table lookup on the escape path).
         let base_table = (!fabric.is_mesh()).then(|| fabric.base_port_table());
 
-        let (port_table, sp_dist) = match spec.routing {
-            RoutingKind::Xy => (None, None),
-            RoutingKind::ShortestPath => {
-                if let Some(distances) = &spec.distances {
-                    check_distances(distances, &spec.shortcuts, n)?;
-                }
-                let (pt, dm) =
-                    shortest_path_tables(&fabric, &base_ports, &spec.shortcuts, spec.distances);
-                (Some(pt), Some(dm))
-            }
-        };
+        let routes = (spec.routing == RoutingKind::ShortestPath).then(|| Routes {
+            oracle: DistanceOracle::new(&fabric, &spec.shortcuts),
+            detour: None,
+        });
 
         // Wire up routers, sized to each router's own degree.
         let mut routers = Vec::with_capacity(n);
@@ -176,8 +170,7 @@ impl Network {
             base_ports,
             max_ports,
             base_table,
-            routing: spec.routing,
-            port_table,
+            routes,
             routers,
             packets: PacketTable::default(),
             parents: Vec::new(),
@@ -195,8 +188,6 @@ impl Network {
             shard_ranges,
             shard_bufs,
             pool,
-            sp_dist,
-            detour_dist: None,
             telemetry: spec
                 .config
                 .telemetry
@@ -234,75 +225,6 @@ fn check_port_count(max_ports: usize) -> Result<(), ConfigError> {
             value: max_ports,
             limit: MAX_ROUTER_PORTS,
         });
-    }
-    Ok(())
-}
-
-/// Shortest-path out-port and hop-distance tables (`router * n + dest`)
-/// over the intact `fabric` plus `shortcuts`: the next hop's base slot, or
-/// the RF port when the next hop is only reachable over a shortcut.
-///
-/// Both tables are built once and handed over: the distances are the APSP
-/// matrix itself — `known` when the caller already holds it for exactly
-/// this graph, kept as the same `Arc` — the ports are the routing tables'
-/// own buffer with every neighbour position rewritten in place to that
-/// neighbour's port.
-pub(super) fn shortest_path_tables(
-    fabric: &FabricSpec,
-    base_ports: &[u8],
-    shortcuts: &[Shortcut],
-    known: Option<Arc<DistanceMatrix>>,
-) -> (Vec<u8>, Arc<DistanceMatrix>) {
-    let n = fabric.nodes();
-    let graph = GridGraph::from_fabric(fabric, shortcuts);
-    let dist = match known {
-        Some(dist) => {
-            // Every debug-built network proves the hand-off it was given.
-            debug_assert_eq!(
-                *dist,
-                DistanceMatrix::from_graph(&graph),
-                "the spec's distances are not those of {fabric} plus its shortcuts"
-            );
-            dist
-        }
-        None => Arc::new(graph.distances()),
-    };
-    let mut pt = RoutingTables::from_distances(&graph, &dist).into_neighbor_indices();
-    let mut port_of = [0u8; 256];
-    for (r, row) in pt.chunks_exact_mut(n).enumerate() {
-        // One neighbour-position -> port map per router instead of a
-        // fabric adjacency query per (router, destination) pair.
-        for (k, &nb) in graph.neighbors(r).iter().enumerate() {
-            port_of[k] = fabric.port_between(r, nb).unwrap_or(base_ports[r] + 1);
-        }
-        port_of[usize::from(RoutingTables::SELF)] = base_ports[r];
-        for entry in row {
-            *entry = port_of[usize::from(*entry)];
-        }
-    }
-    (pt, dist)
-}
-
-/// The cheap necessary conditions for `distances` to belong to `shortcuts`
-/// on an `n`-router fabric: its size, a zero diagonal, and every listed
-/// shortcut one hop long. They catch a matrix carried over to another grid
-/// or to a shortcut set that gained or moved a shortcut; full equality
-/// with a fresh all-pairs search is asserted in debug builds only
-/// ([`shortest_path_tables`]).
-fn check_distances(
-    distances: &DistanceMatrix,
-    shortcuts: &[Shortcut],
-    n: usize,
-) -> Result<(), SimError> {
-    let stale = |reason: String| Err(SimError::StaleDistances { reason });
-    if distances.node_count() != n {
-        return stale(format!("the matrix covers {} routers, the fabric {n}", distances.node_count()));
-    }
-    if let Some(r) = (0..n).find(|&r| distances.get(r, r) != 0) {
-        return stale(format!("router {r} is {} hops from itself", distances.get(r, r)));
-    }
-    if let Some(s) = shortcuts.iter().find(|s| distances.get(s.src, s.dst) != 1) {
-        return stale(format!("shortcut {s} is {} hops long", distances.get(s.src, s.dst)));
     }
     Ok(())
 }
@@ -346,7 +268,7 @@ fn validate_fault_plan(plan: &FaultPlan, fabric: &FabricSpec) -> Result<(), SimE
 mod tests {
     use super::*;
     use rfnoc_topology::select::{max_cost_selection, SelectionConstraints};
-    use rfnoc_topology::PairWeights;
+    use rfnoc_topology::{GridGraph, PairWeights};
 
     fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
         bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -354,51 +276,30 @@ mod tests {
         })
     }
 
-    /// What a pinned network is overlaid with.
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    enum Overlay {
-        /// No shortcuts.
-        None,
-        /// The uniform max-cost set of budget 16 (corners excluded, as
-        /// `build_system` selects it); the network searches the distances.
-        Shortcuts,
-        /// The same set with the selector's own matrix handed over.
-        Selection,
-    }
-
-    /// FNV-1a of `port_table`, `sp_dist` (each distance a little-endian
-    /// `u32`, whatever width the matrix stores) and `base_table`
-    /// (the empty hash when the fabric keeps none) of a shortest-path
-    /// network over `fabric` under `overlay`.
-    fn table_hashes(fabric: FabricSpec, overlay: Overlay) -> [u64; 3] {
+    /// FNV-1a of the port table and of the distances (each a little-endian
+    /// `u32`) that the oracle of a shortest-path network over `fabric`
+    /// gives every ordered pair, and of `base_table` (the empty hash when
+    /// the fabric keeps none). With `select`, the network carries the
+    /// uniform max-cost set of budget 16 (corners excluded, as
+    /// `build_system` selects it).
+    fn table_hashes(fabric: FabricSpec, select: bool) -> [u64; 3] {
         let mut spec = NetworkSpec::with_fabric(fabric, SimConfig::paper_baseline(), Vec::new());
         spec.routing = RoutingKind::ShortestPath;
-        if overlay != Overlay::None {
+        if select {
             let graph = GridGraph::from_fabric(&fabric, &[]);
             let n = graph.node_count();
             let constraints =
                 SelectionConstraints::allowing_all(n, 16).excluding_corners(&graph);
-            let selection = max_cost_selection(&graph, &PairWeights::uniform(n), &constraints);
-            if overlay == Overlay::Selection {
-                spec = spec.with_selection(selection.shortcuts, Arc::new(selection.distances));
-            } else {
-                spec.shortcuts = selection.shortcuts;
-            }
+            spec.shortcuts =
+                max_cost_selection(&graph, &PairWeights::uniform(n), &constraints).shortcuts;
         }
-        let handed_over = spec.distances().cloned();
         let net = Network::new(spec);
-        if let Some(handed_over) = handed_over {
-            let kept = net.sp_dist.as_ref().expect("a table-routed network keeps distances");
-            assert!(Arc::ptr_eq(kept, &handed_over), "the network shares the matrix it was given");
-        }
+        let oracle = &net.routes.as_ref().expect("a shortest-path network routes").oracle;
+        let n = fabric.nodes();
+        let pairs = || (0..n).flat_map(|r| (0..n).map(move |d| (r, d)));
         [
-            fnv1a(net.port_table.iter().flatten().copied()),
-            fnv1a(
-                net.sp_dist
-                    .iter()
-                    .flat_map(|d| d.as_slice())
-                    .flat_map(|&d| u32::from(d).to_le_bytes()),
-            ),
+            fnv1a(pairs().map(|(r, d)| oracle.route_port(r, d))),
+            fnv1a(pairs().flat_map(|(r, d)| oracle.distance(r, d).to_le_bytes())),
             fnv1a(net.base_table.iter().flatten().copied()),
         ]
     }
@@ -416,8 +317,10 @@ mod tests {
         );
     }
 
-    /// Computed on the two-step build (next-hop table, then per-pair slot
-    /// search; per-pair `base_port` loop) before it was replaced.
+    /// Computed on the dense tables a shortest-path network held before it
+    /// routed from the oracle (and, before those, on the two-step build:
+    /// next-hop table, then per-pair slot search; per-pair `base_port`
+    /// loop).
     #[test]
     fn routing_tables_hash_to_their_pins() {
         let mesh = |side| FabricSpec::mesh(GridDims::new(side, side));
@@ -434,15 +337,11 @@ mod tests {
             (ring(32), true, [0x5065959302b18929, 0x24de2b075c99de05, 0xcf2ddaab9a31b725]),
         ];
         for (fabric, select, want) in pins {
-            let overlays: &[Overlay] =
-                if select { &[Overlay::Shortcuts, Overlay::Selection] } else { &[Overlay::None] };
-            for &overlay in overlays {
-                assert_eq!(
-                    table_hashes(fabric, overlay),
-                    want,
-                    "{fabric} {overlay:?}: [port_table, sp_dist, base_table]"
-                );
-            }
+            assert_eq!(
+                table_hashes(fabric, select),
+                want,
+                "{fabric} select={select}: [ports, distances, base_table]"
+            );
         }
     }
 
@@ -472,36 +371,5 @@ mod tests {
                 "{w}x{h}"
             );
         }
-    }
-
-    /// A matrix travels with the shortcut set it was selected with: one
-    /// carried over to other shortcuts, or to another grid, is refused.
-    #[test]
-    fn distances_of_another_shortcut_set_are_refused() {
-        let dims = GridDims::new(6, 6);
-        let selected = || {
-            let shortcuts = vec![Shortcut::new(1, 34), Shortcut::new(30, 4)];
-            let distances = GridGraph::with_shortcuts(dims, &shortcuts).distances();
-            NetworkSpec::mesh_baseline(dims, SimConfig::paper_baseline())
-                .with_selection(shortcuts, Arc::new(distances))
-        };
-        let stale = |spec: NetworkSpec| match Network::try_new(spec) {
-            Err(SimError::StaleDistances { reason }) => reason,
-            other => panic!("expected stale distances, got {:?}", other.map(|_| "a network")),
-        };
-        assert!(Network::try_new(selected()).is_ok());
-
-        let mut moved = selected();
-        moved.shortcuts[1] = Shortcut::new(31, 5);
-        assert_eq!(stale(moved), "shortcut 31 -> 5 is 3 hops long");
-
-        let mut other_grid = selected();
-        other_grid.fabric = FabricSpec::mesh(GridDims::new(6, 7));
-        assert_eq!(stale(other_grid), "the matrix covers 36 routers, the fabric 42");
-
-        let mut broken = GridGraph::with_shortcuts(dims, &selected().shortcuts).distances();
-        broken.as_mut_slice()[7 * 36 + 7] = 2;
-        let bent = selected().with_selection(selected().shortcuts, Arc::new(broken));
-        assert_eq!(stale(bent), "router 7 is 2 hops from itself");
     }
 }

@@ -149,8 +149,7 @@ impl Network {
             base_ports: &self.base_ports,
             max_ports: self.max_ports,
             base_table: self.base_table.as_deref(),
-            port_table: self.port_table.as_deref(),
-            sp_dist: self.sp_dist.as_deref().map(DistanceMatrix::as_slice),
+            routes: self.routes.as_ref(),
             escape_table: self.escape_table.as_deref(),
             cluster_of: self.mc.as_ref().map(|mc| mc.cluster_of.as_slice()),
             rf_accepting: self.rf_accepting(),
@@ -456,10 +455,10 @@ impl Sweep<'_> {
             wait = Some((out, out));
             router.alloc_out_vc(out, escape_vcs).map(|ov| (out, ov))
         } else {
-            // Only a shortcut detour sets `mesh_only`, and without a route
-            // table both choices below are the escape port anyway.
+            // Only a shortcut detour sets `mesh_only`, and without unicast
+            // routes both choices below are the escape port anyway.
             let mesh_only =
-                sh.port_table.is_some() && self.packets.get(packet).mesh_only.load(Relaxed);
+                sh.routes.is_some() && self.packets.get(packet).mesh_only.load(Relaxed);
             // The escape port is looked up at most once, and only on the
             // paths that need it.
             let mut esc = None;
@@ -485,13 +484,9 @@ impl Sweep<'_> {
             let detours = out == rf && sh.config.adaptive_shortcut_routing;
             if grant.is_none() && detours {
                 let blocked = now - flit.eligible;
-                let extra_hops = sh
-                    .sp_dist
-                    .map(|dm| {
-                        let shortest = u32::from(dm[r * sh.dims.nodes() + dest]);
-                        sh.fabric.base_route_len(r, dest).saturating_sub(shortest)
-                    })
-                    .unwrap_or(0);
+                let extra_hops = sh.routes.map_or(0, |routes| {
+                    sh.fabric.base_route_len(r, dest).saturating_sub(routes.hops(r, dest))
+                });
                 if blocked >= 3 * u64::from(extra_hops) {
                     let mesh = escape_port();
                     grant = router.alloc_out_vc(mesh, adaptive_vcs).map(|ov| (mesh, ov));

@@ -198,7 +198,7 @@ impl Network {
     /// transmitters are filtered at apply time, so the target may still
     /// name them.
     fn request_retune(&mut self, target: Vec<Shortcut>) {
-        if self.port_table.is_none() {
+        if self.routes.is_none() {
             return;
         }
         match &mut self.reconfig {
@@ -338,11 +338,11 @@ impl Network {
             self.escape_table = Some(pt);
             self.escape_dist = Some(td);
         } else {
-            let (pt, _, td) = self.detour_tables(&[]);
-            self.escape_table = Some(pt);
-            self.escape_dist = Some(td);
+            let Detour { ports, reach, .. } = self.detour_tables(&[]);
+            self.escape_table = Some(ports);
+            self.escape_dist = Some(reach);
         }
-        if self.port_table.is_some() {
+        if self.routes.is_some() {
             self.rebuild_unicast_tables_after_link_change(a, b, removed);
         }
     }
@@ -350,37 +350,28 @@ impl Network {
     /// Incremental counterpart of
     /// [`rebuild_unicast_tables`](Network::rebuild_unicast_tables) for a
     /// single base-link failure or repair. Falls back to the full rebuild
-    /// when the fabric just became intact again (back to the
-    /// [`GridGraph`] tie-breaks) or when the installed tables were not
-    /// detour-built (first intact→faulty transition).
+    /// when the fabric just became intact again (back to the oracle) or
+    /// when no detour tables were installed (first intact→faulty
+    /// transition).
     fn rebuild_unicast_tables_after_link_change(&mut self, a: usize, b: usize, removed: bool) {
-        if self.mesh_link_failures == 0 || self.detour_dist.is_none() {
-            self.rebuild_unicast_tables();
-            return;
-        }
-        let mut pt = self.port_table.take().expect("table-routed network");
-        let mut dm = self.sp_dist.take().expect("sp_dist accompanies port_table");
-        let mut td = self.detour_dist.take().expect("checked above");
-        let shortcuts = self.active_shortcuts.clone();
-        // Detour-built tables are this network's own (the rebuild that made
-        // them replaced whatever matrix the spec had shared), so this never
-        // copies; `make_mut` keeps the edit off a shared matrix regardless.
-        let distances = Arc::make_mut(&mut dm).as_mut_slice();
-        self.detour_tables_update(&shortcuts, &mut pt, Some(distances), &mut td, a, b, removed);
-        self.port_table = Some(pt);
-        self.sp_dist = Some(dm);
-        self.detour_dist = Some(td);
+        let detour = self.routes.as_mut().and_then(|routes| routes.detour.take());
+        let Some(mut detour) = detour.filter(|_| self.mesh_link_failures > 0) else {
+            return self.rebuild_unicast_tables();
+        };
+        let Detour { ports, hops, reach } = &mut detour;
+        self.detour_tables_update(&self.active_shortcuts, ports, Some(hops), reach, a, b, removed);
+        self.routes.as_mut().expect("a table-routed network").detour = Some(detour);
     }
 
     /// Per-destination reverse BFS over the surviving base links plus the
-    /// given (directed) shortcuts. Returns the out-port table, the hop
-    /// distances (`router * n + dest`, falling back to the base-route
-    /// length for unreachable pairs), and the *true* BFS distances
-    /// (`u16::MAX` when unreachable) that drive incremental updates.
+    /// given (directed) shortcuts: the out-port table, the hop distances
+    /// (`router * n + dest`, falling back to the base-route length for
+    /// unreachable pairs), and the *true* BFS distances (`u16::MAX` when
+    /// unreachable) that drive incremental updates.
     /// An unreachable pair keeps its base-route port: such a packet blocks
     /// at a failed link, where the watchdog will flag the partition rather
     /// than let it misroute.
-    pub(super) fn detour_tables(&self, shortcuts: &[Shortcut]) -> (Vec<u8>, Vec<u16>, Vec<u16>) {
+    pub(super) fn detour_tables(&self, shortcuts: &[Shortcut]) -> Detour {
         let n = self.dims.nodes();
         let mut pt = vec![0u8; n * n];
         let mut dm = vec![0u16; n * n];
@@ -394,7 +385,7 @@ impl Network {
         for d in 0..n {
             self.detour_bfs_column(d, &rf_srcs_of, &mut pt, Some(&mut dm), &mut td, &mut dist, &mut queue);
         }
-        (pt, dm, td)
+        Detour { ports: pt, hops: dm, reach: td }
     }
 
     /// Re-sweeps only the destination columns the changed link `a <-> b`

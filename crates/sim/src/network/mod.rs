@@ -11,18 +11,18 @@ use crate::router::{
 };
 use crate::stats::RunStats;
 use crate::vct::{VctConfig, VctTable};
-use rfnoc_topology::routing::RoutingTables;
-use rfnoc_topology::{DistanceMatrix, FabricSpec, GridDims, GridGraph, NodeId, Shortcut};
+use rfnoc_topology::{DistanceOracle, FabricSpec, GridDims, NodeId, Shortcut};
 use std::collections::VecDeque;
-use std::sync::{atomic, Arc};
+use std::sync::atomic;
 
 /// How unicast packets are routed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingKind {
     /// XY dimension-order routing (the paper's baseline mesh).
     Xy,
-    /// Table-driven shortest-path routing over mesh + shortcuts (the paper
-    /// switches to this whenever RF-I shortcuts are present, §3.2).
+    /// Shortest-path routing over mesh + shortcuts (the paper switches to
+    /// this whenever RF-I shortcuts are present, §3.2), priced pair by pair
+    /// by a [`DistanceOracle`] where the paper programs per-router tables.
     ShortestPath,
 }
 
@@ -40,7 +40,9 @@ pub enum MulticastMode {
     Rf,
 }
 
-/// Full specification of a network to simulate.
+/// Full specification of a network to simulate. Everything routing needs
+/// is the fabric and the shortcut list: a shortest-path network derives its
+/// routes from them when it is built.
 #[derive(Debug, Clone)]
 pub struct NetworkSpec {
     /// The base fabric the RF-I overlay rides on (mesh or ring-mesh).
@@ -49,11 +51,6 @@ pub struct NetworkSpec {
     pub config: SimConfig,
     /// RF-I shortcut set (empty for the baseline).
     pub shortcuts: Vec<Shortcut>,
-    /// Hop distances over `fabric` plus `shortcuts`, when whoever chose the
-    /// shortcuts already holds them ([`NetworkSpec::with_selection`]); the
-    /// network then builds its routing tables from this matrix and shares
-    /// it instead of running its own all-pairs search.
-    distances: Option<Arc<DistanceMatrix>>,
     /// Unicast routing algorithm.
     pub routing: RoutingKind,
     /// Multicast handling.
@@ -80,7 +77,6 @@ impl NetworkSpec {
             fabric: FabricSpec::mesh(dims),
             config,
             shortcuts: Vec::new(),
-            distances: None,
             routing: RoutingKind::Xy,
             multicast: MulticastMode::AsUnicasts,
             mc: None,
@@ -96,7 +92,6 @@ impl NetworkSpec {
             fabric: FabricSpec::mesh(dims),
             config,
             shortcuts,
-            distances: None,
             routing: RoutingKind::ShortestPath,
             multicast: MulticastMode::AsUnicasts,
             mc: None,
@@ -108,8 +103,8 @@ impl NetworkSpec {
     /// An arbitrary fabric, optionally overlaid with RF-I shortcuts.
     ///
     /// Base (escape) routing follows the fabric's deadlock-free base
-    /// routes; with a non-empty shortcut set, unicasts use table-driven
-    /// shortest-path routing over the fabric + shortcuts.
+    /// routes; with a non-empty shortcut set, unicasts use shortest-path
+    /// routing over the fabric + shortcuts.
     pub fn with_fabric(fabric: FabricSpec, config: SimConfig, shortcuts: Vec<Shortcut>) -> Self {
         let routing = if shortcuts.is_empty() {
             RoutingKind::Xy
@@ -120,36 +115,12 @@ impl NetworkSpec {
             fabric,
             config,
             shortcuts,
-            distances: None,
             routing,
             multicast: MulticastMode::AsUnicasts,
             mc: None,
             wire_shortcut_cycles_per_hop: None,
             faults: FaultPlan::default(),
         }
-    }
-
-    /// Overlays a selected shortcut set, routed by shortest paths, together
-    /// with the hop distances the selection ended with (see
-    /// [`rfnoc_topology::select::Selection`]). The two travel as a pair:
-    /// this is the only way to set the matrix, and [`Network::try_new`]
-    /// rejects it with [`SimError::StaleDistances`] if `shortcuts` is edited
-    /// afterwards so that a listed shortcut is no longer one hop long.
-    #[must_use]
-    pub fn with_selection(
-        mut self,
-        shortcuts: Vec<Shortcut>,
-        distances: Arc<DistanceMatrix>,
-    ) -> Self {
-        self.shortcuts = shortcuts;
-        self.distances = Some(distances);
-        self.routing = RoutingKind::ShortestPath;
-        self
-    }
-
-    /// The distance matrix set by [`NetworkSpec::with_selection`], if any.
-    pub fn distances(&self) -> Option<&Arc<DistanceMatrix>> {
-        self.distances.as_ref()
     }
 
     /// Grid dimensions of the fabric.
@@ -322,6 +293,49 @@ enum ReconfigState {
     Updating(u64),
 }
 
+/// The unicast routes of a table-routed network.
+#[derive(Debug)]
+struct Routes {
+    /// Shortest paths over the intact fabric plus the installed shortcuts.
+    oracle: DistanceOracle,
+    /// Dense routes over the surviving links, present exactly while a base
+    /// link is down; unicasts then follow them instead of the oracle.
+    detour: Option<Detour>,
+}
+
+/// Dense routes around failed base links, `router * n + dest` each (see
+/// `Network::detour_tables`).
+#[derive(Debug)]
+struct Detour {
+    /// Out port.
+    ports: Vec<u8>,
+    /// Hop distances, the base-route length where `dest` is unreachable;
+    /// they price contention-avoidance detours.
+    hops: Vec<u16>,
+    /// True BFS distances (`u16::MAX` when unreachable), which let a link
+    /// failure or repair re-sweep only the destinations it can affect.
+    reach: Vec<u16>,
+}
+
+impl Routes {
+    /// The out port from `r` toward `dest` (`r != dest`).
+    #[inline]
+    fn port(&self, r: NodeId, dest: NodeId) -> u8 {
+        match &self.detour {
+            Some(t) => t.ports[r * self.oracle.node_count() + dest],
+            None => self.oracle.route_port(r, dest),
+        }
+    }
+
+    /// Shortest-path hops from `r` to `dest`.
+    fn hops(&self, r: NodeId, dest: NodeId) -> u32 {
+        match &self.detour {
+            Some(t) => u32::from(t.hops[r * self.oracle.node_count() + dest]),
+            None => self.oracle.distance(r, dest),
+        }
+    }
+}
+
 /// The simulated network.
 #[derive(Debug)]
 pub struct Network {
@@ -343,21 +357,8 @@ pub struct Network {
     /// XY computation instead of a table).
     base_table: Option<Vec<u8>>,
     config: SimConfig,
-    routing: RoutingKind,
-    /// Shortest-path out-port table (`router * n + dest`), present in
-    /// [`RoutingKind::ShortestPath`] mode.
-    port_table: Option<Vec<u8>>,
-    /// Shortest-path hop distances over mesh+shortcuts (same indexing),
-    /// used to price contention-avoidance detours. The matrix may be the
-    /// one the spec carried, shared with every other network built from
-    /// that design: replace the `Arc` on a rebuild, and go through
-    /// `Arc::make_mut` to edit it in place.
-    sp_dist: Option<Arc<DistanceMatrix>>,
-    /// True BFS distances (`u16::MAX` when unreachable) matching a
-    /// detour-built `port_table`; `None` whenever `port_table` was built
-    /// over the intact fabric. Drives incremental detour rebuilds on link
-    /// fail/repair.
-    detour_dist: Option<Vec<u16>>,
+    /// Unicast routes, present in [`RoutingKind::ShortestPath`] mode.
+    routes: Option<Routes>,
     reconfig: ReconfigState,
     reconfigurations: u64,
     /// Shortcut set currently installed on the RF ports (tracks retunes
@@ -505,7 +506,11 @@ impl Network {
 
     /// The routing algorithm in use.
     pub fn routing(&self) -> RoutingKind {
-        self.routing
+        if self.routes.is_some() {
+            RoutingKind::ShortestPath
+        } else {
+            RoutingKind::Xy
+        }
     }
 
     /// Total packets waiting or streaming at the injection interfaces —
@@ -645,10 +650,10 @@ impl Network {
                 let want = if escape_vcs & (1 << vc) != 0 {
                     escape
                 } else {
-                    let mesh_only = self.port_table.is_some()
+                    let mesh_only = self.routes.is_some()
                         && self.packets.get(packet).mesh_only.load(atomic::Ordering::Relaxed);
-                    let route = match &self.port_table {
-                        Some(pt) if !mesh_only && r != dest => pt[r * nodes + dest] as usize,
+                    let route = match &self.routes {
+                        Some(routes) if !mesh_only && r != dest => routes.port(r, dest) as usize,
                         _ => escape,
                     };
                     let asked = if route == rf && !self.rf_accepting() { escape } else { route };

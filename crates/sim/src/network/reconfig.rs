@@ -23,7 +23,7 @@ impl Network {
     /// the new set violates the one-in/one-out port constraint (including
     /// self-loop shortcuts, which the constraint implies).
     pub fn reconfigure(&mut self, shortcuts: Vec<Shortcut>) -> Result<(), ReconfigError> {
-        if self.port_table.is_none() {
+        if self.routes.is_none() {
             return Err(ReconfigError::XyRouting);
         }
         if self.reconfig != ReconfigState::Idle || self.pending_target.is_some() {
@@ -92,30 +92,17 @@ impl Network {
         self.mark_all_active();
     }
 
-    /// Rebuilds the shortest-path tables over the current topology: the
-    /// surviving mesh plus the active shortcuts. While the mesh is intact
-    /// this uses the same [`GridGraph`] machinery as construction (so a
-    /// fault-free retune behaves exactly as it always did); with failed
-    /// mesh links it switches to a per-destination BFS over the surviving
-    /// links.
+    /// Rebuilds the shortest-path routes over the current topology: the
+    /// oracle over the intact fabric plus the active shortcuts, as at
+    /// construction (so a fault-free retune behaves exactly as it always
+    /// did), and while base links are down the dense detour tables of a
+    /// per-destination BFS over the surviving links, which routing then
+    /// follows.
     pub(super) fn rebuild_unicast_tables(&mut self) {
-        if self.mesh_link_failures > 0 {
-            let shortcuts = self.active_shortcuts.clone();
-            let (pt, dm, td) = self.detour_tables(&shortcuts);
-            self.port_table = Some(pt);
-            self.sp_dist = Some(Arc::new(DistanceMatrix::from_vec(self.dims.nodes(), dm)));
-            self.detour_dist = Some(td);
-            return;
-        }
-        self.detour_dist = None;
-        let (pt, dm) = build::shortest_path_tables(
-            &self.fabric,
-            &self.base_ports,
-            &self.active_shortcuts,
-            None,
-        );
-        self.port_table = Some(pt);
-        self.sp_dist = Some(dm);
+        let detour =
+            (self.mesh_link_failures > 0).then(|| self.detour_tables(&self.active_shortcuts));
+        let oracle = DistanceOracle::new(&self.fabric, &self.active_shortcuts);
+        self.routes = Some(Routes { oracle, detour });
     }
 
     /// Advances the reconfiguration state machine by one cycle.

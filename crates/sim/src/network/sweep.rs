@@ -39,7 +39,7 @@
 //! and a stage that runs walks only the ports whose bit is set.
 //!
 //! Shared state is read-only during the sweep ([`SweepShared`] snapshots
-//! the routing tables and per-cycle flags) except for three per-packet
+//! the routes and per-cycle flags) except for three per-packet
 //! fields (`ejected`, `head_grants`, `mesh_only`) which are atomics with
 //! relaxed ordering: each has exactly one logical writer per cycle (a
 //! packet's head flit sits in one router; its ejections all happen at its
@@ -101,7 +101,7 @@ pub fn shard_ranges(routers: usize, threads: usize) -> Vec<(usize, usize)> {
 }
 
 /// Read-only per-cycle snapshot shared by every shard: configuration,
-/// routing tables, and the serial-phase flags the router pipeline consults.
+/// routes, and the serial-phase flags the router pipeline consults.
 pub(super) struct SweepShared<'a> {
     pub cycle: u64,
     pub counting: bool,
@@ -120,8 +120,8 @@ pub(super) struct SweepShared<'a> {
     pub base_ports: &'a [u8],
     pub max_ports: usize,
     pub base_table: Option<&'a [u8]>,
-    pub port_table: Option<&'a [u8]>,
-    pub sp_dist: Option<&'a [u16]>,
+    /// Unicast routes, present on a shortest-path network.
+    pub routes: Option<&'a Routes>,
     pub escape_table: Option<&'a [u8]>,
     /// RF-multicast cluster of each router, when RF multicast is active.
     pub cluster_of: Option<&'a [Option<usize>]>,
@@ -152,8 +152,8 @@ impl SweepShared<'_> {
         if router == dest {
             return self.local_port(router) as u8;
         }
-        match self.port_table {
-            Some(pt) => pt[router * self.dims.nodes() + dest],
+        match self.routes {
+            Some(routes) => routes.port(router, dest),
             None => self.escape_port(router, dest),
         }
     }

@@ -16,8 +16,7 @@ use rfnoc_sim::{
     NetworkSpec, SimConfig, VctConfig,
 };
 use rfnoc_power::LinkWidth;
-use rfnoc_topology::{FabricSpec, GridDims, GridGraph, Shortcut};
-use std::sync::Arc;
+use rfnoc_topology::{FabricSpec, GridDims, Shortcut};
 
 const DIMS: (usize, usize) = (6, 6);
 
@@ -307,21 +306,13 @@ fn invariants_hold_on_the_sharded_engine() {
         (340, FaultEvent::ShortcutUp { src: 0, dst: n - 1 }),
         (420, FaultEvent::MeshLinkUp { a: 0, b: nb0 }),
     ]);
-    // The mesh networks are all built around one distance matrix, as the
-    // points of a plan that share a design are: the faults rewrite each
-    // network's tables and must leave the shared matrix as selected.
-    let distances = Arc::new(GridGraph::with_shortcuts(dims(), &shortcuts).distances());
-    let selected = (*distances).clone();
     for threads in [1, 2, 3, 4] {
         let cfg = cfg().with_threads(threads);
-        let on_mesh = NetworkSpec::mesh_baseline(dims(), cfg.clone())
-            .with_selection(shortcuts.clone(), Arc::clone(&distances))
+        let on_mesh = NetworkSpec::with_shortcuts(dims(), cfg.clone(), shortcuts.clone())
             .with_fault_plan(fault_plan());
         drive(Network::new(on_mesh), 0x0cc_0300, 32, 500, 0);
         let on_ring = NetworkSpec::with_fabric(ring, cfg, shortcuts.clone())
             .with_fault_plan(ring_plan.clone());
         drive(Network::new(on_ring), 0x0cc_0301, 24, 500, 0);
     }
-    assert_eq!(*distances, selected);
-    assert_eq!(Arc::strong_count(&distances), 1);
 }

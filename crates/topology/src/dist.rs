@@ -1,6 +1,6 @@
 //! All-pairs shortest-path distances with incremental edge evaluation.
 
-use crate::fabric::{FabricSpec, RingMeshView};
+use crate::fabric::{FabricSpec, Spots};
 use crate::geom::GridDims;
 use crate::graph::{GridGraph, NodeId};
 use crate::weights::PairWeights;
@@ -36,101 +36,43 @@ fn check_size(n: usize) {
 
 impl DistanceMatrix {
     /// The distances of the full `dims` mesh in closed form,
-    /// `|dx| + |dy|`: with every N/S/E/W link present a path can close
-    /// each coordinate gap one hop at a time, and no unit hop closes more.
+    /// `|dx| + |dy|` ([`FabricSpec::distance`]).
     ///
     /// # Panics
     ///
     /// Panics if the grid has more than [`FabricSpec::MAX_ROUTERS`] nodes.
     pub fn mesh(dims: GridDims) -> Self {
-        let (w, n) = (dims.width(), dims.nodes());
-        check_size(n);
-        let mut d = vec![0u16; n * n];
-        let mut dx = vec![0u16; w];
-        for (src, row) in d.chunks_exact_mut(n).enumerate() {
-            let (sx, sy) = (src % w, src / w);
-            for (x, gap) in dx.iter_mut().enumerate() {
-                *gap = x.abs_diff(sx) as u16;
-            }
-            for (y, line) in row.chunks_exact_mut(w).enumerate() {
-                let dy = y.abs_diff(sy) as u16;
-                for (cell, &gap) in line.iter_mut().zip(&dx) {
-                    *cell = gap + dy;
-                }
-            }
-        }
-        Self { n, d }
+        Self::closed_form(&FabricSpec::mesh(dims))
     }
 
     /// The distances of the `dims` ring-mesh with `tile×tile` tiles in
-    /// closed form. With `L = tile²`, `ring(s,t) = min(|s−t|, L−|s−t|)` and
-    /// `s_a`, `s_b` the snake indices of `a` and `b` in their tiles:
-    ///
-    /// * same tile: `d(a,b) = ring(s_a, s_b)`;
-    /// * different tiles: `d(a,b) = ring(s_a, 0) + |Δtx| + |Δty| + ring(0, s_b)`.
-    ///
-    /// Only a tile's gateway (snake index 0) has links out of the tile, so a
-    /// path between tiles leaves through `a`'s gateway and enters through
-    /// `b`'s, reaching each along its own ring; between gateways it crosses
-    /// the gateway mesh, where passing through another tile only adds a
-    /// loop out of and back into that tile's gateway. Inside one tile a
-    /// path that leaves must come back through the same gateway, so the
-    /// ring is the shortest way round.
+    /// closed form ([`FabricSpec::distance`]).
     ///
     /// # Panics
     ///
     /// Panics if `tile` is below 2 or does not divide both sides, or if the
     /// grid has more than [`FabricSpec::MAX_ROUTERS`] nodes.
     pub fn ring_mesh(dims: GridDims, tile: usize) -> Self {
-        let (w, n) = (dims.width(), dims.nodes());
-        check_size(n);
         assert!(
-            tile >= 2 && w.is_multiple_of(tile) && dims.height().is_multiple_of(tile),
+            tile >= 2 && dims.width().is_multiple_of(tile) && dims.height().is_multiple_of(tile),
             "{dims} does not divide into {tile}x{tile} ring tiles"
         );
-        let view = RingMeshView::new(dims, tile);
-        let ring_len = tile * tile;
-        let ring = |s: usize, t: usize| {
-            let gap = s.abs_diff(t);
-            gap.min(ring_len - gap) as u16
-        };
-        let snake: Vec<usize> = (0..n).map(|r| view.snake_of(r)).collect();
-        let to_gateway: Vec<u16> = snake.iter().map(|&s| ring(s, 0)).collect();
-        let mut d = vec![0u16; n * n];
-        let mut dtx = vec![0u16; w];
-        for (src, row) in d.chunks_exact_mut(n).enumerate() {
-            let (tx, ty) = view.tile_of(src);
-            for (x, gap) in dtx.iter_mut().enumerate() {
-                *gap = (x / tile).abs_diff(tx) as u16;
-            }
-            // Out through this tile's gateway, across the gateway mesh, in
-            // through the destination tile's gateway.
-            let out = to_gateway[src];
-            let rows = row.chunks_exact_mut(w).zip(to_gateway.chunks_exact(w));
-            for (y, (line, inward)) in rows.enumerate() {
-                let across_y = out + (y / tile).abs_diff(ty) as u16;
-                for ((cell, &across_x), &into) in line.iter_mut().zip(&dtx).zip(inward) {
-                    *cell = across_y + across_x + into;
-                }
-            }
-            // The source's own tile: round the ring.
-            for s in 0..ring_len {
-                let b = view.node_at(tx, ty, s);
-                row[b] = ring(snake[src], s);
-            }
-        }
-        Self { n, d }
+        Self::closed_form(&FabricSpec::ring_mesh(dims, tile))
     }
 
-    /// A matrix over `n` nodes from its flattened form (`src * n + dst`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d` does not hold `n²` distances, or if `n` exceeds
-    /// [`FabricSpec::MAX_ROUTERS`].
-    pub fn from_vec(n: usize, d: Vec<u16>) -> Self {
+    /// [`FabricSpec::distance`] for every ordered pair of `fabric`.
+    fn closed_form(fabric: &FabricSpec) -> Self {
+        let n = fabric.nodes();
         check_size(n);
-        assert_eq!(d.len(), n * n, "a distance matrix over {n} nodes holds {} entries", n * n);
+        let ring_len = fabric.ring_len();
+        let spots = Spots::of(fabric, 0..n);
+        let mut d = vec![0u16; n * n];
+        for (src, row) in d.chunks_exact_mut(n).enumerate() {
+            let from = fabric.spot(src);
+            for (cell, hops) in row.iter_mut().zip(spots.hops_from(from, ring_len)) {
+                *cell = hops;
+            }
+        }
         Self { n, d }
     }
 
@@ -204,11 +146,6 @@ impl DistanceMatrix {
     /// The flattened `V×V` matrix (`src * V + dst`).
     pub fn as_slice(&self) -> &[u16] {
         &self.d
-    }
-
-    /// The flattened `V×V` matrix (`src * V + dst`), for in-place edits.
-    pub fn as_mut_slice(&mut self) -> &mut [u16] {
-        &mut self.d
     }
 
     /// The network diameter: the maximum finite pairwise distance.

@@ -384,6 +384,51 @@ impl FabricSpec {
         }
     }
 
+    /// Length in hops of the shortest path from `a` to `b` over the base
+    /// fabric, in closed form. O(1).
+    ///
+    /// * Mesh: `|dx| + |dy|`. A path can close each coordinate gap one hop
+    ///   at a time, and no hop closes more.
+    /// * Ring-mesh, with `L = tile²` stations a ring, `s_a`, `s_b` the snake
+    ///   indices of `a` and `b` in their tiles and `ring(s,t) = min(|s−t|,
+    ///   L−|s−t|)`: `ring(s_a, s_b)` within one tile, else `ring(s_a, 0) +
+    ///   |Δtx| + |Δty| + ring(0, s_b)`. Only a tile's gateway (snake index
+    ///   0) links out of the tile, so a path between tiles leaves and enters
+    ///   through the two gateways, each reached round its own ring, and a
+    ///   path that leaves a tile, or passes through one, comes back through
+    ///   the same gateway.
+    ///
+    /// Unlike [`FabricSpec::base_route_len`], it may use a ring's wrap edge.
+    pub fn distance(&self, a: NodeId, b: NodeId) -> u32 {
+        u32::from(self.spot(a).hops_to(self.spot(b), self.ring_len()))
+    }
+
+    /// Stations per tile ring: `tile²` on the ring-mesh, 0 on the mesh
+    /// (whose every router is a cell of its own).
+    pub(crate) fn ring_len(&self) -> u16 {
+        match *self {
+            Self::Mesh { .. } => 0,
+            Self::RingMesh { tile, .. } => (tile * tile) as u16,
+        }
+    }
+
+    /// Where router `r` sits for [`FabricSpec::distance`].
+    pub(crate) fn spot(&self, r: NodeId) -> Spot {
+        match *self {
+            Self::Mesh { dims } => {
+                let c = dims.coord_of(r);
+                Spot { x: c.x, y: c.y, snake: 0, to_gateway: 0 }
+            }
+            Self::RingMesh { dims, tile } => {
+                let v = RingMeshView::new(dims, tile);
+                let (tx, ty) = v.tile_of(r);
+                let snake = v.snake_of(r);
+                let (x, y, to_gateway) = (tx as u16, ty as u16, snake.min(tile * tile - snake));
+                Spot { x, y, snake: snake as u16, to_gateway: to_gateway as u16 }
+            }
+        }
+    }
+
     /// Length in hops of the base (escape) route from `a` to `b` — the
     /// fabric's analogue of Manhattan distance. O(1).
     pub fn base_route_len(&self, a: NodeId, b: NodeId) -> u32 {
@@ -434,6 +479,67 @@ fn xy_slot(at: (usize, usize), to: (usize, usize)) -> Option<u8> {
         (Equal, Less) => Some(SLOT_S),
         (Equal, Greater) => Some(SLOT_N),
         (Equal, Equal) => None,
+    }
+}
+
+/// Where a router sits for its fabric's closed-form distance: its grid
+/// cell on the mesh; on the ring-mesh its tile, its snake index in the
+/// tile and its distance round the ring to the tile's gateway.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Spot {
+    x: u16,
+    y: u16,
+    snake: u16,
+    to_gateway: u16,
+}
+
+impl Spot {
+    /// [`FabricSpec::distance`] from `self` to `to`, on a fabric whose
+    /// tile rings have `ring_len` stations ([`FabricSpec::ring_len`]).
+    #[inline]
+    pub(crate) fn hops_to(self, to: Spot, ring_len: u16) -> u16 {
+        let across = self.x.abs_diff(to.x) + self.y.abs_diff(to.y);
+        let via_gateways = self.to_gateway + across + to.to_gateway;
+        // Within one tile: round the ring (on the mesh, a cell is a router).
+        let gap = self.snake.abs_diff(to.snake);
+        let round = gap.min(ring_len - gap);
+        // Both arms are computed so that a row of them vectorises.
+        if across == 0 { round } else { via_gateways }
+    }
+}
+
+/// The [`Spot`]s of a list of routers, one array per field, so that a run
+/// of [`Spot::hops_to`] over them vectorises.
+#[derive(Debug, Clone)]
+pub(crate) struct Spots {
+    x: Vec<u16>,
+    y: Vec<u16>,
+    snake: Vec<u16>,
+    to_gateway: Vec<u16>,
+}
+
+impl Spots {
+    /// The spots of `routers` on `fabric`, in order.
+    pub(crate) fn of(fabric: &FabricSpec, routers: impl IntoIterator<Item = NodeId>) -> Self {
+        let mut spots =
+            Self { x: Vec::new(), y: Vec::new(), snake: Vec::new(), to_gateway: Vec::new() };
+        for r in routers {
+            let at = fabric.spot(r);
+            spots.x.push(at.x);
+            spots.y.push(at.y);
+            spots.snake.push(at.snake);
+            spots.to_gateway.push(at.to_gateway);
+        }
+        spots
+    }
+
+    /// [`Spot::hops_to`] from `from` to each spot, in order.
+    #[inline]
+    pub(crate) fn hops_from(&self, from: Spot, ring_len: u16) -> impl Iterator<Item = u16> + '_ {
+        let fields = self.x.iter().zip(&self.y).zip(self.snake.iter().zip(&self.to_gateway));
+        fields.map(move |((&x, &y), (&snake, &to_gateway))| {
+            from.hops_to(Spot { x, y, snake, to_gateway }, ring_len)
+        })
     }
 }
 

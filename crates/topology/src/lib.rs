@@ -50,5 +50,6 @@ pub use error::TopologyError;
 pub use fabric::FabricSpec;
 pub use geom::{Coord, GridDims};
 pub use graph::{GridGraph, NodeId, Shortcut};
+pub use routing::DistanceOracle;
 pub use select::{Selection, SelectionConstraints};
 pub use weights::PairWeights;

@@ -92,9 +92,10 @@ impl SelectionConstraints {
 ///
 /// The max-cost and application-specific selectors update one all-pairs
 /// matrix after every pick, the last included, so when they return it *is*
-/// `W(x,y)` over the input graph plus [`Selection::shortcuts`] — the matrix
-/// the routing tables of that network are built from. Handing it on saves
-/// the network a second all-pairs pass over the same graph.
+/// `W(x,y)` over the input graph plus [`Selection::shortcuts`]. A network
+/// needs only the shortcuts: it prices pairs one at a time with a
+/// [`crate::DistanceOracle`], so callers that keep the selection for a
+/// network may drop the matrix.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Selection {
     /// The selected shortcuts, in selection order.

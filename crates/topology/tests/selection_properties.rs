@@ -7,7 +7,9 @@ use rfnoc_topology::select::{
     check_constraints, select_application_specific, select_exhaustive_greedy, select_max_cost,
     SelectionConstraints,
 };
-use rfnoc_topology::{DistanceMatrix, FabricSpec, GridDims, GridGraph, PairWeights, Shortcut};
+use rfnoc_topology::{
+    DistanceMatrix, DistanceOracle, FabricSpec, GridDims, GridGraph, PairWeights, Shortcut,
+};
 
 fn objective(dims: GridDims, set: &[Shortcut], weights: &PairWeights) -> f64 {
     let g = GridGraph::with_shortcuts(dims, set);
@@ -235,6 +237,49 @@ proptest! {
                 let expected =
                     if r == d { fabric.base_slot_count(r) as u8 } else { fabric.base_port(r, d) };
                 prop_assert_eq!(table[r * n + d], expected, "{}: {} -> {}", fabric, r, d);
+            }
+        }
+    }
+
+    /// The distance oracle prices and routes every pair as the all-pairs
+    /// search and the dense routing tables do, on meshes and ring-meshes
+    /// up to 16×16 with up to 16 shortcuts, adjacent routers included.
+    #[test]
+    fn distance_oracle_matches_the_dense_tables(
+        side_x in 2usize..17,
+        side_y in 2usize..17,
+        tile in 2usize..5,
+        ring in 0usize..2,
+        edges in proptest::collection::vec((0usize..256, 0usize..256), 0..17),
+    ) {
+        let fabric = if ring == 1 {
+            // Whole tiles: each side rounded down to a multiple of the
+            // tile, and never below one tile.
+            let tiles = |side: usize| tile * (side / tile).max(1);
+            FabricSpec::ring_mesh(GridDims::new(tiles(side_x), tiles(side_y)), tile)
+        } else {
+            FabricSpec::mesh(GridDims::new(side_x, side_y))
+        };
+        let dims = fabric.dims();
+        prop_assert!(fabric.validate().is_ok());
+        let n = dims.nodes();
+        let shortcuts = legal_shortcuts(n, &edges);
+        let g = GridGraph::from_fabric(&fabric, &shortcuts);
+        let dist = g.distances();
+        let tables = RoutingTables::from_distances(&g, &dist);
+        let oracle = DistanceOracle::new(&fabric, &shortcuts);
+        prop_assert_eq!(oracle.node_count(), n);
+        for r in 0..n {
+            let local = fabric.base_slot_count(r) as u8;
+            for d in 0..n {
+                prop_assert_eq!(oracle.distance(r, d), dist.get(r, d), "{}: {} -> {}", fabric, r, d);
+                let port = if r == d {
+                    local
+                } else {
+                    let next = tables.next_hop(r, d);
+                    fabric.port_between(r, next).unwrap_or(local + 1)
+                };
+                prop_assert_eq!(oracle.route_port(r, d), port, "{}: {} -> {}", fabric, r, d);
             }
         }
     }
