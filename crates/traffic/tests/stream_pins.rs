@@ -1,13 +1,15 @@
 //! FNV-1a hashes over `(cycle, src, dst, class)` of the first 20 000
-//! cycles of every generator on the paper's 10×10 placement. A generator
-//! rewrite must reproduce each stream message for message: same sources,
-//! same destinations, same classes, every `rng` draw where it was.
+//! cycles of every generator on the paper's 10×10 placement, at the
+//! default rates and at the edge rates of the Bernoulli arrivals (0, whole,
+//! above 1), plus 2 000 cycles of the 64×64 placement. A generator rewrite
+//! must reproduce each stream message for message: same sources, same
+//! destinations, same classes, every `rng` draw where it was.
 
 use rfnoc_sim::{Destination, MessageClass, Workload};
-use rfnoc_topology::Shortcut;
+use rfnoc_topology::{FabricSpec, GridDims, Shortcut};
 use rfnoc_traffic::{
-    CombinedWorkload, MulticastConfig, MulticastTraffic, Placement, ProbabilisticWorkload,
-    Profile, ProfileSpec, ProfileWorkload, TraceKind, TrafficConfig,
+    AppProfile, AppWorkload, CombinedWorkload, MulticastConfig, MulticastTraffic, Placement,
+    ProbabilisticWorkload, Profile, ProfileSpec, ProfileWorkload, TraceKind, TrafficConfig,
 };
 
 const CYCLES: u64 = 20_000;
@@ -20,11 +22,16 @@ fn fnv(hash: &mut u64, bytes: &[u8]) {
 }
 
 /// `(messages, hash)` of the first [`CYCLES`] cycles of `workload`.
-fn stream_hash(mut workload: impl Workload) -> (usize, u64) {
+fn stream_hash(workload: impl Workload) -> (usize, u64) {
+    stream_hash_over(workload, CYCLES)
+}
+
+/// `(messages, hash)` of the first `cycles` cycles of `workload`.
+fn stream_hash_over(mut workload: impl Workload, cycles: u64) -> (usize, u64) {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let mut messages = 0;
     let mut buf = Vec::new();
-    for cycle in 0..CYCLES {
+    for cycle in 0..cycles {
         buf.clear();
         workload.messages_at(cycle, &mut buf);
         messages += buf.len();
@@ -114,5 +121,88 @@ fn campaign_profile_streams_match_their_pins() {
         .unwrap();
         let got = stream_hash(workload);
         assert_eq!(got, (messages, hash), "{profile}: ({}, {:#018x})", got.0, got.1);
+    }
+}
+
+/// The `rf64_build` benchmark's stream: `Uniform` on the 64×64 quadrant
+/// placement at the paper's total offered load, 0.008 × 100 / 4096 per
+/// router.
+#[test]
+fn large_grid_uniform_stream_matches_its_pin() {
+    let placement = Placement::quadrant_clusters_on(FabricSpec::mesh(GridDims::new(64, 64)));
+    let config =
+        TrafficConfig { injection_rate: 0.008 * 100.0 / 4096.0, ..TrafficConfig::default() };
+    let workload = ProbabilisticWorkload::new(placement, TraceKind::Uniform, config);
+    let got = stream_hash_over(workload, 2_000);
+    assert_eq!(got, (1_571, 0x9252_dc80_d970_67a1), "({}, {:#018x})", got.0, got.1);
+}
+
+/// Rate 0 makes no draw, a whole rate emits without drawing (memory ports
+/// draw at half of it), and 1.7 emits one certain message and then draws
+/// at 0.7.
+#[test]
+fn uniform_streams_at_edge_rates_match_their_pins() {
+    let pins: [(f64, usize, u64); 3] = [
+        (0.0, 0, 0xcbf2_9ce4_8422_2325),
+        (1.0, 1_960_121, 0xd580_2d22_a900_2d4b),
+        (1.7, 3_331_180, 0xbea0_e911_c186_ddc1),
+    ];
+    for (injection_rate, messages, hash) in pins {
+        let config = TrafficConfig { injection_rate, ..TrafficConfig::default() };
+        let got = stream_hash(trace(TraceKind::Uniform, config));
+        assert_eq!(got, (messages, hash), "rate {injection_rate}: ({}, {:#018x})", got.0, got.1);
+    }
+}
+
+/// A hotspot trace whose hot caches send 0.3 × 4.5 = 1.35 messages a
+/// cycle (a whole and a fractional part on one source), and the same trace
+/// with silent hot caches (rate 0, no draw) among sources that draw.
+#[test]
+fn hotspot_streams_at_edge_multipliers_match_their_pins() {
+    let pins: [(f64, usize, u64); 2] =
+        [(4.5, 672_321, 0x5b6b_869b_b72d_5cf3), (0.0, 564_083, 0xe580_17a4_976e_0fef)];
+    for (hot_multiplier, messages, hash) in pins {
+        let config =
+            TrafficConfig { injection_rate: 0.3, hot_multiplier, ..TrafficConfig::default() };
+        let got = stream_hash(trace(TraceKind::Hotspot4, config));
+        assert_eq!(got, (messages, hash), "x{hot_multiplier}: ({}, {:#018x})", got.0, got.1);
+    }
+}
+
+/// Application streams draw once per non-memory source at `min(rate, 1)`,
+/// even at rate 0 and above 1.
+#[test]
+fn app_streams_match_their_pins() {
+    let pins: [(AppProfile, f64, usize, u64); 6] = [
+        (AppProfile::x264(), 0.05, 96_139, 0x5272_4a96_c1e7_2b20),
+        (AppProfile::x264(), 0.0, 0, 0xcbf2_9ce4_8422_2325),
+        (AppProfile::x264(), 1.5, 1_920_000, 0x2715_c836_df44_e6ea),
+        (AppProfile::bodytrack(), 0.05, 96_112, 0x3f80_19f5_7812_d163),
+        (AppProfile::bodytrack(), 0.0, 0, 0xcbf2_9ce4_8422_2325),
+        (AppProfile::bodytrack(), 1.5, 1_920_000, 0x4d85_a199_99ee_d0e9),
+    ];
+    for (profile, rate, messages, hash) in pins {
+        let name = profile.name;
+        let got = stream_hash(AppWorkload::new(Placement::paper_10x10(), profile, rate, 7));
+        assert_eq!(got, (messages, hash), "{name} at {rate}: ({}, {:#018x})", got.0, got.1);
+    }
+}
+
+/// The expected profile draws at rate 0 and emits one certain message per
+/// source at any rate of 1 or more.
+#[test]
+fn expected_profile_streams_at_edge_rates_match_their_pins() {
+    let pins: [(f64, usize, u64); 2] =
+        [(0.0, 0, 0xcbf2_9ce4_8422_2325), (1.5, 2_000_000, 0x8f3e_c4f9_84dc_e576)];
+    for (injection_rate, messages, hash) in pins {
+        let workload = ProfileWorkload::new(
+            Placement::paper_10x10(),
+            ProfileSpec::new(Profile::Expected, 7),
+            TrafficConfig { injection_rate, ..TrafficConfig::default() },
+            &[],
+        )
+        .unwrap();
+        let got = stream_hash(workload);
+        assert_eq!(got, (messages, hash), "rate {injection_rate}: ({}, {:#018x})", got.0, got.1);
     }
 }
