@@ -17,6 +17,7 @@
 //! streams, so matching these spatial statistics exercises the same
 //! adaptive-shortcut and bandwidth-reduction behaviour as the real traces.
 
+use crate::arrivals::{Arrival, Arrivals, Scan};
 use crate::placement::{ComponentKind, Placement};
 use crate::patterns::class_for;
 use rand::rngs::StdRng;
@@ -142,7 +143,9 @@ impl AppProfile {
 pub struct AppWorkload {
     placement: Placement,
     profile: AppProfile,
-    injection_rate: f64,
+    /// One draw per router per cycle at `min(injection_rate, 1)`, none on
+    /// memory ports: app profiles cover core/cache traffic only.
+    arrivals: Arrivals,
     rng: StdRng,
     hotspots: Vec<NodeId>,
     /// `buckets[src][d]` = non-memory components at Manhattan distance `d`
@@ -155,6 +158,10 @@ pub struct AppWorkload {
 
 impl AppWorkload {
     /// Creates the generator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `injection_rate` is negative.
     pub fn new(placement: Placement, profile: AppProfile, injection_rate: f64, seed: u64) -> Self {
         let dims = placement.dims();
         let n = dims.nodes();
@@ -187,10 +194,17 @@ impl AppWorkload {
             0 => Vec::new(),
             k => placement.hotspot_caches(k),
         };
+        let arrivals = placement
+            .all()
+            .map(|r| match placement.kind(r) {
+                ComponentKind::Memory => Arrival::SILENT,
+                _ => Arrival::draw(injection_rate.min(1.0)),
+            })
+            .collect();
         Self {
             placement,
             profile,
-            injection_rate,
+            arrivals,
             rng: StdRng::seed_from_u64(seed),
             hotspots,
             buckets,
@@ -225,17 +239,11 @@ impl AppWorkload {
 
 impl Workload for AppWorkload {
     fn messages_at(&mut self, _cycle: u64, out: &mut Vec<MessageSpec>) {
-        let n = self.placement.dims().nodes();
-        for src in 0..n {
-            if self.placement.kind(src) == ComponentKind::Memory {
-                continue; // app profiles cover core/cache traffic only
-            }
-            if self.rng.gen_bool(self.injection_rate.min(1.0)) {
-                if let Some(dst) = self.sample_destination(src) {
-                    let class =
-                        class_for(self.placement.kind(src), self.placement.kind(dst));
-                    out.push(MessageSpec::unicast(src, dst, class));
-                }
+        let mut scan = Scan::default();
+        while let Some(src) = self.arrivals.next(&mut self.rng, &mut scan) {
+            if let Some(dst) = self.sample_destination(src) {
+                let class = class_for(self.placement.kind(src), self.placement.kind(dst));
+                out.push(MessageSpec::unicast(src, dst, class));
             }
         }
     }
@@ -293,6 +301,22 @@ mod tests {
             .filter(|m| matches!(m.dest, rfnoc_sim::Destination::Unicast(d) if d == hot))
             .count() as f64;
         assert!(to_hot / out.len() as f64 > 0.1);
+    }
+
+    /// Every non-memory source draws once a cycle, even at rate 0; memory
+    /// ports never draw.
+    #[test]
+    fn draws_once_per_non_memory_source() {
+        let placement = Placement::paper_10x10();
+        let mut w = AppWorkload::new(placement.clone(), AppProfile::x264(), 0.0, 3);
+        let mut want = w.rng.clone();
+        let mut out = Vec::new();
+        w.messages_at(0, &mut out);
+        assert!(out.is_empty());
+        for _ in placement.all().filter(|&r| placement.kind(r) != ComponentKind::Memory) {
+            want.gen::<u64>();
+        }
+        assert_eq!(w.rng, want);
     }
 
     #[test]

@@ -37,6 +37,7 @@
 #![warn(missing_docs)]
 
 mod apps;
+mod arrivals;
 mod multicast;
 mod patterns;
 mod placement;

@@ -1,5 +1,6 @@
 //! The seven probabilistic trace patterns of Table 1.
 
+use crate::arrivals::{Arrival, Arrivals, Scan, RATE_LIMIT};
 use crate::placement::{ComponentKind, Placement};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -149,6 +150,10 @@ pub enum TrafficError {
     GroupFractionsExceedOne,
     /// `memory_fraction` must lie in `[0, 1]`.
     MemoryFraction,
+    /// The largest per-source rate, `injection_rate` times the larger of 1,
+    /// `hot_multiplier` and `hot_group_multiplier`, must be below 2³²: a
+    /// source emits its whole part as certain messages each cycle.
+    SourceRate,
 }
 
 impl fmt::Display for TrafficError {
@@ -166,6 +171,9 @@ impl fmt::Display for TrafficError {
                 "intra_group + neighbor_group must not exceed 1"
             }
             TrafficError::MemoryFraction => "memory_fraction must lie in [0, 1]",
+            TrafficError::SourceRate => {
+                "injection_rate times hot_multiplier or hot_group_multiplier must be below 2^32"
+            }
         })
     }
 }
@@ -175,7 +183,9 @@ impl std::error::Error for TrafficError {}
 impl TrafficConfig {
     /// Checks every field's range. The generators feed the fractions to
     /// `gen_bool`, which panics outside `[0, 1]`, and scale the rate by the
-    /// multipliers, so a NaN or negative value must not reach them.
+    /// multipliers, so a NaN or negative value must not reach them, nor a
+    /// per-source rate whose whole part overflows the arrival plan's
+    /// certain-message counter.
     ///
     /// # Errors
     ///
@@ -183,11 +193,14 @@ impl TrafficConfig {
     pub fn validate(&self) -> Result<(), TrafficError> {
         let rate = |v: f64| v.is_finite() && v >= 0.0;
         let fraction = |v: f64| (0.0..=1.0).contains(&v);
+        let multiplier = self.hot_multiplier.max(self.hot_group_multiplier).max(1.0);
+        let peak = self.injection_rate * multiplier;
         let checks = [
             (rate(self.injection_rate), TrafficError::InjectionRate),
             (fraction(self.hot_fraction), TrafficError::HotFraction),
             (rate(self.hot_multiplier), TrafficError::HotMultiplier),
             (rate(self.hot_group_multiplier), TrafficError::HotGroupMultiplier),
+            (peak < RATE_LIMIT, TrafficError::SourceRate),
             (fraction(self.intra_group), TrafficError::IntraGroup),
             (fraction(self.neighbor_group), TrafficError::NeighborGroup),
             (self.intra_group + self.neighbor_group <= 1.0, TrafficError::GroupFractionsExceedOne),
@@ -211,14 +224,10 @@ pub fn class_for(src: ComponentKind, dst: ComponentKind) -> MessageClass {
     }
 }
 
-/// What the generator needs to know about one router, fixed at
-/// construction.
+/// What the generator needs to know about one router's destinations, fixed
+/// at construction.
 #[derive(Debug, Clone, Copy)]
 struct Source {
-    /// Messages injected per cycle: `injection_rate × rate multiplier`,
-    /// halved on memory ports — they respond rather than initiate — and 0
-    /// where the protocol response model already generates their replies.
-    rate: f64,
     kind: ComponentKind,
     /// Dataflow group (quadrant).
     group: usize,
@@ -233,6 +242,11 @@ pub struct ProbabilisticWorkload {
     hotspots: Vec<NodeId>,
     /// One record per router, indexed by router id.
     sources: Vec<Source>,
+    /// Each router's messages per cycle: `injection_rate × rate
+    /// multiplier`, halved on memory ports — they respond rather than
+    /// initiate — and 0 where the protocol response model already generates
+    /// their replies. The whole part is certain, the fraction one draw.
+    arrivals: Arrivals,
     /// Non-memory components (cores + caches), the universe for biased
     /// destination choice.
     endpoints: Vec<NodeId>,
@@ -256,21 +270,25 @@ impl ProbabilisticWorkload {
         };
         let sources: Vec<Source> = placement
             .all()
-            .map(|r| {
-                let (component, group) = (placement.kind(r), placement.dataflow_group(r));
+            .map(|r| Source { kind: placement.kind(r), group: placement.dataflow_group(r) })
+            .collect();
+        let arrivals = sources
+            .iter()
+            .enumerate()
+            .map(|(r, source)| {
                 // Only the hotspot traces have hotspots.
                 let multiplier = if hotspots.contains(&r) {
                     config.hot_multiplier
-                } else if kind == TraceKind::HotBiDf && group == 1 {
+                } else if kind == TraceKind::HotBiDf && source.group == 1 {
                     config.hot_group_multiplier
                 } else {
                     1.0
                 };
                 let mut rate = config.injection_rate * multiplier;
-                if component == ComponentKind::Memory {
+                if source.kind == ComponentKind::Memory {
                     rate = if config.response_delay.is_some() { 0.0 } else { rate * 0.5 };
                 }
-                Source { rate, kind: component, group }
+                Arrival::rate(rate)
             })
             .collect();
         let endpoints: Vec<NodeId> =
@@ -294,6 +312,7 @@ impl ProbabilisticWorkload {
             rng,
             hotspots,
             sources,
+            arrivals,
             endpoints,
             group_members,
             group_caches,
@@ -413,33 +432,23 @@ impl Workload for ProbabilisticWorkload {
             self.pending_responses.pop_front();
             out.push(MessageSpec::unicast(responder, requester, class));
         }
-        for src in 0..self.sources.len() {
-            let Source { rate, kind: src_kind, .. } = self.sources[src];
-            let mut budget = rate;
-            while budget > 0.0 {
-                let p = budget.min(1.0);
-                if p >= 1.0 || self.rng.gen_bool(p) {
-                    let dst = self.destination_for(src);
-                    let dst_kind = self.sources[dst].kind;
-                    out.push(MessageSpec::unicast(src, dst, class_for(src_kind, dst_kind)));
-                    // Requests pull their response back (§4.1's paired
-                    // request/data and cache/memory transfers).
-                    if let Some(delay) = self.config.response_delay {
-                        let response = match (src_kind, dst_kind) {
-                            (ComponentKind::Core, ComponentKind::Cache) => {
-                                Some(MessageClass::Data)
-                            }
-                            (ComponentKind::Cache, ComponentKind::Memory) => {
-                                Some(MessageClass::Memory)
-                            }
-                            _ => None,
-                        };
-                        if let Some(class) = response {
-                            self.pending_responses.push_back((cycle + delay, dst, src, class));
-                        }
-                    }
+        let mut scan = Scan::default();
+        while let Some(src) = self.arrivals.next(&mut self.rng, &mut scan) {
+            let src_kind = self.sources[src].kind;
+            let dst = self.destination_for(src);
+            let dst_kind = self.sources[dst].kind;
+            out.push(MessageSpec::unicast(src, dst, class_for(src_kind, dst_kind)));
+            // Requests pull their response back (§4.1's paired request/data
+            // and cache/memory transfers).
+            if let Some(delay) = self.config.response_delay {
+                let response = match (src_kind, dst_kind) {
+                    (ComponentKind::Core, ComponentKind::Cache) => Some(MessageClass::Data),
+                    (ComponentKind::Cache, ComponentKind::Memory) => Some(MessageClass::Memory),
+                    _ => None,
+                };
+                if let Some(class) = response {
+                    self.pending_responses.push_back((cycle + delay, dst, src, class));
                 }
-                budget -= 1.0;
             }
         }
     }
@@ -563,8 +572,8 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The per-source table against the definition it replaced: rate ×
-    /// trace multiplier × memory factor, in that order.
+    /// The per-source table and arrival plan against the definition they
+    /// replaced: rate × trace multiplier × memory factor, in that order.
     #[test]
     fn source_table_matches_rate_definition() {
         let p = Placement::paper_10x10();
@@ -593,12 +602,37 @@ mod tests {
                         (false, _) => config.injection_rate * multiplier,
                     };
                     let source = w.sources[r];
-                    assert_eq!(source.rate, want, "{kind} router {r}");
+                    assert_eq!(w.arrivals.plan(r), Arrival::rate(want), "{kind} router {r}");
                     assert_eq!(source.kind, p.kind(r));
                     assert_eq!(source.group, p.dataflow_group(r));
                 }
             }
         }
+    }
+
+    /// A source at rate 0 makes no draw, and a whole rate emits without
+    /// one: at 0 the stream never moves, and at 1 with responses on (memory
+    /// ports silent) every endpoint emits exactly one message a cycle.
+    #[test]
+    fn whole_rates_make_no_draw() {
+        let p = Placement::paper_10x10();
+        let silent = TrafficConfig { injection_rate: 0.0, ..TrafficConfig::default() };
+        let mut w = ProbabilisticWorkload::new(p.clone(), TraceKind::Hotspot2, silent);
+        let before = w.rng.clone();
+        let mut out = Vec::new();
+        w.messages_at(0, &mut out);
+        assert!(out.is_empty());
+        assert_eq!(w.rng, before);
+        let full = TrafficConfig {
+            injection_rate: 1.0,
+            response_delay: Some(1_000),
+            ..TrafficConfig::default()
+        };
+        let mut w = ProbabilisticWorkload::new(p.clone(), TraceKind::Uniform, full);
+        w.messages_at(0, &mut out);
+        let endpoints = p.all().filter(|&r| p.kind(r) != ComponentKind::Memory).count();
+        assert_eq!(out.len(), endpoints);
+        assert!(out.iter().enumerate().all(|(i, m)| m.src == w.endpoints[i]));
     }
 
     #[test]
@@ -607,7 +641,10 @@ mod tests {
         assert_eq!(ok.validate(), Ok(()));
         let zero = TrafficConfig { injection_rate: 0.0, hot_fraction: 1.0, ..ok.clone() };
         assert_eq!(zero.validate(), Ok(()));
-        let cases: [(TrafficConfig, TrafficError); 10] = [
+        // The largest rate a plan holds, on the hot sources.
+        let edge = TrafficConfig { injection_rate: (RATE_LIMIT - 1.0) / 4.0, ..ok.clone() };
+        assert_eq!(edge.validate(), Ok(()));
+        let cases: [(TrafficConfig, TrafficError); 13] = [
             (TrafficConfig { injection_rate: -0.01, ..ok.clone() }, TrafficError::InjectionRate),
             (TrafficConfig { injection_rate: f64::NAN, ..ok.clone() }, TrafficError::InjectionRate),
             (
@@ -627,6 +664,17 @@ mod tests {
                 TrafficError::GroupFractionsExceedOne,
             ),
             (TrafficConfig { memory_fraction: 1.01, ..ok.clone() }, TrafficError::MemoryFraction),
+            // 4e17 - 1 == 4e17: a whole part that never counts down.
+            (TrafficConfig { injection_rate: 1e17, ..ok.clone() }, TrafficError::SourceRate),
+            // Finite fields whose product is not.
+            (
+                TrafficConfig { injection_rate: 1e300, hot_multiplier: 1e10, ..ok.clone() },
+                TrafficError::SourceRate,
+            ),
+            (
+                TrafficConfig { injection_rate: 2e9, hot_group_multiplier: 3.0, ..ok.clone() },
+                TrafficError::SourceRate,
+            ),
         ];
         for (config, want) in cases {
             assert_eq!(config.validate(), Err(want), "{want}");

@@ -23,6 +23,7 @@
 //! same campaign seed always reproduces the same three streams bit for
 //! bit.
 
+use crate::arrivals::{Arrival, Arrivals, Bernoulli, Scan};
 use crate::placement::Placement;
 use crate::patterns::{class_for, TrafficConfig};
 use rand::rngs::StdRng;
@@ -233,11 +234,13 @@ pub struct ProfileWorkload {
     spec: ProfileSpec,
     placement: Placement,
     rng: StdRng,
-    /// Nominal per-source injection probability per cycle.
-    rate: f64,
-    /// Injection probability of a bursting source: `rate × burst_gain`,
-    /// capped at 1.
-    burst_rate: f64,
+    /// The expected profile's sources: one certain message a cycle at a
+    /// rate of 1 or more, else one draw at the rate (even at 0). Empty for
+    /// the bursty profiles, whose phases decide.
+    arrivals: Arrivals,
+    /// A bursting source's trial at `rate × burst_gain`; `None` (a certain
+    /// message, no draw) once that reaches 1.
+    burst: Option<Bernoulli>,
     burst_length: PhaseLength,
     gap_length: PhaseLength,
     /// Shortcut destination of each router owning an RF transmitter.
@@ -255,6 +258,11 @@ impl ProfileWorkload {
     /// # Errors
     ///
     /// Returns a [`ProfileError`] if the spec fails validation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the traffic's `injection_rate` is negative, or NaN for the
+    /// expected profile.
     pub fn new(
         placement: Placement,
         spec: ProfileSpec,
@@ -272,11 +280,19 @@ impl ProfileWorkload {
             }
         }
         let rate = traffic.injection_rate;
+        let arrivals = match spec.profile {
+            Profile::Expected => {
+                let arrival = if rate >= 1.0 { Arrival::rate(1.0) } else { Arrival::draw(rate) };
+                std::iter::repeat_n(arrival, nodes).collect()
+            }
+            Profile::Stress | Profile::Adversarial => Arrivals::default(),
+        };
+        let burst_rate = (rate * spec.burst_gain).min(1.0);
         Ok(Self {
             placement,
             rng: StdRng::seed_from_u64(spec.stream_seed()),
-            rate,
-            burst_rate: (rate * spec.burst_gain).min(1.0),
+            arrivals,
+            burst: (burst_rate < 1.0).then(|| Bernoulli::new(burst_rate)),
             burst_length: PhaseLength::new(spec.mean_on, spec.pareto_alpha),
             gap_length: PhaseLength::new(spec.mean_off, spec.pareto_alpha),
             shortcut_dst,
@@ -340,10 +356,9 @@ impl Workload for ProfileWorkload {
         // The expected profile has no phases — it is plain Bernoulli at
         // the nominal rate.
         if self.spec.profile == Profile::Expected {
-            for src in 0..self.placement.dims().nodes() {
-                if self.rate >= 1.0 || self.rng.gen_bool(self.rate) {
-                    self.emit(src, out);
-                }
+            let mut scan = Scan::default();
+            while let Some(src) = self.arrivals.next(&mut self.rng, &mut scan) {
+                self.emit(src, out);
             }
             return;
         }
@@ -355,7 +370,7 @@ impl Workload for ProfileWorkload {
                 let length = if bursting { self.burst_length } else { self.gap_length };
                 *phase = SourcePhase { bursting, until: cycle + length.sample(&mut self.rng) };
             }
-            if phase.bursting && (self.burst_rate >= 1.0 || self.rng.gen_bool(self.burst_rate)) {
+            if phase.bursting && self.burst.is_none_or(|b| b.sample(&mut self.rng)) {
                 self.emit(src, out);
             }
         }
@@ -431,6 +446,29 @@ mod tests {
         let traffic = TrafficConfig::default();
         let shortcuts = vec![Shortcut::new(0, 99), Shortcut::new(90, 9)];
         (placement, traffic, shortcuts)
+    }
+
+    /// The expected profile draws once per router per cycle even at rate
+    /// 0, and emits exactly one message per router at a rate of 1.
+    #[test]
+    fn expected_profile_draw_convention() {
+        let (placement, _, shortcuts) = setup();
+        let spec = ProfileSpec::new(Profile::Expected, 5);
+        let at = |injection_rate| {
+            let traffic = TrafficConfig { injection_rate, ..TrafficConfig::default() };
+            ProfileWorkload::new(placement.clone(), spec.clone(), traffic, &shortcuts).unwrap()
+        };
+        let mut silent = at(0.0);
+        let mut want = silent.rng.clone();
+        silent.messages_at(0, &mut Vec::new());
+        for _ in 0..placement.dims().nodes() {
+            want.gen::<u64>();
+        }
+        assert_eq!(silent.rng, want);
+        let mut full = at(1.0);
+        let mut out = Vec::new();
+        full.messages_at(0, &mut out);
+        assert_eq!(out.len(), placement.dims().nodes());
     }
 
     #[test]
