@@ -230,6 +230,12 @@ pub enum SimError {
     },
     /// A multicast message with no destinations.
     EmptyMulticast,
+    /// VCT or RF multicast on more routers than a
+    /// [`crate::DestSet`] holds.
+    MulticastBeyondDestSet {
+        /// Routers in the fabric.
+        routers: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -251,6 +257,11 @@ impl fmt::Display for SimError {
             }
             Self::SelfUnicast { node } => write!(f, "unicast to self at node {node}"),
             Self::EmptyMulticast => write!(f, "empty multicast destination set"),
+            Self::MulticastBeyondDestSet { routers } => write!(
+                f,
+                "multicast on {routers} routers exceeds the {}-router destination vector",
+                crate::DestSet::CAPACITY
+            ),
         }
     }
 }

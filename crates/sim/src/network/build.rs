@@ -29,7 +29,8 @@ impl Network {
     /// network, a fault plan naming resources outside the network, RF
     /// multicast without an [`McConfig`] or with an inconsistent one, RF
     /// broadcast multicast on a non-mesh fabric (the broadcast medium spans
-    /// the mesh only), or a fabric with more ports per router than the
+    /// the mesh only), VCT or RF multicast on more routers than a
+    /// [`DestSet`] holds, or a fabric with more ports per router than the
     /// engine supports.
     ///
     /// A shortest-path network routes from a [`DistanceOracle`] over the
@@ -56,6 +57,9 @@ impl Network {
             return Err(SimError::Config(ConfigError::NoAdaptiveVcs));
         }
         validate_fault_plan(&spec.faults, &fabric)?;
+        if !matches!(spec.multicast, MulticastMode::AsUnicasts) && n > DestSet::CAPACITY {
+            return Err(SimError::MulticastBeyondDestSet { routers: n });
+        }
         if matches!(spec.multicast, MulticastMode::Rf) {
             spec.mc.as_ref().ok_or(SimError::MissingMcConfig)?.validate(n)?;
             if !fabric.is_mesh() {
@@ -371,5 +375,25 @@ mod tests {
                 "{w}x{h}"
             );
         }
+    }
+
+    /// VCT and RF multicast address their destinations with a `DestSet`:
+    /// on more routers than it holds they are a typed error, while
+    /// expanding multicasts into unicasts builds at any size.
+    #[test]
+    fn multicast_beyond_the_dest_set_is_refused() {
+        let spec = |w, h, multicast| NetworkSpec {
+            multicast,
+            ..NetworkSpec::mesh_baseline(GridDims::new(w, h), SimConfig::paper_baseline())
+        };
+        let vct = MulticastMode::Vct(VctConfig::default());
+        assert!(Network::try_new(spec(8, 16, vct.clone())).is_ok(), "128 routers fit");
+        for mode in [vct, MulticastMode::Rf] {
+            assert_eq!(
+                Network::try_new(spec(12, 12, mode)).map(|_| "a network"),
+                Err(SimError::MulticastBeyondDestSet { routers: 144 }),
+            );
+        }
+        assert!(Network::try_new(spec(12, 12, MulticastMode::AsUnicasts)).is_ok());
     }
 }

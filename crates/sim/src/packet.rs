@@ -30,12 +30,16 @@ impl MessageClass {
 
 /// A set of destination routers, stored as a bit vector over node ids.
 ///
-/// The paper's DBV is 64 bits over cores; our networks have at most 128
-/// routers, so a `u128` indexed by router id suffices.
+/// The paper's DBV is 64 bits over cores; here a `u128` indexed by router
+/// id holds any router below [`DestSet::CAPACITY`]. A multicast network or
+/// generator on more routers is refused when it is built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct DestSet(u128);
 
 impl DestSet {
+    /// One more than the largest router id a set can hold.
+    pub const CAPACITY: usize = 128;
+
     /// The empty destination set.
     pub fn empty() -> Self {
         Self(0)
@@ -45,11 +49,11 @@ impl DestSet {
     ///
     /// # Panics
     ///
-    /// Panics if any id is ≥ 128.
+    /// Panics if any id is ≥ [`DestSet::CAPACITY`].
     pub fn from_nodes<I: IntoIterator<Item = NodeId>>(nodes: I) -> Self {
         let mut bits = 0u128;
         for n in nodes {
-            assert!(n < 128, "router id {n} exceeds DBV capacity");
+            assert!(n < Self::CAPACITY, "router id {n} exceeds DBV capacity");
             bits |= 1 << n;
         }
         Self(bits)
@@ -59,22 +63,22 @@ impl DestSet {
     ///
     /// # Panics
     ///
-    /// Panics if `node >= 128`.
+    /// Panics if `node >= DestSet::CAPACITY`.
     pub fn insert(&mut self, node: NodeId) {
-        assert!(node < 128, "router id {node} exceeds DBV capacity");
+        assert!(node < Self::CAPACITY, "router id {node} exceeds DBV capacity");
         self.0 |= 1 << node;
     }
 
     /// Removes a router from the set.
     pub fn remove(&mut self, node: NodeId) {
-        if node < 128 {
+        if node < Self::CAPACITY {
             self.0 &= !(1 << node);
         }
     }
 
     /// Whether `node` is in the set.
     pub fn contains(&self, node: NodeId) -> bool {
-        node < 128 && self.0 & (1 << node) != 0
+        node < Self::CAPACITY && self.0 & (1 << node) != 0
     }
 
     /// Number of destinations.
@@ -90,7 +94,7 @@ impl DestSet {
     /// Iterator over the router ids in the set, ascending.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
         let bits = self.0;
-        (0..128usize).filter(move |i| bits & (1 << i) != 0)
+        (0..Self::CAPACITY).filter(move |i| bits & (1 << i) != 0)
     }
 
     /// Raw bit representation.
