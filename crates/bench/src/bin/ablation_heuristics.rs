@@ -36,7 +36,8 @@ fn simulate(shortcuts: Vec<Shortcut>) -> f64 {
         placement,
         TraceKind::Uniform,
         TrafficConfig::default(),
-    );
+    )
+    .expect("the default traffic config is valid");
     network.run(&mut workload).avg_message_latency()
 }
 

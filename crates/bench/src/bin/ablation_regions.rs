@@ -36,7 +36,8 @@ fn simulate(shortcuts: Vec<Shortcut>, trace: TraceKind) -> f64 {
         placement,
         trace,
         TrafficConfig::default(),
-    );
+    )
+    .expect("the default traffic config is valid");
     network.run(&mut workload).avg_message_latency()
 }
 

@@ -253,9 +253,9 @@ impl DesignSlot {
 ///
 /// # Panics
 ///
-/// Panics before any experiment runs if a point's traffic parameters fail
-/// [`rfnoc_traffic::TrafficConfig::validate`], and if a worker thread
-/// panics (the panic is propagated).
+/// Panics before any experiment runs if a point's workload fails
+/// [`rfnoc::WorkloadSpec::validate`] (its traffic parameters included),
+/// and if a worker thread panics (the panic is propagated).
 pub fn run_plan(plan: &Plan, cfg: &RunnerConfig) -> PlanResults {
     let sink = LedgerSink::from_config(cfg);
     run_plan_with(plan, cfg, &sink)
@@ -270,10 +270,11 @@ pub fn run_plan(plan: &Plan, cfg: &RunnerConfig) -> PlanResults {
 /// As [`run_plan`].
 pub fn run_plan_with(plan: &Plan, cfg: &RunnerConfig, sink: &LedgerSink) -> PlanResults {
     let start = Instant::now();
-    // A generator handed an out-of-range parameter panics, or goes silent,
-    // on a worker thread in the middle of the plan: refuse the plan here.
+    // A generator handed an out-of-range parameter panics on a worker
+    // thread in the middle of the plan: refuse the plan here.
     for point in &plan.points {
-        if let Err(e) = point.experiment.traffic.validate() {
+        let exp = &point.experiment;
+        if let Err(e) = exp.workload.validate(&exp.placement, &exp.traffic) {
             panic!("plan point {:?}: invalid traffic parameters: {e}", point.id);
         }
     }

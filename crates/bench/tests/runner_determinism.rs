@@ -7,7 +7,8 @@ use rfnoc_bench::plan::{labeled, BaselineSel, Design, Plan, SweepSpec};
 use rfnoc_bench::runner::{run_plan, RunnerConfig};
 use rfnoc_power::LinkWidth;
 use rfnoc_sim::{LedgerConfig, RunStats, SimConfig};
-use rfnoc_traffic::{Profile, ProfileSpec, TraceKind, TrafficConfig};
+use rfnoc_topology::GridDims;
+use rfnoc_traffic::{Placement, Profile, ProfileSpec, TraceKind, TrafficConfig};
 
 /// A small but representative plan: two designs (one adaptive, so the
 /// profiling pass is covered), two workloads, short windows, and a
@@ -251,5 +252,21 @@ fn baseline_pairing_yields_finite_ratios() {
 fn invalid_traffic_parameters_refuse_the_plan() {
     let mut plan = small_plan();
     plan.points[0].experiment.traffic.hot_fraction = 1.5;
+    run_plan(&plan, &RunnerConfig { jobs: 1, quiet: true, ..RunnerConfig::default() });
+}
+
+/// So is a multicast workload on a placement with routers beyond the
+/// 128-bit destination vector, which used to panic on its first multicast.
+#[test]
+#[should_panic(expected = "\"determinism/base/uniform\": invalid traffic parameters: multicast")]
+fn multicast_beyond_the_dest_set_refuses_the_plan() {
+    let mut plan = small_plan();
+    let exp = &mut plan.points[0].experiment;
+    exp.placement = Placement::quadrant_clusters(GridDims::new(16, 16));
+    exp.workload = WorkloadSpec::TraceWithMulticast {
+        base: TraceKind::Uniform,
+        locality: 0.2,
+        rate_per_cache: 0.001,
+    };
     run_plan(&plan, &RunnerConfig { jobs: 1, quiet: true, ..RunnerConfig::default() });
 }

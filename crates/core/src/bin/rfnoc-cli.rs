@@ -186,7 +186,7 @@ fn cmd_run(args: &[String]) -> Option<ExitCode> {
         }
     }
     experiment.faults = parse_fault_flags(&fault_args)?;
-    if let Err(e) = experiment.traffic.validate() {
+    if let Err(e) = experiment.workload.validate(&experiment.placement, &experiment.traffic) {
         eprintln!("rfnoc-cli: {e}");
         return Some(ExitCode::FAILURE);
     }

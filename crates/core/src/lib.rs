@@ -75,7 +75,7 @@ pub use experiment::{
     DesignKey, Experiment, FaultSpec, ProfileSource, RunReport, DEFAULT_PROFILE_CYCLES,
 };
 pub use phased::{PhasedExperiment, PhasedReport, ReconfigPolicy};
-pub use workload::WorkloadSpec;
+pub use workload::{WorkloadError, WorkloadSpec};
 
 // Re-export the substrate crates so downstream users need only one
 // dependency.

@@ -28,7 +28,8 @@
 //!     placement,
 //!     TraceKind::Hotspot1,
 //!     TrafficConfig::default(),
-//! );
+//! )
+//! .unwrap();
 //! let mut messages = Vec::new();
 //! trace.messages_at(0, &mut messages);
 //! ```
@@ -45,7 +46,7 @@ mod profiles;
 mod trace;
 
 pub use apps::{AppProfile, AppWorkload};
-pub use multicast::{CombinedWorkload, MulticastConfig, MulticastTraffic};
+pub use multicast::{CombinedWorkload, MulticastConfig, MulticastError, MulticastTraffic};
 pub use patterns::{class_for, ProbabilisticWorkload, TraceKind, TrafficConfig, TrafficError};
 pub use profiles::{
     compile_profiles, derive_seed, CompiledTrace, Profile, ProfileBundle, ProfileError,

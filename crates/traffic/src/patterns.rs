@@ -65,6 +65,25 @@ impl TraceKind {
             _ => 0,
         }
     }
+
+    /// Checks that `placement` can host this trace: a hotspot trace picks
+    /// its hot caches one a cluster.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TrafficError::Hotspots`] if it cannot.
+    pub fn validate(&self, placement: &Placement) -> Result<(), TrafficError> {
+        check_hotspots(self.hotspot_count(), placement)
+    }
+}
+
+/// [`TrafficError::Hotspots`] unless `placement` has a cache cluster for
+/// each of `count` hotspots.
+pub(crate) fn check_hotspots(count: usize, placement: &Placement) -> Result<(), TrafficError> {
+    if count > placement.cluster_centers().len() {
+        return Err(TrafficError::Hotspots);
+    }
+    Ok(())
 }
 
 impl fmt::Display for TraceKind {
@@ -154,6 +173,12 @@ pub enum TrafficError {
     /// `hot_multiplier` and `hot_group_multiplier`, must be below 2³²: a
     /// source emits its whole part as certain messages each cycle.
     SourceRate,
+    /// The trace or application needs more hotspot caches than the
+    /// placement has cache clusters (one hotspot a cluster).
+    Hotspots,
+    /// An application's `distance_weights` must be non-negative, with a
+    /// finite sum.
+    DistanceWeights,
 }
 
 impl fmt::Display for TrafficError {
@@ -173,6 +198,10 @@ impl fmt::Display for TrafficError {
             TrafficError::MemoryFraction => "memory_fraction must lie in [0, 1]",
             TrafficError::SourceRate => {
                 "injection_rate times hot_multiplier or hot_group_multiplier must be below 2^32"
+            }
+            TrafficError::Hotspots => "more hotspots than the placement has cache clusters",
+            TrafficError::DistanceWeights => {
+                "distance_weights must be non-negative with a finite sum"
             }
         })
     }
@@ -263,7 +292,19 @@ pub struct ProbabilisticWorkload {
 
 impl ProbabilisticWorkload {
     /// Creates the generator for `kind` over `placement`.
-    pub fn new(placement: Placement, kind: TraceKind, config: TrafficConfig) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`TrafficError`] if `config` fails
+    /// [`TrafficConfig::validate`] or `placement` fails
+    /// [`TraceKind::validate`].
+    pub fn new(
+        placement: Placement,
+        kind: TraceKind,
+        config: TrafficConfig,
+    ) -> Result<Self, TrafficError> {
+        config.validate()?;
+        kind.validate(&placement)?;
         let hotspots = match kind.hotspot_count() {
             0 => Vec::new(),
             k => placement.hotspot_caches(k),
@@ -306,7 +347,7 @@ impl ProbabilisticWorkload {
             group_memory[sources[m].group] = m;
         }
         let rng = StdRng::seed_from_u64(config.seed);
-        Self {
+        Ok(Self {
             kind,
             config,
             rng,
@@ -318,7 +359,7 @@ impl ProbabilisticWorkload {
             group_caches,
             group_memory,
             pending_responses: std::collections::VecDeque::new(),
-        }
+        })
     }
 
     /// The hotspot routers of this trace (empty for non-hotspot kinds).
@@ -460,7 +501,8 @@ mod tests {
 
     fn collect(kind: TraceKind, cycles: u64) -> Vec<MessageSpec> {
         let mut w =
-            ProbabilisticWorkload::new(Placement::paper_10x10(), kind, TrafficConfig::default());
+            ProbabilisticWorkload::new(Placement::paper_10x10(), kind, TrafficConfig::default())
+                .unwrap();
         let mut out = Vec::new();
         for c in 0..cycles {
             w.messages_at(c, &mut out);
@@ -585,7 +627,7 @@ mod tests {
                 ..TrafficConfig::default()
             };
             for kind in TraceKind::all() {
-                let w = ProbabilisticWorkload::new(p.clone(), kind, config.clone());
+                let w = ProbabilisticWorkload::new(p.clone(), kind, config.clone()).unwrap();
                 for r in p.all() {
                     let multiplier = if w.hotspots().contains(&r) {
                         assert!(kind.hotspot_count() > 0);
@@ -617,7 +659,7 @@ mod tests {
     fn whole_rates_make_no_draw() {
         let p = Placement::paper_10x10();
         let silent = TrafficConfig { injection_rate: 0.0, ..TrafficConfig::default() };
-        let mut w = ProbabilisticWorkload::new(p.clone(), TraceKind::Hotspot2, silent);
+        let mut w = ProbabilisticWorkload::new(p.clone(), TraceKind::Hotspot2, silent).unwrap();
         let before = w.rng.clone();
         let mut out = Vec::new();
         w.messages_at(0, &mut out);
@@ -628,7 +670,7 @@ mod tests {
             response_delay: Some(1_000),
             ..TrafficConfig::default()
         };
-        let mut w = ProbabilisticWorkload::new(p.clone(), TraceKind::Uniform, full);
+        let mut w = ProbabilisticWorkload::new(p.clone(), TraceKind::Uniform, full).unwrap();
         w.messages_at(0, &mut out);
         let endpoints = p.all().filter(|&r| p.kind(r) != ComponentKind::Memory).count();
         assert_eq!(out.len(), endpoints);
@@ -705,7 +747,8 @@ mod response_tests {
             response_delay: Some(25),
             ..TrafficConfig::default()
         };
-        let mut w = ProbabilisticWorkload::new(placement.clone(), TraceKind::Uniform, config);
+        let mut w = ProbabilisticWorkload::new(placement.clone(), TraceKind::Uniform, config)
+            .unwrap();
         let mut per_cycle: Vec<Vec<MessageSpec>> = Vec::new();
         for cycle in 0..400u64 {
             let mut out = Vec::new();
@@ -744,7 +787,8 @@ mod response_tests {
             response_delay: Some(25),
             ..TrafficConfig::default()
         };
-        let mut w = ProbabilisticWorkload::new(placement.clone(), TraceKind::Uniform, config);
+        let mut w = ProbabilisticWorkload::new(placement.clone(), TraceKind::Uniform, config)
+            .unwrap();
         let mut out = Vec::new();
         for cycle in 0..200 {
             w.messages_at(cycle, &mut out);

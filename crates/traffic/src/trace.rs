@@ -296,7 +296,8 @@ mod tests {
             placement.clone(),
             TraceKind::BiDf,
             TrafficConfig::default(),
-        );
+        )
+        .unwrap();
         let trace = Trace::record(&mut original, 300);
         assert!(!trace.is_empty());
 
@@ -306,7 +307,8 @@ mod tests {
             placement,
             TraceKind::BiDf,
             TrafficConfig::default(),
-        );
+        )
+        .unwrap();
         let mut replay = trace.into_workload();
         for cycle in 0..300 {
             let mut a = Vec::new();

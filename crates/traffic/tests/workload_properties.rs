@@ -24,7 +24,8 @@ proptest! {
     ) {
         let placement = Placement::paper_10x10();
         let config = TrafficConfig { injection_rate: rate, seed, ..TrafficConfig::default() };
-        let mut w = ProbabilisticWorkload::new(placement.clone(), trace_kind(kind_idx), config);
+        let mut w = ProbabilisticWorkload::new(placement.clone(), trace_kind(kind_idx), config)
+            .unwrap();
         let mut out = Vec::new();
         for cycle in 0..200 {
             w.messages_at(cycle, &mut out);
@@ -46,7 +47,8 @@ proptest! {
     fn memory_traffic_is_cache_only(kind_idx in 0usize..7, seed in any::<u64>()) {
         let placement = Placement::paper_10x10();
         let config = TrafficConfig { seed, ..TrafficConfig::default() };
-        let mut w = ProbabilisticWorkload::new(placement.clone(), trace_kind(kind_idx), config);
+        let mut w = ProbabilisticWorkload::new(placement.clone(), trace_kind(kind_idx), config)
+            .unwrap();
         let mut out = Vec::new();
         for cycle in 0..300 {
             w.messages_at(cycle, &mut out);
@@ -70,12 +72,14 @@ proptest! {
     fn trace_file_roundtrip(kind_idx in 0usize..7, seed in any::<u64>(), mc_rate in 0.0f64..0.05) {
         let placement = Placement::paper_10x10();
         let config = TrafficConfig { seed, ..TrafficConfig::default() };
-        let mut uni = ProbabilisticWorkload::new(placement.clone(), trace_kind(kind_idx), config);
+        let mut uni = ProbabilisticWorkload::new(placement.clone(), trace_kind(kind_idx), config)
+            .unwrap();
         let trace = if mc_rate > 0.0 {
             let mut mc = MulticastTraffic::new(
                 placement,
                 MulticastConfig { rate_per_cache: mc_rate, seed, ..MulticastConfig::default() },
-            );
+            )
+            .unwrap();
             let mut records = Vec::new();
             let mut buf = Vec::new();
             for cycle in 0..100u64 {
@@ -106,7 +110,7 @@ proptest! {
         profile.hot_fraction = 0.0;
         // fluidanimate has zero weight beyond 11 hops
         let cutoff = 11u32;
-        let mut w = AppWorkload::new(placement, profile, 0.05, seed);
+        let mut w = AppWorkload::new(placement, profile, 0.05, seed).unwrap();
         let mut out = Vec::new();
         for cycle in 0..300 {
             w.messages_at(cycle, &mut out);
@@ -128,7 +132,7 @@ proptest! {
             seed,
             ..MulticastConfig::default()
         };
-        let mut w = MulticastTraffic::new(placement, config);
+        let mut w = MulticastTraffic::new(placement, config).unwrap();
         let mut out = Vec::new();
         for cycle in 0..300 {
             w.messages_at(cycle, &mut out);
