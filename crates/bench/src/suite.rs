@@ -891,8 +891,8 @@ fn render_mesh_scaling(results: &PlanResults, opts: &SuiteOptions) {
             for (label, r) in [("mesh-only", base), ("rf", rf)] {
                 let (cps, gps) = throughput(r);
                 let r4 = |v: f64| rounded(v, 4);
-                // Routing tables, base-route table and router wiring of
-                // this design, as its run timed them.
+                // Routes, base routes and router wiring of this design,
+                // as its run timed them.
                 let network_new_ms = r.report.network_wall.as_secs_f64() * 1e3;
                 points.push(
                     Json::obj()

@@ -357,8 +357,8 @@ pub struct RunReport {
     /// stage, and a plan reports zero for it too. Not a simulated quantity:
     /// it differs from run to run.
     pub build_wall: Duration,
-    /// Host time in `Network::new`: routing tables, base-route table and
-    /// router wiring. Not a simulated quantity either.
+    /// Host time in `Network::new`: routes, base routes and router
+    /// wiring. Not a simulated quantity either.
     pub network_wall: Duration,
 }
 

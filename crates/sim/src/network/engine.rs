@@ -144,11 +144,9 @@ impl Network {
             escape_vcs: low_mask(self.config.vcs_escape),
             adaptive_vcs: low_mask(self.config.total_vcs()) & !low_mask(self.config.vcs_escape),
             dims: self.dims,
-            fabric: self.fabric,
-            coords: &self.coords,
+            base_routes: &self.base_routes,
             base_ports: &self.base_ports,
             max_ports: self.max_ports,
-            base_table: self.base_table.as_deref(),
             routes: self.routes.as_ref(),
             escape_table: self.escape_table.as_deref(),
             cluster_of: self.mc.as_ref().map(|mc| mc.cluster_of.as_slice()),
@@ -485,7 +483,7 @@ impl Sweep<'_> {
             if grant.is_none() && detours {
                 let blocked = now - flit.eligible;
                 let extra_hops = sh.routes.map_or(0, |routes| {
-                    sh.fabric.base_route_len(r, dest).saturating_sub(routes.hops(r, dest))
+                    sh.base_routes.hops(r, dest).saturating_sub(routes.hops(r, dest))
                 });
                 if blocked >= 3 * u64::from(extra_hops) {
                     let mesh = escape_port();
@@ -540,7 +538,7 @@ impl Sweep<'_> {
             let (groups, glen) = partition_tree(
                 r,
                 sh.local_port(r) as u8,
-                |d| sh.base_port_toward(r, d),
+                |d| sh.base_routes.port(r, d),
                 &set,
             );
             debug_assert!(glen > 0, "tree packet with no progress");

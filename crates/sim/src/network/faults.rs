@@ -469,11 +469,11 @@ impl Network {
                     dm[r * n + d] = 0;
                 }
             } else {
-                pt[r * n + d] = self.base_port_toward(r, d);
+                pt[r * n + d] = self.base_routes.port(r, d);
                 td[r * n + d] = u16::MAX;
                 if let Some(dm) = dm.as_deref_mut() {
                     // A base route is a simple path: at most `n - 1` hops.
-                    dm[r * n + d] = self.fabric.base_route_len(r, d) as u16;
+                    dm[r * n + d] = self.base_routes.hops(r, d) as u16;
                 }
             }
         }

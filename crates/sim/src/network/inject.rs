@@ -69,13 +69,13 @@ impl Network {
         if measured {
             self.stats.injected_messages += 1;
             let dist = match spec.dest {
-                Destination::Unicast(d) => self.fabric.base_route_len(spec.src, d) as usize,
+                Destination::Unicast(d) => self.base_routes.hops(spec.src, d) as usize,
                 Destination::Multicast(set) => {
                     if set.is_empty() {
                         0
                     } else {
                         let sum: u32 =
-                            set.iter().map(|d| self.fabric.base_route_len(spec.src, d)).sum();
+                            set.iter().map(|d| self.base_routes.hops(spec.src, d)).sum();
                         (sum as f64 / set.len() as f64).round() as usize
                     }
                 }

@@ -7,11 +7,11 @@ use crate::packet::{DestSet, Destination, MessageSpec};
 use crate::rfmc::{plan_delivery, DeliveryPlan, McConfig, McTransmission};
 use crate::router::{
     bits, bits_from, low_mask, Arrival, OutLink, PendingInjection, Router, MAX_ROUTER_PORTS,
-    MAX_VCS, PORT_E, PORT_N, PORT_S, PORT_W,
+    MAX_VCS,
 };
 use crate::stats::RunStats;
 use crate::vct::{VctConfig, VctTable};
-use rfnoc_topology::{DistanceOracle, FabricSpec, GridDims, NodeId, Shortcut};
+use rfnoc_topology::{BaseRoutes, DistanceOracle, FabricSpec, GridDims, NodeId, Shortcut};
 use std::collections::VecDeque;
 use std::sync::atomic;
 
@@ -349,13 +349,9 @@ pub struct Network {
     /// Widest router's port count (`fabric.max_base_slots() + 2`): the flat
     /// stride of every per-(router, port) statistics vector.
     max_ports: usize,
-    /// `(x, y)` grid coordinates of every router (the mesh base route
-    /// compares them instead of dividing router ids).
-    coords: Vec<(u16, u16)>,
-    /// Precomputed base-route out-port per `router * n + dest`, present for
-    /// non-mesh fabrics (the mesh derives its base route with the literal
-    /// XY computation instead of a table).
-    base_table: Option<Vec<u8>>,
+    /// The fabric's base (escape) route of every pair, in closed form
+    /// over one array of the routers' places.
+    base_routes: BaseRoutes,
     config: SimConfig,
     /// Unicast routes, present in [`RoutingKind::ShortestPath`] mode.
     routes: Option<Routes>,
@@ -487,16 +483,6 @@ impl Network {
     #[inline]
     pub(crate) fn max_base(&self) -> usize {
         self.max_ports - 2
-    }
-
-    /// The base-route out port from `r` toward `dest` (`r != dest`): the
-    /// table for non-mesh fabrics, the literal XY computation for the mesh.
-    #[inline]
-    pub(crate) fn base_port_toward(&self, r: usize, dest: usize) -> u8 {
-        match &self.base_table {
-            Some(bt) => bt[r * self.dims.nodes() + dest],
-            None => xy_port(self.coords[r], self.coords[dest]),
-        }
     }
 
     /// The current simulation cycle.
@@ -645,7 +631,7 @@ impl Network {
                 let escape = match &self.escape_table {
                     _ if r == dest => self.local_port(r),
                     Some(table) => table[r * nodes + dest] as usize,
-                    None => self.base_port_toward(r, dest) as usize,
+                    None => self.base_routes.port(r, dest) as usize,
                 };
                 let want = if escape_vcs & (1 << vc) != 0 {
                     escape
@@ -704,97 +690,43 @@ fn partition_tree(
     (out, len)
 }
 
-/// The XY (dimension-order) output port of the mesh router at `(x, y)`
-/// `from` toward a different router at `to`: X first, then Y.
-#[inline]
-pub(crate) fn xy_port(from: (u16, u16), to: (u16, u16)) -> u8 {
-    debug_assert_ne!(from, to, "no base route from a router to itself");
-    let port = if from.0 < to.0 {
-        PORT_E
-    } else if from.0 > to.0 {
-        PORT_W
-    } else if from.1 < to.1 {
-        PORT_S
-    } else {
-        PORT_N
-    };
-    port as u8
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rfnoc_topology::fabric::{SLOT_E, SLOT_S, SLOT_W};
 
-    const PORT_LOCAL_MESH: usize = 4;
-
-    fn coord(dims: GridDims, r: usize) -> (u16, u16) {
-        let c = dims.coord_of(r);
-        (c.x, c.y)
-    }
-
-    #[test]
-    fn xy_port_directions() {
-        let dims = GridDims::new(4, 4);
-        let at = |r| coord(dims, r);
-        // node 5 = (1,1)
-        assert_eq!(xy_port(at(5), at(1)), PORT_N as u8);
-        assert_eq!(xy_port(at(5), at(9)), PORT_S as u8);
-        assert_eq!(xy_port(at(5), at(6)), PORT_E as u8);
-        assert_eq!(xy_port(at(5), at(4)), PORT_W as u8);
-    }
-
-    #[test]
-    fn xy_port_matches_fabric_base_route() {
-        let dims = GridDims::new(5, 3);
-        let fabric = FabricSpec::mesh(dims);
-        for r in 0..dims.nodes() {
-            for d in (0..dims.nodes()).filter(|&d| d != r) {
-                let next = rfnoc_topology::routing::xy_next_hop(dims, r, d);
-                assert_eq!(
-                    Some(xy_port(coord(dims, r), coord(dims, d))),
-                    fabric.port_between(r, next),
-                    "{r} -> {d}"
-                );
-                assert_eq!(xy_port(coord(dims, r), coord(dims, d)), fabric.base_port(r, d));
-            }
-        }
-    }
+    const PORT_LOCAL_MESH: u8 = 4;
 
     #[test]
     fn partition_tree_groups_by_xy_port() {
-        let dims = GridDims::new(4, 4);
+        let routes = BaseRoutes::of(&FabricSpec::mesh(GridDims::new(4, 4)));
         // at node 5 = (1,1): dest 5 -> local; dest 7 (3,1) -> east;
         // dest 4 (0,1) -> west; dest 13 (1,3) -> south.
         let set = DestSet::from_nodes([5, 7, 4, 13]);
-        let (groups, len) =
-            partition_tree(5, PORT_LOCAL_MESH as u8, |d| xy_port(coord(dims, 5), coord(dims, d)), &set);
+        let (groups, len) = partition_tree(5, PORT_LOCAL_MESH, |d| routes.port(5, d), &set);
         assert_eq!(len, 4);
         let groups = &groups[..len];
         let port_of = |dest: usize| {
             groups
                 .iter()
                 .find(|(_, g)| g.contains(dest))
-                .map(|(p, _)| *p as usize)
+                .map(|&(p, _)| p)
                 .expect("dest grouped")
         };
         assert_eq!(port_of(5), PORT_LOCAL_MESH);
-        assert_eq!(port_of(7), PORT_E);
-        assert_eq!(port_of(4), PORT_W);
-        assert_eq!(port_of(13), PORT_S);
+        assert_eq!(port_of(7), SLOT_E);
+        assert_eq!(port_of(4), SLOT_W);
+        assert_eq!(port_of(13), SLOT_S);
     }
 
     #[test]
     fn partition_tree_xy_goes_x_first() {
-        let dims = GridDims::new(4, 4);
+        let routes = BaseRoutes::of(&FabricSpec::mesh(GridDims::new(4, 4)));
         // dest 15 = (3,3) from node 0 = (0,0): XY routes east first.
-        let (groups, len) = partition_tree(
-            0,
-            PORT_LOCAL_MESH as u8,
-            |d| xy_port(coord(dims, 0), coord(dims, d)),
-            &DestSet::from_nodes([15]),
-        );
+        let (groups, len) =
+            partition_tree(0, PORT_LOCAL_MESH, |d| routes.port(0, d), &DestSet::from_nodes([15]));
         assert_eq!(len, 1);
-        assert_eq!(groups[0].0 as usize, PORT_E);
+        assert_eq!(groups[0].0, SLOT_E);
     }
 
     #[test]

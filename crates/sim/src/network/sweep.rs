@@ -114,12 +114,10 @@ pub(super) struct SweepShared<'a> {
     pub escape_vcs: u32,
     pub adaptive_vcs: u32,
     pub dims: GridDims,
-    pub fabric: FabricSpec,
-    /// `(x, y)` of every router, so the mesh base route needs no division.
-    pub coords: &'a [(u16, u16)],
+    /// The fabric's base (escape) routes.
+    pub base_routes: &'a BaseRoutes,
     pub base_ports: &'a [u8],
     pub max_ports: usize,
-    pub base_table: Option<&'a [u8]>,
     /// Unicast routes, present on a shortest-path network.
     pub routes: Option<&'a Routes>,
     pub escape_table: Option<&'a [u8]>,
@@ -136,15 +134,6 @@ impl SweepShared<'_> {
     #[inline]
     pub fn local_port(&self, r: usize) -> usize {
         self.base_ports[r] as usize
-    }
-
-    /// The base-route out port from `r` toward `dest` (`r != dest`).
-    #[inline]
-    pub fn base_port_toward(&self, r: usize, dest: usize) -> u8 {
-        match self.base_table {
-            Some(bt) => bt[r * self.dims.nodes() + dest],
-            None => xy_port(self.coords[r], self.coords[dest]),
-        }
     }
 
     /// The output port toward `dest` under the active routing mode.
@@ -167,7 +156,7 @@ impl SweepShared<'_> {
         } else if let Some(table) = self.escape_table {
             table[router * self.dims.nodes() + dest]
         } else {
-            self.base_port_toward(router, dest)
+            self.base_routes.port(router, dest)
         }
     }
 }

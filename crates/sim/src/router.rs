@@ -58,14 +58,6 @@
 use crate::flit::Flit;
 use std::collections::VecDeque;
 
-/// Base slot indices of the plain mesh fabric (matching
-/// `rfnoc_topology::fabric::SLOT_*`). Ring-mesh routers use the fabric's
-/// own slot numbering instead.
-pub(crate) const PORT_N: usize = 0;
-pub(crate) const PORT_S: usize = 1;
-pub(crate) const PORT_E: usize = 2;
-pub(crate) const PORT_W: usize = 3;
-
 /// Compile-time cap on per-router port count, used to size fixed scratch
 /// arrays in the allocation loops (multicast partition groups, VA tree
 /// children, SA request lists). Network construction rejects fabrics

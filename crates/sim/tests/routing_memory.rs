@@ -1,13 +1,15 @@
-//! What a shortest-path network keeps for its routes. It routes from a
-//! distance oracle whose tables grow with the router count, not with its
-//! square, so a 64×64 mesh with the paper's 16 shortcuts holds about as
-//! much per router as the same mesh XY-routed without shortcuts.
+//! What a network keeps for its routes. A shortest-path network routes
+//! from a distance oracle whose tables grow with the router count, not
+//! with its square, and every network takes its base (escape) route from a
+//! closed form over one array of its routers' places. So a 64×64 mesh or
+//! ring-mesh with the paper's 16 shortcuts holds about as much per router
+//! as the mesh XY-routed without shortcuts.
 //!
 //! The binary counts every allocation through its own global allocator,
 //! so it holds this one test only.
 
 use rfnoc_sim::{Network, NetworkSpec, SimConfig};
-use rfnoc_topology::{GridDims, Shortcut};
+use rfnoc_topology::{FabricSpec, GridDims, Shortcut};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
 
@@ -69,11 +71,19 @@ fn shortest_path_routes_cost_no_table_of_router_pairs() {
         (0..16).map(|i| Shortcut::new(at(4 * i + 1, 2), at(62 - 4 * i, 61))).collect();
     let config = SimConfig::paper_baseline();
     let xy = bytes_per_router(NetworkSpec::mesh_baseline(dims, config.clone()));
-    let routed = bytes_per_router(NetworkSpec::with_shortcuts(dims, config, shortcuts));
-    assert!(
-        routed - xy <= 256,
-        "a shortest-path router keeps {routed} B, an XY router {xy} B: the routes cost {} B \
-         per router, more than 256",
-        routed - xy
-    );
+    // An array of router pairs costs at least one byte a pair, 4,096 B a
+    // router at 64×64. 256 B a router is a sixteenth of that, and room for
+    // the oracle's per-router arrays.
+    let bound = 256;
+    let fabrics = [FabricSpec::mesh(dims), FabricSpec::ring_mesh(dims, 4)];
+    for fabric in fabrics {
+        let spec = NetworkSpec::with_fabric(fabric, config.clone(), shortcuts.clone());
+        let routed = bytes_per_router(spec);
+        assert!(
+            routed - xy <= bound,
+            "a shortest-path {fabric} router keeps {routed} B, an XY mesh router {xy} B: the \
+             routes cost {} B per router, more than {bound}",
+            routed - xy
+        );
+    }
 }

@@ -47,7 +47,7 @@ pub mod select;
 
 pub use dist::DistanceMatrix;
 pub use error::TopologyError;
-pub use fabric::FabricSpec;
+pub use fabric::{BaseRoutes, FabricSpec};
 pub use geom::{Coord, GridDims};
 pub use graph::{GridGraph, NodeId, Shortcut};
 pub use routing::DistanceOracle;

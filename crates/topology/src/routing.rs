@@ -258,9 +258,8 @@ impl DistanceOracle {
 
     /// The out slot of the next hop from `r` toward `d`: a base slot of
     /// `r`, the slot after its base slots ([`FabricSpec::base_slot_count`])
-    /// when `r == d`, as [`FabricSpec::base_port_table`] has it, and the
-    /// one after that for the shortcut out of `r`. A shortcut to a base
-    /// neighbour of `r` takes that neighbour's base slot.
+    /// when `r == d`, and the one after that for the shortcut out of `r`. A
+    /// shortcut to a base neighbour of `r` takes that neighbour's base slot.
     ///
     /// # Panics
     ///

@@ -8,7 +8,8 @@ use rfnoc_topology::select::{
     SelectionConstraints,
 };
 use rfnoc_topology::{
-    DistanceMatrix, DistanceOracle, FabricSpec, GridDims, GridGraph, PairWeights, Shortcut,
+    BaseRoutes, DistanceMatrix, DistanceOracle, FabricSpec, GridDims, GridGraph, PairWeights,
+    Shortcut,
 };
 
 fn objective(dims: GridDims, set: &[Shortcut], weights: &PairWeights) -> f64 {
@@ -218,9 +219,13 @@ proptest! {
         }
     }
 
-    /// The base-route table filled row by row is `base_port` pair by pair.
+    /// The base route of every pair, on meshes and ring-meshes of tiles 2
+    /// to 4, leaves by a linked slot toward a router whose base route is
+    /// one hop shorter, so following it reaches the destination in
+    /// `base_route_len` hops; that length is never below the fabric
+    /// distance, and `BaseRoutes` gives the same slot and length.
     #[test]
-    fn base_port_table_matches_base_port(
+    fn base_route_descends_along_fabric_edges(
         tile in 2usize..5,
         tiles_x in 1usize..4,
         tiles_y in 1usize..4,
@@ -229,14 +234,17 @@ proptest! {
         let dims = GridDims::new(tile * tiles_x, tile * tiles_y);
         let fabric = if ring == 1 { FabricSpec::ring_mesh(dims, tile) } else { FabricSpec::mesh(dims) };
         prop_assert!(fabric.validate().is_ok());
-        let n = dims.nodes();
-        let table = fabric.base_port_table();
-        prop_assert_eq!(table.len(), n * n);
-        for r in 0..n {
-            for d in 0..n {
-                let expected =
-                    if r == d { fabric.base_slot_count(r) as u8 } else { fabric.base_port(r, d) };
-                prop_assert_eq!(table[r * n + d], expected, "{}: {} -> {}", fabric, r, d);
+        let routes = BaseRoutes::of(&fabric);
+        for r in 0..dims.nodes() {
+            for d in (0..dims.nodes()).filter(|&d| d != r) {
+                let (slot, len) = (fabric.base_port(r, d), fabric.base_route_len(r, d));
+                let next = fabric.port_neighbor(r, slot);
+                prop_assert!(next.is_some(), "{}: {} -> {} by slot {}", fabric, r, d, slot);
+                let onward = fabric.base_route_len(next.unwrap(), d);
+                prop_assert_eq!(onward + 1, len, "{}: {} -> {}", fabric, r, d);
+                prop_assert!(len >= fabric.distance(r, d), "{}: {} -> {}", fabric, r, d);
+                let closed_form = (routes.port(r, d), routes.hops(r, d));
+                prop_assert_eq!(closed_form, (slot, len), "{}: {} -> {}", fabric, r, d);
             }
         }
     }
