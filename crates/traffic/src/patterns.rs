@@ -67,13 +67,31 @@ impl TraceKind {
     }
 
     /// Checks that `placement` can host this trace: a hotspot trace picks
-    /// its hot caches one a cluster.
+    /// its hot caches one a cluster; a core or cache picks another core or
+    /// cache, so there must be two; and a dataflow trace picks one of the
+    /// four dataflow groups first, any of which a draw can reach whatever
+    /// the fractions weigh them at, so each must hold a core or cache.
     ///
     /// # Errors
     ///
-    /// Returns [`TrafficError::Hotspots`] if it cannot.
+    /// Returns [`TrafficError::Hotspots`], [`TrafficError::TooFewEndpoints`]
+    /// or [`TrafficError::EmptyGroup`] if it cannot.
     pub fn validate(&self, placement: &Placement) -> Result<(), TrafficError> {
-        check_hotspots(self.hotspot_count(), placement)
+        check_hotspots(self.hotspot_count(), placement)?;
+        let endpoints = || placement.all().filter(|&r| placement.kind(r) != ComponentKind::Memory);
+        if endpoints().nth(1).is_none() {
+            return Err(TrafficError::TooFewEndpoints);
+        }
+        if matches!(self, TraceKind::UniDf | TraceKind::BiDf | TraceKind::HotBiDf) {
+            let mut held = [false; 4];
+            for r in endpoints() {
+                held[placement.dataflow_group(r)] = true;
+            }
+            if let Some(group) = held.iter().position(|&h| !h) {
+                return Err(TrafficError::EmptyGroup { group });
+            }
+        }
+        Ok(())
     }
 }
 
@@ -176,6 +194,15 @@ pub enum TrafficError {
     /// The trace or application needs more hotspot caches than the
     /// placement has cache clusters (one hotspot a cluster).
     Hotspots,
+    /// The placement has fewer than two cores and caches, so a source
+    /// has no other one to send to.
+    TooFewEndpoints,
+    /// A dataflow trace can pick this dataflow group, which holds no core
+    /// or cache.
+    EmptyGroup {
+        /// The group, 0 to 3.
+        group: usize,
+    },
     /// An application's `distance_weights` must be non-negative, with a
     /// finite sum.
     DistanceWeights,
@@ -200,6 +227,10 @@ impl fmt::Display for TrafficError {
                 "injection_rate times hot_multiplier or hot_group_multiplier must be below 2^32"
             }
             TrafficError::Hotspots => "more hotspots than the placement has cache clusters",
+            TrafficError::TooFewEndpoints => "the placement has fewer than two cores and caches",
+            TrafficError::EmptyGroup { group } => {
+                return write!(f, "dataflow group {group} holds no core or cache");
+            }
             TrafficError::DistanceWeights => {
                 "distance_weights must be non-negative with a finite sum"
             }
@@ -721,6 +752,35 @@ mod tests {
         for (config, want) in cases {
             assert_eq!(config.validate(), Err(want), "{want}");
         }
+    }
+
+    /// A lone core has no other endpoint to send to, and a column of four
+    /// cores leaves dataflow groups 0 and 3 without one; the traces that
+    /// can draw there are refused, the rest run.
+    #[test]
+    fn placements_without_a_destination_are_refused() {
+        let config = TrafficConfig { injection_rate: 0.5, ..TrafficConfig::default() };
+        let build = |w, h, kind| {
+            let placement = Placement::cores_only(rfnoc_topology::GridDims::new(w, h));
+            ProbabilisticWorkload::new(placement, kind, config.clone())
+        };
+        for kind in TraceKind::all() {
+            let want = if kind.hotspot_count() > 0 {
+                TrafficError::Hotspots
+            } else {
+                TrafficError::TooFewEndpoints
+            };
+            assert_eq!(build(1, 1, kind).err(), Some(want), "{kind}");
+        }
+        for kind in [TraceKind::UniDf, TraceKind::BiDf, TraceKind::HotBiDf] {
+            assert_eq!(build(1, 4, kind).err(), Some(TrafficError::EmptyGroup { group: 0 }));
+        }
+        let mut column = build(1, 4, TraceKind::Uniform).expect("four cores");
+        let mut out = Vec::new();
+        for cycle in 0..100 {
+            column.messages_at(cycle, &mut out);
+        }
+        assert!(!out.is_empty());
     }
 
     #[test]

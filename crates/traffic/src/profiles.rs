@@ -104,6 +104,11 @@ pub enum ProfileError {
         /// The endpoint.
         router: NodeId,
     },
+    /// Every router sends to another one, so the placement needs two.
+    TooFewRouters {
+        /// The placement's router count.
+        routers: usize,
+    },
 }
 
 impl fmt::Display for ProfileError {
@@ -122,6 +127,9 @@ impl fmt::Display for ProfileError {
             ProfileError::Traffic(e) => write!(f, "{e}"),
             ProfileError::ShortcutOutOfRange { router } => {
                 write!(f, "shortcut endpoint {router} lies outside the placement")
+            }
+            ProfileError::TooFewRouters { routers } => {
+                write!(f, "a profile sends between two routers; the placement has {routers}")
             }
         }
     }
@@ -307,7 +315,8 @@ impl ProfileWorkload {
     /// # Errors
     ///
     /// Returns a [`ProfileError`] if the spec or the traffic config fails
-    /// validation, or a shortcut endpoint lies outside the placement.
+    /// validation, the placement has fewer than two routers, or a shortcut
+    /// endpoint lies outside it.
     pub fn new(
         placement: Placement,
         spec: ProfileSpec,
@@ -317,6 +326,9 @@ impl ProfileWorkload {
         spec.validate()?;
         traffic.validate().map_err(ProfileError::Traffic)?;
         let nodes = placement.dims().nodes();
+        if nodes < 2 {
+            return Err(ProfileError::TooFewRouters { routers: nodes });
+        }
         if let Some(router) =
             shortcuts.iter().flat_map(|s| [s.src, s.dst]).find(|&r| r >= nodes)
         {
@@ -646,6 +658,29 @@ mod tests {
         );
         assert_eq!(built.err(), Some(ProfileError::ShortcutOutOfRange { router: 100 }));
         assert!(ProfileSpec::new(Profile::Expected, 1).validate().is_ok());
+    }
+
+    /// Every router draws a destination other than itself, so a single
+    /// router would draw for ever; two are enough.
+    #[test]
+    fn a_placement_of_one_router_is_refused() {
+        let traffic = TrafficConfig { injection_rate: 0.5, ..TrafficConfig::default() };
+        for profile in Profile::all() {
+            let build = |w, h| {
+                let placement = Placement::cores_only(GridDims::new(w, h));
+                ProfileWorkload::new(placement, ProfileSpec::new(profile, 1), traffic.clone(), &[])
+            };
+            let refused = build(1, 1).err();
+            assert_eq!(refused, Some(ProfileError::TooFewRouters { routers: 1 }), "{profile}");
+            let mut pair = build(1, 2).expect("two routers");
+            let mut out = Vec::new();
+            for cycle in 0..1_000 {
+                pair.messages_at(cycle, &mut out);
+            }
+            assert!(!out.is_empty(), "{profile}");
+            let other = |m: &MessageSpec| m.dest == rfnoc_sim::Destination::Unicast(1 - m.src);
+            assert!(out.iter().all(other), "{profile}");
+        }
     }
 
     #[test]

@@ -24,16 +24,20 @@ fn field(pick: usize, valid: f64) -> f64 {
     EDGES.get(pick % (8 * EDGES.len())).copied().unwrap_or(valid)
 }
 
-/// The 10×10 paper placement for half the `pick`s; else a 12×12 one, whose
-/// router ids reach 143; a 16×16 one (ids to 255); cores on every router of
-/// an 8×8 grid, with no cache; or the 6×6 quadrant placement, whose caches
-/// and memory ports leave no core.
+/// The 10×10 paper placement for four `pick`s in ten; else a 12×12 one,
+/// whose router ids reach 143; a 16×16 one (ids to 255); cores on every
+/// router of an 8×8 grid, with no cache; the 6×6 quadrant placement, whose
+/// caches and memory ports leave no core; a single core, with no other to
+/// send to; or a column of four cores, which leaves dataflow groups 0 and 3
+/// empty.
 fn placement(pick: usize) -> Placement {
-    match pick % 8 {
+    match pick % 10 {
         4 => Placement::quadrant_clusters(GridDims::new(12, 12)),
         5 => Placement::quadrant_clusters(GridDims::new(16, 16)),
         6 => Placement::cores_only(GridDims::new(8, 8)),
         7 => Placement::quadrant_clusters(GridDims::new(6, 6)),
+        8 => Placement::cores_only(GridDims::new(1, 1)),
+        9 => Placement::cores_only(GridDims::new(1, 4)),
         _ => Placement::paper_10x10(),
     }
 }
@@ -85,7 +89,7 @@ proptest! {
     #[test]
     fn probabilistic_traces_refuse_or_stay_bounded(
         kind in 0usize..7,
-        layout in 0usize..8,
+        layout in 0usize..10,
         picks in collection::vec(0usize..128, 8),
         units in collection::vec(0.0f64..1.0, 8),
         seed in any::<u64>(),
@@ -107,7 +111,7 @@ proptest! {
     #[test]
     fn app_traces_refuse_or_stay_bounded(
         app in 0usize..5,
-        layout in 0usize..8,
+        layout in 0usize..10,
         picks in collection::vec(0usize..128, 3),
         units in collection::vec(0.0f64..1.0, 3),
         weight_at in 0usize..19,
@@ -130,7 +134,7 @@ proptest! {
     #[test]
     fn campaign_profiles_refuse_or_stay_bounded(
         profile in 0usize..3,
-        layout in 0usize..8,
+        layout in 0usize..10,
         picks in collection::vec(0usize..128, 6),
         units in collection::vec(0.0f64..1.0, 6),
         ends in collection::vec(0usize..1_000, 4),
@@ -161,7 +165,7 @@ proptest! {
 
     #[test]
     fn multicast_refuses_or_stays_bounded(
-        layout in 0usize..8,
+        layout in 0usize..10,
         picks in collection::vec(0usize..128, 2),
         units in collection::vec(0.0f64..1.0, 2),
         min_dests in 0usize..12,
