@@ -84,6 +84,11 @@ pub enum ConfigError {
         /// Cycle of the premature repair.
         cycle: u64,
     },
+    /// A shortcut repair or a link glitch names one router at both ends.
+    FaultSelfLoop {
+        /// The router.
+        router: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -133,6 +138,9 @@ impl fmt::Display for ConfigError {
             }
             Self::FaultRepairBeforeFail { cycle } => {
                 write!(f, "repair at cycle {cycle} precedes any failure of that resource")
+            }
+            Self::FaultSelfLoop { router } => {
+                write!(f, "fault event links router {router} to itself")
             }
         }
     }
@@ -216,13 +224,6 @@ pub enum SimError {
         /// Why the configuration is invalid.
         reason: String,
     },
-    /// The fault plan names a resource outside the network.
-    InvalidFault {
-        /// The cycle of the offending event.
-        cycle: u64,
-        /// Why the event is invalid.
-        reason: String,
-    },
     /// A unicast message whose source equals its destination.
     SelfUnicast {
         /// The offending node.
@@ -252,9 +253,6 @@ impl fmt::Display for SimError {
             }
             Self::MissingMcConfig => write!(f, "RF multicast requires an McConfig"),
             Self::InvalidMcConfig { reason } => write!(f, "invalid McConfig: {reason}"),
-            Self::InvalidFault { cycle, reason } => {
-                write!(f, "invalid fault event at cycle {cycle}: {reason}")
-            }
             Self::SelfUnicast { node } => write!(f, "unicast to self at node {node}"),
             Self::EmptyMulticast => write!(f, "empty multicast destination set"),
             Self::MulticastBeyondDestSet { routers } => write!(

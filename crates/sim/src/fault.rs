@@ -120,17 +120,7 @@ impl FaultPlan {
     }
 
     /// A plan from `(cycle, event)` pairs, validated against a base
-    /// `fabric`. Unlike [`FaultPlan::new`] (which trusts its caller and
-    /// lets the network silently ignore impossible events at apply time),
-    /// this rejects plans that could only no-op:
-    ///
-    /// * any event naming a router outside the fabric;
-    /// * [`FaultEvent::MeshLinkDown`]/[`FaultEvent::MeshLinkUp`] between
-    ///   routers with no base-fabric link (mesh neighbours on a mesh, ring
-    ///   or gateway-mesh neighbours on a ring-mesh);
-    /// * a repair ([`FaultEvent::ShortcutUp`], [`FaultEvent::MeshLinkUp`])
-    ///   firing before any failure of the same resource (a
-    ///   [`FaultEvent::BandDown`] counts as failing every transmitter).
+    /// `fabric` (see [`FaultPlan::validate`]).
     ///
     /// # Errors
     ///
@@ -140,64 +130,81 @@ impl FaultPlan {
         fabric: &FabricSpec,
     ) -> Result<Self, ConfigError> {
         let plan = Self::new(events);
+        plan.validate(fabric)?;
+        Ok(plan)
+    }
+
+    /// Checks the plan against a base `fabric`, as
+    /// [`crate::Network::try_new`] does, rejecting plans that could only
+    /// no-op or misfire:
+    ///
+    /// * any event naming a router outside the fabric;
+    /// * [`FaultEvent::MeshLinkDown`]/[`FaultEvent::MeshLinkUp`] between
+    ///   routers with no base-fabric link (mesh neighbours on a mesh, ring
+    ///   or gateway-mesh neighbours on a ring-mesh);
+    /// * a [`FaultEvent::ShortcutUp`] tuned to its own router, or a
+    ///   [`FaultEvent::LinkGlitch`] from a router to itself;
+    /// * a repair ([`FaultEvent::ShortcutUp`], [`FaultEvent::MeshLinkUp`])
+    ///   firing before any failure of the same resource (a
+    ///   [`FaultEvent::BandDown`] counts as failing every transmitter).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated [`ConfigError`] in firing order.
+    pub fn validate(&self, fabric: &FabricSpec) -> Result<(), ConfigError> {
         let nodes = fabric.nodes();
-        let check_router = |router: usize| {
-            if router >= nodes {
-                Err(ConfigError::FaultRouterOutOfRange { router, nodes })
-            } else {
-                Ok(())
+        let check_routers = |routers: &[usize]| match routers.iter().find(|&&r| r >= nodes) {
+            Some(&router) => Err(ConfigError::FaultRouterOutOfRange { router, nodes }),
+            None => Ok(()),
+        };
+        let check_ends = |a: usize, b: usize| {
+            check_routers(&[a, b])?;
+            if a == b {
+                return Err(ConfigError::FaultSelfLoop { router: a });
             }
+            Ok(())
+        };
+        let check_link = |a: usize, b: usize| {
+            check_routers(&[a, b])?;
+            let key = (a.min(b), a.max(b));
+            fabric.port_between(a, b).map(|_| key).ok_or(ConfigError::FaultLinkNotAdjacent { a, b })
         };
         let mut tx_failed = vec![false; nodes];
         let mut band_down_seen = false;
         let mut links_failed: Vec<(usize, usize)> = Vec::new();
-        for &(cycle, event) in &plan.events {
+        for &(cycle, event) in &self.events {
             match event {
                 FaultEvent::ShortcutDown { src } => {
-                    check_router(src)?;
+                    check_routers(&[src])?;
                     tx_failed[src] = true;
                 }
                 FaultEvent::BandDown => band_down_seen = true,
                 FaultEvent::ShortcutUp { src, dst } => {
-                    check_router(src)?;
-                    check_router(dst)?;
+                    check_ends(src, dst)?;
                     if !tx_failed[src] && !band_down_seen {
                         return Err(ConfigError::FaultRepairBeforeFail { cycle });
                     }
                     tx_failed[src] = false;
                 }
                 FaultEvent::MeshLinkDown { a, b } => {
-                    check_router(a)?;
-                    check_router(b)?;
-                    if fabric.port_between(a, b).is_none() {
-                        return Err(ConfigError::FaultLinkNotAdjacent { a, b });
-                    }
-                    let key = (a.min(b), a.max(b));
+                    let key = check_link(a, b)?;
                     if !links_failed.contains(&key) {
                         links_failed.push(key);
                     }
                 }
                 FaultEvent::MeshLinkUp { a, b } => {
-                    check_router(a)?;
-                    check_router(b)?;
-                    if fabric.port_between(a, b).is_none() {
-                        return Err(ConfigError::FaultLinkNotAdjacent { a, b });
-                    }
-                    let key = (a.min(b), a.max(b));
+                    let key = check_link(a, b)?;
                     let Some(idx) = links_failed.iter().position(|&l| l == key) else {
                         return Err(ConfigError::FaultRepairBeforeFail { cycle });
                     };
                     links_failed.swap_remove(idx);
                 }
                 // Glitches may strike mesh or RF links, so adjacency is
-                // not required; only the ids must name routers.
-                FaultEvent::LinkGlitch { a, b } => {
-                    check_router(a)?;
-                    check_router(b)?;
-                }
+                // not required.
+                FaultEvent::LinkGlitch { a, b } => check_ends(a, b)?,
             }
         }
-        Ok(plan)
+        Ok(())
     }
 
     /// The scheduled events, in firing order.

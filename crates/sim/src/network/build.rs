@@ -26,7 +26,7 @@ impl Network {
     /// Returns a [`SimError`] for a degenerate config or fabric, an illegal
     /// shortcut set (out-of-range endpoint, self-loop, or more than one
     /// inbound or outbound shortcut per router), shortcuts on an XY-routed
-    /// network, a fault plan naming resources outside the network, RF
+    /// network, a fault plan [`FaultPlan::validate`] refuses, RF
     /// multicast without an [`McConfig`] or with an inconsistent one, RF
     /// broadcast multicast on a non-mesh fabric (the broadcast medium spans
     /// the mesh only), VCT or RF multicast on more routers than a
@@ -56,7 +56,7 @@ impl Network {
             // at least one adaptive VC (vcs_escape < total_vcs).
             return Err(SimError::Config(ConfigError::NoAdaptiveVcs));
         }
-        validate_fault_plan(&spec.faults, &fabric)?;
+        spec.faults.validate(&fabric)?;
         if !matches!(spec.multicast, MulticastMode::AsUnicasts) && n > DestSet::CAPACITY {
             return Err(SimError::MulticastBeyondDestSet { routers: n });
         }
@@ -197,8 +197,7 @@ impl Network {
             failed_rf_tx: vec![false; n],
             link_failed: vec![false; n * max_base],
             mesh_link_failures: 0,
-            escape_table: None,
-            escape_dist: None,
+            escape: None,
             faults: spec.faults,
             last_progress: 0,
             last_completion: 0,
@@ -218,41 +217,6 @@ fn check_port_count(max_ports: usize) -> Result<(), ConfigError> {
             value: max_ports,
             limit: MAX_ROUTER_PORTS,
         });
-    }
-    Ok(())
-}
-
-/// Checks every scheduled fault event against the network's topology.
-fn validate_fault_plan(plan: &FaultPlan, fabric: &FabricSpec) -> Result<(), SimError> {
-    let n = fabric.nodes();
-    let invalid = |cycle: u64, reason: String| SimError::InvalidFault { cycle, reason };
-    for &(cycle, event) in plan.events() {
-        match event {
-            FaultEvent::ShortcutDown { src } => {
-                if src >= n {
-                    return Err(invalid(cycle, format!("router {src} out of range")));
-                }
-            }
-            FaultEvent::BandDown => {}
-            FaultEvent::ShortcutUp { src, dst } => {
-                if src >= n || dst >= n {
-                    return Err(invalid(cycle, format!("shortcut {src} -> {dst} out of range")));
-                }
-                if src == dst {
-                    return Err(invalid(cycle, format!("shortcut at router {src} is a self-loop")));
-                }
-            }
-            FaultEvent::MeshLinkDown { a, b } | FaultEvent::MeshLinkUp { a, b } => {
-                if a >= n || b >= n || fabric.port_between(a, b).is_none() {
-                    return Err(invalid(cycle, format!("no base link between {a} and {b}")));
-                }
-            }
-            FaultEvent::LinkGlitch { a, b } => {
-                if a >= n || b >= n || a == b {
-                    return Err(invalid(cycle, format!("no link from {a} to {b}")));
-                }
-            }
-        }
     }
     Ok(())
 }

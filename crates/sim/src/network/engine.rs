@@ -143,12 +143,11 @@ impl Network {
             config: &self.config,
             escape_vcs: low_mask(self.config.vcs_escape),
             adaptive_vcs: low_mask(self.config.total_vcs()) & !low_mask(self.config.vcs_escape),
-            dims: self.dims,
             base_routes: &self.base_routes,
             base_ports: &self.base_ports,
             max_ports: self.max_ports,
             routes: self.routes.as_ref(),
-            escape_table: self.escape_table.as_deref(),
+            escape: self.escape.as_ref(),
             cluster_of: self.mc.as_ref().map(|mc| mc.cluster_of.as_slice()),
             rf_accepting: self.rf_accepting(),
             injection_stalled: self.injection_stalled(),

@@ -298,22 +298,22 @@ enum ReconfigState {
 struct Routes {
     /// Shortest paths over the intact fabric plus the installed shortcuts.
     oracle: DistanceOracle,
-    /// Dense routes over the surviving links, present exactly while a base
-    /// link is down; unicasts then follow them instead of the oracle.
+    /// Dense routes over the surviving links and the installed shortcuts,
+    /// present exactly while a base link is down; unicasts then follow
+    /// them instead of the oracle.
     detour: Option<Detour>,
 }
 
-/// Dense routes around failed base links, `router * n + dest` each (see
-/// `Network::detour_tables`).
+/// Dense routes over the surviving base links (and, for the unicast
+/// routes, the installed shortcuts), `router * n + dest` each (see
+/// `Network::detour_tables`): 3 B a router pair.
 #[derive(Debug)]
 struct Detour {
-    /// Out port.
+    /// Out port; an unreachable pair keeps its base-route port.
     ports: Vec<u8>,
-    /// Hop distances, the base-route length where `dest` is unreachable;
-    /// they price contention-avoidance detours.
-    hops: Vec<u16>,
-    /// True BFS distances (`u16::MAX` when unreachable), which let a link
-    /// failure or repair re-sweep only the destinations it can affect.
+    /// BFS hop distances, `u16::MAX` where `dest` is unreachable. They
+    /// price contention-avoidance detours, diagnose a partition, and let a
+    /// link failure or repair re-sweep only the destinations it can affect.
     reach: Vec<u16>,
 }
 
@@ -327,10 +327,11 @@ impl Routes {
         }
     }
 
-    /// Shortest-path hops from `r` to `dest`.
+    /// Shortest-path hops from `r` to `dest` (`u16::MAX` when a link
+    /// failure cut `dest` off).
     fn hops(&self, r: NodeId, dest: NodeId) -> u32 {
         match &self.detour {
-            Some(t) => u32::from(t.hops[r * self.oracle.node_count() + dest]),
+            Some(t) => u32::from(t.reach[r * self.oracle.node_count() + dest]),
             None => self.oracle.distance(r, dest),
         }
     }
@@ -372,16 +373,10 @@ pub struct Network {
     link_failed: Vec<bool>,
     /// Count of failed *undirected* mesh links (fast zero check).
     mesh_link_failures: usize,
-    /// Detour routing table for escape traffic (`router * n + dest`),
-    /// built over the surviving base links only; `None` while the base
-    /// fabric is intact (escape traffic then follows the fabric's base
-    /// route, exactly as the fault-free simulator did).
-    escape_table: Option<Vec<u8>>,
-    /// True BFS distances matching `escape_table` (same indexing,
-    /// `u16::MAX` when unreachable), kept so link fail/repair events can
-    /// re-run the detour BFS only for the destinations whose routes the
-    /// changed edge actually carries.
-    escape_dist: Option<Vec<u16>>,
+    /// Routes for escape traffic over the surviving base links only;
+    /// `None` while the base fabric is intact (escape traffic then follows
+    /// the fabric's base route, exactly as the fault-free simulator did).
+    escape: Option<Detour>,
     /// Fault schedule being applied.
     faults: FaultPlan,
     /// Last cycle any switch grant happened (or the network went busy) —
@@ -621,18 +616,16 @@ impl Network {
     /// `Sweep::va_unicast`, recomputed from the current tables.
     fn validate_parked_requests(&self, r: usize) {
         let router = &self.routers[r];
-        let (rf, nodes) = (self.rf_port(r), self.dims.nodes());
+        let rf = self.rf_port(r);
         let escape_vcs = low_mask(self.config.vcs_escape);
         for port in bits(router.occupied_ports()) {
             for vc in bits(router.parked(port)) {
                 let v = router.vc(port, vc);
                 let dest = v.dest() as usize;
                 let packet = v.cur_packet().expect("a parked VC is claimed");
-                let escape = match &self.escape_table {
-                    _ if r == dest => self.local_port(r),
-                    Some(table) => table[r * nodes + dest] as usize,
-                    None => self.base_routes.port(r, dest) as usize,
-                };
+                let escape = self.escape.as_ref();
+                let escape =
+                    sweep::escape_port(escape, &self.base_routes, &self.base_ports, r, dest) as usize;
                 let want = if escape_vcs & (1 << vc) != 0 {
                     escape
                 } else {

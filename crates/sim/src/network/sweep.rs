@@ -113,14 +113,14 @@ pub(super) struct SweepShared<'a> {
     /// adaptive VCs the rest.
     pub escape_vcs: u32,
     pub adaptive_vcs: u32,
-    pub dims: GridDims,
     /// The fabric's base (escape) routes.
     pub base_routes: &'a BaseRoutes,
     pub base_ports: &'a [u8],
     pub max_ports: usize,
     /// Unicast routes, present on a shortest-path network.
     pub routes: Option<&'a Routes>,
-    pub escape_table: Option<&'a [u8]>,
+    /// Escape routes over the surviving base links, while one is down.
+    pub escape: Option<&'a Detour>,
     /// RF-multicast cluster of each router, when RF multicast is active.
     pub cluster_of: Option<&'a [Option<usize>]>,
     /// False while a reconfiguration drains the RF ports.
@@ -147,17 +147,30 @@ impl SweepShared<'_> {
         }
     }
 
-    /// The escape (base-fabric-only) output port toward `dest`: the
-    /// fabric's base route on an intact fabric, the detour table when
-    /// links have failed.
+    /// The escape (base-fabric-only) output port toward `dest`.
     pub fn escape_port(&self, router: NodeId, dest: NodeId) -> u8 {
-        if router == dest {
-            self.local_port(router) as u8
-        } else if let Some(table) = self.escape_table {
-            table[router * self.dims.nodes() + dest]
-        } else {
-            self.base_routes.port(router, dest)
-        }
+        escape_port(self.escape, self.base_routes, self.base_ports, router, dest)
+    }
+}
+
+/// The escape out port from `router` toward `dest` on a network whose
+/// routers have `base_ports` base slots each: the local slot at `dest`,
+/// the fabric's base route on an intact fabric, the surviving-link routes
+/// while a base link is down.
+#[inline]
+pub(super) fn escape_port(
+    escape: Option<&Detour>,
+    base_routes: &BaseRoutes,
+    base_ports: &[u8],
+    router: NodeId,
+    dest: NodeId,
+) -> u8 {
+    if router == dest {
+        base_ports[router]
+    } else if let Some(t) = escape {
+        t.ports[router * base_ports.len() + dest]
+    } else {
+        base_routes.port(router, dest)
     }
 }
 

@@ -2,13 +2,14 @@
 //! never lose traffic, shortcut failure converges to the equivalent
 //! reduced network, transient glitches are credit-safe, and the watchdog
 //! turns a partitioned mesh into a structured health report instead of a
-//! silent hang.
+//! silent hang. A network refuses a fault plan that could only no-op or
+//! misfire, and every generated plan passes that check.
 
 use proptest::prelude::*;
 use rfnoc_power::LinkWidth;
 use rfnoc_sim::{
-    FaultEvent, FaultPlan, FaultRates, HealthDiagnosis, MessageClass, MessageSpec, Network,
-    NetworkSpec, ScriptedWorkload, SimConfig,
+    ConfigError, FaultEvent, FaultPlan, FaultRates, HealthDiagnosis, MessageClass, MessageSpec,
+    Network, NetworkSpec, ScriptedWorkload, SimConfig, SimError,
 };
 use rfnoc_topology::{FabricSpec, GridDims, Shortcut};
 
@@ -264,4 +265,81 @@ fn repaired_link_restores_delivery() {
     assert!(stats.is_healthy(), "repair should beat the watchdog: {:?}", stats.health);
     assert_eq!(stats.completed_messages, 1);
     assert_eq!(stats.repairs, 1);
+}
+
+/// `Network::try_new` refuses a fault plan with the typed error
+/// `FaultPlan::validated` gives the same events: a repair before any
+/// failure (of a link, of a transmitter), a shortcut repair tuned to its
+/// own router, and a glitch from a router to itself.
+#[test]
+fn try_new_refuses_the_plans_validated_refuses() {
+    let dims = GridDims::new(4, 4);
+    let fabric = FabricSpec::mesh(dims);
+    let cases = [
+        (
+            vec![(10, FaultEvent::MeshLinkUp { a: 0, b: 1 })],
+            ConfigError::FaultRepairBeforeFail { cycle: 10 },
+        ),
+        (
+            vec![(10, FaultEvent::ShortcutUp { src: 0, dst: 15 })],
+            ConfigError::FaultRepairBeforeFail { cycle: 10 },
+        ),
+        (
+            vec![
+                (5, FaultEvent::ShortcutDown { src: 0 }),
+                (10, FaultEvent::ShortcutUp { src: 0, dst: 0 }),
+            ],
+            ConfigError::FaultSelfLoop { router: 0 },
+        ),
+        (
+            vec![(10, FaultEvent::LinkGlitch { a: 3, b: 3 })],
+            ConfigError::FaultSelfLoop { router: 3 },
+        ),
+    ];
+    for (events, refusal) in cases {
+        let validated = FaultPlan::validated(events.clone(), &fabric);
+        assert_eq!(validated, Err(refusal), "{events:?}");
+        let spec = NetworkSpec::with_shortcuts(dims, quick_config(), vec![Shortcut::new(0, 15)])
+            .with_fault_plan(FaultPlan::new(events.clone()));
+        assert_eq!(Network::try_new(spec).err(), Some(SimError::Config(refusal)), "{events:?}");
+    }
+}
+
+/// Every plan the two generators draw, over seeds, rates, repair delays,
+/// storm intensities and loads, for the paper's 10×10 mesh and an 8×8
+/// ring-mesh with 4×4 tiles, passes the check `Network::try_new` makes.
+#[test]
+fn generated_fault_plans_pass_the_plan_check() {
+    let fabrics = [
+        (
+            FabricSpec::mesh(GridDims::new(10, 10)),
+            vec![Shortcut::new(0, 99), Shortcut::new(9, 90), Shortcut::new(44, 55)],
+        ),
+        (
+            FabricSpec::ring_mesh(GridDims::new(8, 8), 4),
+            vec![Shortcut::new(0, 63), Shortcut::new(7, 56), Shortcut::new(27, 36)],
+        ),
+    ];
+    for (fabric, shortcuts) in &fabrics {
+        for seed in 0..16 {
+            for repair_after in [None, Some(0), Some(700)] {
+                let rates = FaultRates {
+                    shortcut_failures: 2.0,
+                    mesh_link_failures: 4.0,
+                    glitches: 6.0,
+                    repair_after,
+                };
+                let plan = FaultPlan::random(seed, fabric, shortcuts, rates, 0..5_000);
+                assert!(!plan.is_empty());
+                assert_eq!(plan.validate(fabric), Ok(()), "{fabric} random seed {seed}");
+            }
+            for (intensity, load) in [(0.5, 0.5), (1.0, 1.0), (2.0, 1.5), (3.0, 2.0)] {
+                let plan =
+                    FaultPlan::correlated(seed, fabric, shortcuts, intensity, load, 0..20_000);
+                assert!(!plan.is_empty());
+                let at = format!("{fabric} correlated seed {seed} intensity {intensity}");
+                assert_eq!(plan.validate(fabric), Ok(()), "{at}");
+            }
+        }
+    }
 }

@@ -3,12 +3,14 @@
 //! with its square, and every network takes its base (escape) route from a
 //! closed form over one array of its routers' places. So a 64×64 mesh or
 //! ring-mesh with the paper's 16 shortcuts holds about as much per router
-//! as the mesh XY-routed without shortcuts.
+//! as the mesh XY-routed without shortcuts. Only while a base link is down
+//! does a network keep tables of router pairs: the escape and the unicast
+//! routes over the surviving links, 3 B a pair each.
 //!
 //! The binary counts every allocation through its own global allocator,
 //! so it holds this one test only.
 
-use rfnoc_sim::{Network, NetworkSpec, SimConfig};
+use rfnoc_sim::{FaultEvent, FaultPlan, Network, NetworkSpec, SimConfig};
 use rfnoc_topology::{FabricSpec, GridDims, Shortcut};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
@@ -62,13 +64,22 @@ fn bytes_per_router(spec: NetworkSpec) -> i64 {
     kept / routers
 }
 
+/// 16 long shortcuts from row 2 to row `height - 3` of a grid at least
+/// 32 routers wide, one out of and one into each router they touch.
+fn long_shortcuts(dims: GridDims) -> Vec<Shortcut> {
+    let (w, h) = (dims.width(), dims.height());
+    let at = |x: usize, y: usize| y * w + x;
+    let step = w / 16;
+    (0..16).map(|i| Shortcut::new(at(step * i + 1, 2), at(w - 2 - step * i, h - 3))).collect()
+}
+
+/// The counting allocator is process-wide, so every measurement of this
+/// binary lives in this one test: a second test would run beside it and
+/// count into its figures.
 #[test]
 fn shortest_path_routes_cost_no_table_of_router_pairs() {
     let dims = GridDims::new(64, 64);
-    // 16 long shortcuts, one out of and one into each router they touch.
-    let at = |x: usize, y: usize| y * dims.width() + x;
-    let shortcuts: Vec<Shortcut> =
-        (0..16).map(|i| Shortcut::new(at(4 * i + 1, 2), at(62 - 4 * i, 61))).collect();
+    let shortcuts = long_shortcuts(dims);
     let config = SimConfig::paper_baseline();
     let xy = bytes_per_router(NetworkSpec::mesh_baseline(dims, config.clone()));
     // An array of router pairs costs at least one byte a pair, 4,096 B a
@@ -86,4 +97,30 @@ fn shortest_path_routes_cost_no_table_of_router_pairs() {
             routed - xy
         );
     }
+
+    // A link failure makes the network keep the escape and the unicast
+    // routes over the surviving links, `ports: u8` and `reach: u16` a pair
+    // each: 6 B a pair, where the 64-B-a-router slack covers everything
+    // kept per router (a step with no traffic keeps nothing else).
+    let dims = GridDims::new(32, 32);
+    let routers = dims.nodes() as i64;
+    let fault_at = 2;
+    let plan = FaultPlan::new(vec![(fault_at, FaultEvent::MeshLinkDown { a: 0, b: 1 })]);
+    let spec = NetworkSpec::with_fabric(FabricSpec::mesh(dims), config, long_shortcuts(dims))
+        .with_fault_plan(plan);
+    let mut network = Network::try_new(spec).expect("a valid spec");
+    while network.cycle() < fault_at {
+        network.step();
+    }
+    let before = LIVE.load(Relaxed);
+    network.step();
+    let kept = LIVE.load(Relaxed) - before;
+    assert_eq!(network.mesh_link_failures(), 1);
+    let bound = 6 * routers * routers + 64 * routers;
+    assert!(
+        kept <= bound,
+        "one link failure on a 32x32 shortest-path mesh keeps {kept} B ({:.2} B a router \
+         pair), more than {bound}",
+        kept as f64 / (routers * routers) as f64
+    );
 }
