@@ -9,7 +9,7 @@ use rfnoc_sim::{Destination, MessageSpec, Workload};
 use rfnoc_topology::{GridDims, Shortcut};
 use rfnoc_traffic::{
     AppProfile, AppWorkload, MulticastConfig, MulticastTraffic, Placement, ProbabilisticWorkload,
-    Profile, ProfileSpec, ProfileWorkload, TraceKind, TrafficConfig,
+    Profile, ProfileError, ProfileSpec, ProfileWorkload, TraceKind, TrafficConfig,
 };
 
 const CYCLES: u64 = 1_000;
@@ -138,6 +138,7 @@ proptest! {
         picks in collection::vec(0usize..128, 6),
         units in collection::vec(0.0f64..1.0, 6),
         ends in collection::vec(0usize..1_000, 4),
+        stray_pick in 0usize..8,
         seed in any::<u64>(),
     ) {
         let placement = placement(layout);
@@ -154,13 +155,27 @@ proptest! {
             injection_rate: field(picks[5], units[5] * 0.05),
             ..TrafficConfig::default()
         };
-        // An endpoint falls outside the placement about once in eight.
-        let end = |i: usize| ends[i] % (n + n / 32 + 1);
+        // An endpoint falls outside the placement once in eight cases,
+        // whatever its size; the other endpoints stay inside it.
+        let stray = stray_pick == 0;
+        let end = |i: usize| if stray && i == 0 { n + ends[i] } else { ends[i] % n };
         let shortcuts = [Shortcut::new(end(0), end(1)), Shortcut::new(end(2), end(3))];
-        let Ok(workload) = ProfileWorkload::new(placement, spec, traffic, &shortcuts) else {
-            return Ok(());
-        };
-        run_bounded(workload, n as f64, unicast_within(n))?;
+        let valid = spec.validate().is_ok() && traffic.validate().is_ok();
+        match ProfileWorkload::new(placement, spec, traffic, &shortcuts) {
+            Ok(workload) => {
+                prop_assert!(n >= 2 && !stray, "built on {} routers, stray {}", n, stray);
+                run_bounded(workload, n as f64, unicast_within(n))?;
+            }
+            // A one-router placement is refused for its size, before its
+            // shortcut endpoints are read.
+            Err(e) if valid && n < 2 => {
+                prop_assert_eq!(e, ProfileError::TooFewRouters { routers: n });
+            }
+            Err(e) if valid => {
+                prop_assert_eq!(e, ProfileError::ShortcutOutOfRange { router: end(0) });
+            }
+            Err(_) => {}
+        }
     }
 
     #[test]
