@@ -8,7 +8,7 @@
 //! Leaves that differ between any two runs (wall times, timestamps, git,
 //! the host's thread count) are pinned as `*`: present, value free.
 //!
-//! `SCHEMA_BLESS=1 cargo test -p rfnoc-bench --test schema_pins` rewrites
+//! `PIN_BLESS=1 cargo test -p rfnoc-bench --test schema_pins` rewrites
 //! the files — only for an intended schema change.
 
 use rfnoc::json::{parse, Json};
@@ -60,20 +60,15 @@ fn walk(value: &Json, path: &str, key: &str, volatile: fn(&str) -> bool, out: &m
                 let _ = writeln!(out, "{path} = []");
             }
         }
-        _ if volatile(key) => {
-            let _ = writeln!(out, "{path} = *");
-        }
-        Json::Num(v) => {
-            let _ = writeln!(out, "{path} = {v:.4}");
-        }
-        Json::Str(s) => {
-            let _ = writeln!(out, "{path} = {s:?}");
-        }
-        Json::Bool(b) => {
-            let _ = writeln!(out, "{path} = {b}");
-        }
-        Json::Null => {
-            let _ = writeln!(out, "{path} = null");
+        leaf => {
+            let value = match leaf {
+                _ if volatile(key) => "*".to_string(),
+                Json::Num(v) => format!("{v:.4}"),
+                Json::Str(s) => format!("{s:?}"),
+                Json::Bool(b) => b.to_string(),
+                _ => "null".to_string(),
+            };
+            let _ = writeln!(out, "{path} = {value}");
         }
     }
 }
@@ -97,17 +92,7 @@ fn leaves_fixed(text: &str) -> String {
 }
 
 fn check_pin(name: &str, got: &str) {
-    let path = format!("{}/tests/pins/{name}.txt", env!("CARGO_MANIFEST_DIR"));
-    if std::env::var_os("SCHEMA_BLESS").is_some() {
-        std::fs::create_dir_all(std::path::Path::new(&path).parent().unwrap()).unwrap();
-        std::fs::write(&path, got).unwrap();
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    for (i, (w, g)) in want.lines().zip(got.lines()).enumerate() {
-        assert_eq!(w, g, "{name}: line {} differs", i + 1);
-    }
-    assert_eq!(want.lines().count(), got.lines().count(), "{name}: leaf count");
+    rfnoc_pins::check_document(env!("CARGO_MANIFEST_DIR"), name, got);
 }
 
 fn short_sim() -> SimConfig {

@@ -227,19 +227,20 @@ mod tests {
     use rfnoc_topology::select::{max_cost_selection, SelectionConstraints};
     use rfnoc_topology::{GridGraph, PairWeights};
 
-    fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+    fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> String {
+        let mut h = rfnoc_topology::Fnv::new();
+        h.bytes(bytes);
+        rfnoc_pins::hex(h.finish())
     }
 
-    /// FNV-1a of the port table and of the distances (each a little-endian
-    /// `u32`) that the oracle of a shortest-path network over `fabric`
-    /// gives every ordered pair, and of the network's base-route out port
-    /// for every ordered pair (its local slot on the diagonal). With
-    /// `select`, the network carries the uniform max-cost set of budget 16
-    /// (corners excluded, as `build_system` selects it).
-    fn table_hashes(fabric: FabricSpec, select: bool) -> [u64; 3] {
+    /// `(bare|selected).<fabric>`: FNV-1a of the port table and of the
+    /// distances (each a little-endian `u32`) that the oracle of a
+    /// shortest-path network over `fabric` gives every ordered pair, and of
+    /// the network's base-route out port for every ordered pair (its local
+    /// slot on the diagonal). With `select`, the network carries the
+    /// uniform max-cost set of budget 16 (corners excluded, as
+    /// `build_system` selects it).
+    fn table_hashes((fabric, select): (FabricSpec, bool)) -> (String, String) {
         let mut spec = NetworkSpec::with_fabric(fabric, SimConfig::paper_baseline(), Vec::new());
         spec.routing = RoutingKind::ShortestPath;
         if select {
@@ -254,13 +255,15 @@ mod tests {
         let oracle = &net.routes.as_ref().expect("a shortest-path network routes").oracle;
         let n = fabric.nodes();
         let pairs = || (0..n).flat_map(|r| (0..n).map(move |d| (r, d)));
-        [
+        let hashes = [
             fnv1a(pairs().map(|(r, d)| oracle.route_port(r, d))),
             fnv1a(pairs().flat_map(|(r, d)| oracle.distance(r, d).to_le_bytes())),
             fnv1a(pairs().map(|(r, d)| {
                 if r == d { net.local_port(r) as u8 } else { net.base_routes.port(r, d) }
             })),
-        ]
+        ];
+        let key = format!("{}.{fabric}", if select { "selected" } else { "bare" });
+        (key, hashes.join(" "))
     }
 
     #[test]
@@ -282,33 +285,18 @@ mod tests {
     /// slot search; per-pair `base_port` loop). The base-route pins were
     /// computed on the ring-mesh's dense base-port table and the mesh's
     /// XY comparison of grid coordinates, before both became one closed
-    /// form over the fabric's spots.
+    /// form over the fabric's spots. They are in
+    /// `tests/pins/routing_tables.txt`, `[ports, distances, base route]`.
     #[test]
     fn routing_tables_hash_to_their_pins() {
         let mesh = |side| FabricSpec::mesh(GridDims::new(side, side));
         let ring = |side| FabricSpec::ring_mesh(GridDims::new(side, side), 4);
         let rect = |w, h, tile| FabricSpec::ring_mesh(GridDims::new(w, h), tile);
-        let pins = [
-            (mesh(16), false, [0xf969a9792580f225, 0x8c52b32c735c8725, 0xe622c268b18e9aa5]),
-            (mesh(16), true, [0x31eb7c4794f45826, 0xc73a1732130fbee8, 0xe622c268b18e9aa5]),
-            (ring(16), false, [0x11beef11dd2e7785, 0x72088e2abebc4725, 0x8e84bfa5ed85bd25]),
-            (ring(16), true, [0x8cdf3af9e82b979c, 0xa31b6c48a6531345, 0x8e84bfa5ed85bd25]),
-            (mesh(32), false, [0x724f6180d86a4725, 0x0f8efc86bbf5d525, 0x6b95aa74a2a14125]),
-            (mesh(32), true, [0x382126137c140e0c, 0xa1daa6e42a7c0fc8, 0x6b95aa74a2a14125]),
-            (ring(32), false, [0x73f3f6d29687c4a5, 0x26a94f613e79fd25, 0xcf2ddaab9a31b725]),
-            (ring(32), true, [0x5065959302b18929, 0x24de2b075c99de05, 0xcf2ddaab9a31b725]),
-            (rect(12, 8, 4), false, [0x417b21119ca91775, 0x42d11b464b081325, 0xc2539e13cc4cb465]),
-            (rect(12, 8, 4), true, [0x63faec72d330c8cf, 0x3b9d689f51b04545, 0xc2539e13cc4cb465]),
-            (rect(9, 6, 3), false, [0x8cc72aecb2b5da8f, 0xafbbc18e9f233e75, 0xa9b90a4818be12cc]),
-            (rect(6, 4, 2), false, [0xee865a212171ad75, 0xe1c89543723a2025, 0x022c56bc4aba37ed]),
-        ];
-        for (fabric, select, want) in pins {
-            assert_eq!(
-                table_hashes(fabric, select),
-                want,
-                "{fabric} select={select}: [ports, distances, base route]"
-            );
-        }
+        let fabrics = [mesh(16), ring(16), mesh(32), ring(32), rect(12, 8, 4)];
+        let mut cases: Vec<_> = fabrics.iter().flat_map(|&f| [(f, false), (f, true)]).collect();
+        cases.extend([(rect(9, 6, 3), false), (rect(6, 4, 2), false)]);
+        let got: Vec<_> = cases.into_iter().map(table_hashes).collect();
+        rfnoc_pins::check_file(env!("CARGO_MANIFEST_DIR"), "routing_tables", &got);
     }
 
     /// 65,535 routers build, with every coordinate intact; one more, on

@@ -4,6 +4,7 @@ use crate::fault::{HealthReport, RecoveryRecord};
 use crate::network::ledger::LedgerReport;
 use crate::network::telemetry::TelemetryReport;
 use rfnoc_power::ActivityCounters;
+use rfnoc_topology::Fnv;
 
 /// Statistics gathered over one simulation run.
 ///
@@ -136,6 +137,47 @@ impl RunStats {
             recovery: Vec::new(),
             ledger: None,
         }
+    }
+
+    /// FNV-1a over the simulated counters in a fixed order: what the
+    /// golden-statistics suite pins. The observer outputs (telemetry,
+    /// recovery, ledger) and the per-node counters are left out.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = Fnv::new();
+        h.u64(self.injected_messages);
+        h.u64(self.completed_messages);
+        h.u64(self.message_latency_sum);
+        h.u64(self.message_latencies.len() as u64);
+        self.message_latencies.iter().for_each(|&l| h.u64(u64::from(l)));
+        h.u64(self.ejected_flits);
+        h.u64(self.hops_sum);
+        h.u64(self.hop_packets);
+        h.u64(self.flit_latency_sum);
+        self.distance_histogram.iter().for_each(|&v| h.u64(v));
+        h.u64(self.activity.cycles);
+        self.activity.router_bytes.iter().for_each(|&v| h.u64(v));
+        h.u64(self.activity.link_byte_hops);
+        h.u64(self.activity.rf_bytes);
+        self.port_flits.iter().for_each(|&v| h.u64(v));
+        h.u64(self.pair_counts.len() as u64);
+        self.pair_counts.iter().for_each(|&c| h.u64(u64::from(c)));
+        h.u64(u64::from(self.saturated));
+        h.u64(self.end_cycle);
+        h.u64(self.shortcut_faults);
+        h.u64(self.mesh_link_faults);
+        h.u64(self.repairs);
+        h.u64(self.retransmitted_flits);
+        match &self.health {
+            None => h.u64(0),
+            Some(r) => {
+                h.u64(1 + r.diagnosis as u64);
+                h.u64(r.cycle);
+                h.u64(r.outstanding);
+                h.u64(r.stalled_for);
+                h.u64(r.since_completion);
+            }
+        }
+        h.finish()
     }
 
     /// Whether the run ended healthy (the watchdog did not fire).

@@ -797,26 +797,26 @@ mod tests {
     /// FNV-1a of the base-route out slot of every ordered pair
     /// (`base_slot_count` on the diagonal, the first slot past the base
     /// ones), row by row.
-    fn base_route_hash(fabric: &FabricSpec) -> u64 {
+    fn base_route_hash(fabric: FabricSpec) -> (String, String) {
         let n = fabric.nodes();
-        let slots = (0..n).flat_map(|r| {
+        let mut h = crate::Fnv::new();
+        h.bytes((0..n).flat_map(|r| {
             (0..n).map(move |d| {
                 if r == d { fabric.base_slot_count(r) as u8 } else { fabric.base_port(r, d) }
             })
-        });
-        slots.fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        }));
+        (fabric.to_string(), rfnoc_pins::hex(h.finish()))
     }
 
     /// The base routes of all 16.7 M ordered pairs of the two 64×64
     /// `rf64_build` fabrics, pinned on the per-hop route walk and the
-    /// ring-mesh's dense base-port table.
+    /// ring-mesh's dense base-port table, in `tests/pins/base_routes_64.txt`.
     #[test]
     #[ignore = "64x64 base routes over every pair; run in release with --ignored"]
     fn base_routes_at_64x64_hash_to_their_pins() {
         let dims = GridDims::new(64, 64);
-        assert_eq!(base_route_hash(&FabricSpec::mesh(dims)), 0xe6e336f37be09b25, "mesh");
-        let ring = FabricSpec::ring_mesh(dims, 4);
-        assert_eq!(base_route_hash(&ring), 0x9e84d761e1a2d325, "ring-mesh t4");
+        let got = [FabricSpec::mesh(dims), FabricSpec::ring_mesh(dims, 4)].map(base_route_hash);
+        rfnoc_pins::check_file(env!("CARGO_MANIFEST_DIR"), "base_routes_64", &got);
     }
 
     #[test]

@@ -36,6 +36,7 @@
 
 mod dist;
 mod error;
+mod fnv;
 mod geom;
 mod graph;
 mod weights;
@@ -48,6 +49,7 @@ pub mod select;
 pub use dist::DistanceMatrix;
 pub use error::TopologyError;
 pub use fabric::{BaseRoutes, FabricSpec};
+pub use fnv::Fnv;
 pub use geom::{Coord, GridDims};
 pub use graph::{GridGraph, NodeId, Shortcut};
 pub use routing::DistanceOracle;

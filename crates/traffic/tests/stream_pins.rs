@@ -5,9 +5,14 @@
 //! shapes, plus 2 000 cycles of the 64×64 placement. A generator rewrite
 //! must reproduce each stream message for message: same sources, same
 //! destinations, same classes, every `rng` draw where it was.
+//!
+//! The pins are in `tests/pins/stream_pins.txt`, each stream's message
+//! count and hash, one section a test. Re-bless only for an intended
+//! stream change: `PIN_BLESS=1 cargo test -p rfnoc-traffic --test stream_pins`.
 
+use rfnoc_pins::{hex, Pins};
 use rfnoc_sim::{Destination, MessageClass, Workload};
-use rfnoc_topology::{FabricSpec, GridDims, NodeId, Shortcut};
+use rfnoc_topology::{FabricSpec, Fnv, GridDims, NodeId, Shortcut};
 use rfnoc_traffic::{
     AppProfile, AppWorkload, CombinedWorkload, MulticastConfig, MulticastTraffic, Placement,
     ProbabilisticWorkload, Profile, ProfileSpec, ProfileWorkload, TraceKind, TrafficConfig,
@@ -15,24 +20,29 @@ use rfnoc_traffic::{
 
 const CYCLES: u64 = 20_000;
 
-/// A stream's `(messages, hash)`.
-type Pin = (usize, u64);
+const SECTIONS: [&str; 13] = [
+    "table1",
+    "request_response",
+    "trace_with_multicast",
+    "campaign",
+    "large_uniform",
+    "edge_rates",
+    "hot_multiplier",
+    "apps",
+    "expected_edge",
+    "phased_loads",
+    "edge_shapes",
+    "large_phased",
+    "multicast",
+];
 
-fn fnv(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
+fn check(got: &[(String, String)]) {
+    Pins::load(env!("CARGO_MANIFEST_DIR"), "stream_pins", &SECTIONS).check(got);
 }
 
-/// `(messages, hash)` of the first [`CYCLES`] cycles of `workload`.
-fn stream_hash(workload: impl Workload) -> (usize, u64) {
-    stream_hash_over(workload, CYCLES)
-}
-
-/// `(messages, hash)` of the first `cycles` cycles of `workload`.
-fn stream_hash_over(mut workload: impl Workload, cycles: u64) -> (usize, u64) {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+/// `(key, "<messages> <hash>")` of the first `cycles` cycles of `workload`.
+fn stream_pin(key: String, mut workload: impl Workload, cycles: u64) -> (String, String) {
+    let mut hash = Fnv::new();
     let mut messages = 0;
     let mut buf = Vec::new();
     for cycle in 0..cycles {
@@ -40,11 +50,11 @@ fn stream_hash_over(mut workload: impl Workload, cycles: u64) -> (usize, u64) {
         workload.messages_at(cycle, &mut buf);
         messages += buf.len();
         for m in &buf {
-            fnv(&mut hash, &cycle.to_le_bytes());
-            fnv(&mut hash, &(m.src as u64).to_le_bytes());
+            hash.u64(cycle);
+            hash.u64(m.src as u64);
             match m.dest {
-                Destination::Unicast(dst) => fnv(&mut hash, &(dst as u64).to_le_bytes()),
-                Destination::Multicast(set) => fnv(&mut hash, &set.bits().to_le_bytes()),
+                Destination::Unicast(dst) => hash.u64(dst as u64),
+                Destination::Multicast(set) => hash.bytes(set.bits().to_le_bytes()),
             }
             let class = match m.class {
                 MessageClass::Request => 0u8,
@@ -52,38 +62,31 @@ fn stream_hash_over(mut workload: impl Workload, cycles: u64) -> (usize, u64) {
                 MessageClass::Memory => 2,
                 MessageClass::Multicast => 3,
             };
-            fnv(&mut hash, &[class]);
+            hash.bytes([class]);
         }
     }
-    (messages, hash)
+    (key, format!("{messages} {}", hex(hash.finish())))
 }
 
 fn trace(kind: TraceKind, config: TrafficConfig) -> ProbabilisticWorkload {
     ProbabilisticWorkload::new(Placement::paper_10x10(), kind, config).unwrap()
 }
 
+fn phased(spec: ProfileSpec, config: TrafficConfig, shortcuts: &[Shortcut]) -> ProfileWorkload {
+    ProfileWorkload::new(Placement::paper_10x10(), spec, config, shortcuts).unwrap()
+}
+
 #[test]
 fn table1_trace_streams_match_their_pins() {
-    let pins: [(TraceKind, usize, u64); 7] = [
-        (TraceKind::Uniform, 15_583, 0x46e3_259b_4968_1381),
-        (TraceKind::UniDf, 15_563, 0x14bd_e6b7_c5fe_10e4),
-        (TraceKind::BiDf, 15_548, 0xa037_366a_9ee3_9116),
-        (TraceKind::HotBiDf, 17_447, 0x2846_a3d8_e9fb_99a4),
-        (TraceKind::Hotspot1, 16_062, 0xff0b_38bc_ffb1_c217),
-        (TraceKind::Hotspot2, 16_596, 0x1e09_f5aa_a6c9_446f),
-        (TraceKind::Hotspot4, 17_413, 0xf1f2_bc5e_20a4_b821),
-    ];
-    for (kind, messages, hash) in pins {
-        let got = stream_hash(trace(kind, TrafficConfig::default()));
-        assert_eq!(got, (messages, hash), "{kind}: ({}, {:#018x})", got.0, got.1);
-    }
+    check(&TraceKind::all().map(|kind| {
+        stream_pin(format!("table1.{kind}"), trace(kind, TrafficConfig::default()), CYCLES)
+    }));
 }
 
 #[test]
 fn request_response_stream_matches_its_pin() {
     let config = TrafficConfig { response_delay: Some(20), ..TrafficConfig::default() };
-    let got = stream_hash(trace(TraceKind::Uniform, config));
-    assert_eq!(got, (19_182, 0xf362_08b0_1e64_7d00), "({}, {:#018x})", got.0, got.1);
+    check(&[stream_pin("request_response".into(), trace(TraceKind::Uniform, config), CYCLES)]);
 }
 
 /// `WorkloadSpec::TraceWithMulticast { Uniform, 0.2, 0.001 }` as
@@ -104,29 +107,16 @@ fn trace_with_multicast_stream_matches_its_pin() {
     let combined = CombinedWorkload::new()
         .with(Box::new(trace(TraceKind::Uniform, traffic)))
         .with(Box::new(mc));
-    let got = stream_hash(combined);
-    assert_eq!(got, (16_235, 0x58ae_ece1_602a_19e4), "({}, {:#018x})", got.0, got.1);
+    check(&[stream_pin("trace_with_multicast".into(), combined, CYCLES)]);
 }
 
 #[test]
 fn campaign_profile_streams_match_their_pins() {
     let shortcuts = [Shortcut::new(11, 88), Shortcut::new(81, 18)];
-    let pins: [(Profile, usize, u64); 3] = [
-        (Profile::Expected, 15_966, 0x764f_4fa8_1f9c_9846),
-        (Profile::Stress, 16_192, 0x2d17_fd00_247c_e13e),
-        (Profile::Adversarial, 17_395, 0xa072_7f1d_9e78_9011),
-    ];
-    for (profile, messages, hash) in pins {
-        let workload = ProfileWorkload::new(
-            Placement::paper_10x10(),
-            ProfileSpec::new(profile, 7),
-            TrafficConfig::default(),
-            &shortcuts,
-        )
-        .unwrap();
-        let got = stream_hash(workload);
-        assert_eq!(got, (messages, hash), "{profile}: ({}, {:#018x})", got.0, got.1);
-    }
+    check(&Profile::all().map(|profile| {
+        let workload = phased(ProfileSpec::new(profile, 7), TrafficConfig::default(), &shortcuts);
+        stream_pin(format!("campaign.{profile}"), workload, CYCLES)
+    }));
 }
 
 /// The `rf64_build` benchmark's stream: `Uniform` on the 64×64 quadrant
@@ -138,8 +128,7 @@ fn large_grid_uniform_stream_matches_its_pin() {
     let config =
         TrafficConfig { injection_rate: 0.008 * 100.0 / 4096.0, ..TrafficConfig::default() };
     let workload = ProbabilisticWorkload::new(placement, TraceKind::Uniform, config).unwrap();
-    let got = stream_hash_over(workload, 2_000);
-    assert_eq!(got, (1_571, 0x9252_dc80_d970_67a1), "({}, {:#018x})", got.0, got.1);
+    check(&[stream_pin("large_uniform".into(), workload, 2_000)]);
 }
 
 /// Rate 0 makes no draw, a whole rate emits without drawing (memory ports
@@ -147,16 +136,11 @@ fn large_grid_uniform_stream_matches_its_pin() {
 /// at 0.7.
 #[test]
 fn uniform_streams_at_edge_rates_match_their_pins() {
-    let pins: [(f64, usize, u64); 3] = [
-        (0.0, 0, 0xcbf2_9ce4_8422_2325),
-        (1.0, 1_960_121, 0xd580_2d22_a900_2d4b),
-        (1.7, 3_331_180, 0xbea0_e911_c186_ddc1),
-    ];
-    for (injection_rate, messages, hash) in pins {
+    check(&[0.0, 1.0, 1.7].map(|injection_rate| {
         let config = TrafficConfig { injection_rate, ..TrafficConfig::default() };
-        let got = stream_hash(trace(TraceKind::Uniform, config));
-        assert_eq!(got, (messages, hash), "rate {injection_rate}: ({}, {:#018x})", got.0, got.1);
-    }
+        let workload = trace(TraceKind::Uniform, config);
+        stream_pin(format!("edge_rates.{injection_rate}"), workload, CYCLES)
+    }));
 }
 
 /// A hotspot trace whose hot caches send 0.3 × 4.5 = 1.35 messages a
@@ -164,53 +148,38 @@ fn uniform_streams_at_edge_rates_match_their_pins() {
 /// with silent hot caches (rate 0, no draw) among sources that draw.
 #[test]
 fn hotspot_streams_at_edge_multipliers_match_their_pins() {
-    let pins: [(f64, usize, u64); 2] =
-        [(4.5, 672_321, 0x5b6b_869b_b72d_5cf3), (0.0, 564_083, 0xe580_17a4_976e_0fef)];
-    for (hot_multiplier, messages, hash) in pins {
+    check(&[4.5, 0.0].map(|hot_multiplier| {
         let config =
             TrafficConfig { injection_rate: 0.3, hot_multiplier, ..TrafficConfig::default() };
-        let got = stream_hash(trace(TraceKind::Hotspot4, config));
-        assert_eq!(got, (messages, hash), "x{hot_multiplier}: ({}, {:#018x})", got.0, got.1);
-    }
+        let workload = trace(TraceKind::Hotspot4, config);
+        stream_pin(format!("hot_multiplier.{hot_multiplier}"), workload, CYCLES)
+    }));
 }
 
 /// Application streams draw once per non-memory source at `min(rate, 1)`,
 /// even at rate 0 and above 1.
 #[test]
 fn app_streams_match_their_pins() {
-    let pins: [(AppProfile, f64, usize, u64); 6] = [
-        (AppProfile::x264(), 0.05, 96_139, 0x5272_4a96_c1e7_2b20),
-        (AppProfile::x264(), 0.0, 0, 0xcbf2_9ce4_8422_2325),
-        (AppProfile::x264(), 1.5, 1_920_000, 0x2715_c836_df44_e6ea),
-        (AppProfile::bodytrack(), 0.05, 96_112, 0x3f80_19f5_7812_d163),
-        (AppProfile::bodytrack(), 0.0, 0, 0xcbf2_9ce4_8422_2325),
-        (AppProfile::bodytrack(), 1.5, 1_920_000, 0x4d85_a199_99ee_d0e9),
-    ];
-    for (profile, rate, messages, hash) in pins {
-        let name = profile.name;
-        let workload = AppWorkload::new(Placement::paper_10x10(), profile, rate, 7).unwrap();
-        let got = stream_hash(workload);
-        assert_eq!(got, (messages, hash), "{name} at {rate}: ({}, {:#018x})", got.0, got.1);
+    let mut got = Vec::new();
+    for profile in [AppProfile::x264(), AppProfile::bodytrack()] {
+        for rate in [0.05, 0.0, 1.5] {
+            let key = format!("apps.{}_{rate}", profile.name);
+            let workload = AppWorkload::new(Placement::paper_10x10(), profile.clone(), rate, 7);
+            got.push(stream_pin(key, workload.unwrap(), CYCLES));
+        }
     }
+    check(&got);
 }
 
 /// The expected profile draws at rate 0 and emits one certain message per
 /// source at any rate of 1 or more.
 #[test]
 fn expected_profile_streams_at_edge_rates_match_their_pins() {
-    let pins: [(f64, usize, u64); 2] =
-        [(0.0, 0, 0xcbf2_9ce4_8422_2325), (1.5, 2_000_000, 0x8f3e_c4f9_84dc_e576)];
-    for (injection_rate, messages, hash) in pins {
-        let workload = ProfileWorkload::new(
-            Placement::paper_10x10(),
-            ProfileSpec::new(Profile::Expected, 7),
-            TrafficConfig { injection_rate, ..TrafficConfig::default() },
-            &[],
-        )
-        .unwrap();
-        let got = stream_hash(workload);
-        assert_eq!(got, (messages, hash), "rate {injection_rate}: ({}, {:#018x})", got.0, got.1);
-    }
+    check(&[0.0, 1.5].map(|injection_rate| {
+        let config = TrafficConfig { injection_rate, ..TrafficConfig::default() };
+        let workload = phased(ProfileSpec::new(Profile::Expected, 7), config, &[]);
+        stream_pin(format!("expected_edge.{injection_rate}"), workload, CYCLES)
+    }));
 }
 
 /// The campaign's phased profiles at its three loads, with a two-shortcut
@@ -220,32 +189,19 @@ fn expected_profile_streams_at_edge_rates_match_their_pins() {
 #[test]
 fn phased_profile_streams_at_campaign_loads_match_their_pins() {
     let two = [Shortcut::new(11, 88), Shortcut::new(81, 18)];
-    #[rustfmt::skip]
-    let pins: [(Profile, f64, Pin, Pin); 8] = [
-        (Profile::Stress, 0.006, (12_613, 0xdb2c_d07c_4f9a_3d43), (12_613, 0xdb2c_d07c_4f9a_3d43)),
-        (Profile::Stress, 0.010, (20_618, 0x8d80_59dc_188f_93bf), (20_618, 0x8d80_59dc_188f_93bf)),
-        (Profile::Stress, 0.020, (40_459, 0x034f_d841_8f98_a341), (40_459, 0x034f_d841_8f98_a341)),
-        (Profile::Stress, 0.3, (410_095, 0x633a_85be_be76_6fa1), (410_095, 0x633a_85be_be76_6fa1)),
-        (Profile::Adversarial, 0.006, (12_125, 0xd9f7_ba30_2803_a37d), (12_288, 0x8cbb_d648_8f72_ae57)),
-        (Profile::Adversarial, 0.010, (20_007, 0x865a_b660_fd93_c8a7), (20_991, 0xd7e0_efd4_4bca_c408)),
-        (Profile::Adversarial, 0.020, (43_868, 0x518e_30c7_0b39_7c24), (40_748, 0xfe36_ff62_978a_d0f8)),
-        (Profile::Adversarial, 0.3, (427_785, 0x42a5_7604_c806_521f), (416_864, 0xc222_fafa_46b3_e151)),
-    ];
-    for (profile, injection_rate, with_two, with_none) in pins {
-        for (shortcuts, want) in [(&two[..], with_two), (&[][..], with_none)] {
-            let workload = ProfileWorkload::new(
-                Placement::paper_10x10(),
-                ProfileSpec::new(profile, 7),
-                TrafficConfig { injection_rate, ..TrafficConfig::default() },
-                shortcuts,
-            )
-            .unwrap();
-            let got = stream_hash(workload);
-            let n = shortcuts.len();
-            let at = format!("{profile} at {injection_rate}, {n} shortcuts");
-            assert_eq!(got, want, "{at}: ({}, {:#018x})", got.0, got.1);
+    let mut got = Vec::new();
+    for profile in [Profile::Stress, Profile::Adversarial] {
+        for injection_rate in [0.006, 0.010, 0.020, 0.3] {
+            for shortcuts in [&two[..], &[][..]] {
+                let config = TrafficConfig { injection_rate, ..TrafficConfig::default() };
+                let workload = phased(ProfileSpec::new(profile, 7), config, shortcuts);
+                let n = shortcuts.len();
+                let key = format!("phased_loads.{profile}_{injection_rate}_{n}shortcuts");
+                got.push(stream_pin(key, workload, CYCLES));
+            }
         }
     }
+    check(&got);
 }
 
 /// Phase shapes at the edges: one-cycle phases (every source ends a phase
@@ -255,29 +211,18 @@ fn phased_profile_streams_at_campaign_loads_match_their_pins() {
 #[test]
 fn phased_profile_streams_at_edge_shapes_match_their_pins() {
     let two = [Shortcut::new(11, 88), Shortcut::new(81, 18)];
-    #[rustfmt::skip]
-    let pins: [(Profile, f64, f64, f64, usize, u64); 6] = [
-        (Profile::Stress, 1.0, 1.0, 1.5, 39_887, 0x26e9_93bb_3e89_f3d6),
-        (Profile::Stress, 1.0, 50.0, 1.15, 2_996, 0x6c23_b0d3_4f23_3f8f),
-        (Profile::Stress, 60.0, 1e12, 1.5, 196, 0x0926_c296_ab24_e97a),
-        (Profile::Adversarial, 1.0, 1.0, 1.5, 39_704, 0x9121_bf66_b14a_9d9d),
-        (Profile::Adversarial, 1.0, 50.0, 1.15, 3_091, 0x78a3_9b94_8958_4739),
-        (Profile::Adversarial, 60.0, 1e12, 1.5, 287, 0x61da_4976_4fc7_7260),
-    ];
-    for (profile, mean_on, mean_off, pareto_alpha, messages, hash) in pins {
-        let spec = ProfileSpec { mean_on, mean_off, pareto_alpha, ..ProfileSpec::new(profile, 7) };
-        let workload =
-            ProfileWorkload::new(Placement::paper_10x10(), spec, TrafficConfig::default(), &two)
-                .unwrap();
-        let got = stream_hash(workload);
-        assert_eq!(
-            got,
-            (messages, hash),
-            "{profile} on {mean_on} off {mean_off} alpha {pareto_alpha}: ({}, {:#018x})",
-            got.0,
-            got.1
-        );
+    let mut got = Vec::new();
+    let shapes = [(1.0, 1.0, 1.5), (1.0, 50.0, 1.15), (60.0, 1e12, 1.5)];
+    for profile in [Profile::Stress, Profile::Adversarial] {
+        for (mean_on, mean_off, pareto_alpha) in shapes {
+            let spec =
+                ProfileSpec { mean_on, mean_off, pareto_alpha, ..ProfileSpec::new(profile, 7) };
+            let shape = format!("on{mean_on}_off{mean_off}_alpha{pareto_alpha}");
+            let workload = phased(spec, TrafficConfig::default(), &two);
+            got.push(stream_pin(format!("edge_shapes.{profile}_{shape}"), workload, CYCLES));
+        }
     }
+    check(&got);
 }
 
 /// 2 000 cycles of the phased profiles on the 64×64 quadrant placement:
@@ -287,11 +232,7 @@ fn large_grid_phased_profile_streams_match_their_pins() {
     let corner = |x: NodeId, y: NodeId| y * 64 + x;
     let shortcuts =
         [Shortcut::new(corner(1, 1), corner(62, 62)), Shortcut::new(corner(62, 61), corner(1, 2))];
-    let pins: [(Profile, usize, u64); 2] = [
-        (Profile::Stress, 73_999, 0x1f88_9975_9b58_b042),
-        (Profile::Adversarial, 74_916, 0x8d04_6560_9f39_fed8),
-    ];
-    for (profile, messages, hash) in pins {
+    check(&[Profile::Stress, Profile::Adversarial].map(|profile| {
         let workload = ProfileWorkload::new(
             Placement::quadrant_clusters_on(FabricSpec::mesh(GridDims::new(64, 64))),
             ProfileSpec::new(profile, 7),
@@ -299,9 +240,8 @@ fn large_grid_phased_profile_streams_match_their_pins() {
             &shortcuts,
         )
         .unwrap();
-        let got = stream_hash_over(workload, 2_000);
-        assert_eq!(got, (messages, hash), "{profile}: ({}, {:#018x})", got.0, got.1);
-    }
+        stream_pin(format!("large_phased.{profile}"), workload, 2_000)
+    }));
 }
 
 /// Multicast alone at an expected count of exactly 1 a cycle (one certain
@@ -309,13 +249,11 @@ fn large_grid_phased_profile_streams_match_their_pins() {
 /// 32 caches of the 10×10 placement.
 #[test]
 fn multicast_streams_at_whole_and_fractional_counts_match_their_pins() {
-    let pins: [(f64, usize, u64); 2] =
-        [(1.0, 20_000, 0x750e_aed0_86e3_bcc0), (2.5, 50_048, 0xe158_8d6e_09f7_6418)];
-    for (per_cycle, messages, hash) in pins {
+    check(&[1.0, 2.5].map(|per_cycle| {
         let placement = Placement::paper_10x10();
         let rate_per_cache = per_cycle / placement.caches().len() as f64;
         let config = MulticastConfig { rate_per_cache, ..MulticastConfig::default() };
-        let got = stream_hash(MulticastTraffic::new(placement, config).unwrap());
-        assert_eq!(got, (messages, hash), "{per_cycle} a cycle: ({}, {:#018x})", got.0, got.1);
-    }
+        let workload = MulticastTraffic::new(placement, config).unwrap();
+        stream_pin(format!("multicast.{per_cycle}"), workload, CYCLES)
+    }));
 }
