@@ -1,11 +1,12 @@
-//! Golden-stats determinism suite: pins [`RunStats::fingerprint`] for
-//! representative configurations,
+//! Golden-stats determinism suite: pins [`RunStats::fingerprint`] and a
+//! hash of the per-node counters for representative configurations,
 //! proving that engine optimizations (active-router scheduling, zero-alloc
 //! steady state) are bit-identical to the seed cycle engine. Any change to
 //! these pins means the optimized engine no longer simulates the same
 //! network.
 //!
-//! The pins are in `tests/pins/golden_stats.txt`, `<case> = <fingerprint>`.
+//! The pins are in `tests/pins/golden_stats.txt`: `<case>` is the
+//! fingerprint, `<case>.per_node` the hash of `per_source` and `per_dest`.
 //! Re-bless after an *intentional* behavioural change (never for a pure
 //! performance change) with
 //!
@@ -22,7 +23,7 @@ use rfnoc_sim::{
     FaultEvent, FaultPlan, LedgerConfig, MulticastMode, Network, NetworkSpec, RunStats, SimConfig,
     VctConfig,
 };
-use rfnoc_topology::{FabricSpec, GridDims, Shortcut};
+use rfnoc_topology::{FabricSpec, Fnv, GridDims, Shortcut};
 
 /// The cases' engine config; `ledger` instruments the run with the run
 /// ledger, which every case must ignore.
@@ -195,7 +196,17 @@ fn run_case(name: &str, threads: usize, ledger: bool) -> RunStats {
     Network::new(spec).run(&mut w)
 }
 
-/// The pin of every case, run at `threads` engine threads (`ledger` as in
+/// FNV-1a over the per-node counters: `per_source`, then `per_dest`.
+fn per_node_hash(s: &RunStats) -> u64 {
+    let mut h = Fnv::new();
+    for counts in [&s.per_source, &s.per_dest] {
+        h.u64(counts.len() as u64);
+        counts.iter().for_each(|&c| h.u64(u64::from(c)));
+    }
+    h.finish()
+}
+
+/// Both pins of every case, run at `threads` engine threads (`ledger` as in
 /// [`golden_config`]).
 fn pins_at(threads: usize, ledger: bool) -> Vec<(String, String)> {
     let mut got = Vec::new();
@@ -206,6 +217,7 @@ fn pins_at(threads: usize, ledger: bool) -> Vec<(String, String)> {
         assert!(stats.recovery.is_empty(), "{case}: recovery records without a tracker");
         assert_eq!(stats.ledger.is_some(), ledger, "{case} @ {threads} threads: ledger report");
         got.push((case.to_string(), hex(stats.fingerprint())));
+        got.push((format!("{case}.per_node"), hex(per_node_hash(&stats))));
     }
     got
 }
