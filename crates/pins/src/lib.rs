@@ -150,7 +150,7 @@ impl Pins {
     /// [`Pins::check`] of `got(t)` at every engine thread count `t` in
     /// `threads`, against the same pins, every difference reported at once.
     pub fn check_threads(&self, threads: &[usize], got: impl Fn(usize) -> Lines) {
-        let at = |t| self.compare(&got(t)).into_iter().map(move |d| format!("{d} @ {t} threads"));
+        let at = |t| self.compare(&got(t)).into_iter().map(move |d| format!("{d} (threads={t})"));
         fail_on(&self.path, &threads.iter().flat_map(|&t| at(t)).collect::<Vec<_>>());
     }
 

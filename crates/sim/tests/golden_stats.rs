@@ -85,8 +85,11 @@ fn run_case(name: &str, threads: usize, ledger: bool) -> RunStats {
     let golden = || golden_config(threads, ledger);
     let saturating = || SimConfig { drain_cycles: 2_000, watchdog_cycles: 0, ..golden() };
     // A non-default VC / buffer / link-width shape.
-    let shaped = |vcs_adaptive, vcs_escape, buffer_depth, width| {
-        SimConfig { vcs_adaptive, vcs_escape, buffer_depth, ..golden().with_link_width(width) }
+    let shaped = |vcs_adaptive, vcs_escape, buffer_depth, width| SimConfig {
+        vcs_adaptive,
+        vcs_escape,
+        buffer_depth,
+        ..golden().with_link_width(width)
     };
     // The network, and the workload's seed, load (in 1/256ths) and
     // multicast share (one message in `mc_every`, 0 for none).
@@ -148,15 +151,11 @@ fn run_case(name: &str, threads: usize, ledger: bool) -> RunStats {
         }
         // One VC per class, one slot per VC: every flit waits for the
         // credit of the one before it.
-        "shape_1p1_depth1" => {
-            (mesh(shaped(1, 1, 1, LinkWidth::B16)), 0x5eed_000e, 10, 0)
-        }
+        "shape_1p1_depth1" => (mesh(shaped(1, 1, 1, LinkWidth::B16)), 0x5eed_000e, 10, 0),
         // 4B links: packets of up to 33 flits wrap the two-slot rings many
         // times, and the 16B RF channel burst-drains four narrow flits a
         // cycle.
-        "shape_2p4_depth2_b4_rf" => {
-            (rf(shaped(2, 4, 2, LinkWidth::B4)), 0x5eed_000f, 10, 0)
-        }
+        "shape_2p4_depth2_b4_rf" => (rf(shaped(2, 4, 2, LinkWidth::B4)), 0x5eed_000f, 10, 0),
         "shape_4p12_depth8_rf_faults" => {
             // The widest shape in the repo (ablation_escape_vcs), under RF
             // teardown/repair, a mesh-link detour and a glitch.
@@ -172,9 +171,7 @@ fn run_case(name: &str, threads: usize, ledger: bool) -> RunStats {
             (rf(cfg).with_fault_plan(plan), 0x5eed_0010, 40, 0)
         }
         // Tree multicast replication out of two-slot rings.
-        "shape_2p2_depth2_vct" => {
-            (vct(shaped(2, 2, 2, LinkWidth::B8)), 0x5eed_0011, 8, 4)
-        }
+        "shape_2p2_depth2_vct" => (vct(shaped(2, 2, 2, LinkWidth::B8)), 0x5eed_0011, 8, 4),
         // Heterogeneous-degree routers (2/6 base ports) at a shape where
         // depth is not a power of two.
         "shape_ringmesh_1p2_depth3_b8" => {

@@ -14,9 +14,7 @@
 
 use rfnoc_pins::{hex, Pins};
 use rfnoc_topology::select::{max_cost_selection, select_max_cost, SelectionConstraints};
-use rfnoc_topology::{
-    DistanceMatrix, FabricSpec, Fnv, GridDims, GridGraph, PairWeights, Shortcut,
-};
+use rfnoc_topology::{DistanceMatrix, FabricSpec, Fnv, GridDims, GridGraph, PairWeights, Shortcut};
 
 fn mesh(side: usize) -> FabricSpec {
     FabricSpec::mesh(GridDims::new(side, side))
