@@ -85,17 +85,17 @@ impl Pins {
     /// Loads `<dir>/tests/pins/<suite>.txt`, `dir` being the calling
     /// crate's `CARGO_MANIFEST_DIR`. Outside a bless run, a key in a section
     /// not in `sections` panics.
-    pub fn load(dir: &str, suite: &str, sections: &[impl AsRef<str>]) -> Pins {
+    pub fn load(dir: &str, suite: &str, sections: &[&str]) -> Pins {
         Self::open(pin_path(dir, suite), sections, blessing())
     }
 
-    fn open(path: PathBuf, sections: &[impl AsRef<str>], bless: bool) -> Pins {
+    fn open(path: PathBuf, sections: &[&str], bless: bool) -> Pins {
         let text = match fs::read_to_string(&path) {
             Ok(text) => text,
             Err(_) if bless => String::new(),
             Err(e) => panic!("{}: {e}", path.display()),
         };
-        let sections = sections.iter().map(|s| s.as_ref().to_string()).collect();
+        let sections = sections.iter().map(|s| s.to_string()).collect();
         let pins = Pins { pinned: parse(&path, &text), path, sections, bless };
         let mut diffs = Vec::new();
         for (i, (key, _)) in pins.pinned.iter().enumerate() {
@@ -149,26 +149,24 @@ impl Pins {
 
     /// [`Pins::check`] of `got(t)` at every engine thread count `t` in
     /// `threads`, against the same pins, every difference reported at once.
-    pub fn check_threads(&self, threads: &[usize], got: impl Fn(usize) -> Lines) {
+    pub fn check_threads(&self, threads: &[usize], got: impl Fn(usize) -> Vec<(String, String)>) {
         let at = |t| self.compare(&got(t)).into_iter().map(move |d| format!("{d} (threads={t})"));
         fail_on(&self.path, &threads.iter().flat_map(|&t| at(t)).collect::<Vec<_>>());
     }
 
     /// Writes `got` over the file as it is now: in the sections `got` reads
-    /// only `got`'s keys stay, a new key follows the last of its section,
-    /// and keys of sections the suite does not name are dropped.
+    /// only `got`'s keys stay, new keys go at the end, and keys of sections
+    /// the suite does not name are dropped.
     fn rewrite(&self, got: &[(String, String)]) {
         let _guard = REWRITE.lock().expect("a test panicked while rewriting a pin file");
         let mut pins = parse(&self.path, &fs::read_to_string(&self.path).unwrap_or_default());
         let kept = |k: &str| !reads(got, k) || got.iter().any(|(g, _)| g == k);
         pins.retain(|(k, _)| self.declares(k) && kept(k));
         for (key, value) in got {
-            if let Some(pin) = pins.iter_mut().find(|(k, _)| k == key) {
-                pin.1.clone_from(value);
-                continue;
+            match pins.iter_mut().find(|(k, _)| k == key) {
+                Some(pin) => pin.1.clone_from(value),
+                None => pins.push((key.clone(), value.clone())),
             }
-            let last = pins.iter().rposition(|(k, _)| section(k) == section(key));
-            pins.insert(last.map_or(pins.len(), |i| i + 1), (key.clone(), value.clone()));
         }
         write(&self.path, &pins.iter().map(|(k, v)| format!("{k} = {v}\n")).collect::<String>());
     }
@@ -267,7 +265,7 @@ mod tests {
         let unchanged: [&[(&str, &str)]; 2] =
             [&[("b.y", "[(0, 1)]"), ("b.x", "1 2")], &[("a", "0x0000000000000001")]];
         assert_eq!(blessed("bless", &unchanged), FILE);
-        // A new key follows its section; a key its section's check lacks goes.
+        // A key its section's check lacks goes; a new key goes at the end.
         let added = blessed("rebless", &[&[("b.x", "1 2"), ("b.z", "3")]]);
         assert_eq!(added, "a = 0x0000000000000001\nb.x = 1 2\nb.z = 3\n");
     }

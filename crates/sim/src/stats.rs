@@ -142,6 +142,10 @@ impl RunStats {
     /// FNV-1a over the simulated counters in a fixed order: what the
     /// golden-statistics suite pins. The observer outputs (telemetry,
     /// recovery, ledger) and the per-node counters are left out.
+    ///
+    /// `#[inline]`, so only its callers compile it: without, this crate's
+    /// code units are split differently and the engine's code moves.
+    #[inline]
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
         h.u64(self.injected_messages);
