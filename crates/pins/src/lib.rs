@@ -83,8 +83,8 @@ pub struct Pins {
 
 impl Pins {
     /// Loads `<dir>/tests/pins/<suite>.txt`, `dir` being the calling
-    /// crate's `CARGO_MANIFEST_DIR`. Outside a bless run, a key in a section
-    /// not in `sections` panics.
+    /// crate's `CARGO_MANIFEST_DIR`. Outside a bless run, a key pinned twice
+    /// or in a section not in `sections` panics.
     pub fn load(dir: &str, suite: &str, sections: &[&str]) -> Pins {
         Self::open(pin_path(dir, suite), sections, blessing())
     }

@@ -78,7 +78,7 @@ fn run_case(name: &str, threads: usize, ledger: bool) -> RunStats {
     let ring_fabric = FabricSpec::ring_mesh(GridDims::new(8, 8), 4);
     let mesh = |cfg| NetworkSpec::mesh_baseline(dims, cfg);
     let rf = |cfg| NetworkSpec::with_shortcuts(dims, cfg, shortcuts(dims));
-    let ring = |cfg, shortcuts| NetworkSpec::with_fabric(ring_fabric, cfg, shortcuts);
+    let ring = |cfg, overlay| NetworkSpec::with_fabric(ring_fabric, cfg, overlay);
     let ring_rf = |cfg| ring(cfg, shortcuts(ring_fabric.dims()));
     let vct_tree = MulticastMode::Vct(VctConfig::default());
     let vct = |cfg| NetworkSpec { multicast: vct_tree.clone(), ..mesh(cfg) };
@@ -219,7 +219,7 @@ fn pins_at(threads: usize, ledger: bool) -> Vec<(String, String)> {
     got
 }
 
-fn golden() -> Pins {
+fn pins() -> Pins {
     Pins::load(env!("CARGO_MANIFEST_DIR"), "golden_stats", &CASES)
 }
 
@@ -228,7 +228,7 @@ fn golden() -> Pins {
 /// repeat.
 #[test]
 fn golden_stats_match_seed_engine() {
-    golden().check(&pins_at(1, false));
+    pins().check(&pins_at(1, false));
 }
 
 /// The sharded engine must be bit-identical to the serial engine: every
@@ -242,7 +242,7 @@ fn golden_stats_match_seed_engine() {
 /// path.
 #[test]
 fn golden_stats_reproduce_at_every_thread_count() {
-    golden().check_threads(&rfnoc_pins::threads(&[2, 3, 4, 8]), |t| pins_at(t, false));
+    pins().check_threads(&rfnoc_pins::threads(&[2, 3, 4, 8]), |t| pins_at(t, false));
 }
 
 /// The run ledger is a pure observer: every golden pin reproduces with the
@@ -251,5 +251,5 @@ fn golden_stats_reproduce_at_every_thread_count() {
 /// fault handling anywhere in the pinned cases would show up as a mismatch.
 #[test]
 fn golden_stats_reproduce_with_ledger_enabled() {
-    golden().check_threads(&[1, 4], |t| pins_at(t, true));
+    pins().check_threads(&[1, 4], |t| pins_at(t, true));
 }
