@@ -101,7 +101,8 @@ pub fn artifact_path(name: &str) -> PathBuf {
 
 /// Writes `text` to `path`, creating its directory; logs (does not
 /// propagate) I/O failures and returns whether the file was written. The
-/// only place the harness creates a JSON file.
+/// only place the harness creates a JSON file; the Figure 2 SVGs go
+/// through it too.
 pub fn write_file(path: &Path, text: &str) -> bool {
     let written = path
         .parent()

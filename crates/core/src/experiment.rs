@@ -305,8 +305,13 @@ impl Experiment {
 
     /// [`Experiment::run`] after the design stage: elaborates the system
     /// around `design`, simulates and costs it. `design` must come from
-    /// [`Experiment::design`] of an experiment with an equal
-    /// [`Experiment::design_key`]; the report's `build_wall` is zero, for
+    /// [`Experiment::design`] of an experiment with this one's
+    /// architecture, shortcut budget and placement. With an equal
+    /// [`Experiment::design_key`] the report is the one [`Experiment::run`]
+    /// gives. With another workload's profile behind it, the report is
+    /// this workload on shortcuts tuned for that one — a system that keeps
+    /// its shortcuts across a change of application (the frozen row of
+    /// `run_all phased_workloads`). The report's `build_wall` is zero, for
     /// the caller to charge the stage to whichever run paid for it.
     pub fn run_on(&self, design: &SharedDesign) -> RunReport {
         let placement = self.placement.clone();
@@ -447,5 +452,37 @@ mod tests {
     fn experiments_compare_by_value() {
         assert_eq!(exp(Architecture::Baseline), exp(Architecture::Baseline));
         assert_ne!(exp(Architecture::Baseline), exp(Architecture::StaticShortcuts));
+    }
+
+    /// `run_on` a design selected from another workload's profile: over a
+    /// three-application sequence, retuning for every phase does not lose
+    /// to keeping the shortcuts selected for the first.
+    #[test]
+    fn retuning_per_phase_does_not_lose_to_a_frozen_design() {
+        let mut sim = SimConfig::paper_baseline();
+        sim.warmup_cycles = 500;
+        sim.measure_cycles = 4_000;
+        sim.drain_cycles = 8_000;
+        let system = SystemConfig::new(
+            Architecture::AdaptiveShortcuts { access_points: 50 },
+            LinkWidth::B16,
+        )
+        .with_sim(sim);
+        let phases = [TraceKind::Hotspot1, TraceKind::BiDf, TraceKind::Hotspot4].map(|trace| {
+            Experiment {
+                profile_cycles: 3_000,
+                ..Experiment::new(system.clone(), WorkloadSpec::Trace(trace))
+            }
+        });
+        let frozen_design = phases[0].design();
+        let mean = |run: &dyn Fn(&Experiment) -> RunReport| {
+            phases.iter().map(|p| run(p).avg_latency()).sum::<f64>() / phases.len() as f64
+        };
+        let retuned = mean(&Experiment::run);
+        let frozen = mean(&|p| p.run_on(&frozen_design));
+        assert!(
+            retuned <= frozen + 0.5,
+            "retuned ({retuned:.2}) must not lose to frozen ({frozen:.2})"
+        );
     }
 }

@@ -62,7 +62,6 @@ pub mod gate;
 pub mod json;
 pub mod ledger;
 pub mod obs;
-mod phased;
 pub mod timeline;
 mod workload;
 
@@ -74,7 +73,6 @@ pub use builder::{
 pub use experiment::{
     DesignKey, Experiment, FaultSpec, ProfileSource, RunReport, DEFAULT_PROFILE_CYCLES,
 };
-pub use phased::{PhasedExperiment, PhasedReport, ReconfigPolicy};
 pub use workload::{WorkloadError, WorkloadSpec};
 
 // Re-export the substrate crates so downstream users need only one

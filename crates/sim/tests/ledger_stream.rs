@@ -4,52 +4,15 @@
 //! the engine's active-router visits, and timeline-event mirroring. (The
 //! records' JSONL form is tested with its writer, in `rfnoc::ledger`.)
 
+#[path = "common/synthetic.rs"]
+mod synthetic;
+
 use rfnoc_sim::{
-    FaultEvent, FaultPlan, LedgerConfig, LedgerRecord, MessageClass, MessageSpec, Network,
-    NetworkSpec, RunStats, SimConfig, TelemetryConfig, TimelineEventKind, Workload,
+    FaultEvent, FaultPlan, LedgerConfig, LedgerRecord, Network, NetworkSpec, RunStats, SimConfig,
+    TelemetryConfig, TimelineEventKind,
 };
 use rfnoc_topology::{GridDims, Shortcut};
-
-/// Deterministic xorshift unicast traffic (the golden-suite workload).
-struct SyntheticWorkload {
-    state: u64,
-    nodes: usize,
-    load_256: u64,
-    until: u64,
-}
-
-impl SyntheticWorkload {
-    fn new(seed: u64, nodes: usize, load_256: u64, until: u64) -> Self {
-        Self { state: seed, nodes, load_256, until }
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.state = x;
-        x
-    }
-}
-
-impl Workload for SyntheticWorkload {
-    fn messages_at(&mut self, cycle: u64, out: &mut Vec<MessageSpec>) {
-        if cycle >= self.until {
-            return;
-        }
-        for src in 0..self.nodes {
-            if self.next() % 256 >= self.load_256 {
-                continue;
-            }
-            let mut dst = (self.next() % self.nodes as u64) as usize;
-            if dst == src {
-                dst = (dst + 1) % self.nodes;
-            }
-            out.push(MessageSpec::unicast(src, dst, MessageClass::Data));
-        }
-    }
-}
+use synthetic::SyntheticWorkload;
 
 fn base_config(threads: usize) -> SimConfig {
     let mut cfg = SimConfig::paper_baseline();
@@ -69,7 +32,7 @@ fn shortcuts(dims: GridDims) -> Vec<Shortcut> {
 fn run_mesh(cfg: SimConfig) -> RunStats {
     let dims = GridDims::new(6, 6);
     let horizon = cfg.warmup_cycles + cfg.measure_cycles;
-    let mut w = SyntheticWorkload::new(0x1ed6e4, dims.nodes(), 24, horizon);
+    let mut w = SyntheticWorkload::new(0x1ed6e4, dims.nodes(), 24, 0, horizon);
     Network::new(NetworkSpec::mesh_baseline(dims, cfg)).run(&mut w)
 }
 
@@ -87,7 +50,7 @@ fn run_fault_storm(cfg: SimConfig) -> RunStats {
     ]);
     let spec =
         NetworkSpec::with_shortcuts(dims, cfg, shortcuts(dims)).with_fault_plan(plan);
-    let mut w = SyntheticWorkload::new(0x1ed6e5, n, 24, horizon);
+    let mut w = SyntheticWorkload::new(0x1ed6e5, n, 24, 0, horizon);
     Network::new(spec).run(&mut w)
 }
 
@@ -239,7 +202,7 @@ fn replay_ops_count_boundary_traffic_only() {
         cfg.warmup_cycles = 0; // count every grant
         cfg.ledger = Some(LedgerConfig::every(400));
         cfg.telemetry = telemetry;
-        let mut w = SyntheticWorkload::new(0x1ed6e6, dims.nodes(), 6, cfg.measure_cycles);
+        let mut w = SyntheticWorkload::new(0x1ed6e6, dims.nodes(), 6, 0, cfg.measure_cycles);
         let stats = Network::new(NetworkSpec::mesh_baseline(dims, cfg)).run(&mut w);
         assert!(!stats.saturated);
         let grants: u64 = stats.port_flits.iter().sum();
@@ -301,12 +264,12 @@ fn ledger_stream_is_moved_out_per_run() {
     cfg.drain_cycles = 2_000;
     cfg.ledger = Some(LedgerConfig::every(100));
     let mut network = Network::new(NetworkSpec::mesh_baseline(dims, cfg));
-    let mut w1 = SyntheticWorkload::new(0xaaaa, dims.nodes(), 8, 300);
+    let mut w1 = SyntheticWorkload::new(0xaaaa, dims.nodes(), 8, 0, 300);
     let first = network.run(&mut w1);
     let first_report = first.ledger.as_ref().expect("first run ledger");
     assert!(first_report.active_visits > 0);
     assert!(first_report.heartbeats().count() >= 3);
-    let mut w2 = SyntheticWorkload::new(0xbbbb, dims.nodes(), 8, 300);
+    let mut w2 = SyntheticWorkload::new(0xbbbb, dims.nodes(), 8, 0, 300);
     let second = network.run(&mut w2);
     let second_report = second.ledger.as_ref().expect("second run ledger");
     assert!(

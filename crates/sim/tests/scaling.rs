@@ -3,40 +3,12 @@
 //! run in debug CI); throughput and build-time envelopes are measured by
 //! the release-mode `mesh_scaling` bench instead.
 
-use rfnoc_sim::{MessageClass, MessageSpec, Network, NetworkSpec, SimConfig, Workload};
+#[path = "common/synthetic.rs"]
+mod synthetic;
+
+use rfnoc_sim::{MessageClass, MessageSpec, Network, NetworkSpec, SimConfig};
 use rfnoc_topology::{FabricSpec, GridDims, Shortcut};
-
-/// Deterministic xorshift unicast traffic at `load_256`/256 messages per
-/// node per cycle, mirroring the golden determinism suite.
-struct SyntheticWorkload {
-    state: u64,
-    nodes: usize,
-    load_256: u64,
-    until: u64,
-}
-
-impl Workload for SyntheticWorkload {
-    fn messages_at(&mut self, cycle: u64, out: &mut Vec<MessageSpec>) {
-        if cycle >= self.until {
-            return;
-        }
-        for src in 0..self.nodes {
-            let mut x = self.state;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            self.state = x;
-            if x % 256 >= self.load_256 {
-                continue;
-            }
-            let mut dst = (self.state % self.nodes as u64) as usize;
-            if dst == src {
-                dst = (dst + 1) % self.nodes;
-            }
-            out.push(MessageSpec::unicast(src, dst, MessageClass::Request));
-        }
-    }
-}
+use synthetic::SyntheticWorkload;
 
 /// Corner-diagonal RF overlay legal on any rectangular fabric.
 fn corner_shortcuts(fabric: FabricSpec) -> Vec<Shortcut> {
@@ -65,7 +37,7 @@ fn run_overlay(fabric: FabricSpec, load_256: u64) {
     let horizon = cfg.warmup_cycles + cfg.measure_cycles;
     let nodes = fabric.dims().nodes();
     let spec = NetworkSpec::with_fabric(fabric, cfg, corner_shortcuts(fabric));
-    let mut w = SyntheticWorkload { state: 0x5eed_5ca1e, nodes, load_256, until: horizon };
+    let mut w = SyntheticWorkload::new(0x5eed_5ca1e, nodes, load_256, 0, horizon);
     let stats = Network::new(spec).run(&mut w);
     assert!(stats.completed_messages > 100, "{}: only {} completions", fabric.name(), stats.completed_messages);
     assert!(!stats.saturated, "{}: saturated at low load", fabric.name());

@@ -6,53 +6,13 @@
 //! retransmissions, and RF-band teardown all land at cycle boundaries
 //! shared by every shard).
 
+#[path = "common/synthetic.rs"]
+mod synthetic;
+
 use proptest::prelude::*;
-use rfnoc_sim::{
-    shard_ranges, FaultPlan, MessageClass, MessageSpec, Network, NetworkSpec,
-    SimConfig, TelemetryConfig, Workload,
-};
+use rfnoc_sim::{shard_ranges, FaultPlan, Network, NetworkSpec, SimConfig, TelemetryConfig};
 use rfnoc_topology::{FabricSpec, GridDims, Shortcut};
-
-/// Deterministic xorshift unicast workload (mirrors the golden-stats
-/// generator; no external RNG crate).
-struct SyntheticUnicasts {
-    state: u64,
-    nodes: usize,
-    load_256: u64,
-    until: u64,
-}
-
-impl Workload for SyntheticUnicasts {
-    fn messages_at(&mut self, cycle: u64, out: &mut Vec<MessageSpec>) {
-        if cycle >= self.until {
-            return;
-        }
-        let (nodes, load) = (self.nodes, self.load_256);
-        let mut next = || {
-            let mut x = self.state;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            self.state = x;
-            x
-        };
-        for src in 0..nodes {
-            if next() % 256 >= load {
-                continue;
-            }
-            let mut dst = (next() % nodes as u64) as usize;
-            if dst == src {
-                dst = (dst + 1) % nodes;
-            }
-            let class = match next() % 3 {
-                0 => MessageClass::Request,
-                1 => MessageClass::Data,
-                _ => MessageClass::Memory,
-            };
-            out.push(MessageSpec::unicast(src, dst, class));
-        }
-    }
-}
+use synthetic::SyntheticWorkload;
 
 /// A mesh over `dims`, or — when `tile_sel` is non-zero and some tile size
 /// divides both sides — a ring-mesh with one of the dividing tiles.
@@ -160,12 +120,7 @@ proptest! {
                 );
                 spec = spec.with_fault_plan(plan);
             }
-            let mut workload = SyntheticUnicasts {
-                state: seed | 1,
-                nodes: n,
-                load_256,
-                until: 1_400,
-            };
+            let mut workload = SyntheticWorkload::new(seed | 1, n, load_256, 0, 1_400);
             Network::new(spec).run(&mut workload)
         };
         let serial = run(1);
@@ -234,12 +189,7 @@ fn fault_storm_stats_identical_across_thread_counts() {
         assert!(!plan.is_empty());
         let spec = NetworkSpec::with_shortcuts(dims, cfg, shortcuts.clone())
             .with_fault_plan(plan);
-        let mut w = SyntheticUnicasts {
-            state: 0x5701_4a11,
-            nodes: dims.nodes(),
-            load_256: 20,
-            until: 6_500,
-        };
+        let mut w = SyntheticWorkload::new(0x5701_4a11, dims.nodes(), 20, 0, 6_500);
         Network::new(spec).run(&mut w)
     };
     let serial = run(1);
