@@ -93,13 +93,13 @@ fn attribution_scenario(name: &str, rate: f64, quick: bool) {
 
 fn trace_scenario(quick: bool) {
     let experiment = fault_experiment(Architecture::StaticShortcuts, quick, true);
-    let built = experiment.build();
+    let design = experiment.design();
     eprintln!("profile_report: trace run ({})", experiment.summary());
-    let report = experiment.run();
+    let report = experiment.run_on(&design);
     let tel = report.stats.telemetry.as_ref().expect("telemetry enabled");
     let spec = TraceSpec {
         dims: experiment.placement.dims(),
-        shortcuts: &built.shortcuts,
+        shortcuts: design.shortcuts(),
         max_span_events: TRACE_SPAN_CAP,
     };
     write_file(&artifact_path("PROFILE_trace"), &perfetto::render_trace(tel, &spec));

@@ -31,28 +31,16 @@ use rfnoc_bench::telemetry::{
 };
 use rfnoc_sim::TelemetryReport;
 use rfnoc_traffic::Placement;
-
-fn write_svg(name: &str, svg: &str) {
-    let dir = "results/svg";
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("telemetry_report: cannot create {dir}: {e}");
-        return;
-    }
-    let path = format!("{dir}/{name}.svg");
-    match std::fs::write(&path, svg) {
-        Ok(()) => eprintln!("telemetry_report: wrote {path}"),
-        Err(e) => eprintln!("telemetry_report: cannot write {path}: {e}"),
-    }
-}
+use std::path::Path;
 
 fn congestion_scenario(quick: bool) {
     // A load comfortably past the 16B uniform saturation knee, so the
     // heatmap shows the congested steady state (fig7's saturated region).
     let experiment =
         instrumented_experiment(Architecture::StaticShortcuts, quick, SATURATED_RATE, false);
-    let built = experiment.build();
+    let design = experiment.design();
     eprintln!("telemetry_report: congestion run ({})", experiment.summary());
-    let report = experiment.run();
+    let report = experiment.run_on(&design);
     let stats = &report.stats;
     let tel = stats.telemetry.as_ref().expect("telemetry was enabled");
 
@@ -75,13 +63,13 @@ fn congestion_scenario(quick: bool) {
     // utilization (per shortcut source, since sources are unique).
     let placement = Placement::paper_10x10();
     let util = scaled_link_util(tel);
-    let shortcut_util: Vec<f64> = built
-        .shortcuts
+    let shortcut_util: Vec<f64> = design
+        .shortcuts()
         .iter()
         .map(|s| telemetry::port_utilization(tel, s.src, 5, rf_capacity()))
         .collect();
     let figure = LinkHeatFigure {
-        shortcuts: &built.shortcuts,
+        shortcuts: design.shortcuts(),
         port_util: &util,
         shortcut_util: &shortcut_util,
         title: format!(
@@ -89,7 +77,10 @@ fn congestion_scenario(quick: bool) {
             report.system
         ),
     };
-    write_svg("TELEMETRY_link_heatmap", &render_link_heatmap(&placement, &figure));
+    write_file(
+        Path::new("results/svg/TELEMETRY_link_heatmap.svg"),
+        &render_link_heatmap(&placement, &figure),
+    );
 }
 
 /// Colour gain: mesh links saturate the ramp at 1/HEAT_SCALE flits/cycle.
