@@ -107,7 +107,18 @@ impl Network {
     }
 
     /// Advances the simulation by one cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the clock has reached the end of the engine's cycle range
+    /// (2,147,483,647 cycles, the longest run `SimConfig::validate`
+    /// admits): past it, a cycle stamp would no longer fit its `u32`.
     pub fn step(&mut self) {
+        assert!(
+            self.cycle < CYCLE_LIMIT,
+            "cycle {} is past the engine's cycle range of {CYCLE_LIMIT} cycles",
+            self.cycle
+        );
         self.counting = self.cycle >= self.config.warmup_cycles;
         self.step_faults();
         self.step_reconfig();
@@ -374,7 +385,7 @@ impl Sweep<'_> {
                         packet: a.packet,
                         r: r as u32,
                         port: port as u8,
-                        at: a.at,
+                        at: u64::from(a.at),
                     });
                 }
             }
@@ -531,9 +542,10 @@ impl Sweep<'_> {
         let sh = self.sh;
         // Compute the base-route tree partition once.
         if !self.routers[rl].vc(port, vci).mc_routed() {
-            let PacketDest::Tree(set) = self.packets.get(packet).dest else {
+            let PacketDest::Tree(tree) = self.packets.get(packet).dest else {
                 unreachable!("a head without a unicast destination belongs to a tree packet")
             };
+            let set = self.packets.tree(tree);
             let (groups, glen) = partition_tree(
                 r,
                 sh.local_port(r) as u8,
@@ -547,17 +559,18 @@ impl Sweep<'_> {
             let mut branches: [(u8, u32); MAX_ROUTER_PORTS] = [(0, packet); MAX_ROUTER_PORTS];
             let parent_fields = (glen > 1).then(|| {
                 let p = self.packets.get(packet);
-                (p.created, p.measured, p.flits, p.bytes, p.parent, p.src)
+                (p.created, p.measured, p.flits, p.bytes, p.parent(), p.src)
             });
             for (g, branch) in branches.iter_mut().enumerate().take(glen) {
                 branch.0 = groups[g].0;
                 if let Some((created, measured, flits, bytes, parent, src)) = parent_fields {
+                    let dest = self.owned_packets().tree_dest(groups[g].1);
                     branch.1 = self.new_packet(PacketInfo::new(
-                        PacketDest::Tree(groups[g].1),
+                        dest,
                         src,
-                        flits,
-                        bytes,
-                        created,
+                        flits.into(),
+                        bytes.into(),
+                        created.into(),
                         measured,
                         parent,
                         false,
@@ -721,10 +734,10 @@ impl Sweep<'_> {
         let op = router.out(out);
         let target = op.target();
         let is_rf = out == router.rf_port();
-        let arrival = now + 2 + op.extra_latency();
+        let arrival = (now + 2 + op.extra_latency()) as u32;
         let wire_hops = op.is_wire().then(|| op.shortcut_hops());
         // Credit check for non-ejection ports.
-        if target.is_some() && op.credits(out_vc) == 0 {
+        if target.is_some() && router.credits(out, out_vc) == 0 {
             if self.tel_on() {
                 self.buf.tel_counts.credit_stalls += 1;
             }
@@ -739,7 +752,7 @@ impl Sweep<'_> {
         self.buf.progress = true;
         let (packet_flits, packet_bytes) = {
             let p = self.packets.get(sent_packet);
-            (p.flits, p.bytes)
+            (u32::from(p.flits), u32::from(p.bytes))
         };
         let is_tail = flit.is_tail(packet_flits);
         let mut first_grant = false;

@@ -101,7 +101,7 @@ impl Network {
                 let bytes = spec.bytes();
                 let flits = self.flits_for(bytes);
                 let pkt = self.new_packet(PacketInfo::new(
-                    PacketDest::Unicast(dst),
+                    PacketDest::Unicast(dst as u32),
                     spec.src as u32,
                     flits,
                     bytes,
@@ -169,7 +169,7 @@ impl Network {
             } else {
                 let flits = self.flits_for(bytes);
                 let pkt = self.new_packet(PacketInfo::new(
-                    PacketDest::Unicast(tx),
+                    PacketDest::Unicast(tx as u32),
                     src as u32,
                     flits,
                     bytes,
@@ -190,8 +190,9 @@ impl Network {
                     .expect("VCT mode has a table")
                     .access(src, set);
                 let flits = self.flits_for(bytes);
+                let dest = self.packets.tree_dest(set);
                 let pkt = self.new_packet(PacketInfo::new(
-                    PacketDest::Tree(set),
+                    dest,
                     src as u32,
                     flits,
                     bytes,
@@ -207,7 +208,7 @@ impl Network {
                 let flits = self.flits_for(bytes);
                 for dst in set.iter() {
                     let pkt = self.new_packet(PacketInfo::new(
-                        PacketDest::Unicast(dst),
+                        PacketDest::Unicast(dst as u32),
                         src as u32,
                         flits,
                         bytes,
@@ -225,9 +226,11 @@ impl Network {
     pub(super) fn apply_pending_injections(&mut self) {
         // Indexed drain (no `mem::take`) so the buffer keeps its capacity.
         // A queued packet makes its router non-quiescent, so mark it for
-        // the scheduler sweep.
+        // the scheduler sweep. A VCT set-up delay past the end of the stamp
+        // range leaves the packet ready at its end, a cycle no run reaches.
         for i in 0..self.pending_inj.len() {
             let (router, packet, ready_at) = self.pending_inj[i];
+            let ready_at = u32::try_from(ready_at).unwrap_or(u32::MAX);
             self.routers[router].enqueue_injection(PendingInjection { packet, ready_at });
             self.mark_active(router);
         }
@@ -247,7 +250,7 @@ impl sweep::Sweep<'_> {
         let router = &mut self.routers[rl];
         // Claim VCs for waiting packets (adaptive class preferred).
         while let Some(PendingInjection { packet, ready_at }) = router.next_injection() {
-            if ready_at > now {
+            if u64::from(ready_at) > now {
                 break;
             }
             let Some(vc) = router.free_injection_vc(self.sh.adaptive_vcs, self.sh.escape_vcs)
@@ -255,17 +258,14 @@ impl sweep::Sweep<'_> {
                 break;
             };
             let p = self.packets.get(packet);
-            let dest = match p.dest {
-                PacketDest::Unicast(d) => d as u32,
-                PacketDest::Tree(_) => Arrival::TREE,
-            };
-            router.start_injection(vc, p.flits, dest);
+            router.start_injection(vc, u32::from(p.flits), p.head_dest());
         }
         // Stream up to `local_port_speedup` flits per network cycle across
         // the local VCs (the 4 GHz node feeds the 2 GHz network, §3.1).
         let local = self.routers[rl].local_port();
+        let at = (now + 1) as u32;
         for _ in 0..self.sh.config.local_port_speedup {
-            let Some(flit) = self.routers[rl].next_injection_flit(now + 1) else { break };
+            let Some(flit) = self.routers[rl].next_injection_flit(at) else { break };
             self.routers[rl].push_arrival(local, flit);
         }
     }

@@ -50,7 +50,7 @@ impl Network {
             let flits = self.flits_for(bytes);
             for &(rx, dest) in &plan.forwarded {
                 let pkt = self.new_packet(PacketInfo::new(
-                    PacketDest::Unicast(dest),
+                    PacketDest::Unicast(dest as u32),
                     rx as u32,
                     flits,
                     bytes,

@@ -187,9 +187,19 @@ pub(super) enum PacketAccess<'a> {
 impl PacketAccess<'_> {
     #[inline]
     pub fn get(&self, id: u32) -> &PacketInfo {
+        self.table().get(id)
+    }
+
+    /// The destination set of tree packet `tree`.
+    pub fn tree(&self, tree: u32) -> DestSet {
+        self.table().tree(tree)
+    }
+
+    #[inline]
+    fn table(&self) -> &PacketTable {
         match self {
-            PacketAccess::Shared(p) => p.get(id),
-            PacketAccess::Owned(p) => p.get(id),
+            PacketAccess::Shared(p) => p,
+            PacketAccess::Owned(p) => p,
         }
     }
 }
@@ -216,13 +226,10 @@ pub(super) enum TelOp {
 
 impl TelOp {
     /// The creation of packet `id`, which opens its lifecycle span; `dest`
-    /// is `u32::MAX` for a multicast tree packet.
+    /// is `u32::MAX` ([`Arrival::TREE`]) for a multicast tree packet.
     pub fn packet_created(id: u32, p: &PacketInfo) -> Self {
-        let dest = match p.dest {
-            PacketDest::Unicast(d) => d as u32,
-            PacketDest::Tree(_) => u32::MAX,
-        };
-        let (src, created, measured) = (p.src, p.created, p.measured);
+        let dest = p.head_dest();
+        let (src, created, measured) = (p.src, u64::from(p.created), p.measured);
         TelOp::PacketCreated { packet: id, src, dest, created, measured }
     }
 }
@@ -497,13 +504,20 @@ impl Sweep<'_> {
         self.buf.tel_ops.push(op);
     }
 
-    /// Allocates a mid-sweep packet (tree-multicast children). Only legal
-    /// on a one-shard sweep, which is where VCT multicast always runs.
-    pub fn new_packet(&mut self, p: PacketInfo) -> u32 {
-        let tel_on = self.tel_on();
+    /// The packet table, held exclusively. Only a one-shard sweep holds
+    /// it so, which is where VCT multicast, the one packet allocator
+    /// mid-sweep, always runs.
+    pub fn owned_packets(&mut self) -> &mut PacketTable {
         let PacketAccess::Owned(packets) = &mut self.packets else {
             unreachable!("tree multicast allocates packets mid-sweep; it runs on one shard")
         };
+        packets
+    }
+
+    /// Allocates a mid-sweep packet (tree-multicast children).
+    pub fn new_packet(&mut self, p: PacketInfo) -> u32 {
+        let tel_on = self.tel_on();
+        let packets = self.owned_packets();
         let id = packets.push(p);
         if tel_on {
             let op = TelOp::packet_created(id, packets.get(id));
@@ -518,7 +532,7 @@ impl Sweep<'_> {
             let p = self.packets.get(packet);
             let ejected = p.ejected.load(Relaxed) + 1;
             p.ejected.store(ejected, Relaxed);
-            (p.measured, p.created, p.flits, ejected)
+            (p.measured, u64::from(p.created), u32::from(p.flits), ejected)
         };
         if measured {
             self.buf.ejected_flits += 1;
@@ -530,7 +544,7 @@ impl Sweep<'_> {
         if ejected == flits {
             let (parent, mc_carry, src, head_grants) = {
                 let p = self.packets.get(packet);
-                (p.parent, p.mc_carry, p.src, p.head_grants.load(Relaxed))
+                (p.parent(), p.mc_carry, p.src, p.head_grants.load(Relaxed))
             };
             if measured && head_grants > 0 {
                 self.buf.hops_sum += (head_grants - 1) as u64;

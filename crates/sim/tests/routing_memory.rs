@@ -7,6 +7,9 @@
 //! does a network keep tables of router pairs: the escape and the unicast
 //! routes over the surviving links, 3 B a pair each.
 //!
+//! It also bounds what the XY-routed mesh keeps a router in all: the flat
+//! router block at the paper's shape, and the network's per-router arrays.
+//!
 //! The binary counts every allocation through its own global allocator,
 //! so it holds this one test only.
 
@@ -82,6 +85,15 @@ fn shortest_path_routes_cost_no_table_of_router_pairs() {
     let shortcuts = long_shortcuts(dims);
     let config = SimConfig::paper_baseline();
     let xy = bytes_per_router(NetworkSpec::mesh_baseline(dims, config.clone()));
+    // At the paper's router shape (6 ports, 12 VCs, 4-flit buffers) the
+    // flat router block is a 256-B header, 1,152 B of `u32` flit rings,
+    // 1,152 B of VC records and per-port and per-VC records sized by the
+    // VC count; the network adds a few words a router.
+    let router_bound = 3_500;
+    assert!(
+        xy <= router_bound,
+        "an XY 64x64 paper-baseline router keeps {xy} B, more than {router_bound}"
+    );
     // An array of router pairs costs at least one byte a pair, 4,096 B a
     // router at 64×64. 256 B a router is a sixteenth of that, and room for
     // the oracle's per-router arrays.
