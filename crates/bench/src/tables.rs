@@ -13,7 +13,7 @@ use rfnoc::{
 };
 use rfnoc_power::{LinkWidth, NocPowerModel};
 use rfnoc_sim::bands::RfBudget;
-use rfnoc_sim::{MessageClass, Network, NetworkSpec, SimConfig};
+use rfnoc_sim::{MessageClass, Network, NetworkSpec, SimConfig, RF_CHANNEL_BYTES};
 use rfnoc_topology::select::{
     select_application_specific, select_exhaustive_greedy, select_max_cost,
     SelectionConstraints,
@@ -209,7 +209,7 @@ pub(crate) fn fig5_parameters(_opts: &SuiteOptions) {
             format!(
                 "{}B aggregate, {}B single-cycle channels, budget {DEFAULT_SHORTCUT_BUDGET} \
                  shortcuts",
-                rf.aggregate_bytes_per_cycle, sim.rf_channel_bytes
+                rf.aggregate_bytes_per_cycle, RF_CHANNEL_BYTES
             ),
         ],
         vec![

@@ -4,6 +4,7 @@
 //! and shard records ride the same timeline — and the instrumented run's
 //! statistics must be bit-identical to an uninstrumented one.
 
+use rfnoc::json::{parse, Json};
 use rfnoc::ledger::LedgerSummary;
 use rfnoc::{Architecture, WorkloadSpec};
 use rfnoc_bench::plan::{labeled, Design, Plan, SweepSpec};
@@ -11,6 +12,7 @@ use rfnoc_bench::runner::{run_plan, RunnerConfig};
 use rfnoc_power::LinkWidth;
 use rfnoc_sim::SimConfig;
 use rfnoc_traffic::TraceKind;
+use std::collections::BTreeSet;
 
 fn small_plan() -> Plan {
     let mut sim = SimConfig::paper_baseline();
@@ -41,14 +43,15 @@ fn temp_ledger(name: &str) -> String {
 /// `plan_start`/`plan_finish`), engine heartbeats are present and
 /// well-formed per point, and — at `sim_threads > 1` — shard records
 /// appear. [`LedgerSummary`] is the same reader `rfnoc-cli tail` and
-/// `ledger-summary` use, so this is the full schema round-trip.
+/// `ledger-summary` use, so this is the full schema round-trip; the raw
+/// lines are checked on their own as well.
 #[test]
 fn runner_ledger_schema_roundtrip() {
     let path = temp_ledger("roundtrip");
     let plan = small_plan();
     let cfg = RunnerConfig {
         jobs: 2,
-        sim_threads: 2,
+        sim_threads: 4,
         quiet: true,
         ledger: Some(path.clone()),
         ..RunnerConfig::default()
@@ -70,7 +73,54 @@ fn runner_ledger_schema_roundtrip() {
     assert!(!summary.shards.is_empty(), "sharded runs must stream shard records");
     assert!(summary.shard_imbalance().is_some());
     assert!(summary.barrier_wait_frac().is_some());
+
+    check_raw_lines(&std::fs::read_to_string(&path).unwrap(), 4);
     let _ = std::fs::remove_file(&path);
+}
+
+/// The ledger's lines as written, without [`LedgerSummary`]: `t_ms`
+/// never falls; `plan_start` opens the stream with the engine's thread
+/// count and `plan_finish` closes it; every unique point is queued,
+/// started and finished exactly once, each finish with a positive wall;
+/// every point heartbeats; and the shard records name exactly shards
+/// `0..sim_threads`, which swept some routers.
+fn check_raw_lines(ledger: &str, sim_threads: u64) {
+    let recs: Vec<Json> = ledger.lines().map(|l| parse(l).expect(l)).collect();
+    assert!(!recs.is_empty(), "empty ledger");
+    let num = |r: &Json, key: &str| match r.get(key) {
+        Some(Json::Num(x)) => *x,
+        _ => panic!("no number {key:?} in {}", r.line()),
+    };
+    let text = |r: &Json, key: &str| -> String {
+        r.get(key)
+            .and_then(Json::as_str)
+            .unwrap_or_else(|| panic!("no {key:?} in {}", r.line()))
+            .into()
+    };
+    let mut last_t = 0.0;
+    for r in &recs {
+        let t = num(r, "t_ms");
+        assert!(t >= last_t - 1e-9, "t_ms fell from {last_t}: {}", r.line());
+        last_t = t;
+    }
+    let kinds: Vec<String> = recs.iter().map(|r| text(r, "kind")).collect();
+    assert_eq!(kinds[0], "plan_start");
+    assert_eq!(kinds[kinds.len() - 1], "plan_finish");
+    let unique = num(&recs[0], "unique") as usize;
+    assert_eq!(num(&recs[0], "sim_threads"), sim_threads as f64, "{}", recs[0].line());
+    for kind in ["point_queued", "point_start", "point_finish"] {
+        let n = kinds.iter().filter(|k| *k == kind).count();
+        assert_eq!(n, unique, "{kind}: {n} records for {unique} points");
+    }
+    let of_kind = |kind: &'static str| recs.iter().filter(move |r| text(r, "kind") == kind);
+    for r in of_kind("point_finish") {
+        assert!(num(r, "wall_ms") > 0.0, "{}", r.line());
+    }
+    let heartbeating: BTreeSet<String> = of_kind("heartbeat").map(|r| text(r, "point")).collect();
+    assert_eq!(heartbeating.len(), unique, "heartbeats from {heartbeating:?}");
+    let shards: BTreeSet<u64> = of_kind("shard").map(|r| num(r, "shard") as u64).collect();
+    assert_eq!(shards, (0..sim_threads).collect(), "shard records at {sim_threads} sim threads");
+    assert!(of_kind("shard").map(|r| num(r, "swept_routers")).sum::<f64>() > 0.0);
 }
 
 /// Runner-level inertness: running the same plan with and without the

@@ -2,22 +2,15 @@
 //! each must exit 2 naming the flag before any experiment runs, never
 //! fall back to a default.
 
-use std::process::Command;
+mod common;
 
 /// Runs `run_all fig7 --quick <flags>` in a scratch directory: exit code
 /// and the combined stdout and stderr.
 fn run_all(name: &str, flags: &[&str]) -> (i32, String) {
-    let dir = std::env::temp_dir().join("rfnoc_run_all_cli").join(name);
-    std::fs::create_dir_all(&dir).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
-        .args(["fig7", "--quick"])
-        .args(flags)
-        .current_dir(&dir)
-        .output()
-        .unwrap();
-    let text =
-        String::from_utf8_lossy(&out.stdout).into_owned() + &String::from_utf8_lossy(&out.stderr);
-    (out.status.code().expect("exited"), text)
+    let dir = common::scratch_dir(&format!("run_all_cli/{name}"));
+    let args: Vec<&str> = ["fig7", "--quick"].iter().chain(flags).copied().collect();
+    let (code, stdout, stderr) = common::spawn(env!("CARGO_BIN_EXE_run_all"), &dir, &args);
+    (code, stdout + &stderr)
 }
 
 fn assert_refused(name: &str, flags: &[&str], flag: &str) {

@@ -4,18 +4,15 @@
 //! unknown name lists both registries.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
+
+mod common;
 
 /// Runs `run_all <args>` in a scratch directory of its own: exit code,
 /// stdout, stderr and the directory, where `results/` lands.
 fn run_all(dir: &str, args: &[&str]) -> (i32, String, String, PathBuf) {
-    let dir = std::env::temp_dir().join("rfnoc_run_all_tables").join(dir);
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let out =
-        Command::new(env!("CARGO_BIN_EXE_run_all")).args(args).current_dir(&dir).output().unwrap();
-    let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
-    (out.status.code().expect("exited"), text(&out.stdout), text(&out.stderr), dir)
+    let dir = common::scratch_dir(&format!("run_all_tables/{dir}"));
+    let (code, stdout, stderr) = common::spawn(env!("CARGO_BIN_EXE_run_all"), &dir, args);
+    (code, stdout, stderr, dir)
 }
 
 /// A committed file under the repository's `results/`.

@@ -2,20 +2,18 @@
 //! message and exit code 1, never a panic inside the simulator.
 
 use rfnoc_traffic::TRACE_HEADER;
-use std::process::Command;
+
+mod common;
 
 /// Replays `records` (one trace line each) on the baseline design:
 /// exit code and stderr.
 fn replay(name: &str, records: &str) -> (i32, String) {
-    let dir = std::env::temp_dir().join("rfnoc_trace_tool_cli");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{name}.trace"));
-    std::fs::write(&path, format!("{TRACE_HEADER}\n0 U 1 2 req\n{records}\n")).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_trace_tool"))
-        .args(["replay", path.to_str().unwrap(), "baseline"])
-        .output()
+    let dir = common::scratch_dir(&format!("trace_tool_cli/{name}"));
+    std::fs::write(dir.join("run.trace"), format!("{TRACE_HEADER}\n0 U 1 2 req\n{records}\n"))
         .unwrap();
-    (out.status.code().expect("exited"), String::from_utf8_lossy(&out.stderr).into_owned())
+    let (code, _, stderr) =
+        common::spawn(env!("CARGO_BIN_EXE_trace_tool"), &dir, &["replay", "run.trace", "baseline"]);
+    (code, stderr)
 }
 
 #[test]

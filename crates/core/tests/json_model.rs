@@ -5,6 +5,7 @@
 
 use proptest::prelude::*;
 use rfnoc::json::{parse, rounded, Json, MAX_DEPTH};
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 #[test]
@@ -193,4 +194,61 @@ fn deep_nesting_is_a_typed_error() {
     assert_eq!(parse(&objects).unwrap_err().message, "nesting too deep");
     // Width is not depth: siblings do not accumulate.
     assert!(parse(&format!("[{}[]]", "[], ".repeat(10_000))).is_ok());
+}
+
+/// Whether `line` holds an escaped `\"key\":` literal: a JSON object
+/// written by hand instead of built as a [`Json`] value.
+fn writes_a_key_by_hand(line: &str) -> bool {
+    line.match_indices("\\\"").any(|(at, _)| {
+        let rest = &line[at + 2..];
+        let key = rest.len()
+            - rest.trim_start_matches(|c: char| c.is_ascii_alphanumeric() || c == '_').len();
+        key > 0 && rest[key..].starts_with("\\\":")
+    })
+}
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Every producer builds a [`Json`] value: a `\"key\":` literal in the
+/// non-test code of a crate's `src/` (each file up to its first
+/// `#[cfg(test)]`) means a second renderer is growing back. The one
+/// allowed literal opens the Perfetto document, whose events are streamed
+/// one `Json::line()` at a time; the model itself is exempt.
+#[test]
+fn no_hand_written_json_outside_the_model() {
+    assert!(writes_a_key_by_hand(r#"format!("{{\"id\": {id}}}")"#));
+    assert!(writes_a_key_by_hand(r#""{\"t_ms\":1}""#));
+    assert!(!writes_a_key_by_hand(r#"format!("\"{key}\": {v}")"#));
+    assert!(!writes_a_key_by_hand(r#"parse(r"{"id": 1}")"#));
+
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(&crates).unwrap() {
+        let src = krate.unwrap().path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut files);
+        }
+    }
+    files.sort();
+    assert!(files.len() > 50, "scanned only {files:?}");
+    let mut found = Vec::new();
+    for file in files.iter().filter(|f| !f.ends_with("core/src/json.rs")) {
+        let text = std::fs::read_to_string(file).unwrap();
+        let perfetto = file.ends_with("bench/src/perfetto.rs");
+        for (i, line) in text.lines().take_while(|l| !l.contains("#[cfg(test)]")).enumerate() {
+            if writes_a_key_by_hand(line) && !(perfetto && line.contains("traceEvents")) {
+                found.push(format!("{}:{}: {line}", file.display(), i + 1));
+            }
+        }
+    }
+    assert!(found.is_empty(), "hand-written JSON:\n{}", found.join("\n"));
 }

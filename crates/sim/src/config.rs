@@ -17,6 +17,16 @@ use rfnoc_power::LinkWidth;
 /// the clock against it once a cycle.
 pub(crate) const CYCLE_LIMIT: u64 = (u32::MAX / 2) as u64;
 
+/// Aggregate RF-I shortcut channel width in bytes: 16B in the paper,
+/// independent of the mesh link width.
+pub const RF_CHANNEL_BYTES: u32 = 16;
+
+/// Cycles to recover a flit corrupted in flight by a transient link
+/// glitch: detection at the receiver plus retransmission from the upstream
+/// buffer. The glitched flit (and the link behind it) is delayed by this
+/// much; credits are unaffected.
+pub const LINK_RETRY_CYCLES: u64 = 6;
+
 /// Microarchitectural configuration of the simulated network.
 ///
 /// Defaults follow the paper's §3.1/§4 description: wormhole routing,
@@ -43,9 +53,6 @@ pub struct SimConfig {
     pub vcs_escape: usize,
     /// Flit buffer depth per virtual channel.
     pub buffer_depth: usize,
-    /// Aggregate RF-I shortcut channel width in bytes (always 16B in the
-    /// paper, independent of the mesh link width).
-    pub rf_channel_bytes: u32,
     /// Warmup cycles before measurement starts.
     pub warmup_cycles: u64,
     /// Measurement window length in cycles.
@@ -85,11 +92,6 @@ pub struct SimConfig {
     /// 0 disables the watchdog. Must exceed `reconfig_cycles` (a table
     /// rewrite legitimately stalls injection that long).
     pub watchdog_cycles: u64,
-    /// Cycles to recover a flit corrupted in flight by a transient link
-    /// glitch: detection at the receiver plus retransmission from the
-    /// upstream buffer. The glitched flit (and the link behind it) is
-    /// delayed by this much; credits are unaffected.
-    pub link_retry_cycles: u64,
     /// Per-fault recovery-SLO tracking: `Some` opens a
     /// [`crate::RecoveryRecord`] for every applied fault (drain, rewrite,
     /// and latency re-convergence timings, returned through
@@ -123,7 +125,6 @@ impl SimConfig {
             vcs_adaptive: 4,
             vcs_escape: 8,
             buffer_depth: 4,
-            rf_channel_bytes: 16,
             warmup_cycles: 10_000,
             measure_cycles: 100_000,
             drain_cycles: 50_000,
@@ -133,7 +134,6 @@ impl SimConfig {
             collect_pair_counts: false,
             adaptive_shortcut_routing: true,
             watchdog_cycles: 10_000,
-            link_retry_cycles: 6,
             recovery: None,
             ledger: None,
             threads: 1,
@@ -146,10 +146,10 @@ impl SimConfig {
     }
 
     /// Flits an RF-I shortcut can carry per cycle at the configured mesh
-    /// flit size (the 16B RF channel carries multiple narrow flits when the
-    /// mesh is reduced to 8B/4B).
+    /// flit size (the [`RF_CHANNEL_BYTES`] channel carries multiple narrow
+    /// flits when the mesh is reduced to 8B/4B).
     pub fn rf_flits_per_cycle(&self) -> u32 {
-        (self.rf_channel_bytes / self.link_width.bytes()).max(1)
+        (RF_CHANNEL_BYTES / self.link_width.bytes()).max(1)
     }
 
     /// Returns a copy with a different link width.

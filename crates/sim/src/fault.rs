@@ -10,7 +10,7 @@
 //! mesh links trigger a detour-table rebuild over the surviving links.
 //! Transient link glitches model flit corruption detected at the receiver
 //! and retransmitted from the upstream buffer: the in-flight flit (and the
-//! link behind it) is delayed by [`crate::SimConfig::link_retry_cycles`],
+//! link behind it) is delayed by [`crate::LINK_RETRY_CYCLES`],
 //! leaving credits untouched.
 
 use crate::error::ConfigError;
@@ -55,7 +55,7 @@ pub enum FaultEvent {
     /// A transient glitch corrupts the flit in flight on the link from `a`
     /// to `b` (mesh or RF); the flit is dropped at the receiver and
     /// retransmitted from the sender's buffer after
-    /// [`crate::SimConfig::link_retry_cycles`]. No effect on an idle link.
+    /// [`crate::LINK_RETRY_CYCLES`]. No effect on an idle link.
     LinkGlitch {
         /// Sending router.
         a: usize,

@@ -57,7 +57,7 @@ mod router;
 mod stats;
 mod vct;
 
-pub use config::SimConfig;
+pub use config::{SimConfig, LINK_RETRY_CYCLES, RF_CHANNEL_BYTES};
 pub use error::{ConfigError, ReconfigError, SimError};
 pub use fault::{
     FaultEvent, FaultPlan, FaultRates, HealthDiagnosis, HealthReport, RecoveryConfig,

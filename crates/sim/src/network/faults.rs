@@ -4,6 +4,7 @@
 
 #[allow(clippy::wildcard_imports)]
 use super::*;
+use crate::config::LINK_RETRY_CYCLES;
 use crate::fault::{HealthDiagnosis, RecoveryConfig, RecoveryRecord};
 
 /// One fault whose recovery is still being measured.
@@ -298,7 +299,7 @@ impl Network {
     /// A transient glitch corrupts the flit in flight from `a` to `b`: the
     /// receiver drops it and the sender retransmits from its buffer, so
     /// the flit (and the link behind it) is simply delayed by
-    /// [`SimConfig::link_retry_cycles`]. Credits are untouched — the
+    /// [`LINK_RETRY_CYCLES`]. Credits are untouched — the
     /// upstream buffer slot is only freed when the retransmitted flit
     /// finally lands. No effect on an idle link.
     fn glitch_link(&mut self, a: usize, b: usize) {
@@ -312,7 +313,7 @@ impl Network {
         };
         // The flit's pipeline eligibility is derived from its arrival
         // cycle, so delaying the arrival delays both.
-        if self.routers[b].delay_front_arrival(port, self.config.link_retry_cycles) {
+        if self.routers[b].delay_front_arrival(port, LINK_RETRY_CYCLES) {
             self.stats.retransmitted_flits += 1;
         }
     }
